@@ -17,7 +17,7 @@ from . import __version__, engine, report
 from .data import ParseError, load_csv
 from .warmstart import MockSynthesizer, RemoteSynthesizer
 
-ARM_ACQUIRES = ("exploit", "explore", "ucb", "pi", "ei", "random")
+ARM_ACQUIRES = tuple(a for a in engine.ALL_ACQUIRES if a != "baseline")
 
 
 class ConfigError(ValueError):
@@ -53,6 +53,13 @@ def parse_arms(spec: str) -> tuple[tuple[str, str], ...]:
     if not arms:
         raise ConfigError("empty treatment list")
     return tuple(arms)
+
+
+def format_arms(arms: tuple[tuple[str, str], ...]) -> str:
+    """The treatment-list spelling of `arms`; the inverse of parse_arms."""
+    return ",".join(start if (start, acquire) in (("baseline", "baseline"),
+                                                  ("random", "random"))
+                    else f"{start}/{acquire}" for start, acquire in arms)
 
 
 def collect_data_paths(specs: list[str]) -> list[Path]:
@@ -95,11 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute an experiment grid")
     run.add_argument("--data", nargs="+", required=True,
                      help="MOOT csv files or directories of them")
-    run.add_argument("--treatments", default=",".join(
-        a if a[0] == "baseline" or a == ("random", "random") else f"{a[0]}/{a[1]}"
-        for a in [("llm", "exploit"), ("llm", "explore"), ("random", "exploit"),
-                  ("random", "explore"), ("random", "ucb"), ("random", "pi"),
-                  ("random", "ei")]) + ",random,baseline",
+    run.add_argument("--treatments", default=format_arms(engine.DEFAULT_ARMS),
                      help="comma list of start/acquire arms, plus 'random' "
                           "and 'baseline' (default: the full nine-arm grid)")
     run.add_argument("--budgets", default="10,15,20,25,30",

@@ -1,4 +1,4 @@
-"""MOOT-format tables: typed columns, goal directions, rows with lazy labels.
+"""MOOT-format tables: typed columns, goal directions, per-run label state.
 
 A MOOT CSV is a plain comma-separated file whose header encodes column
 roles: a leading uppercase letter marks a numeric column, a trailing '+'
@@ -7,12 +7,16 @@ column to ignore. Everything else is an independent input. Cells holding
 '?' are missing.
 
 Labeling a row means revealing its goal values; that is the scarce
-resource every optimizer here budgets for, so the label flag and the
-evaluation counter live together on the Dataset.
+resource every optimizer here budgets for. Rows are immutable and shared
+by every copy of a table. A row's id is its index in `Dataset.rows`, and
+the label state of a run is a boolean mask over those ids plus the ids in
+the order they were labeled. `fresh()` hands each run a new mask and
+order, so runs never see each other's labels.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import math
@@ -69,12 +73,28 @@ class SymStats:
 ColumnStats = Union[NumStats, SymStats]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Row:
-    id: int
-    x: list[Cell]
-    y: list[Optional[float]]
-    labeled: bool = False
+    id: int  # index in Dataset.rows
+    x: tuple[Cell, ...]
+    y: tuple[Optional[float], ...]
+
+
+def row_ids(rows) -> np.ndarray:
+    """Ids of `rows`, given as Row objects or as an array of ids already."""
+    if isinstance(rows, np.ndarray):
+        return rows
+    return np.fromiter((r.id for r in rows), dtype=np.intp, count=len(rows))
+
+
+def sample_ids(rng, ids: np.ndarray, k: int) -> np.ndarray:
+    """`rng.sample(list(ids), k)` as an array, without building the list.
+
+    random.sample's draw depends only on the population's length, so
+    sampling positions and indexing with them picks the same ids from the
+    same rng state as sampling the ids (or their rows) directly.
+    """
+    return ids[rng.sample(range(len(ids)), k)]
 
 
 def parse_header(names: list[str]) -> list[ColumnSpec]:
@@ -119,11 +139,11 @@ def classify_dims(n_independent: int) -> str:
 
 
 class Dataset:
-    """An in-memory MOOT table plus per-run label bookkeeping.
+    """An in-memory MOOT table plus one run's label state.
 
-    Columns, rows' cell values, and stats are fixed after load. The only
-    mutable state is which rows are labeled; `fresh()` hands each run a
-    private copy of that state so runs can execute in parallel.
+    Columns, rows and stats are fixed after load and shared by every
+    `fresh()` copy. The only mutable state is the label mask and the
+    label order, which each copy owns, so runs can execute in parallel.
     """
 
     def __init__(self, name: str, columns: list[ColumnSpec], rows: list[Row],
@@ -137,48 +157,62 @@ class Dataset:
         self.y_cols = [c for c in columns if c.role == GOAL]
         self.dims = classify_dims(len(self.x_cols))
         self._ignored_cells = ignored_cells
-        self._label_order: list[Row] = [r for r in rows if r.labeled]
+        self._mask = np.zeros(len(rows), dtype=bool)
+        self._order: list[int] = []
         self._cache: dict[str, object] = {}
 
     # -- label accounting ---------------------------------------------------
 
     @property
     def evaluations(self) -> int:
-        return len(self._label_order)
+        return len(self._order)
 
     def label(self, row: Row) -> Row:
         """Reveal a row's goal values. Each row may be labeled once."""
-        if row.labeled:
+        if self._mask[row.id]:
             raise ValueError(f"row {row.id} is already labeled")
-        row.labeled = True
-        self._label_order.append(row)
+        self._mask[row.id] = True
+        self._order.append(row.id)
         return row
+
+    def is_labeled(self, ids):
+        """Label flag of one id, or a boolean array for an array of ids."""
+        return self._mask[ids]
 
     @property
     def label_order(self) -> list[Row]:
-        return list(self._label_order)
+        return [self.rows[i] for i in self._order]
+
+    def labeled_ids(self) -> np.ndarray:
+        return self._mask.nonzero()[0]
+
+    def unlabeled_ids(self) -> np.ndarray:
+        """The pool, in ascending id order."""
+        return (~self._mask).nonzero()[0]
 
     def labeled_rows(self) -> list[Row]:
-        return [r for r in self.rows if r.labeled]
+        return [self.rows[i] for i in self.labeled_ids()]
 
     def unlabeled_rows(self) -> list[Row]:
-        return [r for r in self.rows if not r.labeled]
+        return [self.rows[i] for i in self.unlabeled_ids()]
 
     def fresh(self) -> "Dataset":
-        """A copy with all labels cleared; cell data and stats are shared."""
-        rows = [Row(r.id, r.x, r.y) for r in self.rows]
-        ds = Dataset.__new__(Dataset)
-        ds.name = self.name
-        ds.columns = self.columns
-        ds.rows = rows
-        ds.stats = self.stats
-        ds.x_cols = self.x_cols
-        ds.y_cols = self.y_cols
-        ds.dims = self.dims
-        ds._ignored_cells = self._ignored_cells
-        ds._label_order = []
-        ds._cache = self._cache  # derived from immutable cell data only
+        """A copy with no labels; rows, stats and cached views are shared."""
+        ds = copy.copy(self)
+        ds._mask = np.zeros(len(self.rows), dtype=bool)
+        ds._order = []
         return ds
+
+    def cached(self, key: str, build):
+        """`build(self)`, computed once per table and shared by fresh() copies.
+
+        Only values derived from the immutable cell data belong here.
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = build(self)
+            return value
 
     # -- normalization and distance ----------------------------------------
 
@@ -204,40 +238,44 @@ class Dataset:
         """Whole-table arrays over the independent columns, built once.
 
         Returns a dict with:
-          num_pos   x-list positions of numeric columns
-          sym_pos   x-list positions of symbolic columns
-          alphabets sorted observed values per symbolic column
-          X_num     (n_rows, n_num) normalized values, NaN where missing
-          X_sym     (n_rows, n_sym) alphabet codes, -1 where missing
+          num_pos     x-list positions of numeric columns
+          sym_pos     x-list positions of symbolic columns
+          alphabets   sorted observed values per symbolic column
+          X_num       (n_rows, n_num) normalized values, NaN where missing
+          XT_num      X_num transposed into C order, one row per column
+          num_missing (n_num,) True for columns with a missing cell
+          X_sym       (n_rows, n_sym) alphabet codes, -1 where missing
         Only x values feed these views, so using them never leaks labels.
         """
-        if "x_views" in self._cache:
-            return self._cache["x_views"]  # type: ignore[return-value]
-        num_pos = [i for i, c in enumerate(self.x_cols) if c.kind == NUMERIC]
-        sym_pos = [i for i, c in enumerate(self.x_cols) if c.kind == SYMBOLIC]
-        alphabets = []
-        for p in sym_pos:
-            st = self.stats[self.x_cols[p].index]
-            alphabets.append(sorted(st.freq) if isinstance(st, SymStats) else [])
-        n = len(self.rows)
-        X_num = np.full((n, len(num_pos)), np.nan)
-        X_sym = np.full((n, len(sym_pos)), -1, dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            for j, p in enumerate(num_pos):
-                v = row.x[p]
-                if v is not None:
-                    X_num[i, j] = self.norm(self.x_cols[p], float(v))
-            for j, p in enumerate(sym_pos):
-                v = row.x[p]
-                if v is not None:
-                    try:
-                        X_sym[i, j] = alphabets[j].index(v)
-                    except ValueError:
-                        pass  # value never seen at load; keep as missing
-        views = {"num_pos": num_pos, "sym_pos": sym_pos, "alphabets": alphabets,
-                 "X_num": X_num, "X_sym": X_sym}
-        self._cache["x_views"] = views
-        return views
+        return self.cached("x_views", _build_x_views)
+
+
+def _build_x_views(ds: Dataset) -> dict:
+    num_pos = [i for i, c in enumerate(ds.x_cols) if c.kind == NUMERIC]
+    sym_pos = [i for i, c in enumerate(ds.x_cols) if c.kind == SYMBOLIC]
+    alphabets = []
+    for p in sym_pos:
+        st = ds.stats[ds.x_cols[p].index]
+        alphabets.append(sorted(st.freq) if isinstance(st, SymStats) else [])
+    n = len(ds.rows)
+    X_num = np.full((n, len(num_pos)), np.nan)
+    X_sym = np.full((n, len(sym_pos)), -1, dtype=np.int64)
+    for i, row in enumerate(ds.rows):
+        for j, p in enumerate(num_pos):
+            v = row.x[p]
+            if v is not None:
+                X_num[i, j] = ds.norm(ds.x_cols[p], float(v))
+        for j, p in enumerate(sym_pos):
+            v = row.x[p]
+            if v is not None:
+                try:
+                    X_sym[i, j] = alphabets[j].index(v)
+                except ValueError:
+                    pass  # value never seen at load; keep as missing
+    XT_num = np.ascontiguousarray(X_num.T)
+    return {"num_pos": num_pos, "sym_pos": sym_pos, "alphabets": alphabets,
+            "X_num": X_num, "XT_num": XT_num,
+            "num_missing": np.isnan(XT_num).any(axis=1), "X_sym": X_sym}
 
 
 def x_distance(a: Row, b: Row, ds: Dataset) -> float:
@@ -297,9 +335,12 @@ def _column_stats(col: ColumnSpec, cells: list[Cell]) -> ColumnStats:
 def load_csv(source: Union[str, Path, io.IOBase], name: Optional[str] = None) -> Dataset:
     """Load a MOOT CSV from a path or an open (byte or text) stream.
 
-    All rows start unlabeled. Column stats cover the whole file; they feed
-    prompts and reports only, never the surrogates, which see just labeled
-    rows.
+    All rows start unlabeled. Column stats cover the whole file. They feed
+    prompts and reports, and they also reach the surrogates: chebyshev
+    normalizes goals by their whole-file ranges, so the targets a surrogate
+    fits (objective.reveal's cached score vector) depend on the goal values
+    of unlabeled rows too. ROADMAP.md, open item 5, plans a label-honest
+    mode that scales by the labeled rows only.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -336,8 +377,8 @@ def _load_csv_stream(fh, name: str) -> Dataset:
         parsed = [_parse_cell(raw, col, row_no) for raw, col in zip(record, columns)]
         for cells, v in zip(col_cells, parsed):
             cells.append(v)
-        x = [parsed[c.index] for c in x_cols]
-        y = [parsed[c.index] for c in y_cols]  # type: ignore[list-item]
+        x = tuple(parsed[c.index] for c in x_cols)
+        y = tuple(parsed[c.index] for c in y_cols)  # type: ignore[misc]
         rows.append(Row(id=len(rows), x=x, y=y))
         if ignored_cols:
             ignored_cells.append([record[c.index].strip() for c in ignored_cols])

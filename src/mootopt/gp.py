@@ -13,13 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
-from .data import Dataset, Row
-from .objective import chebyshev
+from .data import Dataset, Row, row_ids, sample_ids
+# chebyshev stays bound here because perfbench/tracer.py counts calls by it.
+from .objective import chebyshev, reveal  # noqa: F401
 
+ACQUIRES = ("ucb", "pi", "ei")
 LENGTH_SCALE_GRID = (0.1, 0.3, 1.0, 3.0)
 NOISE_VAR = 1e-6
 JITTER_MAX = 1e-2
@@ -34,30 +36,53 @@ class GpFitError(RuntimeError):
     """Kernel matrix could not be factorized even after jitter escalation."""
 
 
-def encode_rows(ds: Dataset, rows: list[Row]) -> np.ndarray:
-    """Encode rows as numeric vectors: norm values then one-hot blocks.
-
-    Missing numerics sit at the 0.5 midpoint; a missing symbolic leaves
-    its one-hot block all zero.
-    """
+def _encode_all(ds: Dataset) -> np.ndarray:
     views = ds.x_views()
-    ids = np.array([r.id for r in rows], dtype=np.int64)
     parts = []
     if views["num_pos"]:
-        parts.append(np.nan_to_num(views["X_num"][ids], nan=0.5))
+        parts.append(np.nan_to_num(views["X_num"], nan=0.5))
     for j, alphabet in enumerate(views["alphabets"]):
-        codes = views["X_sym"][ids, j]
-        block = np.zeros((len(ids), len(alphabet)))
+        codes = views["X_sym"][:, j]
+        block = np.zeros((len(codes), len(alphabet)))
         known = codes >= 0
         block[np.nonzero(known)[0], codes[known]] = 1.0
         parts.append(block)
     if not parts:
-        return np.zeros((len(ids), 0))
+        return np.zeros((len(ds.rows), 0))
     return np.hstack(parts)
 
 
-def encode_row(ds: Dataset, row: Row) -> np.ndarray:
-    return encode_rows(ds, [row])[0]
+def encode_rows(ds: Dataset, rows) -> np.ndarray:
+    """Encode rows (Row objects or ids): norm values then one-hot blocks.
+
+    Missing numerics sit at the 0.5 midpoint; a missing symbolic leaves
+    its one-hot block all zero. The whole table is encoded once and
+    shared by every copy of the dataset.
+    """
+    return ds.cached("gp_encoding", _encode_all)[row_ids(rows)]
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("GP inputs must not contain infs or NaNs")
+
+
+def _tri_solve(L: np.ndarray, b: np.ndarray, transposed: bool = False,
+               overwrite_b: bool = False) -> np.ndarray:
+    """Solve L x = b, or L^T x = b when `transposed`, for a C-ordered
+    lower-triangular L.
+
+    This is the LAPACK call scipy.linalg.solve_triangular makes for such
+    an L (it hands trtrs the F-ordered upper factor L.T), without that
+    function's per-call validation, so the results are equal bit for bit.
+    Callers check finiteness once per fit or predict.
+    """
+    x, info = dtrtrs(L.T, b, lower=False, trans=0 if transposed else 1,
+                     overwrite_b=overwrite_b)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (info={info})")
+    return x
 
 
 @dataclass
@@ -73,25 +98,21 @@ class GpModel:
 
     def predict_batch(self, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and sd at each query point (noise-free latent)."""
+        _check_finite(Xs)
         ks = self.signal_var * np.exp(
             -cdist(Xs, self.X, "sqeuclidean") / (2.0 * self.length_scale ** 2))
         mu = self.y_mean + ks @ self.alpha
-        v = solve_triangular(self.L, ks.T, lower=True)
+        v = _tri_solve(self.L, ks.T, overwrite_b=True)
         var = self.signal_var - np.einsum("ij,ij->j", v, v)
         return mu, np.sqrt(np.maximum(var, 0.0))
 
-    def predict(self, x: np.ndarray) -> tuple[float, float]:
-        mu, sigma = self.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))
-        return float(mu[0]), float(sigma[0])
 
-
-def _try_fit(X: np.ndarray, y: np.ndarray, length_scale: float,
-             signal_var: float) -> GpModel:
+def _try_fit(X: np.ndarray, y: np.ndarray, sqdist: np.ndarray,
+             length_scale: float, signal_var: float) -> GpModel:
     n = len(y)
     y_mean = float(y.mean())
     yc = y - y_mean
-    k = signal_var * np.exp(
-        -cdist(X, X, "sqeuclidean") / (2.0 * length_scale ** 2))
+    k = signal_var * np.exp(-sqdist / (2.0 * length_scale ** 2))
     jitter = NOISE_VAR
     while True:
         try:
@@ -102,8 +123,7 @@ def _try_fit(X: np.ndarray, y: np.ndarray, length_scale: float,
             if jitter > JITTER_MAX * (1.0 + 1e-12):
                 raise GpFitError(
                     f"kernel factorization failed up to jitter {JITTER_MAX}") from None
-    alpha = solve_triangular(
-        L.T, solve_triangular(L, yc, lower=True), lower=False)
+    alpha = _tri_solve(L, _tri_solve(L, yc), transposed=True)
     lml = (-0.5 * float(yc @ alpha)
            - float(np.log(np.diag(L)).sum())
            - 0.5 * n * math.log(2.0 * math.pi))
@@ -117,7 +137,8 @@ def fit(X: np.ndarray, y: np.ndarray, length_scale: float | None = None,
     """Fit a GP to raw vectors/targets.
 
     With length_scale=None the grid is searched and the model with the
-    highest log marginal likelihood wins (first winner on ties).
+    highest log marginal likelihood wins (first winner on ties). Raises
+    ValueError on non-finite inputs.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -125,70 +146,39 @@ def fit(X: np.ndarray, y: np.ndarray, length_scale: float | None = None,
     y = np.asarray(y, dtype=float)
     if len(y) < 2:
         raise ValueError(f"need at least 2 training points, got {len(y)}")
+    _check_finite(X, y)
     signal_var = max(float(y.var()), SIGNAL_VAR_FLOOR)
-    if length_scale is not None:
-        return _try_fit(X, y, length_scale, signal_var)
+    sqdist = cdist(X, X, "sqeuclidean")
     best = None
-    for ls in grid:
-        model = _try_fit(X, y, ls, signal_var)
+    for ls in grid if length_scale is None else (length_scale,):
+        model = _try_fit(X, y, sqdist, ls, signal_var)
         if best is None or model.log_marginal > best.log_marginal:
             best = model
     assert best is not None
     return best
 
 
-def fit_gp(labeled: list[Row], ds: Dataset,
+def fit_gp(labeled, ds: Dataset,
            length_scale: float | None = None) -> GpModel:
-    """Fit the surrogate to labeled rows on the target g = 1 - chebyshev."""
+    """Fit the surrogate to labeled rows (Row objects or ids) on the
+    target g = 1 - chebyshev."""
     if len(labeled) < 2:
         raise ValueError(f"need at least 2 labeled rows, got {len(labeled)}")
-    X = encode_rows(ds, labeled)
-    g = np.array([1.0 - chebyshev(r, ds) for r in labeled])
-    return fit(X, g, length_scale=length_scale)
+    ids = row_ids(labeled)
+    return fit(encode_rows(ds, ids), 1.0 - reveal(ids, ds),
+               length_scale=length_scale)
 
 
-def incumbent(labeled: list[Row], ds: Dataset) -> float:
+def incumbent(labeled, ds: Dataset) -> float:
     """Best scalarized objective among labeled rows (f* used by PI and EI)."""
-    return max(1.0 - chebyshev(r, ds) for r in labeled)
-
-
-def _phi(z: float) -> float:
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
-def _cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def ucb(mu: float, sigma: float, kappa: float = KAPPA_DEFAULT) -> float:
-    """Upper confidence bound mu + kappa * sigma."""
-    return mu + kappa * sigma
-
-
-def pi(mu: float, sigma: float, f_star: float,
-       epsilon: float = EPSILON_DEFAULT) -> float:
-    """Probability that a sample improves on the incumbent by epsilon."""
-    d = mu - f_star - epsilon
-    if sigma == 0.0:
-        return 1.0 if d > 0.0 else 0.0
-    return _cdf(d / sigma)
-
-
-def ei(mu: float, sigma: float, f_star: float,
-       epsilon: float = EPSILON_DEFAULT) -> float:
-    """Expected improvement over the incumbent; exactly 0 when sigma is 0."""
-    if sigma == 0.0:
-        return 0.0
-    d = mu - f_star - epsilon
-    z = d / sigma
-    return d * _cdf(z) + sigma * _phi(z)
-
-
-GP_ACQUISITIONS = ("ucb", "pi", "ei")
+    return float((1.0 - reveal(row_ids(labeled), ds)).max())
 
 
 def _scores(fn: str, mu: np.ndarray, sigma: np.ndarray, f_star: float,
             kappa: float, epsilon: float) -> np.ndarray:
+    """UCB mu + kappa * sigma; PI, the probability of beating f* by
+    epsilon; or EI, the expected improvement over f* + epsilon. Where
+    sigma is 0, PI is 1 or 0 by the sign of the gap and EI is 0."""
     if fn == "ucb":
         return mu + kappa * sigma
     d = mu - f_star - epsilon
@@ -200,25 +190,25 @@ def _scores(fn: str, mu: np.ndarray, sigma: np.ndarray, f_star: float,
     return np.where(sigma > 0.0, d * ndtr(z) + sigma * pdf, 0.0)
 
 
-def acquire_gp(model: GpModel, f_star: float, pool: list[Row], fn: str,
+def acquire_gp(model: GpModel, f_star: float, pool, fn: str,
                ds: Dataset, kappa: float = KAPPA_DEFAULT,
                epsilon: float = EPSILON_DEFAULT,
                rng=None, cap: int = POOL_CAP) -> Row:
-    """Pick the candidate row maximizing the chosen acquisition.
+    """Pick the pool row (Row objects or ids) maximizing the acquisition.
 
     Pools larger than `cap` are thinned to a seeded uniform subsample so
     prediction stays tractable on the biggest tables. Ties break toward
     the lowest row id regardless of pool order.
     """
-    if not pool:
+    if len(pool) == 0:
         raise ValueError("cannot acquire from an empty pool")
-    if fn not in GP_ACQUISITIONS:
+    if fn not in ACQUIRES:
         raise ValueError(f"unknown GP acquisition {fn!r}")
-    candidates = sorted(pool, key=lambda r: r.id)
+    candidates = np.sort(row_ids(pool))
     if len(candidates) > cap:
         if rng is None:
             raise ValueError(f"pool of {len(candidates)} rows needs an rng to subsample")
-        candidates = sorted(rng.sample(candidates, cap), key=lambda r: r.id)
+        candidates = np.sort(sample_ids(rng, candidates, cap))
     mu, sigma = model.predict_batch(encode_rows(ds, candidates))
     scores = _scores(fn, mu, sigma, f_star, kappa, epsilon)
-    return candidates[int(np.argmax(scores))]
+    return ds.rows[candidates[int(np.argmax(scores))]]

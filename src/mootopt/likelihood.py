@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Row
+from .data import Dataset, Row, row_ids
 from .objective import BestRestSplit
 
+ACQUIRES = ("exploit", "explore")
 EPS_DIV = 1e-30          # keeps every ratio finite
 SD_FLOOR = 1e-9          # on the normalized [0,1] scale
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -42,28 +43,36 @@ class TwoClassModel:
     views: dict  # Dataset.x_views() of the table the model was fitted on
 
 
-def _class_stats(rows: list[Row], n_total: int, views: dict) -> ClassStats:
-    num_pos, sym_pos = views["num_pos"], views["sym_pos"]
-    X_num, X_sym = views["X_num"], views["X_sym"]
-    ids = np.array([r.id for r in rows], dtype=np.int64)
-    xn = X_num[ids] if num_pos else np.empty((len(ids), 0))
-    mean = np.full(len(num_pos), np.nan)
-    sd = np.full(len(num_pos), SD_FLOOR)
-    for j in range(len(num_pos)):
-        col = xn[:, j]
-        known = col[~np.isnan(col)]
+def _class_stats(rows, n_total: int, views: dict) -> ClassStats:
+    ids = row_ids(rows)
+    # Mean and sd of every numeric column at once, by the arithmetic of
+    # ndarray.mean and .std: sum, divide, center, square, sum, divide,
+    # root. Each column is a contiguous row of the block, so numpy sums it
+    # in the same order as the 1-D column it would otherwise reduce, and
+    # the results are equal bit for bit. Columns with missing cells drop
+    # them one column at a time.
+    block = views["XT_num"].take(ids, axis=1)  # C order, unlike [:, ids]
+    m = len(ids)
+    mean = np.add.reduce(block, axis=1) / m
+    dev = block - mean[:, None]
+    np.multiply(dev, dev, out=dev)
+    sd = np.maximum(np.sqrt(np.add.reduce(dev, axis=1) / m), SD_FLOOR)
+    for j in np.flatnonzero(views["num_missing"]):
+        known = block[j][~np.isnan(block[j])]
         if known.size:
             mean[j] = known.mean()
             sd[j] = max(known.std(), SD_FLOOR)
+        else:
+            mean[j], sd[j] = np.nan, SD_FLOOR
     counts = []
-    sym_n = np.zeros(len(sym_pos), dtype=np.int64)
-    xs = X_sym[ids] if sym_pos else np.empty((len(ids), 0), dtype=np.int64)
+    sym_n = np.zeros(len(views["sym_pos"]), dtype=np.int64)
+    xs = views["X_sym"][ids]
     for j, alphabet in enumerate(views["alphabets"]):
         codes = xs[:, j]
         codes = codes[codes >= 0]
         counts.append(np.bincount(codes, minlength=len(alphabet)).astype(float))
         sym_n[j] = codes.size
-    return ClassStats(prior=len(rows) / n_total, n=len(rows),
+    return ClassStats(prior=len(ids) / n_total, n=len(ids),
                       num_mean=mean, num_sd=sd, sym_counts=counts, sym_n=sym_n)
 
 
@@ -79,108 +88,64 @@ def fit(split: BestRestSplit, ds: Dataset) -> TwoClassModel:
                          ds=ds, views=views)
 
 
-def _log_like_row(cs: ClassStats, m: TwoClassModel, row: Row) -> float:
-    views, ds = m.views, m.ds
-    lp = math.log(cs.prior)
-    for j, p in enumerate(views["num_pos"]):
-        v = row.x[p]
-        if v is None or math.isnan(cs.num_mean[j]):
-            continue  # missing cell (or no class data) contributes factor 1
-        z = ds.norm(ds.x_cols[p], float(v))
-        sd = cs.num_sd[j]
-        lp += -0.5 * ((z - cs.num_mean[j]) / sd) ** 2 - math.log(sd) - LOG_SQRT_2PI
-    for j, p in enumerate(views["sym_pos"]):
-        v = row.x[p]
-        if v is None:
-            continue
-        alphabet = views["alphabets"][j]
-        try:
-            count = cs.sym_counts[j][alphabet.index(v)]
-        except ValueError:
-            count = 0.0  # value unseen at load
-        lp += math.log((count + 1.0) / (cs.sym_n[j] + len(alphabet)))
-    return lp
-
-
-def likes(m: TwoClassModel, row: Row) -> tuple[float, float]:
-    """Likelihood pair (B, R) for one row, computed in log space.
-
-    The shared max log is subtracted before exponentiating, so at least one
-    of the returned values is exactly 1 and both are finite.
-    """
-    lb = _log_like_row(m.best, m, row)
-    lr = _log_like_row(m.rest, m, row)
-    top = max(lb, lr)
-    return math.exp(lb - top), math.exp(lr - top)
-
-
-def exploit(b: float, r: float) -> float:
-    """Score for the zone of certainty: large when both models agree on best."""
-    return b / (r + EPS_DIV)
-
-
-def explore(b: float, r: float) -> float:
-    """Score for the zone of dispute: peaks where B and R are similar but large.
-
-    Uses |B - R| in the denominator; the signed form is kept in
-    `explore_signed` for comparison.
-    """
-    return abs(b + r) / (abs(b - r) + EPS_DIV)
-
-
-def explore_signed(b: float, r: float) -> float:
-    """The signed-denominator variant |B+R| / ((B-R) + eps).
-
-    Goes negative when R > B, which makes it unusable as an argmax target;
-    retained only so the two readings can be compared side by side.
-    """
-    return abs(b + r) / ((b - r) + EPS_DIV)
-
-
-ACQUISITIONS = {"exploit": exploit, "explore": explore}
-
-
-def _log_like_pool(cs: ClassStats, views: dict, ids: np.ndarray) -> np.ndarray:
-    lp = np.full(len(ids), math.log(cs.prior))
-    if views["num_pos"]:
-        xn = views["X_num"][ids]
-        usable = ~np.isnan(cs.num_mean)
-        if usable.any():
-            xn = xn[:, usable]
-            mean, sd = cs.num_mean[usable], cs.num_sd[usable]
-            terms = -0.5 * ((xn - mean) / sd) ** 2 - np.log(sd) - LOG_SQRT_2PI
-            lp += np.where(np.isnan(xn), 0.0, terms).sum(axis=1)
-    for j in range(len(views["sym_pos"])):
-        codes = views["X_sym"][ids, j]
-        logp = np.log((cs.sym_counts[j] + 1.0)
-                      / (cs.sym_n[j] + len(views["alphabets"][j])))
+def _log_like_pool(cs: ClassStats, views: dict, xn: np.ndarray,
+                   xs: np.ndarray) -> np.ndarray:
+    lp = np.full(len(xn), math.log(cs.prior))
+    usable = ~np.isnan(cs.num_mean)
+    if usable.any():
+        # Boolean column indexing leaves xn in F order, so each row's sum
+        # below runs left to right; keep it, or the sums change in the
+        # last bits (and with them, under tiny class sds, the picks).
+        xn = xn[:, usable]
+        sd = cs.num_sd[usable]
+        # -0.5 * ((x - mean) / sd) ** 2 - log(sd) - log(sqrt(2 pi)), in place
+        terms = xn - cs.num_mean[usable]
+        terms /= sd
+        np.square(terms, out=terms)
+        terms *= -0.5
+        terms -= np.log(sd)
+        terms -= LOG_SQRT_2PI
+        if views["num_missing"].any():
+            terms[np.isnan(xn)] = 0.0
+        lp += terms.sum(axis=1)
+    for j, alphabet in enumerate(views["alphabets"]):
+        codes = xs[:, j]
+        logp = np.log((cs.sym_counts[j] + 1.0) / (cs.sym_n[j] + len(alphabet)))
         lp += np.where(codes >= 0, logp[np.maximum(codes, 0)], 0.0)
     return lp
 
 
-def score_pool(m: TwoClassModel, pool: list[Row]) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (B, R) over a pool; equivalent to calling likes() per row."""
-    ids = np.array([r.id for r in pool], dtype=np.int64)
-    lb = _log_like_pool(m.best, m.views, ids)
-    lr = _log_like_pool(m.rest, m.views, ids)
+def score_pool(m: TwoClassModel, pool) -> tuple[np.ndarray, np.ndarray]:
+    """Likelihood pair (B, R) for each pool row (Row objects or ids).
+
+    Computed in log space; the larger of each row's two log likelihoods is
+    subtracted before exponentiating, so one of each pair is exactly 1 and
+    both are finite.
+    """
+    ids = row_ids(pool)
+    xn, xs = m.views["X_num"][ids], m.views["X_sym"][ids]
+    lb = _log_like_pool(m.best, m.views, xn, xs)
+    lr = _log_like_pool(m.rest, m.views, xn, xs)
     top = np.maximum(lb, lr)
     return np.exp(lb - top), np.exp(lr - top)
 
 
-def acquire_tpe(m: TwoClassModel, pool: list[Row], fn: str) -> Row:
-    """Pick the pool row maximizing the chosen acquisition.
+def acquire_tpe(m: TwoClassModel, pool, fn: str) -> Row:
+    """Pick the pool row (Row objects or ids) maximizing the acquisition.
 
-    Scores the whole pool; ties break toward the lowest row id regardless
-    of the order the pool was passed in.
+    exploit scores B / R, the zone where both models agree a row is best;
+    explore scores |B + R| / |B - R|, the zone of dispute. Scores the
+    whole pool; ties break toward the lowest row id regardless of the
+    order the pool was passed in.
     """
-    if not pool:
+    if len(pool) == 0:
         raise ValueError("cannot acquire from an empty pool")
-    if fn not in ACQUISITIONS:
+    if fn not in ACQUIRES:
         raise ValueError(f"unknown TPE acquisition {fn!r}")
-    pool = sorted(pool, key=lambda r: r.id)
-    b, r = score_pool(m, pool)
+    ids = np.sort(row_ids(pool))
+    b, r = score_pool(m, ids)
     if fn == "exploit":
         scores = b / (r + EPS_DIV)
     else:
         scores = np.abs(b + r) / (np.abs(b - r) + EPS_DIV)
-    return pool[int(np.argmax(scores))]
+    return m.ds.rows[ids[int(np.argmax(scores))]]

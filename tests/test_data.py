@@ -4,12 +4,15 @@ import io
 import math
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import DATA
 from mootopt import data as d
 from mootopt.data import (ParseError, classify_dims, format_cell, load_csv,
                           parse_header, save_csv, x_distance)
+from mootopt.objective import reveal
 
 
 # -- header grammar ----------------------------------------------------------
@@ -290,7 +293,34 @@ def test_label_order_reflects_call_order(toy):
 def test_fresh_copies_do_not_share_labels(toy):
     toy.label(toy.rows[0])
     other = toy.fresh()
+    sibling = toy.fresh()
     assert other.evaluations == 0
     assert toy.evaluations == 1
     other.label(other.rows[0])  # same id, private label state
     assert other.evaluations == 1
+    other.label(other.rows[5])
+    assert other.rows is toy.rows  # rows are shared, never copied
+    for ds in (toy, sibling):
+        assert not ds.is_labeled(5)
+        with pytest.raises(ValueError):
+            reveal(5, ds)
+    assert [r.id for r in toy.labeled_rows()] == [0]
+    assert sibling.evaluations == 0 and sibling.labeled_rows() == []
+    assert [r.id for r in other.label_order] == [0, 5]
+
+
+@given(st.lists(st.integers(0, 11), unique=True))
+def test_label_views_agree_with_the_mask(order):
+    ds = load_csv(DATA / "toy.csv")
+    for i in order:
+        ds.label(ds.rows[i])
+    mask = ds.is_labeled(np.arange(len(ds.rows)))
+    assert ds.labeled_ids().tolist() == np.flatnonzero(mask).tolist()
+    assert [r.id for r in ds.labeled_rows()] == np.flatnonzero(mask).tolist()
+    assert ds.unlabeled_ids().tolist() == np.flatnonzero(~mask).tolist()
+    assert [r.id for r in ds.unlabeled_rows()] == np.flatnonzero(~mask).tolist()
+    assert [r.id for r in ds.label_order] == order
+    assert ds.evaluations == len(order) == int(mask.sum())
+    for i in order:
+        with pytest.raises(ValueError):
+            ds.label(ds.rows[i])

@@ -13,18 +13,6 @@ from mootopt.objective import chebyshev
 from mootopt.warmstart import MockSynthesizer
 
 
-def test_treatment_validation():
-    Treatment("random", "exploit", 10).validate()
-    Treatment("llm", "ei", 10).validate()
-    Treatment("anything", "baseline", 0).validate()  # display-only fields
-    with pytest.raises(ValueError):
-        Treatment("random", "greedy", 10).validate()
-    with pytest.raises(ValueError):
-        Treatment("cold", "exploit", 10).validate()
-    with pytest.raises(ValueError):
-        Treatment("random", "exploit", 0).validate()
-
-
 def test_default_grid_is_nine_arms():
     assert len(DEFAULT_ARMS) == 9
     assert ("llm", "exploit") in DEFAULT_ARMS

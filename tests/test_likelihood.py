@@ -1,5 +1,6 @@
 """Two-class naive-Bayes surrogate and its acquisition scores."""
 
+import itertools
 import math
 import random
 import statistics
@@ -7,6 +8,8 @@ import statistics
 import numpy as np
 import pytest
 
+import oracles
+from conftest import DATA, shipped
 from mootopt import likelihood as lh
 from mootopt.objective import BestRestSplit, split
 
@@ -59,8 +62,46 @@ def test_class_that_never_saw_a_column_is_neutral(make_ds):
     rows = [ds.label(r) for r in ds.rows]
     m = lh.fit(BestRestSplit(best=rows[:2], rest=rows[2:]), ds)
     assert math.isnan(m.best.num_mean[0])
-    b, r = lh.likes(m, rows[2])
+    b, r = oracles.likes(m, rows[2])
     assert math.isfinite(b) and math.isfinite(r)
+
+
+def test_class_stats_equal_the_per_column_oracle_bit_for_bit():
+    """The one-reduction class stats match the per-column loop exactly on
+    every shipped table, at class sizes on both sides of numpy's 8-wide
+    pairwise summation, and on auto93's columns with '?' cells."""
+    rng = random.Random(5)
+    for path in sorted(DATA.glob("*.csv")):
+        ds = shipped(path.stem)
+        views = ds.x_views()
+        n = len(ds.rows)
+        gappy = [r for r in ds.rows if None in r.x]
+        classes = [rng.sample(ds.rows, min(k, n)) for k in (1, 2, 7, 9, 17, 30, 200)]
+        classes += [ds.rows, gappy, gappy[:1]] if gappy else [ds.rows]
+        for rows in classes:
+            cs = lh._class_stats(rows, n, views)
+            mean, sd = oracles.class_numeric_stats(rows, views)
+            assert np.array_equal(cs.num_mean, mean, equal_nan=True), path.stem
+            assert np.array_equal(cs.num_sd, sd), path.stem
+    assert shipped("auto93").x_views()["num_missing"].any()
+
+
+def test_score_pool_equals_the_plain_expression_bit_for_bit():
+    """The in-place pool scoring reproduces the plain numpy expression
+    exactly on every shipped table. Under tiny class sds (nasa93dem) the
+    last bits of the sums decide which row is picked."""
+    rng = random.Random(8)
+    for path in sorted(DATA.glob("*.csv")):
+        for size in (4, 9, 16, 30):
+            ds = shipped(path.stem)
+            for r in rng.sample(ds.rows, min(size, len(ds.rows))):
+                ds.label(r)
+            m = lh.fit(split(ds.labeled_ids(), ds), ds)
+            pool = ds.unlabeled_ids()
+            if len(pool) == 0:
+                continue
+            for got, want in zip(lh.score_pool(m, pool), oracles.score_pool(m, pool)):
+                assert np.array_equal(got, want), (path.stem, size)
 
 
 # -- hand-worked likelihoods -------------------------------------------------
@@ -83,7 +124,7 @@ def test_symbolic_smoothing_hand_case(make_ds):
     """)
     rows = [ds.label(r) for r in ds.rows]
     m = lh.fit(BestRestSplit(best=rows[:3], rest=rows[3:]), ds)
-    b, r = lh.likes(m, rows[0])
+    b, r = oracles.likes(m, rows[0])
     assert b == 1.0
     assert r == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -104,14 +145,14 @@ def test_numeric_likelihood_matches_gaussian_pdf_oracle(make_ds):
     mu_b, sd_b = statistics.fmean(z[:2]), statistics.pstdev(z[:2])
     mu_r, sd_r = statistics.fmean(z[2:]), statistics.pstdev(z[2:])
     want = gaussian(mu_b, sd_b).pdf(z[1]) / gaussian(mu_r, sd_r).pdf(z[1])
-    b, r = lh.likes(m, rows[1])
+    b, r = oracles.likes(m, rows[1])
     assert b / r == pytest.approx(want, rel=1e-9)
 
 
 def test_likes_rescales_the_larger_class_to_one(auto93):
     m, _ = fit_on(auto93, 12)
     for row in auto93.unlabeled_rows()[:20]:
-        b, r = lh.likes(m, row)
+        b, r = oracles.likes(m, row)
         assert max(b, r) == 1.0
         # the smaller side may underflow to 0.0 outright when a class sd
         # is tiny and the row sits far from its mean
@@ -121,25 +162,25 @@ def test_likes_rescales_the_larger_class_to_one(auto93):
 # -- acquisition scores ------------------------------------------------------
 
 def test_exploit_unit_cases():
-    assert lh.exploit(0.8, 0.2) == pytest.approx(4.0, rel=1e-9)
-    assert lh.exploit(0.0, 0.7) == 0.0
-    assert lh.exploit(1.0, 1.0) == pytest.approx(1.0, rel=1e-9)
+    assert oracles.exploit(0.8, 0.2) == pytest.approx(4.0, rel=1e-9)
+    assert oracles.exploit(0.0, 0.7) == 0.0
+    assert oracles.exploit(1.0, 1.0) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_explore_unit_cases():
-    assert lh.explore(0.6, 0.4) == pytest.approx(5.0, rel=1e-9)
-    assert lh.explore(0.4, 0.6) == lh.explore(0.6, 0.4)
-    assert lh.explore(0.5, 0.5) > 1e20  # near the disagreement singularity
+    assert oracles.explore(0.6, 0.4) == pytest.approx(5.0, rel=1e-9)
+    assert oracles.explore(0.4, 0.6) == oracles.explore(0.6, 0.4)
+    assert oracles.explore(0.5, 0.5) > 1e20  # near the disagreement singularity
 
 
 def test_explore_signed_keeps_the_sign():
-    assert lh.explore_signed(0.6, 0.4) == pytest.approx(5.0, rel=1e-9)
-    assert lh.explore_signed(0.4, 0.6) == pytest.approx(-5.0, rel=1e-9)
+    assert oracles.explore_signed(0.6, 0.4) == pytest.approx(5.0, rel=1e-9)
+    assert oracles.explore_signed(0.4, 0.6) == pytest.approx(-5.0, rel=1e-9)
 
 
 def test_acquisitions_registry():
-    assert set(lh.ACQUISITIONS) == {"exploit", "explore"}
-    assert lh.ACQUISITIONS["exploit"] is lh.exploit
+    assert set(oracles.ACQUISITIONS) == set(lh.ACQUIRES) == {"exploit", "explore"}
+    assert oracles.ACQUISITIONS["exploit"] is oracles.exploit
 
 
 def test_score_pool_agrees_with_scalar_likes(auto93):
@@ -147,7 +188,7 @@ def test_score_pool_agrees_with_scalar_likes(auto93):
     pool = auto93.unlabeled_rows()[:40]
     B, R = lh.score_pool(m, pool)
     for i, row in enumerate(pool):
-        b, r = lh.likes(m, row)
+        b, r = oracles.likes(m, row)
         assert B[i] == pytest.approx(b, rel=1e-9, abs=1e-12)
         assert R[i] == pytest.approx(r, rel=1e-9, abs=1e-12)
 
@@ -167,7 +208,7 @@ def test_score_pool_handles_missing_cells(make_ds):
     pool = ds.rows[4:]
     B, R = lh.score_pool(m, pool)
     for i, row in enumerate(pool):
-        b, r = lh.likes(m, row)
+        b, r = oracles.likes(m, row)
         assert B[i] == pytest.approx(b, rel=1e-9)
         assert R[i] == pytest.approx(r, rel=1e-9)
 
@@ -213,6 +254,9 @@ def test_acquire_breaks_ties_toward_low_ids(make_ds):
     m = lh.fit(BestRestSplit(best=rows[:1], rest=rows[1:]), ds)
     pool = ds.rows[2:]  # three identical candidates
     assert lh.acquire_tpe(m, list(reversed(pool)), "exploit").id == 2
+    for ids in itertools.permutations([2, 3, 4]):
+        for fn in lh.ACQUIRES:
+            assert lh.acquire_tpe(m, np.array(ids), fn).id == 2
 
 
 @pytest.mark.parametrize("fn", ["exploit", "explore"])
@@ -220,7 +264,7 @@ def test_acquire_matches_brute_force_argmax(auto93, fn):
     m, _ = fit_on(auto93, 12)
     pool = auto93.unlabeled_rows()[:50]
     chosen = lh.acquire_tpe(m, pool, fn)
-    scored = [(lh.ACQUISITIONS[fn](*lh.likes(m, row)), row) for row in pool]
+    scored = [(oracles.ACQUISITIONS[fn](*oracles.likes(m, row)), row) for row in pool]
     best_score = max(s for s, _ in scored)
     want = min(row.id for s, row in scored if s == pytest.approx(best_score, rel=1e-9))
     assert chosen.id == want

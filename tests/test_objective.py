@@ -2,11 +2,14 @@
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+from conftest import DATA, shipped
 from mootopt.data import load_csv
-from mootopt.objective import best_size, chebyshev, ideal_point, split
+from mootopt.objective import best_size, chebyshev, ideal_point, reveal, split
 
 
 def test_ideal_point_follows_goal_directions(kanban):
@@ -43,6 +46,20 @@ def test_chebyshev_extremes(make_ds):
 def test_chebyshev_refuses_unlabeled_rows(toy):
     with pytest.raises(ValueError):
         chebyshev(toy.rows[0], toy)
+    toy.label(toy.rows[3])
+    assert reveal(3, toy) == chebyshev(toy.rows[3], toy)
+    for hidden in (0, np.array([3, 0]), [0, 3]):
+        with pytest.raises(ValueError):
+            reveal(hidden, toy)
+
+
+def test_cached_scores_equal_the_scalar_formula_on_every_table():
+    for path in sorted(DATA.glob("*.csv")):
+        ds = shipped(path.stem)
+        for r in ds.rows:
+            ds.label(r)
+        want = [oracles.chebyshev(r, ds) for r in ds.rows]
+        assert reveal(ds.labeled_ids(), ds).tolist() == want, path.stem
 
 
 def test_chebyshev_missing_goal_is_worst_case(make_ds):
@@ -116,6 +133,8 @@ def test_split_ties_break_toward_low_row_ids(make_ds):
     labeled = [ds.label(r) for r in reversed(ds.rows)]
     parts = split(labeled, ds)
     assert [r.id for r in parts.best] == [0, 1]
+    parts = split(np.array([3, 1, 2, 0]), ds)
+    assert [r.id for r in parts.best + parts.rest] == [0, 1, 2, 3]
 
 
 def test_split_needs_two_labeled_rows(toy):
