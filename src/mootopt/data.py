@@ -12,6 +12,11 @@ by every copy of a table. A row's id is its index in `Dataset.rows`, and
 the label state of a run is a boolean mask over those ids plus the ids in
 the order they were labeled. `fresh()` hands each run a new mask and
 order, so runs never see each other's labels.
+
+`normalize` and `encode_cells` are the one rule that turns cells into
+numbers: min-max scaled numerics and alphabet codes for symbols. The
+surrogates' views, the warm start's nearest-row mapping and the goal
+scores all use it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -147,8 +152,7 @@ class Dataset:
     """
 
     def __init__(self, name: str, columns: list[ColumnSpec], rows: list[Row],
-                 stats: list[Optional[ColumnStats]],
-                 ignored_cells: Optional[list[list[str]]] = None):
+                 stats: list[Optional[ColumnStats]]):
         self.name = name
         self.columns = columns
         self.rows = rows
@@ -156,7 +160,6 @@ class Dataset:
         self.x_cols = [c for c in columns if c.role == INDEPENDENT]
         self.y_cols = [c for c in columns if c.role == GOAL]
         self.dims = classify_dims(len(self.x_cols))
-        self._ignored_cells = ignored_cells
         self._mask = np.zeros(len(rows), dtype=bool)
         self._order: list[int] = []
         self._cache: dict[str, object] = {}
@@ -214,23 +217,8 @@ class Dataset:
             value = self._cache[key] = build(self)
             return value
 
-    # -- normalization and distance ----------------------------------------
-
     def col_stats(self, col: ColumnSpec) -> Optional[ColumnStats]:
         return self.stats[col.index]
-
-    def norm(self, col: ColumnSpec, v: float) -> float:
-        """Map a numeric value into [0,1] using the column's observed range.
-
-        Degenerate columns (hi == lo) map everything to 0.5 so they drop
-        out of distances; out-of-range values clamp.
-        """
-        st = self.stats[col.index]
-        if not isinstance(st, NumStats):
-            raise ValueError(f"norm() needs a numeric column, got {col.name!r}")
-        if st.hi == st.lo:
-            return 0.5
-        return min(1.0, max(0.0, (v - st.lo) / (st.hi - st.lo)))
 
     # -- cached numeric views used by the surrogates -------------------------
 
@@ -250,52 +238,49 @@ class Dataset:
         return self.cached("x_views", _build_x_views)
 
 
-def _build_x_views(ds: Dataset) -> dict:
-    num_pos = [i for i, c in enumerate(ds.x_cols) if c.kind == NUMERIC]
-    sym_pos = [i for i, c in enumerate(ds.x_cols) if c.kind == SYMBOLIC]
-    alphabets = []
-    for p in sym_pos:
-        st = ds.stats[ds.x_cols[p].index]
-        alphabets.append(sorted(st.freq) if isinstance(st, SymStats) else [])
-    n = len(ds.rows)
-    X_num = np.full((n, len(num_pos)), np.nan)
-    X_sym = np.full((n, len(sym_pos)), -1, dtype=np.int64)
-    for i, row in enumerate(ds.rows):
-        for j, p in enumerate(num_pos):
-            v = row.x[p]
-            if v is not None:
-                X_num[i, j] = ds.norm(ds.x_cols[p], float(v))
-        for j, p in enumerate(sym_pos):
-            v = row.x[p]
-            if v is not None:
-                try:
-                    X_sym[i, j] = alphabets[j].index(v)
-                except ValueError:
-                    pass  # value never seen at load; keep as missing
-    XT_num = np.ascontiguousarray(X_num.T)
-    return {"num_pos": num_pos, "sym_pos": sym_pos, "alphabets": alphabets,
-            "X_num": X_num, "XT_num": XT_num,
-            "num_missing": np.isnan(XT_num).any(axis=1), "X_sym": X_sym}
+def normalize(values, st: NumStats) -> np.ndarray:
+    """Map numeric values into [0,1] by a column's observed range.
 
-
-def x_distance(a: Row, b: Row, ds: Dataset) -> float:
-    """Euclidean distance over independent columns.
-
-    Numeric cells compare after normalization; symbolic cells contribute
-    0 when equal else 1; whenever either cell is missing the column
-    contributes 1 (pessimistic, keeps the distance bounded).
+    NaN (a missing cell) stays NaN, a degenerate column (hi == lo) maps
+    to 0.5, and values outside the range clamp. This is the one min-max
+    rule: x views, synthetic rows and goal scores all go through it.
     """
-    total = 0.0
-    for i, col in enumerate(ds.x_cols):
-        va, vb = a.x[i], b.x[i]
-        if va is None or vb is None:
-            d = 1.0
-        elif col.kind == NUMERIC:
-            d = ds.norm(col, float(va)) - ds.norm(col, float(vb))
-        else:
-            d = 0.0 if va == vb else 1.0
-        total += d * d
-    return math.sqrt(total)
+    v = np.asarray(values, dtype=float)
+    if st.hi == st.lo:
+        return np.where(np.isnan(v), np.nan, 0.5)
+    # maximum/minimum let NaN through; fmax/fmin would turn it into a bound.
+    return np.minimum(np.maximum((v - st.lo) / (st.hi - st.lo), 0.0), 1.0)
+
+
+def encode_cells(cells, ds: Dataset, layout: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Cell tuples aligned with `ds.x_cols`, as (numeric block, symbol codes).
+
+    `layout` gives num_pos, sym_pos and alphabets, as x_views() does. The
+    numeric block is C-ordered (len(cells), n_num), normalized, NaN where
+    a cell is missing. Codes index the column's alphabet, -1 where a cell
+    is missing or holds a symbol never seen at load.
+    """
+    num_pos, sym_pos = layout["num_pos"], layout["sym_pos"]
+    X_num = np.array([[c[p] for p in num_pos] for c in cells],
+                     dtype=float).reshape(len(cells), len(num_pos))  # None -> NaN
+    for j, p in enumerate(num_pos):
+        X_num[:, j] = normalize(X_num[:, j], ds.col_stats(ds.x_cols[p]))
+    X_sym = np.empty((len(cells), len(sym_pos)), dtype=np.int64)
+    for j, (p, alphabet) in enumerate(zip(sym_pos, layout["alphabets"])):
+        code = {s: k for k, s in enumerate(alphabet)}
+        X_sym[:, j] = [code.get(c[p], -1) for c in cells]
+    return X_num, X_sym
+
+
+def _build_x_views(ds: Dataset) -> dict:
+    sym_pos = [i for i, c in enumerate(ds.x_cols) if c.kind == SYMBOLIC]
+    layout = {"num_pos": [i for i, c in enumerate(ds.x_cols) if c.kind == NUMERIC],
+              "sym_pos": sym_pos,
+              "alphabets": [sorted(ds.col_stats(ds.x_cols[p]).freq) for p in sym_pos]}
+    X_num, X_sym = encode_cells([row.x for row in ds.rows], ds, layout)
+    XT_num = np.ascontiguousarray(X_num.T)
+    return {**layout, "X_num": X_num, "XT_num": XT_num,
+            "num_missing": np.isnan(XT_num).any(axis=1), "X_sym": X_sym}
 
 
 def _parse_cell(raw: str, col: ColumnSpec, row_no: int) -> Cell:
@@ -363,10 +348,8 @@ def _load_csv_stream(fh, name: str) -> Dataset:
     columns = parse_header(header)
     x_cols = [c for c in columns if c.role == INDEPENDENT]
     y_cols = [c for c in columns if c.role == GOAL]
-    ignored_cols = [c for c in columns if c.role == IGNORED]
 
     rows: list[Row] = []
-    ignored_cells: list[list[str]] = []
     col_cells: list[list[Cell]] = [[] for _ in columns]
     for row_no, record in enumerate(reader, start=2):
         if not record:
@@ -380,15 +363,12 @@ def _load_csv_stream(fh, name: str) -> Dataset:
         x = tuple(parsed[c.index] for c in x_cols)
         y = tuple(parsed[c.index] for c in y_cols)  # type: ignore[misc]
         rows.append(Row(id=len(rows), x=x, y=y))
-        if ignored_cols:
-            ignored_cells.append([record[c.index].strip() for c in ignored_cols])
 
     stats: list[Optional[ColumnStats]] = [
         None if c.role == IGNORED else _column_stats(c, col_cells[c.index])
         for c in columns
     ]
-    return Dataset(name, columns, rows, stats,
-                   ignored_cells if ignored_cols else None)
+    return Dataset(name, columns, rows, stats)
 
 
 def format_cell(v: Cell) -> str:
@@ -399,28 +379,3 @@ def format_cell(v: Cell) -> str:
             return str(int(v))
         return repr(v)
     return str(v)
-
-
-def save_csv(ds: Dataset, target: Union[str, Path, io.IOBase]) -> None:
-    """Write the dataset back out in its original column order."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            save_csv(ds, fh)
-        return
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow([c.name for c in ds.columns])
-    x_index = {c.index: i for i, c in enumerate(ds.x_cols)}
-    y_index = {c.index: i for i, c in enumerate(ds.y_cols)}
-    ignored_index = {c.index: i for i, c in
-                     enumerate(c for c in ds.columns if c.role == IGNORED)}
-    for row_pos, row in enumerate(ds.rows):
-        record = []
-        for col in ds.columns:
-            if col.role == INDEPENDENT:
-                record.append(format_cell(row.x[x_index[col.index]]))
-            elif col.role == GOAL:
-                record.append(format_cell(row.y[y_index[col.index]]))
-            else:
-                cells = ds._ignored_cells or []
-                record.append(cells[row_pos][ignored_index[col.index]])
-        writer.writerow(record)

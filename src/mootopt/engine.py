@@ -161,18 +161,6 @@ def run_baseline(ds: Dataset, seed: int = 0) -> RunResult:
                      trace=[(n, median)], spread=sd)
 
 
-def normalized_improvement(results: list[RunResult], ds: Dataset) -> Optional[float]:
-    """Mean best-found over repeats, rescaled so 0 is the file's optimum
-    and 1 is its average row; None when the file is degenerate."""
-    if not results:
-        raise ValueError("no results to summarize")
-    mean, lo, _, _ = baseline_summary(ds)
-    if mean <= lo:
-        return None
-    now_mu = statistics.fmean(r.best_chebyshev for r in results)
-    return (now_mu - lo) / (mean - lo)
-
-
 def derive_seed(dataset: str, start: str, acquire: str, budget: int,
                 repeat: int, base_seed: int) -> int:
     """Stable per-run seed; crc32 keeps it platform-independent."""

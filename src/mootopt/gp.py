@@ -53,7 +53,7 @@ def _encode_all(ds: Dataset) -> np.ndarray:
 
 
 def encode_rows(ds: Dataset, rows) -> np.ndarray:
-    """Encode rows (Row objects or ids): norm values then one-hot blocks.
+    """Encode rows (Row objects or ids): normalized values then one-hot blocks.
 
     Missing numerics sit at the 0.5 midpoint; a missing symbolic leaves
     its one-hot block all zero. The whole table is encoded once and

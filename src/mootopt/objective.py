@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, MAXIMIZE, Row, row_ids
+from .data import Dataset, MAXIMIZE, Row, normalize, row_ids
 
 _SCORES = "chebyshev"  # Dataset.cached key; read only by reveal()
 
@@ -29,23 +29,12 @@ def ideal_point(ds: Dataset) -> list[float]:
 
 
 def _score_vector(ds: Dataset) -> np.ndarray:
-    """Every row's chebyshev, elementwise the same arithmetic as Dataset.norm.
-
-    fmax/fmin ignore NaN the way Python's max/min do in norm(), and a
-    missing goal counts as maximally bad.
-    """
+    """Every row's chebyshev; a missing goal counts as maximally bad."""
     worst = np.zeros(len(ds.rows))
     for j, col in enumerate(ds.y_cols):
-        missing = np.array([r.y[j] is None for r in ds.rows], dtype=bool)
-        v = np.array([0.0 if m else r.y[j] for r, m in zip(ds.rows, missing)],
-                     dtype=float)
-        st = ds.col_stats(col)
-        if st.hi == st.lo:
-            z = np.full(len(v), 0.5)
-        else:
-            z = np.fmin(1.0, np.fmax(0.0, (v - st.lo) / (st.hi - st.lo)))
+        z = normalize([r.y[j] for r in ds.rows], ds.col_stats(col))  # None -> NaN
         target = 1.0 if col.direction == MAXIMIZE else 0.0
-        worst = np.maximum(worst, np.where(missing, 1.0, np.abs(z - target)))
+        worst = np.maximum(worst, np.where(np.isnan(z), 1.0, np.abs(z - target)))
     return worst
 
 

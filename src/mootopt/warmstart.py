@@ -21,12 +21,15 @@ from typing import Callable, Optional, Protocol, Union
 
 import numpy as np
 
-from .data import (MISSING, NUMERIC, Cell, ColumnSpec, Dataset, NumStats,
-                   Row, SymStats, format_cell, row_ids, sample_ids)
+from .data import (MISSING, NUMERIC, Cell, Dataset, NumStats, Row,
+                   encode_cells, format_cell, row_ids, sample_ids)
 from .objective import chebyshev, split
 
 BETTER = "better"
 POORER = "poorer"
+
+SYNTH_RETRIES = 2   # extra synthesizer attempts before a warm start falls back
+MAX_CONCURRENT = 4  # requests one RemoteSynthesizer keeps in flight at once
 
 SYSTEM_ROLE = (
     'You are given a dataset with several features. The rows have been '
@@ -335,8 +338,7 @@ class RemoteSynthesizer:
     name = "remote"
 
     def __init__(self, endpoint: str, model: str,
-                 key_env: str = "MOOTOPT_API_KEY", timeout: float = 60.0,
-                 max_concurrent: int = 4):
+                 key_env: str = "MOOTOPT_API_KEY", timeout: float = 60.0):
         key = os.environ.get(key_env)
         if not key:
             raise ValueError(
@@ -345,7 +347,7 @@ class RemoteSynthesizer:
         self.model = model
         self.timeout = timeout
         self._key = key
-        self._gate = threading.BoundedSemaphore(max_concurrent)
+        self._gate = threading.BoundedSemaphore(MAX_CONCURRENT)
 
     def __call__(self, bundle: PromptBundle, e0: list[Row], ds: Dataset) -> str:
         import requests
@@ -363,49 +365,58 @@ class RemoteSynthesizer:
 
 # -- mapping synthetic rows onto the pool ------------------------------------
 
-def map_to_pool(e1: list[SyntheticRow], pool, ds: Dataset) -> list[Row]:
-    """Nearest pool row (Row objects or ids) for each synthetic row, by x
-    distance, deduplicated.
+def squared_distances(e1: list[SyntheticRow], ids: np.ndarray,
+                      ds: Dataset) -> np.ndarray:
+    """Squared x distance from each synthetic row (axis 0) to each pool id
+    (axis 1).
 
-    Mirrors data.x_distance: normalized numeric gaps, symbolic exact-match,
-    a missing cell on either side contributes a full unit. Ties go to the
-    lowest row id; duplicates keep first-hit order.
+    A numeric column adds its squared normalized gap, a symbolic column 0
+    on a match and 1 otherwise, and any column adds a full unit where
+    either cell is missing or the synthetic symbol was never seen at load.
+    """
+    views = ds.x_views()
+    s_num, s_sym = encode_cells([sr.cells for sr in e1], ds, views)
+    n_num = s_num.shape[1]
+    pool_num = views["XT_num"].take(ids, axis=1)  # C order, unlike [:, ids]
+    pool_sym = views["X_sym"][ids].T
+    # One C-ordered (column, pool row) block of terms per synthetic row.
+    # Reducing its first axis adds the columns one at a time, numeric then
+    # symbolic; any other memory order lets numpy sum pairwise, which moves
+    # the last bits and with them, on near ties, the mapped rows.
+    terms = np.empty((n_num + s_sym.shape[1], len(ids)))
+    d2 = np.empty((len(e1), len(ids)))
+    for i in range(len(e1)):
+        gap = pool_num - s_num[i, :, None]
+        code = s_sym[i, :, None]
+        terms[:n_num] = np.where(np.isnan(gap), 1.0, gap * gap)
+        terms[n_num:] = (pool_sym != code) | (code < 0)
+        d2[i] = terms.sum(axis=0)
+    return d2
+
+
+def map_to_pool(e1: list[SyntheticRow], pool, ds: Dataset) -> list[Row]:
+    """Nearest pool row (Row objects or ids) for each synthetic row, by
+    squared_distances, deduplicated.
+
+    Ties go to the lowest row id; duplicates keep first-hit order.
     """
     if len(pool) == 0:
         raise ValueError("cannot map synthetic rows onto an empty pool")
-    views = ds.x_views()
     ids = np.sort(row_ids(pool))
-    X_num = views["X_num"][ids]
-    X_sym = views["X_sym"][ids]
     chosen: list[Row] = []
-    seen: set[int] = set()
-    for sr in e1:
-        d2 = np.zeros(len(ids))
-        for j, pos in enumerate(views["num_pos"]):
-            v = sr.cells[pos]
-            col_vals = X_num[:, j]
-            if v is None:
-                d2 += 1.0
-            else:
-                gap = np.abs(col_vals - ds.norm(ds.x_cols[pos], float(v)))
-                d2 += np.where(np.isnan(col_vals), 1.0, gap * gap)
-        for j, pos in enumerate(views["sym_pos"]):
-            v = sr.cells[pos]
-            code = views["alphabets"][j].index(v) if v in views["alphabets"][j] else -2
-            d2 += np.where(X_sym[:, j] == code, 0.0, 1.0)
-        hit = ds.rows[ids[int(np.argmin(d2))]]
-        if hit.id not in seen:
-            seen.add(hit.id)
+    for i in np.argmin(squared_distances(e1, ids, ds), axis=1):
+        hit = ds.rows[ids[i]]
+        if hit not in chosen:
             chosen.append(hit)
     return chosen
 
 
 def warm_start(ds: Dataset, b0: int, synthesizer: Synthesizer, seed: RngOrSeed,
-               retries: int = 2, paper_literal: bool = False,
+               paper_literal: bool = False,
                log: Optional[LogFn] = None) -> WarmStartResult:
     """Cold start, then synthesize/parse/map/label; cold rows alone on failure.
 
-    The synthesizer gets `retries` extra attempts; if none yields at least
+    The synthesizer gets SYNTH_RETRIES extra attempts; if none yields at least
     one better and one poorer row, the run proceeds from the cold start and
     the result is flagged as a fallback (runs never abort on synthesis
     trouble). With paper_literal=True synthetic rows map back onto the
@@ -418,7 +429,7 @@ def warm_start(ds: Dataset, b0: int, synthesizer: Synthesizer, seed: RngOrSeed,
     ranked = sorted(e0, key=lambda r: (chebyshev(r, ds), r.id))
     bundle = build_prompt(ranked, ds)
     synth: Optional[list[SyntheticRow]] = None
-    for attempt in range(retries + 1):
+    for attempt in range(SYNTH_RETRIES + 1):
         try:
             if log:
                 log({"event": "request", "attempt": attempt,

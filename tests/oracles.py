@@ -12,16 +12,78 @@ import math
 import numpy as np
 
 from mootopt import gp
-from mootopt.data import MAXIMIZE, Dataset, Row
+from mootopt.data import MAXIMIZE, NUMERIC, ColumnSpec, Dataset, NumStats, Row
 from mootopt.likelihood import (EPS_DIV, LOG_SQRT_2PI, SD_FLOOR, ClassStats,
                                 TwoClassModel)
+
+
+# -- cell encoding and distance ----------------------------------------------------
+
+def norm(col: ColumnSpec, v: float, ds: Dataset) -> float:
+    """Map one numeric value into [0,1] using the column's observed range.
+
+    Degenerate columns (hi == lo) map everything to 0.5 so they drop
+    out of distances; out-of-range values clamp.
+    """
+    st = ds.stats[col.index]
+    if not isinstance(st, NumStats):
+        raise ValueError(f"norm() needs a numeric column, got {col.name!r}")
+    if st.hi == st.lo:
+        return 0.5
+    return min(1.0, max(0.0, (v - st.lo) / (st.hi - st.lo)))
+
+
+def x_distance(a: Row, b: Row, ds: Dataset) -> float:
+    """Euclidean distance over independent columns.
+
+    Numeric cells compare after normalization; symbolic cells contribute
+    0 when equal else 1; whenever either cell is missing the column
+    contributes 1 (pessimistic, keeps the distance bounded).
+    """
+    total = 0.0
+    for i, col in enumerate(ds.x_cols):
+        va, vb = a.x[i], b.x[i]
+        if va is None or vb is None:
+            d = 1.0
+        elif col.kind == NUMERIC:
+            d = norm(col, float(va), ds) - norm(col, float(vb), ds)
+        else:
+            d = 0.0 if va == vb else 1.0
+        total += d * d
+    return math.sqrt(total)
+
+
+def squared_distances(e1, ids: np.ndarray, ds: Dataset) -> np.ndarray:
+    """warmstart.squared_distances, one synthetic row and one column at a
+    time, adding each column's terms to a running total in column order
+    (numeric, then symbolic). The package's sum must match it bit for bit.
+    """
+    views = ds.x_views()
+    X_num = views["X_num"][ids]
+    X_sym = views["X_sym"][ids]
+    out = np.zeros((len(e1), len(ids)))
+    for i, sr in enumerate(e1):
+        d2 = out[i]
+        for j, pos in enumerate(views["num_pos"]):
+            v = sr.cells[pos]
+            col_vals = X_num[:, j]
+            if v is None:
+                d2 += 1.0
+            else:
+                gap = np.abs(col_vals - norm(ds.x_cols[pos], float(v), ds))
+                d2 += np.where(np.isnan(col_vals), 1.0, gap * gap)
+        for j, pos in enumerate(views["sym_pos"]):
+            v = sr.cells[pos]
+            code = views["alphabets"][j].index(v) if v in views["alphabets"][j] else -2
+            d2 += np.where(X_sym[:, j] == code, 0.0, 1.0)
+    return out
 
 
 # -- objective -----------------------------------------------------------------
 
 def chebyshev(row: Row, ds: Dataset) -> float:
     """Max normalized gap between a row's goals and the ideal point,
-    through Dataset.norm one goal at a time. Ignores the label state."""
+    through norm() one goal at a time. Ignores the label state."""
     worst = 0.0
     for i, col in enumerate(ds.y_cols):
         v = row.y[i]
@@ -29,7 +91,7 @@ def chebyshev(row: Row, ds: Dataset) -> float:
             gap = 1.0  # missing goal counts as maximally bad
         else:
             target = 1.0 if col.direction == MAXIMIZE else 0.0
-            gap = abs(ds.norm(col, float(v)) - target)
+            gap = abs(norm(col, float(v), ds) - target)
         worst = max(worst, gap)
     return worst
 
@@ -59,7 +121,7 @@ def _log_like_row(cs: ClassStats, m: TwoClassModel, row: Row) -> float:
         v = row.x[p]
         if v is None or math.isnan(cs.num_mean[j]):
             continue  # missing cell (or no class data) contributes factor 1
-        z = ds.norm(ds.x_cols[p], float(v))
+        z = norm(ds.x_cols[p], float(v), ds)
         sd = cs.num_sd[j]
         lp += -0.5 * ((z - cs.num_mean[j]) / sd) ** 2 - math.log(sd) - LOG_SQRT_2PI
     for j, p in enumerate(views["sym_pos"]):

@@ -110,19 +110,21 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "toy_auto93_results.jsonl"
 
 def test_small_grid_matches_the_golden_results(tmp_path):
     """The nine-arm default grid on toy and auto93 reproduces results.jsonl
-    byte for byte. The golden file was written by
+    byte for byte, with one worker and with two, since results must not
+    depend on the job count. The golden file was written by
     `mootopt run --data data/toy.csv data/auto93.csv --budgets 10,15
     --repeats 2 --synth mock`; a change that means to alter results must
     regenerate it and say why."""
-    out = tmp_path / "run"
-    assert main(["run", "--data", TOY, str(DATA / "auto93.csv"),
-                 "--budgets", "10,15", "--repeats", "2", "--synth", "mock",
-                 "--out", str(out)]) == 0
-    assert (out / "results.jsonl").read_bytes() == GOLDEN.read_bytes()
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["treatments"] == (
-        "llm/exploit,llm/explore,random/exploit,random/explore,"
-        "random/ucb,random/pi,random/ei,random,baseline")
+    for jobs in ("1", "2"):
+        out = tmp_path / f"run{jobs}"
+        assert main(["run", "--data", TOY, str(DATA / "auto93.csv"),
+                     "--budgets", "10,15", "--repeats", "2", "--synth", "mock",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        assert (out / "results.jsonl").read_bytes() == GOLDEN.read_bytes(), jobs
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["treatments"] == (
+            "llm/exploit,llm/explore,random/exploit,random/explore,"
+            "random/ucb,random/pi,random/ei,random,baseline")
 
 
 def read_jsonl(path):

@@ -1,4 +1,4 @@
-"""Header grammar, CSV parsing, column stats, normalization, distance."""
+"""Header grammar, CSV parsing, column stats, cell encoding, distance."""
 
 import io
 import math
@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import DATA
+import oracles
+from conftest import DATA, shipped
 from mootopt import data as d
-from mootopt.data import (ParseError, classify_dims, format_cell, load_csv,
-                          parse_header, save_csv, x_distance)
+from mootopt.data import (NumStats, ParseError, classify_dims, format_cell,
+                          load_csv, normalize, parse_header)
 from mootopt.objective import reveal
+from oracles import x_distance
 
 
 # -- header grammar ----------------------------------------------------------
@@ -143,10 +145,8 @@ def test_norm_midpoint_and_clamping(make_ds):
         0,1
         10,2
     """)
-    col = ds.x_cols[0]
-    assert ds.norm(col, 5.0) == 0.5
-    assert ds.norm(col, -3.0) == 0.0
-    assert ds.norm(col, 99.0) == 1.0
+    st_ = ds.col_stats(ds.x_cols[0])
+    assert normalize([5.0, -3.0, 99.0], st_).tolist() == [0.5, 0.0, 1.0]
 
 
 def test_norm_degenerate_column_maps_to_half(make_ds):
@@ -155,21 +155,23 @@ def test_norm_degenerate_column_maps_to_half(make_ds):
         7,1
         7,2
     """)
-    assert ds.norm(ds.x_cols[0], 7.0) == 0.5
-    assert ds.norm(ds.x_cols[0], 123.0) == 0.5
+    st_ = ds.col_stats(ds.x_cols[0])
+    assert normalize([7.0, 123.0], st_).tolist() == [0.5, 0.5]
 
 
-def test_norm_rejects_symbolic_columns(toy):
-    with pytest.raises(ValueError):
-        toy.norm(toy.x_cols[2], 1.0)
+def test_norm_keeps_nan_as_nan():
+    # A missing cell must stay missing, in a live and in a degenerate
+    # column alike; fmax/fmin would turn it into 0 or 1.
+    for st_ in (NumStats(lo=0.0, hi=10.0), NumStats(lo=7.0, hi=7.0)):
+        z = normalize([np.nan, 5.0, None], st_)
+        assert np.isnan(z[0]) and np.isnan(z[2]) and not np.isnan(z[1])
 
 
 @given(st.floats(-50, 150), st.floats(-50, 150))
 def test_norm_is_monotone_and_bounded(v1, v2):
     ds = load_csv(io.StringIO("Kloc,effort-\n0,1\n100,2\n"), name="mono")
-    col = ds.x_cols[0]
-    lo, hi = sorted((v1, v2))
-    assert 0.0 <= ds.norm(col, lo) <= ds.norm(col, hi) <= 1.0
+    z_lo, z_hi = normalize(sorted((v1, v2)), ds.col_stats(ds.x_cols[0]))
+    assert 0.0 <= z_lo <= z_hi <= 1.0
 
 
 # -- x_distance --------------------------------------------------------------
@@ -234,7 +236,38 @@ def test_x_views_cache_shapes(toy):
     assert toy.x_views() is views  # built once
 
 
-# -- round trip and cell formatting ------------------------------------------
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.csv")))
+def test_x_views_match_the_cell_by_cell_encoding(name):
+    """The encoder's views equal norm() and alphabet.index() applied cell
+    by cell, bit for bit, in the memory order the surrogates' sums rely on."""
+    ds = shipped(name)
+    views = ds.x_views()
+    want_num = np.full(views["X_num"].shape, np.nan)
+    want_sym = np.full(views["X_sym"].shape, -1)
+    for i, row in enumerate(ds.rows):
+        for j, p in enumerate(views["num_pos"]):
+            if row.x[p] is not None:
+                want_num[i, j] = oracles.norm(ds.x_cols[p], float(row.x[p]), ds)
+        for j, p in enumerate(views["sym_pos"]):
+            if row.x[p] is not None:
+                want_sym[i, j] = views["alphabets"][j].index(row.x[p])
+    assert views["X_num"].tobytes() == want_num.tobytes()
+    assert np.array_equal(views["X_sym"], want_sym)
+    assert views["X_num"].flags.c_contiguous and views["XT_num"].flags.c_contiguous
+    assert views["XT_num"].tobytes() == np.ascontiguousarray(want_num.T).tobytes()
+
+
+def test_encode_codes_unseen_and_missing_symbols_as_minus_one(toy):
+    views = toy.x_views()
+    seen = views["alphabets"][0][0]
+    num, codes = d.encode_cells([(1.0, None, seen), (None, 2.0, "unseen"),
+                                 (3.0, 4.0, None)], toy, views)
+    assert codes[:, 0].tolist() == [0, -1, -1]
+    assert np.isnan(num[0, 1]) and np.isnan(num[1, 0])
+    assert num.shape == (3, 2) and codes.shape == (3, 1)
+
+
+# -- loading and cell formatting -------------------------------------------------
 
 def test_format_cell_integers_and_floats():
     assert format_cell(3.0) == "3"
@@ -243,31 +276,17 @@ def test_format_cell_integers_and_floats():
     assert format_cell(None) == "?"
 
 
-def test_save_load_round_trip(tmp_path, make_ds):
+def test_load_drops_ignored_columns_and_reads_missing_cells(make_ds):
     ds = make_ds("""
         Kloc,noteX,kind,effort-
         1.5,keep,a,10
         ?,this,b,?
         3,order,a,30
     """, name="rt")
-    first = tmp_path / "rt.csv"
-    save_csv(ds, first)
-    again = load_csv(first)
-    assert [c.name for c in again.columns] == [c.name for c in ds.columns]
-    assert [r.x for r in again.rows] == [r.x for r in ds.rows]
-    assert [r.y for r in again.rows] == [r.y for r in ds.rows]
-    # A second save reproduces the file byte for byte, ignored cells included.
-    second = tmp_path / "rt2.csv"
-    save_csv(again, second)
-    assert first.read_bytes() == second.read_bytes()
-
-
-def test_save_round_trips_the_shipped_toy_table(tmp_path, toy):
-    out = tmp_path / "toy.csv"
-    save_csv(toy, out)
-    again = load_csv(out)
-    assert [r.x for r in again.rows] == [r.x for r in toy.rows]
-    assert [r.y for r in again.rows] == [r.y for r in toy.rows]
+    assert [c.name for c in ds.columns] == ["Kloc", "noteX", "kind", "effort-"]
+    assert [r.x for r in ds.rows] == [(1.5, "a"), (None, "b"), (3.0, "a")]
+    assert [r.y for r in ds.rows] == [(10.0,), (None,), (30.0,)]
+    assert ds.col_stats(ds.columns[1]) is None
 
 
 # -- label accounting --------------------------------------------------------

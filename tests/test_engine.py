@@ -5,11 +5,11 @@ import statistics
 import pytest
 
 from mootopt import engine as eng
-from mootopt.engine import (DEFAULT_ARMS, GridSpec, RunResult, Treatment,
-                            baseline_summary, derive_seed,
-                            normalized_improvement, run_active, run_baseline,
-                            run_grid, run_random)
+from mootopt.engine import (DEFAULT_ARMS, GridSpec, Treatment,
+                            baseline_summary, derive_seed, run_active,
+                            run_baseline, run_grid, run_random)
 from mootopt.objective import chebyshev
+from mootopt.report import improvement_curve_csv
 from mootopt.warmstart import MockSynthesizer
 
 
@@ -122,30 +122,37 @@ def test_single_row_baseline_is_its_own_median(make_ds):
 
 # -- normalized improvement -----------------------------------------------------
 
-def stub(ds_name, best):
-    return RunResult(dataset=ds_name, treatment=Treatment("random", "random", 5),
-                     repeat=0, seed=0, best_chebyshev=best, evaluations_used=5)
+def normalized_improvement(bests, ds):
+    """The improvement column report.improvement_curve_csv writes for one
+    arm's bests on `ds`, scaled by baseline_summary as the manifest records
+    it; None when the row is skipped."""
+    mean, lo, median, sd = baseline_summary(ds)
+    manifest = {"datasets": {ds.name: {"chebyshev": {
+        "mean": mean, "lo": lo, "median": median, "sd": sd}}}}
+    records = [{"dataset": ds.name, "start": "random", "acquire": "random",
+                "budget": 5, "best": b} for b in bests]
+    lines = improvement_curve_csv(records, manifest).splitlines()
+    assert lines[0] == "dataset,start,acquire,budget,improvement"
+    return float(lines[1].rsplit(",", 1)[1]) if len(lines) > 1 else None
 
 
 def test_normalized_improvement_anchors(auto93):
     mean, lo, _, _ = baseline_summary(auto93)
-    assert normalized_improvement([stub("auto93", lo)], auto93) == 0.0
-    assert normalized_improvement(
-        [stub("auto93", mean)], auto93) == pytest.approx(1.0)
-    assert normalized_improvement(
-        [stub("auto93", lo), stub("auto93", mean)], auto93) == pytest.approx(0.5)
+    assert normalized_improvement([lo], auto93) == 0.0
+    assert normalized_improvement([mean], auto93) == pytest.approx(1.0)
+    assert normalized_improvement([lo, mean], auto93) == pytest.approx(0.5)
 
 
 def test_normalized_improvement_edge_cases(make_ds, auto93):
+    # A flat table's mean equals its minimum: the degenerate row is skipped.
     flat = make_ds("""
         W,Cost-
         1,5
         2,5
         3,5
-    """)
-    assert normalized_improvement([stub("flat", 0.5)], flat) is None
-    with pytest.raises(ValueError):
-        normalized_improvement([], auto93)
+    """, name="flat")
+    assert normalized_improvement([0.5], flat) is None
+    assert normalized_improvement([], auto93) is None
 
 
 # -- seeds ----------------------------------------------------------------------

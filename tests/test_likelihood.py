@@ -141,7 +141,7 @@ def test_numeric_likelihood_matches_gaussian_pdf_oracle(make_ds):
     rows = [ds.label(r) for r in ds.rows]
     m = lh.fit(split(rows, ds), ds)
     col = ds.x_cols[0]
-    z = [ds.norm(col, float(r.x[0])) for r in rows]
+    z = [oracles.norm(col, float(r.x[0]), ds) for r in rows]
     mu_b, sd_b = statistics.fmean(z[:2]), statistics.pstdev(z[:2])
     mu_r, sd_r = statistics.fmean(z[2:]), statistics.pstdev(z[2:])
     want = gaussian(mu_b, sd_b).pdf(z[1]) / gaussian(mu_r, sd_r).pdf(z[1])

@@ -3,10 +3,13 @@
 import sys
 import types
 
+import numpy as np
 import pytest
 
+import oracles
+from conftest import DATA, shipped
 from mootopt import warmstart as ws
-from mootopt.data import Row
+from mootopt.data import NUMERIC, Row
 from mootopt.objective import chebyshev
 from mootopt.warmstart import (MockSynthesizer, PromptBundle, RemoteSynthesizer,
                                SyntheticRow, SynthesisError, build_prompt,
@@ -293,7 +296,6 @@ def test_map_rejects_an_empty_pool(make_ds):
 
 
 def test_map_matches_an_x_distance_oracle(make_ds):
-    from mootopt.data import x_distance
     ds = make_ds("""
         A,B,kind,Cost-
         0,5,a,1
@@ -314,11 +316,45 @@ def test_map_matches_an_x_distance_oracle(make_ds):
     want = []
     for s in synth:
         probe = Row(id=-1, x=tuple(s.cells), y=tuple([None] * len(ds.y_cols)))
-        dists = [(x_distance(probe, r, ds), r.id) for r in ds.rows]
+        dists = [(oracles.x_distance(probe, r, ds), r.id) for r in ds.rows]
         best = min(dists)[1]
         if best not in want:
             want.append(best)
     assert got == want
+
+
+def _probe_rows(ds, seed):
+    """Mock-synthesizer rows from a seeded cold start, plus copies with
+    every other cell missing and with every symbol replaced by one never
+    seen at load."""
+    work = ds.fresh()
+    ranked = sorted(cold_start(work, 6, seed),
+                    key=lambda r: (chebyshev(r, work), r.id))
+    rows = mock_synthesize(ranked, work)
+    holed = [SyntheticRow(tuple(None if k % 2 == seed % 2 else v
+                                for k, v in enumerate(r.cells)), r.claim)
+             for r in rows]
+    unseen = [SyntheticRow(tuple(v if c.kind == NUMERIC else "never-seen"
+                                 for c, v in zip(ds.x_cols, r.cells)), r.claim)
+              for r in rows]
+    return work, rows + holed + unseen
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.csv")))
+def test_squared_distances_equal_the_column_loop_bit_for_bit(name):
+    """Each distance is summed column by column, numeric then symbolic, as
+    the reference loop adds them; a pairwise sum would move the last bits
+    and, on near ties, the mapped rows."""
+    ds = shipped(name)
+    for seed in range(4):
+        work, e1 = _probe_rows(ds, seed)
+        ids = work.unlabeled_ids()
+        got = ws.squared_distances(e1, ids, work)
+        want = oracles.squared_distances(e1, ids, work)
+        assert got.shape == (len(e1), len(ids))
+        assert got.tobytes() == want.tobytes()
+        hits = [work.rows[ids[i]] for i in np.argmin(want, axis=1)]
+        assert map_to_pool(e1, ids, work) == list(dict.fromkeys(hits))
 
 
 # -- warm_start ---------------------------------------------------------------
