@@ -13,9 +13,9 @@ import sys
 import threading
 from pathlib import Path
 
-from . import __version__, engine, report
+from . import __version__, engine, gp, report
 from .data import ParseError, load_csv
-from .warmstart import MockSynthesizer, RemoteSynthesizer
+from .warmstart import DEFAULT_KEY_ENV, MockSynthesizer, RemoteSynthesizer
 
 ARM_ACQUIRES = tuple(a for a in engine.ALL_ACQUIRES if a != "baseline")
 
@@ -105,21 +105,18 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--treatments", default=format_arms(engine.DEFAULT_ARMS),
                      help="comma list of start/acquire arms, plus 'random' "
                           "and 'baseline' (default: the full nine-arm grid)")
-    run.add_argument("--budgets", default="10,15,20,25,30",
+    run.add_argument("--budgets",
+                     default=",".join(map(str, engine.DEFAULT_BUDGETS)),
                      help="comma list of total label budgets")
-    run.add_argument("--repeats", type=int, default=20)
-    run.add_argument("--warm-size", type=int, default=4, dest="warm_size",
-                     help="labels consumed before the acquisition loop (B0)")
-    run.add_argument("--seed", type=int, default=1)
+    run.add_argument("--repeats", type=int, default=engine.DEFAULT_REPEATS)
+    run.add_argument("--seed", type=int, default=engine.GridSpec.base_seed)
     run.add_argument("--synth", choices=("mock", "remote"), default="mock")
     run.add_argument("--endpoint", help="chat completion URL (remote synth)")
     run.add_argument("--model", help="model identifier (remote synth)")
-    run.add_argument("--key-env", default="MOOTOPT_API_KEY", dest="key_env",
+    run.add_argument("--key-env", default=DEFAULT_KEY_ENV, dest="key_env",
                      help="environment variable holding the API key")
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--jobs", type=int, default=1)
-    run.add_argument("--kappa", type=float, default=2.0)
-    run.add_argument("--epsilon", type=float, default=0.01)
     run.add_argument("--paper-literal-mapping", action="store_true",
                      dest="paper_literal",
                      help="map synthetic rows onto the labeled seed rows "
@@ -129,33 +126,29 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("results", help="directory holding results.jsonl")
     rank.add_argument("--out", default=None,
                       help="report directory (default: the results dir)")
-    rank.add_argument("--delta-small", type=float, default=0.147,
-                      dest="delta_small")
-    rank.add_argument("--boots", type=int, default=512)
-    rank.add_argument("--conf", type=float, default=0.95)
     return parser
 
 
-def _parse_budgets(spec: str, b0: int) -> tuple[int, ...]:
+def _parse_budgets(spec: str) -> tuple[int, ...]:
     try:
         budgets = tuple(int(b.strip()) for b in spec.split(",") if b.strip())
     except ValueError as exc:
         raise ConfigError(f"bad budget list {spec!r}") from exc
     if not budgets:
         raise ConfigError("empty budget list")
-    if any(b <= b0 for b in budgets):
+    if any(b <= engine.B0 for b in budgets):
         raise ConfigError(
-            f"every budget must exceed the warm size {b0}; got {spec!r}")
+            f"every budget must exceed the warm size {engine.B0}; got {spec!r}")
     return budgets
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
-    if args.warm_size < 2:
-        raise ConfigError(f"warm size must be >= 2, got {args.warm_size}")
+    if args.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
     arms = parse_arms(args.treatments)
-    budgets = _parse_budgets(args.budgets, args.warm_size)
+    budgets = _parse_budgets(args.budgets)
     datasets = load_datasets(args.data)
     if args.synth == "remote":
         if not args.endpoint or not args.model:
@@ -175,9 +168,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     grid = engine.GridSpec(arms=arms, budgets=budgets, repeats=args.repeats,
-                           b0=args.warm_size, base_seed=args.seed,
-                           kappa=args.kappa, epsilon=args.epsilon,
-                           paper_literal=args.paper_literal)
+                           base_seed=args.seed, paper_literal=args.paper_literal)
 
     transcript: list[dict] = []
     lock = threading.Lock()
@@ -196,7 +187,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(msg, file=sys.stderr)
 
     results = engine.run_grid(datasets, grid, synthesizer=synthesizer,
-                              jobs=max(1, args.jobs), log=log,
+                              jobs=args.jobs, log=log,
                               on_error=on_error)
 
     with open(out_dir / "results.jsonl", "w", encoding="utf-8") as fh:
@@ -214,10 +205,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         "version": __version__,
         "config": {
             "treatments": args.treatments, "budgets": list(budgets),
-            "repeats": args.repeats, "warm_size": args.warm_size,
+            "repeats": args.repeats, "warm_size": engine.B0,
             "seed": args.seed, "synth": args.synth,
             "endpoint": args.endpoint, "model": args.model,
-            "kappa": args.kappa, "epsilon": args.epsilon,
+            "kappa": gp.KAPPA, "epsilon": gp.EPSILON,
             "paper_literal_mapping": args.paper_literal,
             "jobs": args.jobs,
         },
@@ -244,9 +235,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if not (results_dir / "results.jsonl").is_file():
         raise ConfigError(f"no results.jsonl under {results_dir}")
     try:
-        report.write_reports(results_dir, out_dir=args.out,
-                             delta_small=args.delta_small,
-                             n_boot=args.boots, conf=args.conf)
+        report.write_reports(results_dir, out_dir=args.out)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return 0

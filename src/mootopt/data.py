@@ -289,11 +289,13 @@ def _parse_cell(raw: str, col: ColumnSpec, row_no: int) -> Cell:
         return None
     if col.kind == NUMERIC:
         try:
-            return float(cell)
+            v = float(cell)
         except ValueError:
-            raise ParseError(
-                f"row {row_no}: non-numeric cell {cell!r} in numeric column {col.name!r}"
-            ) from None
+            v = math.nan
+        if not math.isfinite(v):
+            raise ParseError(f"row {row_no}: cell {cell!r} in numeric column "
+                             f"{col.name!r} is not a finite number")
+        return v
     return cell
 
 
@@ -363,6 +365,8 @@ def _load_csv_stream(fh, name: str) -> Dataset:
         x = tuple(parsed[c.index] for c in x_cols)
         y = tuple(parsed[c.index] for c in y_cols)  # type: ignore[misc]
         rows.append(Row(id=len(rows), x=x, y=y))
+    if not rows:
+        raise ParseError("no data rows after the header")
 
     stats: list[Optional[ColumnStats]] = [
         None if c.role == IGNORED else _column_stats(c, col_cells[c.index])

@@ -31,7 +31,7 @@ GP_ACQUIRES = gp.ACQUIRES
 ACTIVE_ACQUIRES = TPE_ACQUIRES + GP_ACQUIRES
 ALL_ACQUIRES = ACTIVE_ACQUIRES + ("random", "baseline")
 
-DEFAULT_B0 = 4
+B0 = 4  # labels consumed before the acquisition loop
 DEFAULT_BUDGETS = (10, 15, 20, 25, 30)
 DEFAULT_REPEATS = 20
 
@@ -78,8 +78,7 @@ def _trace(work: Dataset) -> tuple[list[tuple[int, float]], float]:
 
 
 def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
-               seed: int, b0: int = DEFAULT_B0, kappa: float = gp.KAPPA_DEFAULT,
-               epsilon: float = gp.EPSILON_DEFAULT, paper_literal: bool = False,
+               seed: int, paper_literal: bool = False,
                log: Optional[LogFn] = None) -> RunResult:
     """One surrogate-guided run under a hard label budget."""
     if t.acquire not in ACTIVE_ACQUIRES:
@@ -87,19 +86,19 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
     if t.budget > len(ds.rows):
         raise ValueError(
             f"budget {t.budget} exceeds the {len(ds.rows)} rows of {ds.name}")
-    if t.budget <= b0:
-        raise ValueError(f"budget {t.budget} must exceed the warm size {b0}")
+    if t.budget <= B0:
+        raise ValueError(f"budget {t.budget} must exceed the warm size {B0}")
     work = ds.fresh()
     rng = random.Random(seed)
     fallback = False
     if t.start == "llm":
         if synthesizer is None:
             raise ValueError("llm start needs a synthesizer")
-        ws = warm_start(work, b0, synthesizer, rng,
+        ws = warm_start(work, B0, synthesizer, rng,
                         paper_literal=paper_literal, log=log)
         fallback = ws.fallback
     else:
-        cold_start(work, b0, rng)
+        cold_start(work, B0, rng)
     while work.evaluations < t.budget:
         pool = work.unlabeled_ids()
         if len(pool) == 0:
@@ -113,8 +112,7 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
         else:
             model = gp.fit_gp(labeled, work)
             f_star = gp.incumbent(labeled, work)
-            row = gp.acquire_gp(model, f_star, pool, t.acquire, work,
-                                kappa=kappa, epsilon=epsilon, rng=rng)
+            row = gp.acquire_gp(model, f_star, pool, t.acquire, work, rng=rng)
         work.label(row)
     trace, best = _trace(work)
     return RunResult(dataset=ds.name, treatment=t, repeat=0, seed=seed,
@@ -173,10 +171,7 @@ class GridSpec:
     arms: tuple[tuple[str, str], ...]  # (start, acquire) pairs
     budgets: tuple[int, ...] = DEFAULT_BUDGETS
     repeats: int = DEFAULT_REPEATS
-    b0: int = DEFAULT_B0
     base_seed: int = 1
-    kappa: float = gp.KAPPA_DEFAULT
-    epsilon: float = gp.EPSILON_DEFAULT
     paper_literal: bool = False
 
 
@@ -222,8 +217,7 @@ def _run_one(ds: Dataset, t: Treatment, repeat: int, grid: GridSpec,
     elif t.acquire == "random":
         result = run_random(ds, t.budget, seed)
     else:
-        result = run_active(ds, t, synthesizer, seed, b0=grid.b0,
-                            kappa=grid.kappa, epsilon=grid.epsilon,
+        result = run_active(ds, t, synthesizer, seed,
                             paper_literal=grid.paper_literal, log=run_log)
     result.repeat = repeat
     return result

@@ -26,10 +26,9 @@ LENGTH_SCALE_GRID = (0.1, 0.3, 1.0, 3.0)
 NOISE_VAR = 1e-6
 JITTER_MAX = 1e-2
 SIGNAL_VAR_FLOOR = 1e-12
-POOL_CAP = 4096
-
-KAPPA_DEFAULT = 2.0
-EPSILON_DEFAULT = 0.01
+POOL_CAP = 4096      # larger pools are scored on a seeded subsample
+KAPPA = 2.0          # UCB exploration weight
+EPSILON = 0.01       # PI/EI improvement margin over the incumbent
 
 
 class GpFitError(RuntimeError):
@@ -132,13 +131,13 @@ def _try_fit(X: np.ndarray, y: np.ndarray, sqdist: np.ndarray,
                    jitter=jitter, log_marginal=lml)
 
 
-def fit(X: np.ndarray, y: np.ndarray, length_scale: float | None = None,
-        grid: tuple[float, ...] = LENGTH_SCALE_GRID) -> GpModel:
+def fit(X: np.ndarray, y: np.ndarray,
+        length_scale: float | None = None) -> GpModel:
     """Fit a GP to raw vectors/targets.
 
-    With length_scale=None the grid is searched and the model with the
-    highest log marginal likelihood wins (first winner on ties). Raises
-    ValueError on non-finite inputs.
+    With length_scale=None LENGTH_SCALE_GRID is searched and the model
+    with the highest log marginal likelihood wins (first winner on ties).
+    Raises ValueError on non-finite inputs.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -150,7 +149,7 @@ def fit(X: np.ndarray, y: np.ndarray, length_scale: float | None = None,
     signal_var = max(float(y.var()), SIGNAL_VAR_FLOOR)
     sqdist = cdist(X, X, "sqeuclidean")
     best = None
-    for ls in grid if length_scale is None else (length_scale,):
+    for ls in LENGTH_SCALE_GRID if length_scale is None else (length_scale,):
         model = _try_fit(X, y, sqdist, ls, signal_var)
         if best is None or model.log_marginal > best.log_marginal:
             best = model
@@ -158,15 +157,13 @@ def fit(X: np.ndarray, y: np.ndarray, length_scale: float | None = None,
     return best
 
 
-def fit_gp(labeled, ds: Dataset,
-           length_scale: float | None = None) -> GpModel:
+def fit_gp(labeled, ds: Dataset) -> GpModel:
     """Fit the surrogate to labeled rows (Row objects or ids) on the
     target g = 1 - chebyshev."""
     if len(labeled) < 2:
         raise ValueError(f"need at least 2 labeled rows, got {len(labeled)}")
     ids = row_ids(labeled)
-    return fit(encode_rows(ds, ids), 1.0 - reveal(ids, ds),
-               length_scale=length_scale)
+    return fit(encode_rows(ds, ids), 1.0 - reveal(ids, ds))
 
 
 def incumbent(labeled, ds: Dataset) -> float:
@@ -174,14 +171,14 @@ def incumbent(labeled, ds: Dataset) -> float:
     return float((1.0 - reveal(row_ids(labeled), ds)).max())
 
 
-def _scores(fn: str, mu: np.ndarray, sigma: np.ndarray, f_star: float,
-            kappa: float, epsilon: float) -> np.ndarray:
-    """UCB mu + kappa * sigma; PI, the probability of beating f* by
-    epsilon; or EI, the expected improvement over f* + epsilon. Where
+def _scores(fn: str, mu: np.ndarray, sigma: np.ndarray,
+            f_star: float) -> np.ndarray:
+    """UCB mu + KAPPA * sigma; PI, the probability of beating f* by
+    EPSILON; or EI, the expected improvement over f* + EPSILON. Where
     sigma is 0, PI is 1 or 0 by the sign of the gap and EI is 0."""
     if fn == "ucb":
-        return mu + kappa * sigma
-    d = mu - f_star - epsilon
+        return mu + KAPPA * sigma
+    d = mu - f_star - EPSILON
     safe = np.where(sigma > 0.0, sigma, 1.0)
     z = d / safe
     if fn == "pi":
@@ -191,12 +188,10 @@ def _scores(fn: str, mu: np.ndarray, sigma: np.ndarray, f_star: float,
 
 
 def acquire_gp(model: GpModel, f_star: float, pool, fn: str,
-               ds: Dataset, kappa: float = KAPPA_DEFAULT,
-               epsilon: float = EPSILON_DEFAULT,
-               rng=None, cap: int = POOL_CAP) -> Row:
+               ds: Dataset, rng=None) -> Row:
     """Pick the pool row (Row objects or ids) maximizing the acquisition.
 
-    Pools larger than `cap` are thinned to a seeded uniform subsample so
+    Pools larger than POOL_CAP are thinned to a seeded uniform subsample so
     prediction stays tractable on the biggest tables. Ties break toward
     the lowest row id regardless of pool order.
     """
@@ -205,10 +200,10 @@ def acquire_gp(model: GpModel, f_star: float, pool, fn: str,
     if fn not in ACQUIRES:
         raise ValueError(f"unknown GP acquisition {fn!r}")
     candidates = np.sort(row_ids(pool))
-    if len(candidates) > cap:
+    if len(candidates) > POOL_CAP:
         if rng is None:
             raise ValueError(f"pool of {len(candidates)} rows needs an rng to subsample")
-        candidates = np.sort(sample_ids(rng, candidates, cap))
+        candidates = np.sort(sample_ids(rng, candidates, POOL_CAP))
     mu, sigma = model.predict_batch(encode_rows(ds, candidates))
-    scores = _scores(fn, mu, sigma, f_star, kappa, epsilon)
+    scores = _scores(fn, mu, sigma, f_star)
     return ds.rows[candidates[int(np.argmax(scores))]]

@@ -31,9 +31,8 @@ def ideal_point(ds: Dataset) -> list[float]:
 def _score_vector(ds: Dataset) -> np.ndarray:
     """Every row's chebyshev; a missing goal counts as maximally bad."""
     worst = np.zeros(len(ds.rows))
-    for j, col in enumerate(ds.y_cols):
+    for j, (col, target) in enumerate(zip(ds.y_cols, ideal_point(ds))):
         z = normalize([r.y[j] for r in ds.rows], ds.col_stats(col))  # None -> NaN
-        target = 1.0 if col.direction == MAXIMIZE else 0.0
         worst = np.maximum(worst, np.where(np.isnan(z), 1.0, np.abs(z - target)))
     return worst
 

@@ -44,10 +44,8 @@ def samples_by_dataset(records: list[dict]) -> dict[str, list[Sample]]:
             for ds, by_key in sorted(grouped.items())}
 
 
-def dataset_rank_tables(records: list[dict], delta_small: float,
-                        n_boot: int, conf: float) -> dict[str, RankTable]:
-    return {ds: scott_knott(samples, delta_small=delta_small,
-                            n_boot=n_boot, conf=conf)
+def dataset_rank_tables(records: list[dict]) -> dict[str, RankTable]:
+    return {ds: scott_knott(samples)
             for ds, samples in samples_by_dataset(records).items()}
 
 
@@ -126,9 +124,8 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
 
 
-def write_reports(results_dir: Path, out_dir: Optional[Path] = None,
-                  delta_small: float = 0.147, n_boot: int = 512,
-                  conf: float = 0.95) -> list[Path]:
+def write_reports(results_dir: Path,
+                  out_dir: Optional[Path] = None) -> list[Path]:
     """Generate every report artifact; returns the files written."""
     results_dir = Path(results_dir)
     out_dir = Path(out_dir) if out_dir else results_dir
@@ -148,7 +145,7 @@ def write_reports(results_dir: Path, out_dir: Optional[Path] = None,
         path.write_text(text, encoding="utf-8")
         written.append(path)
 
-    tables = dataset_rank_tables(records, delta_small, n_boot, conf)
+    tables = dataset_rank_tables(records)
     for ds, table in sorted(tables.items()):
         emit(f"rank_{_safe_name(ds)}.txt", render_rank_table(table, title=ds))
         emit(f"rank_{_safe_name(ds)}.csv", rank_table_csv(table))

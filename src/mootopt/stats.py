@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-DELTA_SMALL = 0.147
-N_BOOT = 512
-CONF = 0.95
+DELTA_SMALL = 0.147  # Cliff's Delta at or below this is a negligible effect
+N_BOOT = 512         # bootstrap resamples per test
+CONF = 0.95          # the bootstrap rejects "same" at significance 1 - CONF
 SPARK_WIDTH = 20
 
 
@@ -50,12 +50,6 @@ class RankGroup:
 class RankTable:
     groups: list[RankGroup]
 
-    def rank_of(self, label: tuple) -> Optional[int]:
-        """Rank of a label, or its best rank if it appears several times."""
-        found = [g.rank for g in self.groups
-                 for s in g.samples if s.label == label]
-        return min(found) if found else None
-
     @property
     def samples(self) -> list[Sample]:
         return [s for g in self.groups for s in g.samples]
@@ -72,14 +66,12 @@ def cliffs_delta(a: Sequence[float], b: Sequence[float]) -> float:
     return (gt - lt) / (len(a) * len(b))
 
 
-def bootstrap_same(a: Sequence[float], b: Sequence[float],
-                   n_boot: int = N_BOOT, conf: float = CONF,
-                   seed: int = 0) -> bool:
+def bootstrap_same(a: Sequence[float], b: Sequence[float]) -> bool:
     """True when the observed mean gap is unremarkable under the null.
 
     Both lists are recentered onto the pooled mean, resampled with
-    replacement n_boot times, and the observed |mean(a) - mean(b)| is
-    compared against that null distribution at significance 1 - conf.
+    replacement N_BOOT times, and the observed |mean(a) - mean(b)| is
+    compared against that null distribution at significance 1 - CONF.
     Seeded, so identical inputs always give the identical verdict.
     """
     if not len(a) or not len(b):
@@ -90,12 +82,12 @@ def bootstrap_same(a: Sequence[float], b: Sequence[float],
     pooled_mean = np.concatenate([xs, ys]).mean()
     xs_null = xs - xs.mean() + pooled_mean
     ys_null = ys - ys.mean() + pooled_mean
-    rng = np.random.default_rng(seed)
-    xi = rng.integers(0, len(xs), size=(n_boot, len(xs)))
-    yi = rng.integers(0, len(ys), size=(n_boot, len(ys)))
+    rng = np.random.default_rng(0)
+    xi = rng.integers(0, len(xs), size=(N_BOOT, len(xs)))
+    yi = rng.integers(0, len(ys), size=(N_BOOT, len(ys)))
     gaps = np.abs(xs_null[xi].mean(axis=1) - ys_null[yi].mean(axis=1))
     p = float((gaps >= observed).mean())
-    return p >= (1.0 - conf)
+    return p >= (1.0 - CONF)
 
 
 def _pooled(samples: Sequence[Sample]) -> list[float]:
@@ -130,8 +122,7 @@ def sk_split(samples: Sequence[Sample]) -> Optional[int]:
     return best_cut
 
 
-def scott_knott(samples: Sequence[Sample], delta_small: float = DELTA_SMALL,
-                n_boot: int = N_BOOT, conf: float = CONF) -> RankTable:
+def scott_knott(samples: Sequence[Sample]) -> RankTable:
     """Recursive bi-clustering of samples into statistically distinct ranks."""
     if not samples:
         raise ValueError("scott_knott needs at least 1 sample")
@@ -143,8 +134,7 @@ def scott_knott(samples: Sequence[Sample], delta_small: float = DELTA_SMALL,
             cut = sk_split(subs)
             if cut is not None:
                 a, b = _pooled(subs[:cut]), _pooled(subs[cut:])
-                if abs(cliffs_delta(a, b)) > delta_small \
-                        and not bootstrap_same(a, b, n_boot=n_boot, conf=conf):
+                if abs(cliffs_delta(a, b)) > DELTA_SMALL and not bootstrap_same(a, b):
                     descend(subs[:cut])
                     descend(subs[cut:])
                     return

@@ -17,7 +17,7 @@ import random
 import re
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Union
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 
@@ -30,6 +30,8 @@ POORER = "poorer"
 
 SYNTH_RETRIES = 2   # extra synthesizer attempts before a warm start falls back
 MAX_CONCURRENT = 4  # requests one RemoteSynthesizer keeps in flight at once
+REQUEST_TIMEOUT = 60.0  # seconds one RemoteSynthesizer request may take
+DEFAULT_KEY_ENV = "MOOTOPT_API_KEY"  # environment variable holding the API key
 
 SYSTEM_ROLE = (
     'You are given a dataset with several features. The rows have been '
@@ -82,18 +84,11 @@ class WarmStartResult:
     fallback: bool        # true when synthesis failed and only cold rows remain
 
 
-RngOrSeed = Union[random.Random, int]
-
 LogFn = Callable[[dict], None]
 
 
-def _as_rng(seed: RngOrSeed) -> random.Random:
-    return seed if isinstance(seed, random.Random) else random.Random(seed)
-
-
-def cold_start(ds: Dataset, b0: int, seed: RngOrSeed) -> list[Row]:
+def cold_start(ds: Dataset, b0: int, rng: random.Random) -> list[Row]:
     """Label b0 distinct unlabeled rows uniformly at random."""
-    rng = _as_rng(seed)
     pool = ds.unlabeled_ids()
     if b0 > len(pool):
         raise ValueError(f"b0={b0} exceeds the {len(pool)} unlabeled rows")
@@ -338,14 +333,13 @@ class RemoteSynthesizer:
     name = "remote"
 
     def __init__(self, endpoint: str, model: str,
-                 key_env: str = "MOOTOPT_API_KEY", timeout: float = 60.0):
+                 key_env: str = DEFAULT_KEY_ENV):
         key = os.environ.get(key_env)
         if not key:
             raise ValueError(
                 f"remote synthesizer needs the API key in ${key_env}, which is unset")
         self.endpoint = endpoint
         self.model = model
-        self.timeout = timeout
         self._key = key
         self._gate = threading.BoundedSemaphore(MAX_CONCURRENT)
 
@@ -357,7 +351,7 @@ class RemoteSynthesizer:
                                 for role, content in bundle.messages()]}
         with self._gate:
             resp = requests.post(
-                self.endpoint, json=payload, timeout=self.timeout,
+                self.endpoint, json=payload, timeout=REQUEST_TIMEOUT,
                 headers={"Authorization": f"Bearer {self._key}"})
         resp.raise_for_status()
         return extract_completion(resp.json())
@@ -411,8 +405,8 @@ def map_to_pool(e1: list[SyntheticRow], pool, ds: Dataset) -> list[Row]:
     return chosen
 
 
-def warm_start(ds: Dataset, b0: int, synthesizer: Synthesizer, seed: RngOrSeed,
-               paper_literal: bool = False,
+def warm_start(ds: Dataset, b0: int, synthesizer: Synthesizer,
+               rng: random.Random, paper_literal: bool = False,
                log: Optional[LogFn] = None) -> WarmStartResult:
     """Cold start, then synthesize/parse/map/label; cold rows alone on failure.
 
@@ -424,7 +418,6 @@ def warm_start(ds: Dataset, b0: int, synthesizer: Synthesizer, seed: RngOrSeed,
     """
     if b0 < 2:
         raise ValueError(f"warm start needs b0 >= 2, got {b0}")
-    rng = _as_rng(seed)
     e0 = cold_start(ds, b0, rng)
     ranked = sorted(e0, key=lambda r: (chebyshev(r, ds), r.id))
     bundle = build_prompt(ranked, ds)

@@ -223,13 +223,13 @@ def _cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
-def ucb(mu: float, sigma: float, kappa: float = gp.KAPPA_DEFAULT) -> float:
+def ucb(mu: float, sigma: float, kappa: float = gp.KAPPA) -> float:
     """Upper confidence bound mu + kappa * sigma."""
     return mu + kappa * sigma
 
 
 def pi(mu: float, sigma: float, f_star: float,
-       epsilon: float = gp.EPSILON_DEFAULT) -> float:
+       epsilon: float = gp.EPSILON) -> float:
     """Probability that a sample improves on the incumbent by epsilon."""
     d = mu - f_star - epsilon
     if sigma == 0.0:
@@ -238,7 +238,7 @@ def pi(mu: float, sigma: float, f_star: float,
 
 
 def ei(mu: float, sigma: float, f_star: float,
-       epsilon: float = gp.EPSILON_DEFAULT) -> float:
+       epsilon: float = gp.EPSILON) -> float:
     """Expected improvement over the incumbent; exactly 0 when sigma is 0."""
     if sigma == 0.0:
         return 0.0
@@ -250,10 +250,9 @@ def ei(mu: float, sigma: float, f_star: float,
 GP_ACQUISITIONS = {"ucb": ucb, "pi": pi, "ei": ei}
 
 
-def gp_score(fn: str, mu: float, sigma: float, f_star: float,
-             kappa: float = gp.KAPPA_DEFAULT,
-             epsilon: float = gp.EPSILON_DEFAULT) -> float:
-    """The package's vectorized acquisition at a single point, for
-    checking it against the scalar forms above."""
-    out = gp._scores(fn, np.array([mu]), np.array([sigma]), f_star, kappa, epsilon)
+def gp_score(fn: str, mu: float, sigma: float, f_star: float) -> float:
+    """The package's vectorized acquisition at a single point, at
+    gp.KAPPA and gp.EPSILON, for checking it against the scalar forms
+    above."""
+    out = gp._scores(fn, np.array([mu]), np.array([sigma]), f_star)
     return float(out[0])

@@ -148,15 +148,14 @@ def test_acquisition_functions_match_their_closed_forms():
     """Claim: PI at mu = f* + epsilon is 0.5 within 1e-9, EI at d = 0 and
     sigma = 1 is 0.39894 within 1e-5, and UCB(0.5, 0.1, kappa=2) is 0.7
     exactly, in both the scalar reference forms and the vectorized scores
-    the pool acquisition uses."""
+    the pool acquisition uses, whose constants are those values."""
+    assert (gp.KAPPA, gp.EPSILON) == (2.0, 0.01)
     assert oracles.pi(0.31, 0.7, 0.3, epsilon=0.01) == pytest.approx(0.5, abs=1e-9)
     assert oracles.ei(0.31, 1.0, 0.3, epsilon=0.01) == pytest.approx(0.39894, abs=1e-5)
     assert oracles.ucb(0.5, 0.1, kappa=2.0) == 0.7
-    assert oracles.gp_score("pi", 0.31, 0.7, 0.3, epsilon=0.01) == pytest.approx(
-        0.5, abs=1e-9)
-    assert oracles.gp_score("ei", 0.31, 1.0, 0.3, epsilon=0.01) == pytest.approx(
-        0.39894, abs=1e-5)
-    assert oracles.gp_score("ucb", 0.5, 0.1, 0.0, kappa=2.0) == 0.7
+    assert oracles.gp_score("pi", 0.31, 0.7, 0.3) == pytest.approx(0.5, abs=1e-9)
+    assert oracles.gp_score("ei", 0.31, 1.0, 0.3) == pytest.approx(0.39894, abs=1e-5)
+    assert oracles.gp_score("ucb", 0.5, 0.1, 0.0) == 0.7
 
 
 # 5 ---------------------------------------------------------------------------

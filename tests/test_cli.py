@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 import mootopt
-from mootopt import cli
+from mootopt import cli, engine, gp
 from mootopt.cli import ConfigError, main, parse_arms
 from mootopt.engine import DEFAULT_ARMS, baseline_summary
 
 from conftest import DATA
 
 TOY = str(DATA / "toy.csv")
+MALFORMED = Path(__file__).resolve().parent / "malformed"
 
 
 # -- treatment grammar ---------------------------------------------------------
@@ -51,13 +52,38 @@ def test_parse_arms_rejects_bad_specs(spec):
     ["run", "--data", TOY, "--budgets", "4"],          # budget <= warm size
     ["run", "--data", TOY, "--budgets", "six"],
     ["run", "--data", TOY, "--repeats", "0"],
-    ["run", "--data", TOY, "--warm-size", "1"],
+    ["run", "--data", TOY, "--jobs", "0"],
     ["run", "--data", TOY, "--synth", "remote"],       # endpoint/model missing
     ["run", "--data", TOY, TOY],                       # duplicate dataset name
+    ["run", "--data", TOY, "--jobs", "-1"],
+    ["run", "--data", str(MALFORMED / "non_finite.csv")],
+    ["run", "--data", str(MALFORMED / "header_only.csv")],
 ])
 def test_bad_configurations_exit_2(argv, tmp_path, monkeypatch):
     monkeypatch.delenv("MOOTOPT_API_KEY", raising=False)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+
+
+REMOVED_FLAGS = [
+    ("run", "--kappa", "3"), ("run", "--epsilon", "0.1"),
+    ("run", "--warm-size", "6"), ("rank", "--delta-small", "0.3"),
+    ("rank", "--boots", "64"), ("rank", "--conf", "0.9"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
+def test_fixed_settings_are_not_flags(command, flag, value, tmp_path, capsys):
+    """The method settings are module constants; argparse refuses them."""
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    assert flag not in capsys.readouterr().out
+    argv = ([command, "--data", TOY, "--out", str(tmp_path / "out")]
+            if command == "run" else [command, str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_remote_without_key_exits_2(tmp_path, monkeypatch):
@@ -180,6 +206,12 @@ def test_manifest_contents(smoke, toy):
     assert info["chebyshev"]["lo"] == pytest.approx(lo)
     assert info["chebyshev"]["median"] == pytest.approx(median)
     assert info["chebyshev"]["sd"] == pytest.approx(sd)
+
+
+def test_manifest_records_the_fixed_settings(smoke):
+    config = json.loads((smoke / "manifest.json").read_text())["config"]
+    assert (config["kappa"], config["epsilon"], config["warm_size"]) == \
+        (gp.KAPPA, gp.EPSILON, engine.B0) == (2.0, 0.01, 4)
 
 
 # -- rank artifacts -----------------------------------------------------------------

@@ -131,10 +131,29 @@ def test_symbolic_mode_breaks_ties_lexicographically(make_ds):
     "",                                  # empty stream
     "Kloc,effort-\n1\n",                 # ragged row
     "Kloc,effort-\nabc,2\n",             # non-numeric cell in numeric column
+    "Kloc,effort-\n1,4\ninf,5\n3,9\n",     # non-finite cell
+    "Kloc,effort-\n",                     # header only
 ])
 def test_load_rejects_malformed_tables(text):
     with pytest.raises(ParseError):
         load_csv(io.StringIO(text), name="bad")
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["Kloc", "effort-"])
+def test_load_names_the_row_and_column_of_a_non_finite_cell(cell, column):
+    rows = [["1", "4"], ["2", "5"], ["3", "9"]]
+    rows[1][["Kloc", "effort-"].index(column)] = cell
+    text = "Kloc,effort-\n" + "".join(",".join(r) + "\n" for r in rows)
+    with pytest.raises(ParseError, match=rf"^row 3: cell '{cell}' in numeric "
+                                         rf"column '{column}' is not a finite"):
+        load_csv(io.StringIO(text), name="bad")
+
+
+def test_load_refuses_a_header_without_rows():
+    for text in ("Kloc,effort-\n", "Kloc,effort-\n\n\n"):
+        with pytest.raises(ParseError, match="no data rows"):
+            load_csv(io.StringIO(text), name="bad")
 
 
 # -- normalization -----------------------------------------------------------

@@ -222,8 +222,7 @@ def test_acquire_gp_singleton(auto93):
 def test_acquire_gp_matches_scalar_argmax(auto93, fn):
     model, f_star = fitted(auto93, 10)
     pool = auto93.unlabeled_rows()[:40]
-    chosen = gp.acquire_gp(model, f_star, pool, fn, auto93,
-                           kappa=2.0, epsilon=0.01)
+    chosen = gp.acquire_gp(model, f_star, pool, fn, auto93)
     scalar = {"ucb": lambda m, s: oracles.ucb(m, s, 2.0),
               "pi": lambda m, s: oracles.pi(m, s, f_star, 0.01),
               "ei": lambda m, s: oracles.ei(m, s, f_star, 0.01)}[fn]
@@ -236,7 +235,7 @@ def test_acquire_gp_matches_scalar_argmax(auto93, fn):
     assert chosen.id == want
 
 
-def test_acquire_gp_prefers_uncertainty_under_a_bold_ucb(make_ds):
+def test_acquire_gp_prefers_uncertainty_under_a_bold_ucb(make_ds, monkeypatch):
     ds = make_ds("""
         N,Cost-
         0,5
@@ -249,7 +248,8 @@ def test_acquire_gp_prefers_uncertainty_under_a_bold_ucb(make_ds):
     model = gp.fit_gp(labeled, ds)
     f_star = gp.incumbent(labeled, ds)
     pool = [ds.rows[3], ds.rows[4]]  # near-duplicate vs far-field point
-    bold = gp.acquire_gp(model, f_star, pool, "ucb", ds, kappa=50.0)
+    monkeypatch.setattr(gp, "KAPPA", 50.0)
+    bold = gp.acquire_gp(model, f_star, pool, "ucb", ds)
     assert bold.id == 4
 
 
@@ -270,12 +270,13 @@ def test_acquire_gp_breaks_ties_toward_low_ids(make_ds):
             assert gp.acquire_gp(model, f_star, np.array(ids), fn, ds).id == 3
 
 
-def test_id_subsample_draws_what_the_row_list_draw_did(auto93):
+def test_id_subsample_draws_what_the_row_list_draw_did(auto93, monkeypatch):
     """With a small cap, sampling ids picks the same rows from the same rng
     state as rng.sample over the id-sorted row list, and the pick is the
     argmax over exactly those rows."""
     model, f_star = fitted(auto93, 10)
     pool = auto93.unlabeled_rows()[:40]
+    monkeypatch.setattr(gp, "POOL_CAP", 8)
     for seed in range(5):
         old = sorted(random.Random(seed).sample(sorted(pool, key=lambda r: r.id), 8),
                      key=lambda r: r.id)
@@ -284,21 +285,23 @@ def test_id_subsample_draws_what_the_row_list_draw_did(auto93):
         mu, sd = model.predict_batch(gp.encode_rows(auto93, old))
         want = old[int(np.argmax(mu + 2.0 * sd))]
         got = gp.acquire_gp(model, f_star, row_ids(pool)[::-1], "ucb", auto93,
-                            rng=random.Random(seed), cap=8)
+                            rng=random.Random(seed))
         assert got is want
 
 
-def test_acquire_gp_large_pools_need_an_rng(auto93):
+def test_acquire_gp_large_pools_need_an_rng(auto93, monkeypatch):
     model, f_star = fitted(auto93, 10)
     pool = auto93.unlabeled_rows()[:20]
+    monkeypatch.setattr(gp, "POOL_CAP", 8)
     with pytest.raises(ValueError):
-        gp.acquire_gp(model, f_star, pool, "ucb", auto93, cap=8)
+        gp.acquire_gp(model, f_star, pool, "ucb", auto93)
 
 
-def test_acquire_gp_subsampling_is_seed_deterministic(auto93):
+def test_acquire_gp_subsampling_is_seed_deterministic(auto93, monkeypatch):
     model, f_star = fitted(auto93, 10)
     pool = auto93.unlabeled_rows()[:20]
+    monkeypatch.setattr(gp, "POOL_CAP", 8)
     picks = {gp.acquire_gp(model, f_star, pool, "ucb", auto93,
-                           rng=random.Random(0), cap=8).id
+                           rng=random.Random(0)).id
              for _ in range(3)}
     assert len(picks) == 1

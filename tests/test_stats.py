@@ -153,11 +153,16 @@ def test_sk_split_matches_the_all_cuts_oracle():
 
 # -- scott_knott -------------------------------------------------------------------
 
+def rank_of(table, label):
+    """Rank of the group holding the sample labeled `label`."""
+    return next(g.rank for g in table.groups for s in g.samples if s.label == label)
+
+
 def test_scott_knott_single_sample():
     table = scott_knott([S("only", [1.0, 2.0])])
     assert len(table.groups) == 1
     assert table.groups[0].rank == 0
-    assert table.rank_of(("only",)) == 0
+    assert rank_of(table, ("only",)) == 0
 
 
 def test_scott_knott_merges_one_distribution():
@@ -173,7 +178,7 @@ def test_scott_knott_separates_two_clusters():
                          S("alsogood", [0.11, 0.10, 0.13, 0.12])])
     assert [g.rank for g in table.groups] == [0, 1]
     assert {s.label[0] for s in table.groups[0].samples} == {"good", "alsogood"}
-    assert table.rank_of(("bad",)) == 1
+    assert rank_of(table, ("bad",)) == 1
 
 
 def test_scott_knott_is_shift_invariant():
@@ -199,11 +204,6 @@ def test_scott_knott_groups_are_sorted_intervals():
 def test_scott_knott_rejects_empty_input():
     with pytest.raises(ValueError):
         scott_knott([])
-
-
-def test_rank_of_unknown_label_is_none():
-    table = scott_knott([S("a", [1.0]), S("b", [2.0])])
-    assert table.rank_of(("zzz",)) is None
 
 
 # -- rank frequencies ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Warm-start pipeline: prompts, parsing, mapping, and the fallback path."""
 
+import random
 import sys
 import types
 
@@ -28,21 +29,21 @@ def by_cheb(ds):
 # -- cold start ---------------------------------------------------------------
 
 def test_cold_start_is_seed_deterministic(toy):
-    a = [r.id for r in cold_start(toy, 4, 11)]
-    b = [r.id for r in cold_start(toy.fresh(), 4, 11)]
+    a = [r.id for r in cold_start(toy, 4, random.Random(11))]
+    b = [r.id for r in cold_start(toy.fresh(), 4, random.Random(11))]
     assert a == b
     assert toy.evaluations == 4
 
 
 def test_cold_start_rejects_oversized_requests(toy):
     with pytest.raises(ValueError):
-        cold_start(toy, 13, 0)
+        cold_start(toy, 13, random.Random(0))
 
 
 # -- prompt building ----------------------------------------------------------
 
 def test_prompt_sections_and_roles(toy):
-    e0 = cold_start(toy, 4, 2)
+    e0 = cold_start(toy, 4, random.Random(2))
     ranked = sorted(e0, key=lambda r: (chebyshev(r, toy), r.id))
     bundle = build_prompt(ranked, toy)
     assert bundle.system.startswith(ws.SYSTEM_ROLE)
@@ -55,7 +56,7 @@ def test_prompt_sections_and_roles(toy):
 
 
 def test_prompt_meta_table_summarizes_columns(toy):
-    e0 = cold_start(toy, 4, 2)
+    e0 = cold_start(toy, 4, random.Random(2))
     bundle = build_prompt(e0, toy)
     assert "| Cores | NUM | lo=" in bundle.system
     assert "| kind | SYM | mode=" in bundle.system
@@ -63,7 +64,7 @@ def test_prompt_meta_table_summarizes_columns(toy):
 
 
 def test_prompt_examples_tag_best_and_rest(toy):
-    e0 = cold_start(toy, 4, 2)
+    e0 = cold_start(toy, 4, random.Random(2))
     ranked = sorted(e0, key=lambda r: (chebyshev(r, toy), r.id))
     text = build_prompt(ranked, toy).examples
     body = [l for l in text.splitlines()
@@ -75,7 +76,7 @@ def test_prompt_examples_tag_best_and_rest(toy):
 
 
 def test_prompt_shows_only_the_seed_rows(toy):
-    e0 = cold_start(toy, 4, 2)
+    e0 = cold_start(toy, 4, random.Random(2))
     before = toy.evaluations
     bundle = build_prompt(e0, toy)
     assert toy.evaluations == before  # rendering labels nothing
@@ -85,7 +86,7 @@ def test_prompt_shows_only_the_seed_rows(toy):
 
 
 def test_prompt_needs_two_rows(toy):
-    e0 = cold_start(toy, 2, 2)
+    e0 = cold_start(toy, 2, random.Random(2))
     with pytest.raises(ValueError):
         build_prompt(e0[:1], toy)
 
@@ -328,7 +329,7 @@ def _probe_rows(ds, seed):
     every other cell missing and with every symbol replaced by one never
     seen at load."""
     work = ds.fresh()
-    ranked = sorted(cold_start(work, 6, seed),
+    ranked = sorted(cold_start(work, 6, random.Random(seed)),
                     key=lambda r: (chebyshev(r, work), r.id))
     rows = mock_synthesize(ranked, work)
     holed = [SyntheticRow(tuple(None if k % 2 == seed % 2 else v
@@ -360,8 +361,8 @@ def test_squared_distances_equal_the_column_loop_bit_for_bit(name):
 # -- warm_start ---------------------------------------------------------------
 
 def test_warm_start_is_seed_deterministic(kanban):
-    a = warm_start(kanban, 4, MockSynthesizer(), 5)
-    b = warm_start(kanban.fresh(), 4, MockSynthesizer(), 5)
+    a = warm_start(kanban, 4, MockSynthesizer(), random.Random(5))
+    b = warm_start(kanban.fresh(), 4, MockSynthesizer(), random.Random(5))
     assert [r.id for r in a.rows] == [r.id for r in b.rows]
     assert a.fallback == b.fallback == False  # noqa: E712
 
@@ -369,13 +370,13 @@ def test_warm_start_is_seed_deterministic(kanban):
 def test_warm_start_label_budget_is_bounded(kanban):
     for seed in range(8):
         work = kanban.fresh()
-        res = warm_start(work, 4, MockSynthesizer(), seed)
+        res = warm_start(work, 4, MockSynthesizer(), random.Random(seed))
         assert 4 <= work.evaluations <= 8
         assert len(res.rows) == work.evaluations
 
 
 def test_warm_start_can_land_inside_a_sweet_spot(kanban):
-    res = warm_start(kanban, 4, MockSynthesizer(), 36)
+    res = warm_start(kanban, 4, MockSynthesizer(), random.Random(36))
     cold, added = res.rows[:4], res.rows[4:]
     assert added, "the synthetic rows mapped somewhere new"
     assert min(chebyshev(r, kanban) for r in cold) > 0.4
@@ -383,7 +384,8 @@ def test_warm_start_can_land_inside_a_sweet_spot(kanban):
 
 
 def test_warm_start_literal_mapping_consumes_no_labels(toy):
-    res = warm_start(toy, 4, MockSynthesizer(), 3, paper_literal=True)
+    res = warm_start(toy, 4, MockSynthesizer(), random.Random(3),
+                     paper_literal=True)
     assert toy.evaluations == 4
     assert len(res.rows) == 4  # synthetic rows land on already-paid seeds
     assert not res.fallback
@@ -391,7 +393,7 @@ def test_warm_start_literal_mapping_consumes_no_labels(toy):
 
 def test_warm_start_requires_a_pair_of_seeds(toy):
     with pytest.raises(ValueError):
-        warm_start(toy, 1, MockSynthesizer(), 0)
+        warm_start(toy, 1, MockSynthesizer(), random.Random(0))
 
 
 def test_warm_start_falls_back_after_three_failures(toy):
@@ -402,7 +404,7 @@ def test_warm_start_falls_back_after_three_failures(toy):
         raise SynthesisError("no usable rows")
 
     events = []
-    res = warm_start(toy, 4, broken, 0, log=events.append)
+    res = warm_start(toy, 4, broken, random.Random(0), log=events.append)
     assert len(calls) == 3
     assert res.fallback and len(res.rows) == 4
     assert toy.evaluations == 4
@@ -413,7 +415,7 @@ def test_warm_start_falls_back_after_three_failures(toy):
 
 def test_warm_start_logs_request_and_response(toy):
     events = []
-    warm_start(toy, 4, MockSynthesizer(), 1, log=events.append)
+    warm_start(toy, 4, MockSynthesizer(), random.Random(1), log=events.append)
     kinds = [e["event"] for e in events]
     assert kinds[:2] == ["request", "response"]
     roles = [m["role"] for m in events[0]["messages"]]
@@ -445,7 +447,7 @@ def test_remote_synthesizer_posts_the_bundle(monkeypatch, toy):
     monkeypatch.setitem(sys.modules, "requests",
                         types.SimpleNamespace(post=fake_post))
     synth = RemoteSynthesizer("https://api.example/v1/chat", "model-x")
-    res = warm_start(work, 4, synth, 9)
+    res = warm_start(work, 4, synth, random.Random(9))
     assert not res.fallback
     assert seen["url"] == "https://api.example/v1/chat"
     assert seen["timeout"] == 60.0
