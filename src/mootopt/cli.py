@@ -50,6 +50,9 @@ def parse_arms(spec: str) -> tuple[tuple[str, str], ...]:
         if acquire not in ARM_ACQUIRES:
             raise ConfigError(f"unknown acquire {acquire!r} in treatment {item!r}")
         arms.append((start, acquire))
+    for arm in arms:
+        if arms.count(arm) > 1:
+            raise ConfigError(f"treatment {format_arms((arm,))!r} is repeated")
     if not arms:
         raise ConfigError("empty treatment list")
     return tuple(arms)
@@ -117,10 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="environment variable holding the API key")
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--jobs", type=int, default=1)
-    run.add_argument("--paper-literal-mapping", action="store_true",
-                     dest="paper_literal",
-                     help="map synthetic rows onto the labeled seed rows "
-                          "instead of the unlabeled pool")
 
     rank = sub.add_parser("rank", help="build report tables from run output")
     rank.add_argument("results", help="directory holding results.jsonl")
@@ -136,6 +135,9 @@ def _parse_budgets(spec: str) -> tuple[int, ...]:
         raise ConfigError(f"bad budget list {spec!r}") from exc
     if not budgets:
         raise ConfigError("empty budget list")
+    for b in budgets:
+        if budgets.count(b) > 1:
+            raise ConfigError(f"budget {b} is repeated in {spec!r}")
     if any(b <= engine.B0 for b in budgets):
         raise ConfigError(
             f"every budget must exceed the warm size {engine.B0}; got {spec!r}")
@@ -168,7 +170,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     grid = engine.GridSpec(arms=arms, budgets=budgets, repeats=args.repeats,
-                           base_seed=args.seed, paper_literal=args.paper_literal)
+                           base_seed=args.seed)
 
     transcript: list[dict] = []
     lock = threading.Lock()
@@ -209,7 +211,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             "seed": args.seed, "synth": args.synth,
             "endpoint": args.endpoint, "model": args.model,
             "kappa": gp.KAPPA, "epsilon": gp.EPSILON,
-            "paper_literal_mapping": args.paper_literal,
             "jobs": args.jobs,
         },
         "seed_rule": "crc32('dataset|start|acquire|budget|repeat|seed')",

@@ -13,6 +13,9 @@ the label state of a run is a boolean mask over those ids plus the ids in
 the order they were labeled. `fresh()` hands each run a new mask and
 order, so runs never see each other's labels.
 
+Inside the label loop a row is its id. `Row` objects, which carry cells,
+serve only the warm start's prompt side and the best/rest split.
+
 `normalize` and `encode_cells` are the one rule that turns cells into
 numbers: min-max scaled numerics and alphabet codes for symbols. The
 surrogates' views, the warm start's nearest-row mapping and the goal
@@ -23,12 +26,11 @@ from __future__ import annotations
 
 import copy
 import csv
-import io
 import math
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, TextIO, Union
 
 import numpy as np
 
@@ -62,7 +64,6 @@ class ColumnSpec:
 class NumStats:
     lo: float = 0.0
     hi: float = 0.0
-    mean: float = 0.0
     median: float = 0.0
     sd: float = 0.0
     n: int = 0
@@ -86,7 +87,7 @@ class Row:
 
 
 def row_ids(rows) -> np.ndarray:
-    """Ids of `rows`, given as Row objects or as an array of ids already."""
+    """The ids of a list of Rows, as an array; an id array passes through."""
     if isinstance(rows, np.ndarray):
         return rows
     return np.fromiter((r.id for r in rows), dtype=np.intp, count=len(rows))
@@ -170,21 +171,23 @@ class Dataset:
     def evaluations(self) -> int:
         return len(self._order)
 
-    def label(self, row: Row) -> Row:
-        """Reveal a row's goal values. Each row may be labeled once."""
-        if self._mask[row.id]:
-            raise ValueError(f"row {row.id} is already labeled")
-        self._mask[row.id] = True
-        self._order.append(row.id)
-        return row
+    def label(self, i: int) -> None:
+        """Reveal the goal values of row `i`. Each row may be labeled once."""
+        if not 0 <= i < len(self.rows):
+            raise IndexError(f"{self.name} has no row {i}")
+        if self._mask[i]:
+            raise ValueError(f"row {i} is already labeled")
+        self._mask[i] = True
+        self._order.append(i)
 
     def is_labeled(self, ids):
         """Label flag of one id, or a boolean array for an array of ids."""
         return self._mask[ids]
 
     @property
-    def label_order(self) -> list[Row]:
-        return [self.rows[i] for i in self._order]
+    def label_order(self) -> np.ndarray:
+        """Labeled ids in the order they were labeled."""
+        return np.array(self._order, dtype=np.intp)
 
     def labeled_ids(self) -> np.ndarray:
         return self._mask.nonzero()[0]
@@ -193,9 +196,11 @@ class Dataset:
         """The pool, in ascending id order."""
         return (~self._mask).nonzero()[0]
 
+    # Stays because perfbench/tracer.py wraps it; nothing in src/ calls it.
     def labeled_rows(self) -> list[Row]:
         return [self.rows[i] for i in self.labeled_ids()]
 
+    # Stays because perfbench/tracer.py wraps it; nothing in src/ calls it.
     def unlabeled_rows(self) -> list[Row]:
         return [self.rows[i] for i in self.unlabeled_ids()]
 
@@ -305,7 +310,6 @@ def _column_stats(col: ColumnSpec, cells: list[Cell]) -> ColumnStats:
         if not vals:
             return NumStats()
         return NumStats(lo=min(vals), hi=max(vals),
-                        mean=statistics.fmean(vals),
                         median=statistics.median(vals),
                         sd=statistics.pstdev(vals) if len(vals) > 1 else 0.0,
                         n=len(vals))
@@ -319,8 +323,8 @@ def _column_stats(col: ColumnSpec, cells: list[Cell]) -> ColumnStats:
     return SymStats(mode=mode, freq=freq, n=sum(freq.values()))
 
 
-def load_csv(source: Union[str, Path, io.IOBase], name: Optional[str] = None) -> Dataset:
-    """Load a MOOT CSV from a path or an open (byte or text) stream.
+def load_csv(source: Union[str, Path, TextIO], name: Optional[str] = None) -> Dataset:
+    """Load a MOOT CSV from a path or an open text stream.
 
     All rows start unlabeled. Column stats cover the whole file. They feed
     prompts and reports, and they also reach the surrogates: chebyshev
@@ -334,10 +338,6 @@ def load_csv(source: Union[str, Path, io.IOBase], name: Optional[str] = None) ->
         ds_name = name or path.stem
         with open(path, "r", encoding="utf-8", newline="") as fh:
             return _load_csv_stream(fh, ds_name)
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)) or (
-            hasattr(source, "read") and isinstance(source.read(0), bytes)):
-        text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-        return _load_csv_stream(text, name or "<stream>")
     return _load_csv_stream(source, name or "<stream>")
 
 

@@ -4,10 +4,11 @@ A run owns a private copy of the dataset's label state (`Dataset.fresh()`:
 a label mask and a label order over the shared rows), consumes at most its
 budget of labels, and reports the best (lowest) chebyshev seen. The two
 surrogate families share one loop: refit on every labeled row after each
-new label, score the unlabeled pool, label the argmax. Inside the loop the
-labeled set and the pool are arrays of row ids read off the mask, and
-scores come from the table's cached chebyshev vector through
-`objective.reveal`.
+new label, score the unlabeled pool, label the argmax. Inside the loop a
+row is its id: the labeled set and the pool are id arrays read off the
+mask, the acquisitions return the id to label, and scores come from the
+table's cached chebyshev vector through `objective.reveal`. Row objects
+appear only in the best/rest split and the warm start's prompt.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import gp, likelihood
-from .data import Dataset, row_ids, sample_ids
+from .data import Dataset, sample_ids
 # chebyshev stays bound here because perfbench/tracer.py counts calls by it.
 from .objective import chebyshev, reveal, split  # noqa: F401
 from .warmstart import LogFn, Synthesizer, cold_start, warm_start
@@ -72,14 +73,13 @@ class RunResult:
 
 def _trace(work: Dataset) -> tuple[list[tuple[int, float]], float]:
     """Best-so-far curve over the label order, plus the final best."""
-    scores = reveal(row_ids(work.label_order), work).tolist()
+    scores = reveal(work.label_order, work).tolist()
     curve = list(itertools.accumulate(scores, min))
     return list(enumerate(curve, start=1)), curve[-1] if curve else float("inf")
 
 
 def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
-               seed: int, paper_literal: bool = False,
-               log: Optional[LogFn] = None) -> RunResult:
+               seed: int, log: Optional[LogFn] = None) -> RunResult:
     """One surrogate-guided run under a hard label budget."""
     if t.acquire not in ACTIVE_ACQUIRES:
         raise ValueError(f"run_active cannot handle acquire={t.acquire!r}")
@@ -94,9 +94,7 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
     if t.start == "llm":
         if synthesizer is None:
             raise ValueError("llm start needs a synthesizer")
-        ws = warm_start(work, B0, synthesizer, rng,
-                        paper_literal=paper_literal, log=log)
-        fallback = ws.fallback
+        fallback = warm_start(work, B0, synthesizer, rng, log=log).fallback
     else:
         cold_start(work, B0, rng)
     while work.evaluations < t.budget:
@@ -108,12 +106,12 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
         labeled = work.labeled_ids()
         if t.acquire in TPE_ACQUIRES:
             model = likelihood.fit(split(labeled, work), work)
-            row = likelihood.acquire_tpe(model, pool, t.acquire)
+            i = likelihood.acquire_tpe(model, pool, t.acquire)
         else:
             model = gp.fit_gp(labeled, work)
             f_star = gp.incumbent(labeled, work)
-            row = gp.acquire_gp(model, f_star, pool, t.acquire, work, rng=rng)
-        work.label(row)
+            i = gp.acquire_gp(model, f_star, pool, t.acquire, work, rng=rng)
+        work.label(i)
     trace, best = _trace(work)
     return RunResult(dataset=ds.name, treatment=t, repeat=0, seed=seed,
                      best_chebyshev=best, evaluations_used=work.evaluations,
@@ -127,7 +125,7 @@ def run_random(ds: Dataset, b1: int, seed: int) -> RunResult:
     work = ds.fresh()
     rng = random.Random(seed)
     for i in sample_ids(rng, work.unlabeled_ids(), b1):
-        work.label(work.rows[i])
+        work.label(i)
     trace, best = _trace(work)
     return RunResult(dataset=ds.name, treatment=Treatment("random", "random", b1),
                      repeat=0, seed=seed, best_chebyshev=best,
@@ -137,8 +135,8 @@ def run_random(ds: Dataset, b1: int, seed: int) -> RunResult:
 def baseline_summary(ds: Dataset) -> tuple[float, float, float, float]:
     """(mean, lo, median, sd) of chebyshev over every row of the file."""
     work = ds.fresh()
-    for row in work.rows:
-        work.label(row)
+    for i in range(len(work.rows)):
+        work.label(i)
     scores = reveal(work.labeled_ids(), work).tolist()
     return (statistics.fmean(scores), min(scores),
             statistics.median(scores),
@@ -172,7 +170,6 @@ class GridSpec:
     budgets: tuple[int, ...] = DEFAULT_BUDGETS
     repeats: int = DEFAULT_REPEATS
     base_seed: int = 1
-    paper_literal: bool = False
 
 
 DEFAULT_ARMS = (
@@ -217,8 +214,7 @@ def _run_one(ds: Dataset, t: Treatment, repeat: int, grid: GridSpec,
     elif t.acquire == "random":
         result = run_random(ds, t.budget, seed)
     else:
-        result = run_active(ds, t, synthesizer, seed,
-                            paper_literal=grid.paper_literal, log=run_log)
+        result = run_active(ds, t, synthesizer, seed, log=run_log)
     result.repeat = repeat
     return result
 

@@ -5,6 +5,8 @@ symbolics). The GP fits the scalarized target g = 1 - chebyshev so larger
 is better and the acquisition formulas apply as maximizers. The kernel is
 RBF with the signal variance pinned to the target variance; the length
 scale comes from a small grid searched by log marginal likelihood.
+
+Every function here takes row ids and returns them; no Row is read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import cdist
 from scipy.special import ndtr
 
-from .data import Dataset, Row, row_ids, sample_ids
+from .data import Dataset, sample_ids
 # chebyshev stays bound here because perfbench/tracer.py counts calls by it.
 from .objective import chebyshev, reveal  # noqa: F401
 
@@ -51,14 +53,14 @@ def _encode_all(ds: Dataset) -> np.ndarray:
     return np.hstack(parts)
 
 
-def encode_rows(ds: Dataset, rows) -> np.ndarray:
-    """Encode rows (Row objects or ids): normalized values then one-hot blocks.
+def encode_rows(ds: Dataset, ids: np.ndarray) -> np.ndarray:
+    """Encode rows by id: normalized values then one-hot blocks.
 
     Missing numerics sit at the 0.5 midpoint; a missing symbolic leaves
     its one-hot block all zero. The whole table is encoded once and
     shared by every copy of the dataset.
     """
-    return ds.cached("gp_encoding", _encode_all)[row_ids(rows)]
+    return ds.cached("gp_encoding", _encode_all)[ids]
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
@@ -157,18 +159,16 @@ def fit(X: np.ndarray, y: np.ndarray,
     return best
 
 
-def fit_gp(labeled, ds: Dataset) -> GpModel:
-    """Fit the surrogate to labeled rows (Row objects or ids) on the
-    target g = 1 - chebyshev."""
+def fit_gp(labeled: np.ndarray, ds: Dataset) -> GpModel:
+    """Fit the surrogate to the labeled ids on the target g = 1 - chebyshev."""
     if len(labeled) < 2:
         raise ValueError(f"need at least 2 labeled rows, got {len(labeled)}")
-    ids = row_ids(labeled)
-    return fit(encode_rows(ds, ids), 1.0 - reveal(ids, ds))
+    return fit(encode_rows(ds, labeled), 1.0 - reveal(labeled, ds))
 
 
-def incumbent(labeled, ds: Dataset) -> float:
-    """Best scalarized objective among labeled rows (f* used by PI and EI)."""
-    return float((1.0 - reveal(row_ids(labeled), ds)).max())
+def incumbent(labeled: np.ndarray, ds: Dataset) -> float:
+    """Best scalarized objective among labeled ids (f* used by PI and EI)."""
+    return float((1.0 - reveal(labeled, ds)).max())
 
 
 def _scores(fn: str, mu: np.ndarray, sigma: np.ndarray,
@@ -187,9 +187,9 @@ def _scores(fn: str, mu: np.ndarray, sigma: np.ndarray,
     return np.where(sigma > 0.0, d * ndtr(z) + sigma * pdf, 0.0)
 
 
-def acquire_gp(model: GpModel, f_star: float, pool, fn: str,
-               ds: Dataset, rng=None) -> Row:
-    """Pick the pool row (Row objects or ids) maximizing the acquisition.
+def acquire_gp(model: GpModel, f_star: float, pool: np.ndarray, fn: str,
+               ds: Dataset, rng=None) -> int:
+    """The id in `pool` maximizing the acquisition.
 
     Pools larger than POOL_CAP are thinned to a seeded uniform subsample so
     prediction stays tractable on the biggest tables. Ties break toward
@@ -199,11 +199,11 @@ def acquire_gp(model: GpModel, f_star: float, pool, fn: str,
         raise ValueError("cannot acquire from an empty pool")
     if fn not in ACQUIRES:
         raise ValueError(f"unknown GP acquisition {fn!r}")
-    candidates = np.sort(row_ids(pool))
+    candidates = np.sort(pool)
     if len(candidates) > POOL_CAP:
         if rng is None:
             raise ValueError(f"pool of {len(candidates)} rows needs an rng to subsample")
         candidates = np.sort(sample_ids(rng, candidates, POOL_CAP))
     mu, sigma = model.predict_batch(encode_rows(ds, candidates))
     scores = _scores(fn, mu, sigma, f_star)
-    return ds.rows[candidates[int(np.argmax(scores))]]
+    return int(candidates[np.argmax(scores)])

@@ -7,6 +7,9 @@ per symbolic column. The acquisitions turn the two likelihoods B and R
 into scores: exploit chases the zone where both models agree a row is
 best, explore chases the zone of dispute where B and R are similar but
 large.
+
+The model is fitted on a best/rest split, whose halves are Rows; the pool
+it scores, and the pick it returns, are row ids.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Row, row_ids
+from .data import Dataset, row_ids
 from .objective import BestRestSplit
 
 ACQUIRES = ("exploit", "explore")
@@ -39,7 +42,6 @@ class ClassStats:
 class TwoClassModel:
     best: ClassStats
     rest: ClassStats
-    ds: Dataset
     views: dict  # Dataset.x_views() of the table the model was fitted on
 
 
@@ -85,7 +87,7 @@ def fit(split: BestRestSplit, ds: Dataset) -> TwoClassModel:
     n = split.n
     return TwoClassModel(best=_class_stats(split.best, n, views),
                          rest=_class_stats(split.rest, n, views),
-                         ds=ds, views=views)
+                         views=views)
 
 
 def _log_like_pool(cs: ClassStats, views: dict, xn: np.ndarray,
@@ -115,14 +117,13 @@ def _log_like_pool(cs: ClassStats, views: dict, xn: np.ndarray,
     return lp
 
 
-def score_pool(m: TwoClassModel, pool) -> tuple[np.ndarray, np.ndarray]:
-    """Likelihood pair (B, R) for each pool row (Row objects or ids).
+def score_pool(m: TwoClassModel, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Likelihood pair (B, R) for each row id in `ids`.
 
     Computed in log space; the larger of each row's two log likelihoods is
     subtracted before exponentiating, so one of each pair is exactly 1 and
     both are finite.
     """
-    ids = row_ids(pool)
     xn, xs = m.views["X_num"][ids], m.views["X_sym"][ids]
     lb = _log_like_pool(m.best, m.views, xn, xs)
     lr = _log_like_pool(m.rest, m.views, xn, xs)
@@ -130,8 +131,8 @@ def score_pool(m: TwoClassModel, pool) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(lb - top), np.exp(lr - top)
 
 
-def acquire_tpe(m: TwoClassModel, pool, fn: str) -> Row:
-    """Pick the pool row (Row objects or ids) maximizing the acquisition.
+def acquire_tpe(m: TwoClassModel, pool: np.ndarray, fn: str) -> int:
+    """The id in `pool` maximizing the acquisition.
 
     exploit scores B / R, the zone where both models agree a row is best;
     explore scores |B + R| / |B - R|, the zone of dispute. Scores the
@@ -142,10 +143,10 @@ def acquire_tpe(m: TwoClassModel, pool, fn: str) -> Row:
         raise ValueError("cannot acquire from an empty pool")
     if fn not in ACQUIRES:
         raise ValueError(f"unknown TPE acquisition {fn!r}")
-    ids = np.sort(row_ids(pool))
+    ids = np.sort(pool)
     b, r = score_pool(m, ids)
     if fn == "exploit":
         scores = b / (r + EPS_DIV)
     else:
         scores = np.abs(b + r) / (np.abs(b - r) + EPS_DIV)
-    return m.ds.rows[ids[int(np.argmax(scores))]]
+    return int(ids[np.argmax(scores)])

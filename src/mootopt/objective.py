@@ -70,9 +70,10 @@ def best_size(n: int) -> int:
 
 
 def split(labeled, ds: Dataset) -> BestRestSplit:
-    """Partition labeled rows (Row objects or ids) into best and rest.
+    """Partition labeled rows (Row objects or ids) into best and rest Rows.
 
-    Best is the first round(sqrt(N)) rows by ascending chebyshev. Ties at
+    The one place ids become Rows: the engine splits its labeled ids, and
+    the warm start splits the Rows its prompt renders. Best is the first round(sqrt(N)) rows by ascending chebyshev. Ties at
     the boundary break by ascending row id, so repeated calls on the same
     rows agree exactly.
     """

@@ -7,6 +7,11 @@ and two poorer examples, parse its markdown reply, then map each synthetic
 row onto its nearest unlabeled real row and label that. A deterministic
 mock synthesizer makes the whole path runnable offline; a remote client
 speaks a minimal provider-agnostic chat contract.
+
+The prompt side works on Rows, because it renders their cells: the cold
+start returns Rows, and the prompt and the synthesizers read them. The
+mapping back works on ids: it takes the unlabeled ids and returns the ids
+to label.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable, Optional, Protocol
 import numpy as np
 
 from .data import (MISSING, NUMERIC, Cell, Dataset, NumStats, Row,
-                   encode_cells, format_cell, row_ids, sample_ids)
+                   encode_cells, format_cell, sample_ids)
 from .objective import chebyshev, split
 
 BETTER = "better"
@@ -80,8 +85,8 @@ class Synthesizer(Protocol):
 
 @dataclass
 class WarmStartResult:
-    rows: list[Row]       # all rows labeled during the warm start
-    fallback: bool        # true when synthesis failed and only cold rows remain
+    """How a warm start ended; the rows it labeled are the label order."""
+    fallback: bool  # true when synthesis failed and only cold rows remain
 
 
 LogFn = Callable[[dict], None]
@@ -92,10 +97,10 @@ def cold_start(ds: Dataset, b0: int, rng: random.Random) -> list[Row]:
     pool = ds.unlabeled_ids()
     if b0 > len(pool):
         raise ValueError(f"b0={b0} exceeds the {len(pool)} unlabeled rows")
-    chosen = [ds.rows[i] for i in sample_ids(rng, pool, b0)]
-    for row in chosen:
-        ds.label(row)
-    return chosen
+    chosen = sample_ids(rng, pool, b0)
+    for i in chosen:
+        ds.label(i)
+    return [ds.rows[i] for i in chosen]
 
 
 # -- prompt rendering --------------------------------------------------------
@@ -388,33 +393,31 @@ def squared_distances(e1: list[SyntheticRow], ids: np.ndarray,
     return d2
 
 
-def map_to_pool(e1: list[SyntheticRow], pool, ds: Dataset) -> list[Row]:
-    """Nearest pool row (Row objects or ids) for each synthetic row, by
-    squared_distances, deduplicated.
+def map_to_pool(e1: list[SyntheticRow], pool: np.ndarray,
+                ds: Dataset) -> np.ndarray:
+    """The id in `pool` nearest each synthetic row, by squared_distances,
+    deduplicated.
 
     Ties go to the lowest row id; duplicates keep first-hit order.
     """
     if len(pool) == 0:
         raise ValueError("cannot map synthetic rows onto an empty pool")
-    ids = np.sort(row_ids(pool))
-    chosen: list[Row] = []
-    for i in np.argmin(squared_distances(e1, ids, ds), axis=1):
-        hit = ds.rows[ids[i]]
-        if hit not in chosen:
-            chosen.append(hit)
-    return chosen
+    ids = np.sort(pool)
+    hits = ids[np.argmin(squared_distances(e1, ids, ds), axis=1)]
+    _, first = np.unique(hits, return_index=True)
+    return hits[np.sort(first)]
 
 
 def warm_start(ds: Dataset, b0: int, synthesizer: Synthesizer,
-               rng: random.Random, paper_literal: bool = False,
+               rng: random.Random,
                log: Optional[LogFn] = None) -> WarmStartResult:
     """Cold start, then synthesize/parse/map/label; cold rows alone on failure.
 
     The synthesizer gets SYNTH_RETRIES extra attempts; if none yields at least
     one better and one poorer row, the run proceeds from the cold start and
     the result is flagged as a fallback (runs never abort on synthesis
-    trouble). With paper_literal=True synthetic rows map back onto the
-    already-labeled seed rows, so no new labels are consumed.
+    trouble). Synthetic rows map onto the unlabeled pool, and each distinct
+    hit costs one label.
     """
     if b0 < 2:
         raise ValueError(f"warm start needs b0 >= 2, got {b0}")
@@ -439,12 +442,9 @@ def warm_start(ds: Dataset, b0: int, synthesizer: Synthesizer,
     if synth is None:
         if log:
             log({"event": "fallback"})
-        return WarmStartResult(rows=list(e0), fallback=True)
-    pool = row_ids(e0) if paper_literal else ds.unlabeled_ids()
-    mapped = map_to_pool(synth, pool, ds) if len(pool) else []
-    added = []
-    for row in mapped:
-        if not ds.is_labeled(row.id):
-            ds.label(row)
-            added.append(row)
-    return WarmStartResult(rows=list(e0) + added, fallback=False)
+        return WarmStartResult(fallback=True)
+    pool = ds.unlabeled_ids()
+    if len(pool):
+        for i in map_to_pool(synth, pool, ds):
+            ds.label(i)
+    return WarmStartResult(fallback=False)

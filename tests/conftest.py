@@ -4,6 +4,7 @@ import io
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mootopt.data import Dataset, load_csv
@@ -18,6 +19,15 @@ def shipped(name: str) -> Dataset:
     if name not in _MASTERS:
         _MASTERS[name] = load_csv(DATA / f"{name}.csv")
     return _MASTERS[name].fresh()
+
+
+def label_ids(ds: Dataset, ids=None) -> np.ndarray:
+    """Label each id in `ids` (every row when None), in order; returns the
+    ids as an array."""
+    ids = np.arange(len(ds.rows)) if ids is None else np.asarray(ids, dtype=np.intp)
+    for i in ids:
+        ds.label(i)
+    return ids
 
 
 @pytest.fixture

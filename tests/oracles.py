@@ -114,8 +114,8 @@ def class_numeric_stats(rows: list[Row], views: dict) -> tuple[np.ndarray, np.nd
     return mean, sd
 
 
-def _log_like_row(cs: ClassStats, m: TwoClassModel, row: Row) -> float:
-    views, ds = m.views, m.ds
+def _log_like_row(cs: ClassStats, m: TwoClassModel, ds: Dataset, i: int) -> float:
+    views, row = m.views, ds.rows[i]
     lp = math.log(cs.prior)
     for j, p in enumerate(views["num_pos"]):
         v = row.x[p]
@@ -137,14 +137,14 @@ def _log_like_row(cs: ClassStats, m: TwoClassModel, row: Row) -> float:
     return lp
 
 
-def likes(m: TwoClassModel, row: Row) -> tuple[float, float]:
-    """Likelihood pair (B, R) for one row, computed in log space.
+def likes(m: TwoClassModel, ds: Dataset, i: int) -> tuple[float, float]:
+    """Likelihood pair (B, R) for row `i` of `ds`, computed in log space.
 
     The shared max log is subtracted before exponentiating, so at least one
     of the returned values is exactly 1 and both are finite.
     """
-    lb = _log_like_row(m.best, m, row)
-    lr = _log_like_row(m.rest, m, row)
+    lb = _log_like_row(m.best, m, ds, i)
+    lr = _log_like_row(m.rest, m, ds, i)
     top = max(lb, lr)
     return math.exp(lb - top), math.exp(lr - top)
 
@@ -205,8 +205,8 @@ ACQUISITIONS = {"exploit": exploit, "explore": explore}
 
 # -- gaussian process ---------------------------------------------------------------
 
-def encode_row(ds: Dataset, row: Row) -> np.ndarray:
-    return gp.encode_rows(ds, [row])[0]
+def encode_row(ds: Dataset, i: int) -> np.ndarray:
+    return gp.encode_rows(ds, np.array([i]))[0]
 
 
 def predict(model: gp.GpModel, x: np.ndarray) -> tuple[float, float]:

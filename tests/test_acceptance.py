@@ -29,7 +29,7 @@ from mootopt.stats import Sample, cliffs_delta, scott_knott, sk_split
 from mootopt.warmstart import MockSynthesizer
 
 import oracles
-from conftest import DATA, shipped
+from conftest import DATA, label_ids, shipped
 
 SS_FILES = ("SS-A", "SS-B", "SS-C", "SS-D", "SS-E")
 
@@ -68,8 +68,7 @@ def test_chebyshev_matches_a_brute_force_oracle():
     started = time.perf_counter()
     for name in ("auto93", "nasa93dem"):
         ds = shipped(name)
-        for r in ds.rows:
-            ds.label(r)
+        label_ids(ds)
         oracle = brute_force_chebyshev(ds)
         for row in rng.choices(ds.rows, k=200):
             assert abs(chebyshev(row, ds) - oracle(row)) <= 1e-12
@@ -200,9 +199,9 @@ def test_every_run_labels_at_most_its_budget(monkeypatch):
     calls = []
     original = Dataset.label
 
-    def spying_label(self, row):
-        calls.append(row.id)
-        return original(self, row)
+    def spying_label(self, i):
+        calls.append(i)
+        return original(self, i)
 
     monkeypatch.setattr(Dataset, "label", spying_label)
     grid = GridSpec(arms=DEFAULT_ARMS, budgets=DEFAULT_BUDGETS, repeats=20)

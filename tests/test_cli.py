@@ -38,6 +38,8 @@ def test_parse_arms_standalone_words():
     "random/greedy",       # unknown acquisition
     "",                    # nothing at all
     ",,,",
+    "random/exploit,random/exploit",   # a repeated arm
+    "random,baseline,random/random",   # the same arm spelled two ways
 ])
 def test_parse_arms_rejects_bad_specs(spec):
     with pytest.raises(ConfigError):
@@ -58,6 +60,8 @@ def test_parse_arms_rejects_bad_specs(spec):
     ["run", "--data", TOY, "--jobs", "-1"],
     ["run", "--data", str(MALFORMED / "non_finite.csv")],
     ["run", "--data", str(MALFORMED / "header_only.csv")],
+    ["run", "--data", TOY, "--treatments", "random/exploit,random/exploit,baseline"],
+    ["run", "--data", TOY, "--budgets", "10,10"],
 ])
 def test_bad_configurations_exit_2(argv, tmp_path, monkeypatch):
     monkeypatch.delenv("MOOTOPT_API_KEY", raising=False)
@@ -84,6 +88,27 @@ def test_fixed_settings_are_not_flags(command, flag, value, tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_paper_literal_mapping_is_not_a_flag(tmp_path, capsys):
+    """Synthetic rows always map onto the unlabeled pool; the flag that
+    mapped them onto the labeled seed rows is refused."""
+    with pytest.raises(SystemExit):
+        main(["run", "-h"])
+    assert "--paper-literal-mapping" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--data", TOY, "--out", str(tmp_path / "out"),
+              "--paper-literal-mapping"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_arms_and_budgets_are_named():
+    with pytest.raises(ConfigError, match="'random/exploit' is repeated"):
+        parse_arms("random/exploit,baseline,random/exploit")
+    with pytest.raises(ConfigError, match="budget 10 is repeated"):
+        cli._parse_budgets("10,15,10")
 
 
 def test_remote_without_key_exits_2(tmp_path, monkeypatch):
@@ -197,6 +222,7 @@ def test_manifest_contents(smoke, toy):
     assert manifest["config"]["budgets"] == [10, 12]
     assert manifest["config"]["seed"] == 7
     assert manifest["config"]["synth"] == "mock"
+    assert "paper_literal_mapping" not in manifest["config"]
     assert manifest["failures"] == []
     info = manifest["datasets"]["toy"]
     assert (info["rows"], info["x_cols"], info["y_cols"]) == (12, 3, 2)

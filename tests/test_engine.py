@@ -4,6 +4,7 @@ import statistics
 
 import pytest
 
+from conftest import label_ids
 from mootopt import engine as eng
 from mootopt.engine import (DEFAULT_ARMS, GridSpec, Treatment,
                             baseline_summary, derive_seed, run_active,
@@ -88,8 +89,7 @@ def test_bigger_random_budgets_find_better_rows_on_average(toy):
 
 def test_baseline_summary_matches_statistics_oracle(toy):
     work = toy.fresh()
-    for r in work.rows:
-        work.label(r)
+    label_ids(work)
     scores = [chebyshev(r, work) for r in work.rows]
     mean, lo, median, sd = baseline_summary(toy)
     assert mean == pytest.approx(statistics.fmean(scores))
@@ -115,7 +115,7 @@ def test_single_row_baseline_is_its_own_median(make_ds):
     """)
     res = run_baseline(ds)
     work = ds.fresh()
-    work.label(work.rows[0])
+    work.label(0)
     assert res.best_chebyshev == chebyshev(work.rows[0], work)
     assert res.spread == 0.0
 

@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 from scipy.linalg import solve_triangular
 
 import oracles
+from conftest import label_ids
 from mootopt import gp
-from mootopt.data import row_ids, sample_ids
+from mootopt.data import sample_ids
 from mootopt.objective import chebyshev
 
 
@@ -26,7 +27,7 @@ def test_encode_norm_then_one_hot(make_ds):
         ?,b,4
         0,?,5
     """)
-    X = gp.encode_rows(ds, ds.rows)
+    X = gp.encode_rows(ds, np.arange(5))
     want = np.array([
         [0.0, 1.0, 0.0],
         [1.0, 0.0, 1.0],
@@ -35,7 +36,7 @@ def test_encode_norm_then_one_hot(make_ds):
         [0.0, 0.0, 0.0],   # missing symbol leaves its block cold
     ])
     assert np.allclose(X, want)
-    assert np.allclose(oracles.encode_row(ds, ds.rows[2]), want[2])
+    assert np.allclose(oracles.encode_row(ds, 2), want[2])
 
 
 # -- fitting -----------------------------------------------------------------
@@ -134,10 +135,10 @@ def test_unsalvageable_kernel_raises_gp_fit_error():
 
 
 def test_fit_gp_targets_one_minus_chebyshev(auto93):
-    labeled = [auto93.label(r) for r in auto93.rows[:8]]
+    labeled = label_ids(auto93, range(8))
     model = gp.fit_gp(labeled, auto93)
     mu, _ = model.predict_batch(gp.encode_rows(auto93, labeled))
-    want = np.array([1.0 - chebyshev(r, auto93) for r in labeled])
+    want = np.array([1.0 - chebyshev(auto93.rows[i], auto93) for i in labeled])
     assert np.max(np.abs(mu - want)) < 0.05
     assert gp.incumbent(labeled, auto93) == pytest.approx(float(want.max()))
 
@@ -200,39 +201,40 @@ def test_vectorized_scores_match_the_scalar_forms(mu, sigma, f_star):
 # -- pool acquisition --------------------------------------------------------
 
 def fitted(ds, n):
-    labeled = [ds.label(r) for r in ds.rows[:n]]
+    labeled = label_ids(ds, range(n))
     return gp.fit_gp(labeled, ds), gp.incumbent(labeled, ds)
 
 
 def test_acquire_gp_rejects_bad_inputs(auto93):
     model, f_star = fitted(auto93, 10)
+    pool = auto93.unlabeled_ids()
     with pytest.raises(ValueError):
-        gp.acquire_gp(model, f_star, [], "ucb", auto93)
+        gp.acquire_gp(model, f_star, pool[:0], "ucb", auto93)
     with pytest.raises(ValueError):
-        gp.acquire_gp(model, f_star, auto93.unlabeled_rows()[:5], "greedy", auto93)
+        gp.acquire_gp(model, f_star, pool[:5], "greedy", auto93)
 
 
 def test_acquire_gp_singleton(auto93):
     model, f_star = fitted(auto93, 10)
-    only = auto93.unlabeled_rows()[0]
-    assert gp.acquire_gp(model, f_star, [only], "ucb", auto93) is only
+    only = auto93.unlabeled_ids()[:1]
+    assert gp.acquire_gp(model, f_star, only, "ucb", auto93) == only[0]
 
 
 @pytest.mark.parametrize("fn", ["ucb", "pi", "ei"])
 def test_acquire_gp_matches_scalar_argmax(auto93, fn):
     model, f_star = fitted(auto93, 10)
-    pool = auto93.unlabeled_rows()[:40]
+    pool = auto93.unlabeled_ids()[:40]
     chosen = gp.acquire_gp(model, f_star, pool, fn, auto93)
     scalar = {"ucb": lambda m, s: oracles.ucb(m, s, 2.0),
               "pi": lambda m, s: oracles.pi(m, s, f_star, 0.01),
               "ei": lambda m, s: oracles.ei(m, s, f_star, 0.01)}[fn]
     scored = []
-    for row in sorted(pool, key=lambda r: r.id):
-        mu, sd = oracles.predict(model, oracles.encode_row(auto93, row))
-        scored.append((scalar(mu, sd), row.id))
+    for i in np.sort(pool):
+        mu, sd = oracles.predict(model, oracles.encode_row(auto93, i))
+        scored.append((scalar(mu, sd), i))
     best = max(s for s, _ in scored)
     want = min(i for s, i in scored if s == pytest.approx(best, rel=1e-9))
-    assert chosen.id == want
+    assert chosen == want
 
 
 def test_acquire_gp_prefers_uncertainty_under_a_bold_ucb(make_ds, monkeypatch):
@@ -244,13 +246,12 @@ def test_acquire_gp_prefers_uncertainty_under_a_bold_ucb(make_ds, monkeypatch):
         0.01,5
         9,7
     """)
-    labeled = [ds.label(ds.rows[i]) for i in (0, 1, 2)]
+    labeled = label_ids(ds, (0, 1, 2))
     model = gp.fit_gp(labeled, ds)
     f_star = gp.incumbent(labeled, ds)
-    pool = [ds.rows[3], ds.rows[4]]  # near-duplicate vs far-field point
+    pool = np.array([3, 4])  # near-duplicate vs far-field point
     monkeypatch.setattr(gp, "KAPPA", 50.0)
-    bold = gp.acquire_gp(model, f_star, pool, "ucb", ds)
-    assert bold.id == 4
+    assert gp.acquire_gp(model, f_star, pool, "ucb", ds) == 4
 
 
 def test_acquire_gp_breaks_ties_toward_low_ids(make_ds):
@@ -263,11 +264,11 @@ def test_acquire_gp_breaks_ties_toward_low_ids(make_ds):
         9,7
         9,7
     """)
-    labeled = [ds.label(ds.rows[i]) for i in (0, 1, 2)]
+    labeled = label_ids(ds, (0, 1, 2))
     model, f_star = gp.fit_gp(labeled, ds), gp.incumbent(labeled, ds)
     for ids in itertools.permutations([3, 4, 5]):  # identical candidates
         for fn in gp.ACQUIRES:
-            assert gp.acquire_gp(model, f_star, np.array(ids), fn, ds).id == 3
+            assert gp.acquire_gp(model, f_star, np.array(ids), fn, ds) == 3
 
 
 def test_id_subsample_draws_what_the_row_list_draw_did(auto93, monkeypatch):
@@ -275,23 +276,23 @@ def test_id_subsample_draws_what_the_row_list_draw_did(auto93, monkeypatch):
     state as rng.sample over the id-sorted row list, and the pick is the
     argmax over exactly those rows."""
     model, f_star = fitted(auto93, 10)
-    pool = auto93.unlabeled_rows()[:40]
+    pool = auto93.unlabeled_ids()[:40]
+    rows = [auto93.rows[i] for i in pool]
     monkeypatch.setattr(gp, "POOL_CAP", 8)
     for seed in range(5):
-        old = sorted(random.Random(seed).sample(sorted(pool, key=lambda r: r.id), 8),
-                     key=lambda r: r.id)
-        new = np.sort(sample_ids(random.Random(seed), row_ids(pool), 8))
+        old = sorted(random.Random(seed).sample(rows, 8), key=lambda r: r.id)
+        new = np.sort(sample_ids(random.Random(seed), pool, 8))
         assert [r.id for r in old] == new.tolist()
-        mu, sd = model.predict_batch(gp.encode_rows(auto93, old))
-        want = old[int(np.argmax(mu + 2.0 * sd))]
-        got = gp.acquire_gp(model, f_star, row_ids(pool)[::-1], "ucb", auto93,
+        mu, sd = model.predict_batch(gp.encode_rows(auto93, new))
+        want = new[int(np.argmax(mu + 2.0 * sd))]
+        got = gp.acquire_gp(model, f_star, pool[::-1], "ucb", auto93,
                             rng=random.Random(seed))
-        assert got is want
+        assert got == want
 
 
 def test_acquire_gp_large_pools_need_an_rng(auto93, monkeypatch):
     model, f_star = fitted(auto93, 10)
-    pool = auto93.unlabeled_rows()[:20]
+    pool = auto93.unlabeled_ids()[:20]
     monkeypatch.setattr(gp, "POOL_CAP", 8)
     with pytest.raises(ValueError):
         gp.acquire_gp(model, f_star, pool, "ucb", auto93)
@@ -299,9 +300,9 @@ def test_acquire_gp_large_pools_need_an_rng(auto93, monkeypatch):
 
 def test_acquire_gp_subsampling_is_seed_deterministic(auto93, monkeypatch):
     model, f_star = fitted(auto93, 10)
-    pool = auto93.unlabeled_rows()[:20]
+    pool = auto93.unlabeled_ids()[:20]
     monkeypatch.setattr(gp, "POOL_CAP", 8)
     picks = {gp.acquire_gp(model, f_star, pool, "ucb", auto93,
-                           rng=random.Random(0)).id
+                           rng=random.Random(0))
              for _ in range(3)}
     assert len(picks) == 1

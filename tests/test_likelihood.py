@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import DATA, shipped
+from conftest import DATA, label_ids, shipped
 from mootopt import likelihood as lh
 from mootopt.objective import BestRestSplit, split
 
 
 def fit_on(ds, n):
-    labeled = [ds.label(r) for r in ds.rows[:n]]
+    labeled = label_ids(ds, range(n))
     return lh.fit(split(labeled, ds), ds), labeled
 
 
@@ -33,9 +33,9 @@ def test_fit_rejects_an_empty_class(make_ds):
         1,1
         2,2
     """)
-    rows = [ds.label(r) for r in ds.rows]
+    label_ids(ds)
     with pytest.raises(ValueError):
-        lh.fit(BestRestSplit(best=[], rest=rows), ds)
+        lh.fit(BestRestSplit(best=[], rest=ds.rows), ds)
 
 
 def test_identical_values_hit_the_sd_floor(make_ds):
@@ -46,8 +46,8 @@ def test_identical_values_hit_the_sd_floor(make_ds):
         0,3
         10,4
     """)
-    rows = [ds.label(r) for r in ds.rows]
-    m = lh.fit(BestRestSplit(best=rows[:2], rest=rows[2:]), ds)
+    label_ids(ds)
+    m = lh.fit(BestRestSplit(best=ds.rows[:2], rest=ds.rows[2:]), ds)
     assert m.best.num_sd[0] == lh.SD_FLOOR
 
 
@@ -59,10 +59,10 @@ def test_class_that_never_saw_a_column_is_neutral(make_ds):
         3,3
         7,4
     """)
-    rows = [ds.label(r) for r in ds.rows]
-    m = lh.fit(BestRestSplit(best=rows[:2], rest=rows[2:]), ds)
+    label_ids(ds)
+    m = lh.fit(BestRestSplit(best=ds.rows[:2], rest=ds.rows[2:]), ds)
     assert math.isnan(m.best.num_mean[0])
-    b, r = oracles.likes(m, rows[2])
+    b, r = oracles.likes(m, ds, 2)
     assert math.isfinite(b) and math.isfinite(r)
 
 
@@ -94,8 +94,7 @@ def test_score_pool_equals_the_plain_expression_bit_for_bit():
     for path in sorted(DATA.glob("*.csv")):
         for size in (4, 9, 16, 30):
             ds = shipped(path.stem)
-            for r in rng.sample(ds.rows, min(size, len(ds.rows))):
-                ds.label(r)
+            label_ids(ds, rng.sample(range(len(ds.rows)), min(size, len(ds.rows))))
             m = lh.fit(split(ds.labeled_ids(), ds), ds)
             pool = ds.unlabeled_ids()
             if len(pool) == 0:
@@ -122,9 +121,9 @@ def test_symbolic_smoothing_hand_case(make_ds):
         c,5
         c,6
     """)
-    rows = [ds.label(r) for r in ds.rows]
-    m = lh.fit(BestRestSplit(best=rows[:3], rest=rows[3:]), ds)
-    b, r = oracles.likes(m, rows[0])
+    label_ids(ds)
+    m = lh.fit(BestRestSplit(best=ds.rows[:3], rest=ds.rows[3:]), ds)
+    b, r = oracles.likes(m, ds, 0)
     assert b == 1.0
     assert r == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -138,21 +137,20 @@ def test_numeric_likelihood_matches_gaussian_pdf_oracle(make_ds):
         0.8,3
         1.0,4
     """)
-    rows = [ds.label(r) for r in ds.rows]
-    m = lh.fit(split(rows, ds), ds)
+    m = lh.fit(split(label_ids(ds), ds), ds)
     col = ds.x_cols[0]
-    z = [oracles.norm(col, float(r.x[0]), ds) for r in rows]
+    z = [oracles.norm(col, float(r.x[0]), ds) for r in ds.rows]
     mu_b, sd_b = statistics.fmean(z[:2]), statistics.pstdev(z[:2])
     mu_r, sd_r = statistics.fmean(z[2:]), statistics.pstdev(z[2:])
     want = gaussian(mu_b, sd_b).pdf(z[1]) / gaussian(mu_r, sd_r).pdf(z[1])
-    b, r = oracles.likes(m, rows[1])
+    b, r = oracles.likes(m, ds, 1)
     assert b / r == pytest.approx(want, rel=1e-9)
 
 
 def test_likes_rescales_the_larger_class_to_one(auto93):
     m, _ = fit_on(auto93, 12)
-    for row in auto93.unlabeled_rows()[:20]:
-        b, r = oracles.likes(m, row)
+    for i in auto93.unlabeled_ids()[:20]:
+        b, r = oracles.likes(m, auto93, i)
         assert max(b, r) == 1.0
         # the smaller side may underflow to 0.0 outright when a class sd
         # is tiny and the row sits far from its mean
@@ -185,12 +183,12 @@ def test_acquisitions_registry():
 
 def test_score_pool_agrees_with_scalar_likes(auto93):
     m, _ = fit_on(auto93, 14)
-    pool = auto93.unlabeled_rows()[:40]
+    pool = auto93.unlabeled_ids()[:40]
     B, R = lh.score_pool(m, pool)
-    for i, row in enumerate(pool):
-        b, r = oracles.likes(m, row)
-        assert B[i] == pytest.approx(b, rel=1e-9, abs=1e-12)
-        assert R[i] == pytest.approx(r, rel=1e-9, abs=1e-12)
+    for k, i in enumerate(pool):
+        b, r = oracles.likes(m, auto93, i)
+        assert B[k] == pytest.approx(b, rel=1e-9, abs=1e-12)
+        assert R[k] == pytest.approx(r, rel=1e-9, abs=1e-12)
 
 
 def test_score_pool_handles_missing_cells(make_ds):
@@ -203,42 +201,41 @@ def test_score_pool_handles_missing_cells(make_ds):
         ?,a,5
         5,?,6
     """)
-    rows = [ds.label(r) for r in ds.rows[:4]]
-    m = lh.fit(split(rows, ds), ds)
-    pool = ds.rows[4:]
+    m = lh.fit(split(label_ids(ds, range(4)), ds), ds)
+    pool = ds.unlabeled_ids()
     B, R = lh.score_pool(m, pool)
-    for i, row in enumerate(pool):
-        b, r = oracles.likes(m, row)
-        assert B[i] == pytest.approx(b, rel=1e-9)
-        assert R[i] == pytest.approx(r, rel=1e-9)
+    for k, i in enumerate(pool):
+        b, r = oracles.likes(m, ds, i)
+        assert B[k] == pytest.approx(b, rel=1e-9)
+        assert R[k] == pytest.approx(r, rel=1e-9)
 
 
 # -- acquire_tpe -------------------------------------------------------------
 
 def test_acquire_rejects_bad_inputs(auto93):
     m, _ = fit_on(auto93, 10)
-    pool = auto93.unlabeled_rows()
+    pool = auto93.unlabeled_ids()
     with pytest.raises(ValueError):
         lh.acquire_tpe(m, pool, "greedy")
     with pytest.raises(ValueError):
-        lh.acquire_tpe(m, [], "exploit")
+        lh.acquire_tpe(m, pool[:0], "exploit")
 
 
 def test_acquire_singleton_pool(auto93):
     m, _ = fit_on(auto93, 10)
-    only = auto93.unlabeled_rows()[0]
-    assert lh.acquire_tpe(m, [only], "exploit") is only
+    only = auto93.unlabeled_ids()[:1]
+    assert lh.acquire_tpe(m, only, "exploit") == only[0]
 
 
 def test_acquire_ignores_pool_order(auto93):
     m, _ = fit_on(auto93, 10)
-    pool = auto93.unlabeled_rows()[:30]
+    pool = auto93.unlabeled_ids()[:30]
     chosen = lh.acquire_tpe(m, pool, "exploit")
     rng = random.Random(1)
     for _ in range(5):
-        shuffled = pool[:]
+        shuffled = pool.tolist()
         rng.shuffle(shuffled)
-        assert lh.acquire_tpe(m, shuffled, "exploit").id == chosen.id
+        assert lh.acquire_tpe(m, np.array(shuffled), "exploit") == chosen
 
 
 def test_acquire_breaks_ties_toward_low_ids(make_ds):
@@ -250,21 +247,19 @@ def test_acquire_breaks_ties_toward_low_ids(make_ds):
         9,4
         9,5
     """)
-    rows = [ds.label(r) for r in ds.rows[:2]]
-    m = lh.fit(BestRestSplit(best=rows[:1], rest=rows[1:]), ds)
-    pool = ds.rows[2:]  # three identical candidates
-    assert lh.acquire_tpe(m, list(reversed(pool)), "exploit").id == 2
-    for ids in itertools.permutations([2, 3, 4]):
+    label_ids(ds, [0, 1])
+    m = lh.fit(BestRestSplit(best=ds.rows[:1], rest=ds.rows[1:2]), ds)
+    for ids in itertools.permutations([2, 3, 4]):  # three identical candidates
         for fn in lh.ACQUIRES:
-            assert lh.acquire_tpe(m, np.array(ids), fn).id == 2
+            assert lh.acquire_tpe(m, np.array(ids), fn) == 2
 
 
 @pytest.mark.parametrize("fn", ["exploit", "explore"])
 def test_acquire_matches_brute_force_argmax(auto93, fn):
     m, _ = fit_on(auto93, 12)
-    pool = auto93.unlabeled_rows()[:50]
+    pool = auto93.unlabeled_ids()[:50]
     chosen = lh.acquire_tpe(m, pool, fn)
-    scored = [(oracles.ACQUISITIONS[fn](*oracles.likes(m, row)), row) for row in pool]
+    scored = [(oracles.ACQUISITIONS[fn](*oracles.likes(m, auto93, i)), i) for i in pool]
     best_score = max(s for s, _ in scored)
-    want = min(row.id for s, row in scored if s == pytest.approx(best_score, rel=1e-9))
-    assert chosen.id == want
+    want = min(i for s, i in scored if s == pytest.approx(best_score, rel=1e-9))
+    assert chosen == want

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import DATA, shipped
+from conftest import DATA, label_ids, shipped
 from mootopt.data import load_csv
 from mootopt.objective import best_size, chebyshev, ideal_point, reveal, split
 
@@ -24,8 +24,7 @@ def test_chebyshev_takes_the_worst_goal_gap(make_ds):
         1,10,10
         1,8,7
     """)
-    for r in ds.rows:
-        ds.label(r)
+    label_ids(ds)
     # norm gaps: |0.8 - 1| = 0.2 on Gain+, |0.7 - 0| = 0.7 on Cost-
     assert chebyshev(ds.rows[2], ds) == pytest.approx(0.7)
     assert chebyshev(ds.rows[1], ds) == pytest.approx(1.0)  # worst corner on Cost-
@@ -37,8 +36,7 @@ def test_chebyshev_extremes(make_ds):
         1,0,10
         1,10,0
     """)
-    for r in ds.rows:
-        ds.label(r)
+    label_ids(ds)
     assert chebyshev(ds.rows[1], ds) == 0.0   # at the ideal corner
     assert chebyshev(ds.rows[0], ds) == 1.0   # at the anti-ideal corner
 
@@ -46,7 +44,7 @@ def test_chebyshev_extremes(make_ds):
 def test_chebyshev_refuses_unlabeled_rows(toy):
     with pytest.raises(ValueError):
         chebyshev(toy.rows[0], toy)
-    toy.label(toy.rows[3])
+    toy.label(3)
     assert reveal(3, toy) == chebyshev(toy.rows[3], toy)
     for hidden in (0, np.array([3, 0]), [0, 3]):
         with pytest.raises(ValueError):
@@ -56,8 +54,7 @@ def test_chebyshev_refuses_unlabeled_rows(toy):
 def test_cached_scores_equal_the_scalar_formula_on_every_table():
     for path in sorted(DATA.glob("*.csv")):
         ds = shipped(path.stem)
-        for r in ds.rows:
-            ds.label(r)
+        label_ids(ds)
         want = [oracles.chebyshev(r, ds) for r in ds.rows]
         assert reveal(ds.labeled_ids(), ds).tolist() == want, path.stem
 
@@ -69,8 +66,7 @@ def test_chebyshev_missing_goal_is_worst_case(make_ds):
         1,10,10
         1,9,?
     """)
-    for r in ds.rows:
-        ds.label(r)
+    label_ids(ds)
     assert chebyshev(ds.rows[2], ds) == 1.0
 
 
@@ -87,17 +83,14 @@ def test_chebyshev_is_invariant_to_goal_direction_flips(values):
     mini = "W,score-\n" + "".join(f"1,{(lo + hi - v)!r}\n" for v in values)
     a = load_csv(io.StringIO(maxi), name="maxi")
     b = load_csv(io.StringIO(mini), name="mini")
-    for r in a.rows:
-        a.label(r)
-    for r in b.rows:
-        b.label(r)
+    label_ids(a)
+    label_ids(b)
     for ra, rb in zip(a.rows, b.rows):
         assert chebyshev(ra, a) == pytest.approx(chebyshev(rb, b), abs=1e-9)
 
 
 def test_chebyshev_is_bounded_on_real_tables(auto93):
-    for r in auto93.rows:
-        auto93.label(r)
+    label_ids(auto93)
     scores = [chebyshev(r, auto93) for r in auto93.rows]
     assert all(0.0 <= s <= 1.0 for s in scores)
     assert min(scores) < max(scores)
@@ -111,15 +104,15 @@ def test_best_size_square_root_rule(n, size):
 
 
 def test_split_sizes_and_ordering(auto93):
-    labeled = [auto93.label(r) for r in auto93.rows[:16]]
+    labeled = label_ids(auto93, range(16))
     parts = split(labeled, auto93)
     assert len(parts.best) == 4 and len(parts.rest) == 12
     assert parts.n == 16
     worst_best = max(chebyshev(r, auto93) for r in parts.best)
     best_rest = min(chebyshev(r, auto93) for r in parts.rest)
     assert worst_best <= best_rest
-    assert {r.id for r in parts.best} | {r.id for r in parts.rest} == {
-        r.id for r in labeled}
+    assert {r.id for r in parts.best} | {r.id for r in parts.rest} == set(
+        labeled.tolist())
 
 
 def test_split_ties_break_toward_low_row_ids(make_ds):
@@ -130,14 +123,14 @@ def test_split_ties_break_toward_low_row_ids(make_ds):
         3,5
         4,5
     """)
-    labeled = [ds.label(r) for r in reversed(ds.rows)]
-    parts = split(labeled, ds)
+    label_ids(ds)
+    parts = split(list(reversed(ds.rows)), ds)  # Rows, as the warm start passes
     assert [r.id for r in parts.best] == [0, 1]
     parts = split(np.array([3, 1, 2, 0]), ds)
     assert [r.id for r in parts.best + parts.rest] == [0, 1, 2, 3]
 
 
 def test_split_needs_two_labeled_rows(toy):
-    toy.label(toy.rows[0])
+    toy.label(0)
     with pytest.raises(ValueError):
-        split(toy.labeled_rows(), toy)
+        split(toy.labeled_ids(), toy)

@@ -6,12 +6,13 @@ import types
 
 import numpy as np
 import pytest
+import requests
 
 import oracles
-from conftest import DATA, shipped
+from conftest import DATA, label_ids, shipped
 from mootopt import warmstart as ws
 from mootopt.data import NUMERIC, Row
-from mootopt.objective import chebyshev
+from mootopt.objective import chebyshev, reveal
 from mootopt.warmstart import (MockSynthesizer, PromptBundle, RemoteSynthesizer,
                                SyntheticRow, SynthesisError, build_prompt,
                                cold_start, extract_completion, map_to_pool,
@@ -21,8 +22,7 @@ from mootopt.warmstart import (MockSynthesizer, PromptBundle, RemoteSynthesizer,
 
 def by_cheb(ds):
     """Label every row and return them best-first, the prompt's ordering."""
-    for r in ds.rows:
-        ds.label(r)
+    label_ids(ds)
     return sorted(ds.rows, key=lambda r: (chebyshev(r, ds), r.id))
 
 
@@ -271,7 +271,7 @@ def test_map_prefers_exact_matches(make_ds):
         3,a,3
     """)
     synth = [SyntheticRow(cells=(2.0, "b"), claim="better")]
-    assert [r.id for r in map_to_pool(synth, ds.rows, ds)] == [1]
+    assert map_to_pool(synth, ds.unlabeled_ids(), ds).tolist() == [1]
 
 
 def test_map_deduplicates_hits_in_order(make_ds):
@@ -283,7 +283,7 @@ def test_map_deduplicates_hits_in_order(make_ds):
     synth = [SyntheticRow(cells=(9.0,), claim="better"),
              SyntheticRow(cells=(0.4,), claim="poorer"),
              SyntheticRow(cells=(9.9,), claim="better")]
-    assert [r.id for r in map_to_pool(synth, ds.rows, ds)] == [1, 0]
+    assert map_to_pool(synth, ds.unlabeled_ids(), ds).tolist() == [1, 0]
 
 
 def test_map_rejects_an_empty_pool(make_ds):
@@ -293,7 +293,8 @@ def test_map_rejects_an_empty_pool(make_ds):
         10,2
     """)
     with pytest.raises(ValueError):
-        map_to_pool([SyntheticRow(cells=(1.0,), claim="better")], [], ds)
+        map_to_pool([SyntheticRow(cells=(1.0,), claim="better")],
+                    ds.unlabeled_ids()[:0], ds)
 
 
 def test_map_matches_an_x_distance_oracle(make_ds):
@@ -313,7 +314,7 @@ def test_map_matches_an_x_distance_oracle(make_ds):
     synth = [SyntheticRow(cells=(2.5, 3.0, "a"), claim="better"),
              SyntheticRow(cells=(7.7, 6.2, "b"), claim="poorer"),
              SyntheticRow(cells=(0.1, 4.9, "zzz"), claim="poorer")]
-    got = [r.id for r in map_to_pool(synth, ds.rows, ds)]
+    got = map_to_pool(synth, ds.unlabeled_ids(), ds).tolist()
     want = []
     for s in synth:
         probe = Row(id=-1, x=tuple(s.cells), y=tuple([None] * len(ds.y_cols)))
@@ -354,16 +355,17 @@ def test_squared_distances_equal_the_column_loop_bit_for_bit(name):
         want = oracles.squared_distances(e1, ids, work)
         assert got.shape == (len(e1), len(ids))
         assert got.tobytes() == want.tobytes()
-        hits = [work.rows[ids[i]] for i in np.argmin(want, axis=1)]
-        assert map_to_pool(e1, ids, work) == list(dict.fromkeys(hits))
+        hits = ids[np.argmin(want, axis=1)].tolist()
+        assert map_to_pool(e1, ids, work).tolist() == list(dict.fromkeys(hits))
 
 
 # -- warm_start ---------------------------------------------------------------
 
 def test_warm_start_is_seed_deterministic(kanban):
+    other = kanban.fresh()
     a = warm_start(kanban, 4, MockSynthesizer(), random.Random(5))
-    b = warm_start(kanban.fresh(), 4, MockSynthesizer(), random.Random(5))
-    assert [r.id for r in a.rows] == [r.id for r in b.rows]
+    b = warm_start(other, 4, MockSynthesizer(), random.Random(5))
+    assert kanban.label_order.tolist() == other.label_order.tolist()
     assert a.fallback == b.fallback == False  # noqa: E712
 
 
@@ -372,23 +374,15 @@ def test_warm_start_label_budget_is_bounded(kanban):
         work = kanban.fresh()
         res = warm_start(work, 4, MockSynthesizer(), random.Random(seed))
         assert 4 <= work.evaluations <= 8
-        assert len(res.rows) == work.evaluations
+        assert not res.fallback
 
 
 def test_warm_start_can_land_inside_a_sweet_spot(kanban):
-    res = warm_start(kanban, 4, MockSynthesizer(), random.Random(36))
-    cold, added = res.rows[:4], res.rows[4:]
-    assert added, "the synthetic rows mapped somewhere new"
-    assert min(chebyshev(r, kanban) for r in cold) > 0.4
-    assert min(chebyshev(r, kanban) for r in added) < 0.2
-
-
-def test_warm_start_literal_mapping_consumes_no_labels(toy):
-    res = warm_start(toy, 4, MockSynthesizer(), random.Random(3),
-                     paper_literal=True)
-    assert toy.evaluations == 4
-    assert len(res.rows) == 4  # synthetic rows land on already-paid seeds
-    assert not res.fallback
+    warm_start(kanban, 4, MockSynthesizer(), random.Random(36))
+    cold, added = kanban.label_order[:4], kanban.label_order[4:]
+    assert added.size, "the synthetic rows mapped somewhere new"
+    assert reveal(cold, kanban).min() > 0.4
+    assert reveal(added, kanban).min() < 0.2
 
 
 def test_warm_start_requires_a_pair_of_seeds(toy):
@@ -406,7 +400,7 @@ def test_warm_start_falls_back_after_three_failures(toy):
     events = []
     res = warm_start(toy, 4, broken, random.Random(0), log=events.append)
     assert len(calls) == 3
-    assert res.fallback and len(res.rows) == 4
+    assert res.fallback
     assert toy.evaluations == 4
     kinds = [e["event"] for e in events]
     assert kinds == ["request", "error"] * 3 + ["fallback"]
@@ -455,6 +449,39 @@ def test_remote_synthesizer_posts_the_bundle(monkeypatch, toy):
     assert seen["payload"]["model"] == "model-x"
     roles = [m["role"] for m in seen["payload"]["messages"]]
     assert roles == ["system", "user"]
+
+
+@pytest.mark.parametrize("stage,exc", [
+    ("raise_for_status", requests.HTTPError("503 Server Error: Service Unavailable")),
+    ("json", requests.exceptions.JSONDecodeError("Expecting value", "<html>", 0)),
+    ("post", requests.ConnectionError("connection refused")),
+], ids=["http-error", "non-json-body", "connection-refused"])
+def test_remote_failures_count_as_failed_attempts(stage, exc, monkeypatch, toy):
+    """An error status, a body that is not JSON and a refused connection
+    each cost one attempt; after three the warm start falls back."""
+    monkeypatch.setenv("MOOTOPT_API_KEY", "sk-test")
+    posts = []
+
+    def fail():
+        raise exc
+
+    def fake_post(url, json=None, timeout=None, headers=None):
+        posts.append(url)
+        if stage == "post":
+            raise exc
+        reply = {"raise_for_status": lambda: None, "json": lambda: {"content": ""}}
+        reply[stage] = fail
+        return types.SimpleNamespace(**reply)
+
+    monkeypatch.setitem(sys.modules, "requests",
+                        types.SimpleNamespace(post=fake_post))
+    synth = RemoteSynthesizer("https://api.example/v1/chat", "model-x")
+    events = []
+    res = warm_start(toy, 4, synth, random.Random(9), log=events.append)
+    assert len(posts) == 3
+    assert res.fallback and toy.evaluations == 4
+    assert [e["event"] for e in events] == ["request", "error"] * 3 + ["fallback"]
+    assert {e["error"] for e in events if e["event"] == "error"} == {str(exc)}
 
 
 @pytest.mark.parametrize("payload,want", [
