@@ -213,7 +213,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "kappa": gp.KAPPA, "epsilon": gp.EPSILON,
             "jobs": args.jobs,
         },
-        "seed_rule": "crc32('dataset|start|acquire|budget|repeat|seed')",
+        "seed_rule": "crc32('dataset|start|acquire|repeat|seed')",
         "datasets": {},
         "failures": failures,
     }

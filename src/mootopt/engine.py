@@ -9,6 +9,12 @@ row is its id: the labeled set and the pool are id arrays read off the
 mask, the acquisitions return the id to label, and scores come from the
 table's cached chebyshev vector through `objective.reveal`. Row objects
 appear only in the best/rest split and the warm start's prompt.
+
+Runs are anytime: the budget only stops the loop, and a run's seed does
+not depend on it, so a budget-b run labels exactly the first b rows of
+any larger run. The grid therefore runs each (dataset, arm, repeat) once,
+at the largest budget that fits the table, and `cut`s every smaller
+budget's result from that run's best-so-far trace.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import random
 import statistics
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import gp, likelihood
@@ -94,7 +100,8 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
     if t.start == "llm":
         if synthesizer is None:
             raise ValueError("llm start needs a synthesizer")
-        fallback = warm_start(work, B0, synthesizer, rng, log=log).fallback
+        fallback = warm_start(work, B0, t.budget, synthesizer, rng,
+                              log=log).fallback
     else:
         cold_start(work, B0, rng)
     while work.evaluations < t.budget:
@@ -119,12 +126,18 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
 
 
 def run_random(ds: Dataset, b1: int, seed: int) -> RunResult:
-    """Label b1 uniform rows and keep the best; no surrogate involved."""
+    """Label b1 uniform rows and keep the best; no surrogate involved.
+
+    The rows are the first b1 of one shuffle of the whole table, so, as in
+    an active run, a smaller budget labels a prefix of a larger one.
+    random.sample at k=b1 would not: its algorithm depends on k.
+    """
     if b1 > len(ds.rows):
         raise ValueError(f"b1={b1} exceeds the {len(ds.rows)} rows of {ds.name}")
     work = ds.fresh()
     rng = random.Random(seed)
-    for i in sample_ids(rng, work.unlabeled_ids(), b1):
+    pool = work.unlabeled_ids()
+    for i in sample_ids(rng, pool, len(pool))[:b1]:
         work.label(i)
     trace, best = _trace(work)
     return RunResult(dataset=ds.name, treatment=Treatment("random", "random", b1),
@@ -157,10 +170,26 @@ def run_baseline(ds: Dataset, seed: int = 0) -> RunResult:
                      trace=[(n, median)], spread=sd)
 
 
-def derive_seed(dataset: str, start: str, acquire: str, budget: int,
-                repeat: int, base_seed: int) -> int:
-    """Stable per-run seed; crc32 keeps it platform-independent."""
-    key = f"{dataset}|{start}|{acquire}|{budget}|{repeat}|{base_seed}"
+def cut(result: RunResult, budget: int) -> RunResult:
+    """What a run at `budget` reports, read off a run at a larger budget.
+
+    The budget only stops the loop, so the smaller run's labels are the
+    larger run's first min(budget, evals); the seed and the warm start's
+    fallback are shared.
+    """
+    n = min(budget, result.evaluations_used)
+    return replace(result, treatment=replace(result.treatment, budget=budget),
+                   best_chebyshev=result.trace[n - 1][1], evaluations_used=n,
+                   trace=result.trace[:n])
+
+
+def derive_seed(dataset: str, start: str, acquire: str, repeat: int,
+                base_seed: int) -> int:
+    """Stable per-run seed; crc32 keeps it platform-independent.
+
+    The budget is not part of the key: one run serves every budget.
+    """
+    key = f"{dataset}|{start}|{acquire}|{repeat}|{base_seed}"
     return zlib.crc32(key.encode("utf-8"))
 
 
@@ -182,24 +211,31 @@ DEFAULT_ARMS = (
 
 
 def _jobs_for(ds: Dataset, grid: GridSpec) -> list[tuple[Treatment, int]]:
+    """One run per (arm, repeat), at the largest budget the table holds."""
+    # tiny file: skip oversize budgets instead of dying
+    fits = [b for b in grid.budgets if b <= len(ds.rows)]
     jobs: list[tuple[Treatment, int]] = []
     for start, acquire in grid.arms:
         if acquire == "baseline":
             jobs.append((Treatment(start, acquire, len(ds.rows)), 0))
-            continue
-        for budget in grid.budgets:
-            if budget > len(ds.rows):
-                continue  # tiny file: skip oversize budgets instead of dying
-            for repeat in range(grid.repeats):
-                jobs.append((Treatment(start, acquire, budget), repeat))
+        elif fits:
+            jobs += [(Treatment(start, acquire, max(fits)), repeat)
+                     for repeat in range(grid.repeats)]
     return jobs
+
+
+def _cuts(result: RunResult, grid: GridSpec) -> list[RunResult]:
+    """A run's result at each grid budget up to its own."""
+    if result.treatment.acquire == "baseline":
+        return [result]
+    return [cut(result, b) for b in grid.budgets
+            if b <= result.treatment.budget]
 
 
 def _run_one(ds: Dataset, t: Treatment, repeat: int, grid: GridSpec,
              synthesizer: Optional[Synthesizer],
              log: Optional[LogFn]) -> RunResult:
-    seed = derive_seed(ds.name, t.start, t.acquire, t.budget, repeat,
-                       grid.base_seed)
+    seed = derive_seed(ds.name, t.start, t.acquire, repeat, grid.base_seed)
     run_log = None
     if log is not None:
         seq = itertools.count()
@@ -226,10 +262,12 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
              ) -> list[RunResult]:
     """Every (dataset, arm, budget, repeat) cell, deterministically ordered.
 
-    Jobs are independent (each run labels a fresh copy), so thread-level
-    parallelism is safe; results are sorted afterwards so the output does
-    not depend on scheduling. A failing run is reported through on_error
-    and skipped rather than sinking the whole grid.
+    Each (dataset, arm, repeat) runs once, at its largest budget, and the
+    cells of the smaller budgets are cut from it. Runs are independent
+    (each labels a fresh copy), so thread-level parallelism is safe;
+    results are sorted afterwards so the output does not depend on
+    scheduling. A failing run is reported through on_error and its cells
+    are skipped rather than sinking the whole grid.
     """
     tasks = [(ds, t, rep) for ds in datasets for t, rep in _jobs_for(ds, grid)]
 
@@ -248,7 +286,7 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
             raw = list(pool.map(call, tasks))
     else:
         raw = [call(task) for task in tasks]
-    results = [r for r in raw if r is not None]
+    results = [c for r in raw if r is not None for c in _cuts(r, grid)]
     results.sort(key=lambda r: (r.dataset, r.treatment.start, r.treatment.acquire,
                                 r.treatment.budget, r.repeat))
     return results

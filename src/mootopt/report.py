@@ -3,8 +3,8 @@
 Everything here is a pure function of the results file plus the manifest
 written alongside it, so regenerating reports is always safe and always
 byte-identical. One rank table per dataset, one rank-frequency table per
-dimensionality stratum, an evaluations-needed summary, and the budget
-versus normalized-improvement series.
+dimensionality stratum, an evaluations-needed summary, the budget
+versus normalized-improvement series, and per-arm run outcomes.
 """
 
 from __future__ import annotations
@@ -120,6 +120,27 @@ def improvement_curve_csv(records: list[dict], manifest: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def outcomes_csv(records: list[dict]) -> str:
+    """(dataset, start, acquire) rows: runs, warm-start fallbacks, and
+    records that stopped short of their budget.
+
+    One run serves every budget, so its records share a (repeat, seed)
+    pair and a fallback flag; runs and fallbacks are counted over those
+    pairs, short records over records.
+    """
+    fell_back: dict[tuple, dict[tuple, bool]] = {}
+    short: dict[tuple, int] = {}
+    for rec in records:
+        arm = (rec["dataset"], rec["start"], rec["acquire"])
+        fell_back.setdefault(arm, {})[rec["repeat"], rec["seed"]] = rec["fallback"]
+        short[arm] = short.get(arm, 0) + (rec["evals"] < rec["budget"])
+    lines = ["dataset,start,acquire,runs,fallbacks,short_records"]
+    for arm, runs in sorted(fell_back.items()):
+        lines.append(",".join(arm) + f",{len(runs)},{sum(runs.values())},"
+                     f"{short[arm]}")
+    return "\n".join(lines) + "\n"
+
+
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
 
@@ -157,4 +178,5 @@ def write_reports(results_dir: Path,
 
     emit("evals_needed.csv", evals_needed_csv(tables))
     emit("improvement_curve.csv", improvement_curve_csv(records, manifest))
+    emit("outcomes.csv", outcomes_csv(records))
     return written

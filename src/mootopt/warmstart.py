@@ -21,6 +21,7 @@ import os
 import random
 import re
 import threading
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
@@ -33,7 +34,7 @@ from .objective import chebyshev, split
 BETTER = "better"
 POORER = "poorer"
 
-SYNTH_RETRIES = 2   # extra synthesizer attempts before a warm start falls back
+RETRY_WAITS = (1.0, 2.0)  # seconds slept before each extra synthesizer attempt
 MAX_CONCURRENT = 4  # requests one RemoteSynthesizer keeps in flight at once
 REQUEST_TIMEOUT = 60.0  # seconds one RemoteSynthesizer request may take
 DEFAULT_KEY_ENV = "MOOTOPT_API_KEY"  # environment variable holding the API key
@@ -408,24 +409,29 @@ def map_to_pool(e1: list[SyntheticRow], pool: np.ndarray,
     return hits[np.sort(first)]
 
 
-def warm_start(ds: Dataset, b0: int, synthesizer: Synthesizer,
+def warm_start(ds: Dataset, b0: int, budget: int, synthesizer: Synthesizer,
                rng: random.Random,
                log: Optional[LogFn] = None) -> WarmStartResult:
     """Cold start, then synthesize/parse/map/label; cold rows alone on failure.
 
-    The synthesizer gets SYNTH_RETRIES extra attempts; if none yields at least
-    one better and one poorer row, the run proceeds from the cold start and
-    the result is flagged as a fallback (runs never abort on synthesis
-    trouble). Synthetic rows map onto the unlabeled pool, and each distinct
-    hit costs one label.
+    The synthesizer gets one extra attempt per RETRY_WAITS entry, each after
+    sleeping that many seconds; if none yields at least one better and one
+    poorer row, the run proceeds from the cold start and the result is
+    flagged as a fallback (runs never abort on synthesis trouble).
+    Synthetic rows map onto the unlabeled pool, and each distinct hit costs
+    one label, in hit order, until `budget` rows are labeled.
     """
     if b0 < 2:
         raise ValueError(f"warm start needs b0 >= 2, got {b0}")
+    if budget < b0:
+        raise ValueError(f"budget {budget} is below the cold start's {b0}")
     e0 = cold_start(ds, b0, rng)
     ranked = sorted(e0, key=lambda r: (chebyshev(r, ds), r.id))
     bundle = build_prompt(ranked, ds)
     synth: Optional[list[SyntheticRow]] = None
-    for attempt in range(SYNTH_RETRIES + 1):
+    for attempt, wait in enumerate((0.0,) + RETRY_WAITS):
+        if wait:
+            time.sleep(wait)
         try:
             if log:
                 log({"event": "request", "attempt": attempt,
@@ -445,6 +451,6 @@ def warm_start(ds: Dataset, b0: int, synthesizer: Synthesizer,
         return WarmStartResult(fallback=True)
     pool = ds.unlabeled_ids()
     if len(pool):
-        for i in map_to_pool(synth, pool, ds):
+        for i in map_to_pool(synth, pool, ds)[:budget - ds.evaluations]:
             ds.label(i)
     return WarmStartResult(fallback=False)

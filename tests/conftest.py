@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mootopt import warmstart
 from mootopt.data import Dataset, load_csv
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -48,6 +49,14 @@ def nasa93dem() -> Dataset:
 @pytest.fixture
 def kanban() -> Dataset:
     return shipped("kanban")
+
+
+@pytest.fixture
+def sleeps(monkeypatch) -> list:
+    """Record the warm start's retry waits instead of sleeping them."""
+    waits: list = []
+    monkeypatch.setattr(warmstart.time, "sleep", waits.append)
+    return waits
 
 
 @pytest.fixture

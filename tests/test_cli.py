@@ -218,7 +218,7 @@ def test_transcript_captures_the_llm_exchange(smoke):
 def test_manifest_contents(smoke, toy):
     manifest = json.loads((smoke / "manifest.json").read_text())
     assert manifest["version"] == mootopt.__version__
-    assert manifest["seed_rule"] == "crc32('dataset|start|acquire|budget|repeat|seed')"
+    assert manifest["seed_rule"] == "crc32('dataset|start|acquire|repeat|seed')"
     assert manifest["config"]["budgets"] == [10, 12]
     assert manifest["config"]["seed"] == 7
     assert manifest["config"]["synth"] == "mock"
@@ -252,7 +252,7 @@ def test_rank_emits_every_report(ranked):
     names = {p.name for p in ranked.iterdir()}
     assert {"rank_toy.txt", "rank_toy.csv", "freq_low.csv", "freq_medium.csv",
             "freq_high.csv", "evals_needed.csv",
-            "improvement_curve.csv"} <= names
+            "improvement_curve.csv", "outcomes.csv"} <= names
 
 
 def test_rank_table_covers_every_arm(ranked):
@@ -282,6 +282,37 @@ def test_improvement_curve_arithmetic(ranked):
     assert not any(",baseline," in l for l in lines)
     row = next(l for l in lines if l.startswith("toy,llm,exploit,10,"))
     assert float(row.rsplit(",", 1)[1]) == pytest.approx(want)
+
+
+def test_outcomes_count_runs_fallbacks_and_short_records(tmp_path):
+    """Records cut from one run share its (repeat, seed), so its fallback
+    counts once however many budgets it serves."""
+    def rec(dataset, start, acquire, budget, repeat, seed, evals, fallback):
+        return {"dataset": dataset, "start": start, "acquire": acquire,
+                "budget": budget, "repeat": repeat, "seed": seed,
+                "best": 0.5, "evals": evals, "fallback": fallback}
+
+    records = [
+        rec("a", "llm", "exploit", 10, 0, 11, 10, True),
+        rec("a", "llm", "exploit", 20, 0, 11, 20, True),
+        rec("a", "llm", "exploit", 10, 1, 12, 10, False),
+        rec("a", "llm", "exploit", 20, 1, 12, 20, False),
+        rec("a", "random", "random", 10, 0, 13, 10, False),
+        rec("a", "random", "random", 20, 0, 13, 18, False),
+        rec("b", "llm", "exploit", 10, 0, 14, 9, True),
+        rec("b", "llm", "exploit", 20, 0, 14, 9, True),
+        rec("b", "baseline", "baseline", 9, 0, 15, 9, False),
+    ]
+    (tmp_path / "results.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in records))
+    assert main(["rank", str(tmp_path)]) == 0
+    assert (tmp_path / "outcomes.csv").read_text().splitlines() == [
+        "dataset,start,acquire,runs,fallbacks,short_records",
+        "a,llm,exploit,2,1,0",
+        "a,random,random,1,0,1",
+        "b,baseline,baseline,1,0,0",
+        "b,llm,exploit,1,1,2",
+    ]
 
 
 def test_evals_needed_is_well_formed(ranked):

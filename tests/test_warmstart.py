@@ -363,8 +363,8 @@ def test_squared_distances_equal_the_column_loop_bit_for_bit(name):
 
 def test_warm_start_is_seed_deterministic(kanban):
     other = kanban.fresh()
-    a = warm_start(kanban, 4, MockSynthesizer(), random.Random(5))
-    b = warm_start(other, 4, MockSynthesizer(), random.Random(5))
+    a = warm_start(kanban, 4, 8, MockSynthesizer(), random.Random(5))
+    b = warm_start(other, 4, 8, MockSynthesizer(), random.Random(5))
     assert kanban.label_order.tolist() == other.label_order.tolist()
     assert a.fallback == b.fallback == False  # noqa: E712
 
@@ -372,13 +372,31 @@ def test_warm_start_is_seed_deterministic(kanban):
 def test_warm_start_label_budget_is_bounded(kanban):
     for seed in range(8):
         work = kanban.fresh()
-        res = warm_start(work, 4, MockSynthesizer(), random.Random(seed))
+        res = warm_start(work, 4, 8, MockSynthesizer(), random.Random(seed))
         assert 4 <= work.evaluations <= 8
         assert not res.fallback
 
 
+@pytest.mark.parametrize("budget", [4, 5, 6, 7])
+def test_warm_start_stops_labeling_at_the_budget(kanban, budget):
+    """Mapped hits are labeled in hit order until the budget is spent, so a
+    smaller budget labels a prefix of what a larger one labels."""
+    for seed in range(8):
+        full, capped = kanban.fresh(), kanban.fresh()
+        warm_start(full, 4, 8, MockSynthesizer(), random.Random(seed))
+        warm_start(capped, 4, budget, MockSynthesizer(), random.Random(seed))
+        assert capped.evaluations == min(budget, full.evaluations)
+        assert capped.label_order.tolist() == \
+            full.label_order[:capped.evaluations].tolist()
+
+
+def test_warm_start_budget_must_cover_the_cold_start(toy):
+    with pytest.raises(ValueError):
+        warm_start(toy, 4, 3, MockSynthesizer(), random.Random(0))
+
+
 def test_warm_start_can_land_inside_a_sweet_spot(kanban):
-    warm_start(kanban, 4, MockSynthesizer(), random.Random(36))
+    warm_start(kanban, 4, 8, MockSynthesizer(), random.Random(36))
     cold, added = kanban.label_order[:4], kanban.label_order[4:]
     assert added.size, "the synthetic rows mapped somewhere new"
     assert reveal(cold, kanban).min() > 0.4
@@ -387,10 +405,10 @@ def test_warm_start_can_land_inside_a_sweet_spot(kanban):
 
 def test_warm_start_requires_a_pair_of_seeds(toy):
     with pytest.raises(ValueError):
-        warm_start(toy, 1, MockSynthesizer(), random.Random(0))
+        warm_start(toy, 1, 8, MockSynthesizer(), random.Random(0))
 
 
-def test_warm_start_falls_back_after_three_failures(toy):
+def test_warm_start_falls_back_after_three_failures(toy, sleeps):
     calls = []
 
     def broken(bundle, e0, ds):
@@ -398,8 +416,9 @@ def test_warm_start_falls_back_after_three_failures(toy):
         raise SynthesisError("no usable rows")
 
     events = []
-    res = warm_start(toy, 4, broken, random.Random(0), log=events.append)
+    res = warm_start(toy, 4, 8, broken, random.Random(0), log=events.append)
     assert len(calls) == 3
+    assert sleeps == [1.0, 2.0]
     assert res.fallback
     assert toy.evaluations == 4
     kinds = [e["event"] for e in events]
@@ -409,12 +428,33 @@ def test_warm_start_falls_back_after_three_failures(toy):
 
 def test_warm_start_logs_request_and_response(toy):
     events = []
-    warm_start(toy, 4, MockSynthesizer(), random.Random(1), log=events.append)
+    warm_start(toy, 4, 8, MockSynthesizer(), random.Random(1), log=events.append)
     kinds = [e["event"] for e in events]
     assert kinds[:2] == ["request", "response"]
     roles = [m["role"] for m in events[0]["messages"]]
     assert roles == ["system", "user"]
     assert "Better Examples:" in events[1]["text"]
+
+
+def test_warm_start_waits_before_each_retry_only(toy, sleeps):
+    """The first attempt goes out at once; each retry first sleeps its
+    RETRY_WAITS entry, and a success stops both the retries and the waits."""
+    replies = iter([SynthesisError("busy"), None])
+    mock = MockSynthesizer()
+    waits_at_call = []
+
+    def flaky(bundle, e0, ds):
+        waits_at_call.append(list(sleeps))
+        err = next(replies)
+        if err is not None:
+            raise err
+        return mock(bundle, e0, ds)
+
+    res = warm_start(toy, 4, 8, flaky, random.Random(0))
+    assert not res.fallback
+    assert waits_at_call == [[], [ws.RETRY_WAITS[0]]]
+    assert sleeps == [ws.RETRY_WAITS[0]]
+    assert ws.RETRY_WAITS == (1.0, 2.0)
 
 
 # -- remote client ------------------------------------------------------------
@@ -441,7 +481,7 @@ def test_remote_synthesizer_posts_the_bundle(monkeypatch, toy):
     monkeypatch.setitem(sys.modules, "requests",
                         types.SimpleNamespace(post=fake_post))
     synth = RemoteSynthesizer("https://api.example/v1/chat", "model-x")
-    res = warm_start(work, 4, synth, random.Random(9))
+    res = warm_start(work, 4, 8, synth, random.Random(9))
     assert not res.fallback
     assert seen["url"] == "https://api.example/v1/chat"
     assert seen["timeout"] == 60.0
@@ -455,10 +495,13 @@ def test_remote_synthesizer_posts_the_bundle(monkeypatch, toy):
     ("raise_for_status", requests.HTTPError("503 Server Error: Service Unavailable")),
     ("json", requests.exceptions.JSONDecodeError("Expecting value", "<html>", 0)),
     ("post", requests.ConnectionError("connection refused")),
-], ids=["http-error", "non-json-body", "connection-refused"])
-def test_remote_failures_count_as_failed_attempts(stage, exc, monkeypatch, toy):
-    """An error status, a body that is not JSON and a refused connection
-    each cost one attempt; after three the warm start falls back."""
+    ("post", requests.Timeout("read timed out")),
+], ids=["http-error", "non-json-body", "connection-refused", "timeout"])
+def test_remote_failures_count_as_failed_attempts(stage, exc, monkeypatch, toy,
+                                                  sleeps):
+    """An error status, a body that is not JSON, a refused connection and
+    a timeout each cost one attempt; after three the warm start falls
+    back, having waited before each retry."""
     monkeypatch.setenv("MOOTOPT_API_KEY", "sk-test")
     posts = []
 
@@ -477,8 +520,9 @@ def test_remote_failures_count_as_failed_attempts(stage, exc, monkeypatch, toy):
                         types.SimpleNamespace(post=fake_post))
     synth = RemoteSynthesizer("https://api.example/v1/chat", "model-x")
     events = []
-    res = warm_start(toy, 4, synth, random.Random(9), log=events.append)
+    res = warm_start(toy, 4, 8, synth, random.Random(9), log=events.append)
     assert len(posts) == 3
+    assert sleeps == list(ws.RETRY_WAITS)
     assert res.fallback and toy.evaluations == 4
     assert [e["event"] for e in events] == ["request", "error"] * 3 + ["fallback"]
     assert {e["error"] for e in events if e["event"] == "error"} == {str(exc)}
