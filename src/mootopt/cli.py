@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 from pathlib import Path
 
 from . import __version__, engine, gp, report
@@ -172,35 +171,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     grid = engine.GridSpec(arms=arms, budgets=budgets, repeats=args.repeats,
                            base_seed=args.seed)
 
-    transcript: list[dict] = []
-    lock = threading.Lock()
-
-    def log(event: dict) -> None:
-        with lock:
-            transcript.append(event)
-
-    failures: list[str] = []
-
-    def on_error(ds, t, rep, exc) -> None:
-        msg = (f"run failed: {ds.name} {t.start}/{t.acquire} "
-               f"budget={t.budget} repeat={rep}: {exc}")
-        with lock:
-            failures.append(msg)
+    grid_out = engine.run_grid(datasets, grid, synthesizer=synthesizer,
+                               jobs=args.jobs)
+    for msg in grid_out.failures:
         print(msg, file=sys.stderr)
 
-    results = engine.run_grid(datasets, grid, synthesizer=synthesizer,
-                              jobs=args.jobs, log=log,
-                              on_error=on_error)
-
     with open(out_dir / "results.jsonl", "w", encoding="utf-8") as fh:
-        for r in results:
+        for r in grid_out.results:
             fh.write(json.dumps(r.to_record()) + "\n")
 
-    transcript.sort(key=lambda e: (e.get("dataset", ""), e.get("start", ""),
-                                   e.get("acquire", ""), e.get("budget", 0),
-                                   e.get("repeat", 0), e.get("seq", 0)))
     with open(out_dir / "transcript.jsonl", "w", encoding="utf-8") as fh:
-        for event in transcript:
+        for event in grid_out.events:
             fh.write(json.dumps(event) + "\n")
 
     manifest = {
@@ -215,7 +196,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         },
         "seed_rule": "crc32('dataset|start|acquire|repeat|seed')",
         "datasets": {},
-        "failures": failures,
+        "failures": grid_out.failures,
     }
     for ds in datasets:
         mean, lo, median, sd = engine.baseline_summary(ds)
@@ -228,7 +209,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    return 1 if failures else 0
+    return 1 if grid_out.failures else 0
 
 
 def cmd_rank(args: argparse.Namespace) -> int:

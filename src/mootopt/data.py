@@ -27,7 +27,6 @@ from __future__ import annotations
 import copy
 import csv
 import math
-import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, TextIO, Union
@@ -306,13 +305,13 @@ def _parse_cell(raw: str, col: ColumnSpec, row_no: int) -> Cell:
 
 def _column_stats(col: ColumnSpec, cells: list[Cell]) -> ColumnStats:
     if col.kind == NUMERIC:
-        vals = [float(v) for v in cells if v is not None]
-        if not vals:
+        vals = np.array([v for v in cells if v is not None], dtype=float)
+        if not len(vals):
             return NumStats()
-        return NumStats(lo=min(vals), hi=max(vals),
-                        median=statistics.median(vals),
-                        sd=statistics.pstdev(vals) if len(vals) > 1 else 0.0,
-                        n=len(vals))
+        lo, hi = float(vals.min()), float(vals.max())
+        # numpy's mean of a constant column can miss it by an ulp; its sd is 0.
+        return NumStats(lo=lo, hi=hi, median=float(np.median(vals)),
+                        sd=float(vals.std()) if lo < hi else 0.0, n=len(vals))
     freq: dict[str, int] = {}
     for v in cells:
         if v is not None:

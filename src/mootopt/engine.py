@@ -15,6 +15,10 @@ not depend on it, so a budget-b run labels exactly the first b rows of
 any larger run. The grid therefore runs each (dataset, arm, repeat) once,
 at the largest budget that fits the table, and `cut`s every smaller
 budget's result from that run's best-so-far trace.
+
+Runs share no state. A grid run returns its result, its transcript events
+and its failure as values, and `run_grid` assembles them in a fixed run
+order, so the grid's outputs are the same at any job count.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import statistics
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 from . import gp, likelihood
 from .data import Dataset, sample_ids
@@ -146,7 +150,15 @@ def run_random(ds: Dataset, b1: int, seed: int) -> RunResult:
 
 
 def baseline_summary(ds: Dataset) -> tuple[float, float, float, float]:
-    """(mean, lo, median, sd) of chebyshev over every row of the file."""
+    """(mean, lo, median, sd) of chebyshev over every row of the file.
+
+    Computed once per table: the baseline arm and the manifest read the
+    same value.
+    """
+    return ds.cached("baseline_summary", _summarize)
+
+
+def _summarize(ds: Dataset) -> tuple[float, float, float, float]:
     work = ds.fresh()
     for i in range(len(work.rows)):
         work.label(i)
@@ -233,60 +245,65 @@ def _cuts(result: RunResult, grid: GridSpec) -> list[RunResult]:
 
 
 def _run_one(ds: Dataset, t: Treatment, repeat: int, grid: GridSpec,
-             synthesizer: Optional[Synthesizer],
-             log: Optional[LogFn]) -> RunResult:
+             synthesizer: Optional[Synthesizer]
+             ) -> tuple[Optional[RunResult], list[dict], Optional[str]]:
+    """One grid task: its result (None if it failed), its transcript events
+    and its failure message (None if it ran).
+
+    A run that fails partway keeps the events it logged. Each event is
+    stamped with the run's keys and its position in the run.
+    """
     seed = derive_seed(ds.name, t.start, t.acquire, repeat, grid.base_seed)
-    run_log = None
-    if log is not None:
-        seq = itertools.count()
+    events: list[dict] = []
+    result, failure = None, None
+    try:
+        if t.acquire == "baseline":
+            result = run_baseline(ds, seed)
+        elif t.acquire == "random":
+            result = run_random(ds, t.budget, seed)
+        else:
+            result = run_active(ds, t, synthesizer, seed, log=events.append)
+        result.repeat = repeat
+    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+        failure = (f"run failed: {ds.name} {t.start}/{t.acquire} "
+                   f"budget={t.budget} repeat={repeat}: {exc}")
+    stamped = [{"dataset": ds.name, "start": t.start, "acquire": t.acquire,
+                "budget": t.budget, "repeat": repeat, "seq": seq, **event}
+               for seq, event in enumerate(events)]
+    return result, stamped, failure
 
-        def run_log(event: dict) -> None:
-            log({"dataset": ds.name, "start": t.start, "acquire": t.acquire,
-                 "budget": t.budget, "repeat": repeat, "seq": next(seq),
-                 **event})
 
-    if t.acquire == "baseline":
-        result = run_baseline(ds, seed)
-    elif t.acquire == "random":
-        result = run_random(ds, t.budget, seed)
-    else:
-        result = run_active(ds, t, synthesizer, seed, log=run_log)
-    result.repeat = repeat
-    return result
+@dataclass
+class GridResult:
+    """What a grid produced, independent of how many jobs ran it."""
+    results: list[RunResult]  # every cell, sorted by dataset, arm, budget, repeat
+    events: list[dict]        # transcript events, in run order
+    failures: list[str]       # one message per failed run, in run order
 
 
 def run_grid(datasets: list[Dataset], grid: GridSpec,
-             synthesizer: Optional[Synthesizer] = None, jobs: int = 1,
-             log: Optional[LogFn] = None,
-             on_error: Optional[Callable[[Dataset, Treatment, int, Exception], None]] = None
-             ) -> list[RunResult]:
+             synthesizer: Optional[Synthesizer] = None,
+             jobs: int = 1) -> GridResult:
     """Every (dataset, arm, budget, repeat) cell, deterministically ordered.
 
     Each (dataset, arm, repeat) runs once, at its largest budget, and the
-    cells of the smaller budgets are cut from it. Runs are independent
-    (each labels a fresh copy), so thread-level parallelism is safe;
-    results are sorted afterwards so the output does not depend on
-    scheduling. A failing run is reported through on_error and its cells
-    are skipped rather than sinking the whole grid.
+    cells of the smaller budgets are cut from it. Runs share no state:
+    each labels a fresh copy of its table and returns its result, events
+    and failure as values, so `jobs` threads may run them in any order.
+    Run order is (dataset, start, acquire, repeat); events and failures
+    follow it, so no output depends on `jobs`. A failing run loses its
+    cells but not the rest of the grid.
     """
-    tasks = [(ds, t, rep) for ds in datasets for t, rep in _jobs_for(ds, grid)]
-
-    def call(task):
-        ds, t, rep = task
-        try:
-            return _run_one(ds, t, rep, grid, synthesizer, log)
-        except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            if on_error is None:
-                raise
-            on_error(ds, t, rep, exc)
-            return None
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(call, tasks))
-    else:
-        raw = [call(task) for task in tasks]
-    results = [c for r in raw if r is not None for c in _cuts(r, grid)]
+    tasks = sorted(((ds, t, rep) for ds in datasets
+                    for t, rep in _jobs_for(ds, grid)),
+                   key=lambda task: (task[0].name, task[1].start,
+                                     task[1].acquire, task[2]))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        done = list(pool.map(
+            lambda task: _run_one(*task, grid, synthesizer), tasks))
+    results = [c for r, _, _ in done if r is not None for c in _cuts(r, grid)]
     results.sort(key=lambda r: (r.dataset, r.treatment.start, r.treatment.acquire,
                                 r.treatment.budget, r.repeat))
-    return results
+    return GridResult(results=results,
+                      events=[e for _, events, _ in done for e in events],
+                      failures=[f for _, _, f in done if f is not None])

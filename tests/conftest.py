@@ -1,7 +1,9 @@
 """Shared fixtures: shipped MOOT tables plus an inline-table builder."""
 
 import io
+import itertools
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,20 @@ def label_ids(ds: Dataset, ids=None) -> np.ndarray:
     for i in ids:
         ds.label(i)
     return ids
+
+
+class SlowFirstBrokenSynth:
+    """A synthesizer that raises TypeError, which no warm start catches, on
+    every call. Its first call waits first, so with two jobs the second
+    run fails before the first."""
+
+    def __init__(self):
+        self.calls = itertools.count()
+
+    def __call__(self, bundle, ranked, ds):
+        if next(self.calls) == 0:
+            time.sleep(0.2)
+        raise TypeError("synthesizer broke")
 
 
 @pytest.fixture

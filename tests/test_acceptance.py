@@ -213,7 +213,8 @@ def test_every_run_labels_at_most_its_budget(monkeypatch):
         fits = [b for b in DEFAULT_BUDGETS if b <= len(ds.rows)]
         for t, rep in eng._jobs_for(ds, grid):
             calls.clear()
-            result = eng._run_one(ds, t, rep, grid, synth, None)
+            result, _, failure = eng._run_one(ds, t, rep, grid, synth)
+            assert failure is None
             cap = len(ds.rows) if t.acquire == "baseline" else max(fits)
             assert t.budget == cap
             assert len(calls) <= cap

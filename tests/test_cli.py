@@ -12,7 +12,7 @@ from mootopt import cli, engine, gp
 from mootopt.cli import ConfigError, main, parse_arms
 from mootopt.engine import DEFAULT_ARMS, baseline_summary
 
-from conftest import DATA
+from conftest import DATA, SlowFirstBrokenSynth
 
 TOY = str(DATA / "toy.csv")
 MALFORMED = Path(__file__).resolve().parent / "malformed"
@@ -130,11 +130,9 @@ def test_rank_without_results_exits_2(tmp_path):
 
 
 def test_failed_runs_exit_1(tmp_path, monkeypatch):
-    def fake_run_grid(datasets, grid, synthesizer=None, jobs=1,
-                      log=None, on_error=None):
-        t = cli.engine.Treatment("random", "exploit", 10)
-        on_error(datasets[0], t, 0, RuntimeError("synthetic failure"))
-        return []
+    def fake_run_grid(datasets, grid, synthesizer=None, jobs=1):
+        return engine.GridResult(results=[], events=[],
+                                 failures=["run failed: synthetic failure"])
 
     monkeypatch.setattr(cli.engine, "run_grid", fake_run_grid)
     out = tmp_path / "out"
@@ -161,21 +159,65 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "toy_auto93_results.jsonl"
 
 def test_small_grid_matches_the_golden_results(tmp_path):
     """The nine-arm default grid on toy and auto93 reproduces results.jsonl
-    byte for byte, with one worker and with two, since results must not
-    depend on the job count. The golden file was written by
-    `mootopt run --data data/toy.csv data/auto93.csv --budgets 10,15
+    byte for byte, with one worker and with two, since outputs must not
+    depend on the job count: transcript.jsonl is byte-identical too, and
+    manifest.json differs only in config.jobs. The golden file was written
+    by `mootopt run --data data/toy.csv data/auto93.csv --budgets 10,15
     --repeats 2 --synth mock`; a change that means to alter results must
     regenerate it and say why."""
+    transcripts, manifests = [], []
     for jobs in ("1", "2"):
         out = tmp_path / f"run{jobs}"
         assert main(["run", "--data", TOY, str(DATA / "auto93.csv"),
                      "--budgets", "10,15", "--repeats", "2", "--synth", "mock",
                      "--jobs", jobs, "--out", str(out)]) == 0
         assert (out / "results.jsonl").read_bytes() == GOLDEN.read_bytes(), jobs
+        transcripts.append((out / "transcript.jsonl").read_bytes())
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["treatments"] == (
-            "llm/exploit,llm/explore,random/exploit,random/explore,"
-            "random/ucb,random/pi,random/ei,random,baseline")
+        assert manifest["config"].pop("jobs") == int(jobs)
+        manifests.append(manifest)
+    assert manifests[0]["config"]["treatments"] == (
+        "llm/exploit,llm/explore,random/exploit,random/explore,"
+        "random/ucb,random/pi,random/ei,random,baseline")
+    assert transcripts[0] and transcripts[0] == transcripts[1]
+    # toy is named first on the command line, but runs go in name order
+    events = [json.loads(line) for line in transcripts[0].splitlines()]
+    keys = [(e["dataset"], e["start"], e["acquire"], e["repeat"], e["seq"])
+            for e in events]
+    assert keys == sorted(keys) and keys[0][0] == "auto93"
+    assert manifests[0] == manifests[1]
+
+
+def test_failures_are_listed_in_run_order_at_any_job_count(tmp_path, monkeypatch,
+                                                           capsys):
+    """With two jobs the second run fails first; the manifest and stderr
+    still list the failures in run order, after the grid has ended."""
+    monkeypatch.setattr(cli, "MockSynthesizer", SlowFirstBrokenSynth)
+    want = [f"run failed: toy llm/exploit budget=10 repeat={rep}: "
+            "synthesizer broke" for rep in (0, 1)]
+    for jobs in ("1", "2"):
+        out = tmp_path / f"run{jobs}"
+        assert main(["run", "--data", TOY, "--treatments", "llm/exploit",
+                     "--budgets", "10", "--repeats", "2", "--jobs", jobs,
+                     "--out", str(out)]) == 1
+        assert json.loads((out / "manifest.json").read_text())["failures"] == want
+        assert capsys.readouterr().err.splitlines() == want
+
+
+def test_baseline_summary_is_computed_once_per_table(tmp_path, monkeypatch):
+    """The baseline arm and the manifest read one summary per table."""
+    summarized = []
+    original = engine._summarize
+
+    def spy(ds):
+        summarized.append(ds.name)
+        return original(ds)
+
+    monkeypatch.setattr(engine, "_summarize", spy)
+    assert main(["run", "--data", TOY, str(DATA / "auto93.csv"),
+                 "--treatments", "random,baseline", "--budgets", "10",
+                 "--repeats", "1", "--out", str(tmp_path / "out")]) == 0
+    assert sorted(summarized) == ["auto93", "toy"]
 
 
 def read_jsonl(path):

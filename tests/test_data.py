@@ -113,6 +113,18 @@ def test_numeric_stats_match_statistics_module(make_ds):
     assert st_.sd == pytest.approx(statistics.pstdev(vals))
 
 
+def test_constant_numeric_column_has_zero_sd(make_ds):
+    # numpy's mean of three 0.1s is 0.1 plus an ulp; the sd stays exactly 0
+    ds = make_ds("""
+        Kloc,effort-
+        0.1,10
+        0.1,20
+        0.1,30
+    """)
+    st_ = ds.col_stats(ds.x_cols[0])
+    assert (st_.lo, st_.hi, st_.median, st_.sd) == (0.1, 0.1, 0.1, 0.0)
+
+
 def test_symbolic_mode_breaks_ties_lexicographically(make_ds):
     ds = make_ds("""
         kind,effort-

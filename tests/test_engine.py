@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from conftest import DATA, label_ids, shipped
+from conftest import DATA, SlowFirstBrokenSynth, label_ids, shipped
 from mootopt import engine as eng
 from mootopt.engine import (DEFAULT_ARMS, GridSpec, Treatment,
                             baseline_summary, cut, derive_seed, run_active,
@@ -220,6 +220,12 @@ def test_cut_past_a_short_run_keeps_its_evals(toy):
     assert (rec["budget"], rec["evals"], rec["best"]) == (8, 6, res.trace[5][1])
 
 
+def completed(out):
+    """The results of a grid that must have had no failed run."""
+    assert out.failures == []
+    return out.results
+
+
 TABLES = sorted(p.stem for p in DATA.glob("*.csv"))
 CUT_ARMS = tuple((start, acquire) for acquire in eng.ACTIVE_ACQUIRES
                  for start in ("random", "llm")) + (("random", "random"),)
@@ -238,7 +244,7 @@ def test_each_budget_record_is_a_standalone_run_at_that_budget(name):
     for base in range(3):
         grid = GridSpec(arms=CUT_ARMS, budgets=(5, 7, 10, 30), repeats=1,
                         base_seed=base)
-        results = run_grid([ds], grid, synthesizer=synth)
+        results = completed(run_grid([ds], grid, synthesizer=synth))
         fits = [b for b in grid.budgets if b <= len(ds.rows)]
         assert len(results) == len(CUT_ARMS) * len(fits)
         for r in results:
@@ -262,8 +268,9 @@ def test_run_grid_runs_each_arm_and_repeat_once(toy, monkeypatch):
         return original(ds, t, *args, **kwargs)
 
     monkeypatch.setattr(eng, "run_active", spy)
-    results = run_grid([toy], GridSpec(arms=(("random", "exploit"),),
-                                       budgets=(6, 99, 8, 7), repeats=3))
+    results = completed(run_grid([toy], GridSpec(arms=(("random", "exploit"),),
+                                                 budgets=(6, 99, 8, 7),
+                                                 repeats=3)))
     assert budgets == [8, 8, 8]
     assert sorted(r.treatment.budget for r in results) == [6] * 3 + [7] * 3 + [8] * 3
     assert len({r.seed for r in results}) == 3
@@ -274,8 +281,8 @@ SMALL_GRID = GridSpec(
 
 
 def test_run_grid_is_schedule_independent(toy):
-    serial = run_grid([toy], SMALL_GRID, jobs=1)
-    threaded = run_grid([toy.fresh()], SMALL_GRID, jobs=3)
+    serial = completed(run_grid([toy], SMALL_GRID, jobs=1))
+    threaded = completed(run_grid([toy.fresh()], SMALL_GRID, jobs=3))
     assert [(r.to_record(), r.trace) for r in serial] == [
         (r.to_record(), r.trace) for r in threaded]
     # active and random arms: 2 budgets x 2 repeats; baseline runs once
@@ -283,7 +290,7 @@ def test_run_grid_is_schedule_independent(toy):
 
 
 def test_run_grid_baseline_budget_is_the_row_count(toy):
-    results = run_grid([toy], SMALL_GRID)
+    results = completed(run_grid([toy], SMALL_GRID))
     base = [r for r in results if r.treatment.acquire == "baseline"]
     assert len(base) == 1
     assert base[0].treatment.budget == 12
@@ -291,12 +298,12 @@ def test_run_grid_baseline_budget_is_the_row_count(toy):
 
 def test_run_grid_skips_oversized_budgets(toy):
     grid = GridSpec(arms=(("random", "exploit"),), budgets=(6, 99), repeats=1)
-    results = run_grid([toy], grid)
+    results = completed(run_grid([toy], grid))
     assert [r.treatment.budget for r in results] == [6]
 
 
 def test_run_grid_results_are_sorted(toy):
-    records = [r.to_record() for r in run_grid([toy], SMALL_GRID)]
+    records = [r.to_record() for r in completed(run_grid([toy], SMALL_GRID))]
     keys = [(r["dataset"], r["start"], r["acquire"], r["budget"], r["repeat"])
             for r in records]
     assert keys == sorted(keys)
@@ -305,11 +312,28 @@ def test_run_grid_results_are_sorted(toy):
 def test_run_grid_reports_failures_without_dying(toy):
     grid = GridSpec(arms=(("llm", "exploit"), ("random", "random")),
                     budgets=(6,), repeats=2)
-    errors = []
-    results = run_grid([toy], grid, synthesizer=None,
-                       on_error=lambda ds, t, rep, exc: errors.append(
-                           (ds.name, t.start, rep, str(exc))))
-    assert len(errors) == 2  # both llm repeats, no synthesizer to call
-    assert all(r.treatment.start == "random" for r in results)
-    with pytest.raises(ValueError):
-        run_grid([toy.fresh()], grid, synthesizer=None)
+    out = run_grid([toy], grid, synthesizer=None)
+    # both llm repeats fail, in run order: there is no synthesizer to call
+    assert out.failures == [
+        f"run failed: toy llm/exploit budget=6 repeat={rep}: "
+        "llm start needs a synthesizer" for rep in (0, 1)]
+    assert out.events == []
+    assert [(r.treatment.start, r.repeat) for r in out.results] == [
+        ("random", 0), ("random", 1)]
+
+
+def test_run_grid_returns_events_and_failures_in_run_order(toy):
+    grid = GridSpec(arms=(("llm", "exploit"),), budgets=(6,), repeats=2)
+    outs = [run_grid([toy.fresh()], grid, synthesizer=SlowFirstBrokenSynth(),
+                     jobs=jobs) for jobs in (1, 2)]
+    for out in outs:
+        assert out.results == []
+        assert out.failures == [
+            f"run failed: toy llm/exploit budget=6 repeat={rep}: "
+            "synthesizer broke" for rep in (0, 1)]
+        # a run that fails partway keeps what it logged, stamped with its keys
+        assert [(e["repeat"], e["seq"], e["event"]) for e in out.events] == [
+            (0, 0, "request"), (1, 0, "request")]
+        assert list(out.events[0])[:6] == [
+            "dataset", "start", "acquire", "budget", "repeat", "seq"]
+    assert outs[0] == outs[1]
