@@ -26,8 +26,9 @@ class ConfigError(ValueError):
 def parse_arms(spec: str) -> tuple[tuple[str, str], ...]:
     """Treatment list syntax: comma-separated `start/acquire` items.
 
-    `baseline` and `random` stand alone; every other arm is `llm/...` or
-    `random/...` with an acquisition from the known set.
+    `baseline` and `random` stand alone (`random/random` is the same arm);
+    every other arm is `llm/...` or `random/...` with an acquisition from
+    the known set.
     """
     arms = []
     for item in spec.split(","):
@@ -48,6 +49,8 @@ def parse_arms(spec: str) -> tuple[tuple[str, str], ...]:
             raise ConfigError(f"unknown start {start!r} in treatment {item!r}")
         if acquire not in ARM_ACQUIRES:
             raise ConfigError(f"unknown acquire {acquire!r} in treatment {item!r}")
+        if acquire == "random" and start != "random":
+            raise ConfigError(f"random selection takes no start: {item!r}")
         arms.append((start, acquire))
     for arm in arms:
         if arms.count(arm) > 1:
@@ -159,6 +162,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                                             key_env=args.key_env)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+    elif args.endpoint or args.model:
+        raise ConfigError("--endpoint and --model need --synth remote")
     else:
         synthesizer = MockSynthesizer()
 

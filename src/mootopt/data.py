@@ -27,6 +27,7 @@ from __future__ import annotations
 import copy
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, TextIO, Union
@@ -312,14 +313,17 @@ def _column_stats(col: ColumnSpec, cells: list[Cell]) -> ColumnStats:
         # numpy's mean of a constant column can miss it by an ulp; its sd is 0.
         return NumStats(lo=lo, hi=hi, median=float(np.median(vals)),
                         sd=float(vals.std()) if lo < hi else 0.0, n=len(vals))
-    freq: dict[str, int] = {}
-    for v in cells:
-        if v is not None:
-            freq[str(v)] = freq.get(str(v), 0) + 1
+    freq = dict(Counter(str(v) for v in cells if v is not None))
     if not freq:
         return SymStats()
-    mode = min((k for k, c in freq.items() if c == max(freq.values())))
-    return SymStats(mode=mode, freq=freq, n=sum(freq.values()))
+    return SymStats(mode=mode(freq), freq=freq, n=sum(freq.values()))
+
+
+def mode(freq: dict[str, int]) -> str:
+    """The most frequent symbol of a non-empty count table; ties go to
+    the lowest string."""
+    top = max(freq.values())
+    return min(k for k, c in freq.items() if c == top)
 
 
 def load_csv(source: Union[str, Path, TextIO], name: Optional[str] = None) -> Dataset:

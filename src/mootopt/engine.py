@@ -35,7 +35,7 @@ from . import gp, likelihood
 from .data import Dataset, sample_ids
 # chebyshev stays bound here because perfbench/tracer.py counts calls by it.
 from .objective import chebyshev, reveal, split  # noqa: F401
-from .warmstart import LogFn, Synthesizer, cold_start, warm_start
+from .warmstart import LogFn, Synthesizer, cold_start, ignore, warm_start
 
 TPE_ACQUIRES = likelihood.ACQUIRES
 GP_ACQUIRES = gp.ACQUIRES
@@ -89,7 +89,7 @@ def _trace(work: Dataset) -> tuple[list[tuple[int, float]], float]:
 
 
 def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
-               seed: int, log: Optional[LogFn] = None) -> RunResult:
+               seed: int, log: LogFn = ignore) -> RunResult:
     """One surrogate-guided run under a hard label budget."""
     if t.acquire not in ACTIVE_ACQUIRES:
         raise ValueError(f"run_active cannot handle acquire={t.acquire!r}")
@@ -111,8 +111,7 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
     while work.evaluations < t.budget:
         pool = work.unlabeled_ids()
         if len(pool) == 0:
-            if log:
-                log({"event": "pool_exhausted", "evals": work.evaluations})
+            log({"event": "pool_exhausted", "evals": work.evaluations})
             break
         labeled = work.labeled_ids()
         if t.acquire in TPE_ACQUIRES:
@@ -266,7 +265,8 @@ def _run_one(ds: Dataset, t: Treatment, repeat: int, grid: GridSpec,
         result.repeat = repeat
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         failure = (f"run failed: {ds.name} {t.start}/{t.acquire} "
-                   f"budget={t.budget} repeat={repeat}: {exc}")
+                   f"budget={t.budget} repeat={repeat}: "
+                   f"{type(exc).__name__}: {exc}")
     stamped = [{"dataset": ds.name, "start": t.start, "acquire": t.acquire,
                 "budget": t.budget, "repeat": repeat, "seq": seq, **event}
                for seq, event in enumerate(events)]

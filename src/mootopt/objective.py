@@ -73,7 +73,9 @@ def split(labeled, ds: Dataset) -> BestRestSplit:
     """Partition labeled rows (Row objects or ids) into best and rest Rows.
 
     The one place ids become Rows: the engine splits its labeled ids, and
-    the warm start splits the Rows its prompt renders. Best is the first round(sqrt(N)) rows by ascending chebyshev. Ties at
+    the warm start splits the Rows its prompt renders.
+
+    Best is the first round(sqrt(N)) rows by ascending chebyshev. Ties at
     the boundary break by ascending row id, so repeated calls on the same
     rows agree exactly.
     """

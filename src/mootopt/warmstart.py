@@ -6,7 +6,7 @@ column metadata, tagged examples, task), ask a synthesizer for two better
 and two poorer examples, parse its markdown reply, then map each synthetic
 row onto its nearest unlabeled real row and label that. A deterministic
 mock synthesizer makes the whole path runnable offline; a remote client
-speaks a minimal provider-agnostic chat contract.
+speaks the OpenAI chat-completions contract.
 
 The prompt side works on Rows, because it renders their cells: the cold
 start returns Rows, and the prompt and the synthesizers read them. The
@@ -20,22 +20,21 @@ import math
 import os
 import random
 import re
-import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 import numpy as np
 
 from .data import (MISSING, NUMERIC, Cell, Dataset, NumStats, Row,
-                   encode_cells, format_cell, sample_ids)
+                   encode_cells, format_cell, mode, sample_ids)
 from .objective import chebyshev, split
 
 BETTER = "better"
 POORER = "poorer"
 
 RETRY_WAITS = (1.0, 2.0)  # seconds slept before each extra synthesizer attempt
-MAX_CONCURRENT = 4  # requests one RemoteSynthesizer keeps in flight at once
 REQUEST_TIMEOUT = 60.0  # seconds one RemoteSynthesizer request may take
 DEFAULT_KEY_ENV = "MOOTOPT_API_KEY"  # environment variable holding the API key
 
@@ -93,6 +92,10 @@ class WarmStartResult:
 LogFn = Callable[[dict], None]
 
 
+def ignore(event: dict) -> None:
+    """The default LogFn: drop the event."""
+
+
 def cold_start(ds: Dataset, b0: int, rng: random.Random) -> list[Row]:
     """Label b0 distinct unlabeled rows uniformly at random."""
     pool = ds.unlabeled_ids()
@@ -119,11 +122,11 @@ def _fmt_stat(v: float) -> str:
 
 
 def _meta_table(ds: Dataset) -> str:
+    """Whole-file stats of the x columns. Goal columns stay out: their
+    stats would show goal values of rows no run has labeled."""
     body = []
-    for col in ds.columns:
+    for col in ds.x_cols:
         st = ds.stats[col.index]
-        if st is None:
-            continue
         if isinstance(st, NumStats):
             stats = (f"lo={_fmt_stat(st.lo)}, hi={_fmt_stat(st.hi)}, "
                      f"median={_fmt_stat(st.median)}, sd={_fmt_stat(st.sd)}")
@@ -236,41 +239,34 @@ def parse_response(text: str, ds: Dataset) -> list[SyntheticRow]:
 
 # -- synthesizers ------------------------------------------------------------
 
-def _class_numeric_mean(rows: list[Row], pos: int) -> Optional[float]:
-    vals = [float(r.x[pos]) for r in rows if r.x[pos] is not None]
-    return sum(vals) / len(vals) if vals else None
+def _center(rows: list[Row], ds: Dataset) -> list[Cell]:
+    """Per x column, the mean of rows' numeric cells or the mode of their
+    symbols; None where every cell is missing."""
+    center: list[Cell] = []
+    for pos, col in enumerate(ds.x_cols):
+        vals = [r.x[pos] for r in rows if r.x[pos] is not None]
+        if not vals:
+            center.append(None)
+        elif col.kind == NUMERIC:
+            center.append(sum(float(v) for v in vals) / len(vals))
+        else:
+            center.append(mode(Counter(str(v) for v in vals)))
+    return center
 
 
-def _class_mode(rows: list[Row], pos: int) -> Optional[str]:
-    freq: dict[str, int] = {}
-    for r in rows:
-        v = r.x[pos]
-        if v is not None:
-            freq[str(v)] = freq.get(str(v), 0) + 1
-    if not freq:
-        return None
-    top = max(freq.values())
-    return min(k for k, c in freq.items() if c == top)
-
-
-def _interpolated(source: Row, toward: list[Row], ds: Dataset, claim: str,
-                  fractions: tuple[float, float]) -> list[SyntheticRow]:
+def _interpolated(source: Row, toward: list[Row], ds: Dataset,
+                  claim: str) -> list[SyntheticRow]:
+    center = _center(toward, ds)
     out = []
-    for f in fractions:
+    for f in (0.1, 0.2):
         cells: list[Cell] = []
-        for pos, col in enumerate(ds.x_cols):
-            v = source.x[pos]
-            if col.kind == NUMERIC:
-                mean = _class_numeric_mean(toward, pos)
-                if mean is None:
-                    cells.append(v)
-                elif v is None:
-                    cells.append(mean)
-                else:
-                    cells.append(float(v) + f * (mean - float(v)))
+        for col, v, c in zip(ds.x_cols, source.x, center):
+            if c is None:
+                cells.append(v)
+            elif col.kind != NUMERIC or v is None:
+                cells.append(c)
             else:
-                mode = _class_mode(toward, pos)
-                cells.append(mode if mode is not None else v)
+                cells.append(float(v) + f * (c - float(v)))
         out.append(SyntheticRow(cells=tuple(cells), claim=claim))
     return out
 
@@ -285,10 +281,8 @@ def mock_synthesize(e0: list[Row], ds: Dataset) -> list[SyntheticRow]:
     either endpoint.
     """
     parts = split(e0, ds)
-    top = parts.best[0]
-    bottom = parts.rest[-1]
-    return (_interpolated(top, parts.best, ds, BETTER, (0.1, 0.2))
-            + _interpolated(bottom, parts.rest, ds, POORER, (0.1, 0.2)))
+    return (_interpolated(parts.best[0], parts.best, ds, BETTER)
+            + _interpolated(parts.rest[-1], parts.rest, ds, POORER))
 
 
 class MockSynthesizer:
@@ -302,33 +296,15 @@ class MockSynthesizer:
 
 
 def extract_completion(payload: object) -> str:
-    """Fish the completion text out of the few common response shapes."""
-    if isinstance(payload, str):
-        return payload
-    if isinstance(payload, dict):
-        choices = payload.get("choices")
-        if isinstance(choices, list) and choices:
-            first = choices[0]
-            if isinstance(first, dict):
-                msg = first.get("message")
-                if isinstance(msg, dict) and isinstance(msg.get("content"), str):
-                    return msg["content"]
-                if isinstance(first.get("text"), str):
-                    return first["text"]
-        content = payload.get("content")
-        if isinstance(content, str):
-            return content
-        if isinstance(content, list) and content:
-            first = content[0]
-            if isinstance(first, dict) and isinstance(first.get("text"), str):
-                return first["text"]
-        msg = payload.get("message")
-        if isinstance(msg, dict) and isinstance(msg.get("content"), str):
-            return msg["content"]
-        for key in ("completion", "text", "output"):
-            if isinstance(payload.get(key), str):
-                return payload[key]
-    raise SynthesisError(f"no completion text found in response: {payload!r:.200}")
+    """The reply text of a chat-completions response body:
+    `choices[0].message.content`."""
+    try:
+        text = payload["choices"][0]["message"]["content"]  # type: ignore[index]
+    except (KeyError, IndexError, TypeError):
+        text = None
+    if not isinstance(text, str):
+        raise SynthesisError(f"no completion text found in response: {payload!r:.200}")
+    return text
 
 
 class RemoteSynthesizer:
@@ -347,7 +323,6 @@ class RemoteSynthesizer:
         self.endpoint = endpoint
         self.model = model
         self._key = key
-        self._gate = threading.BoundedSemaphore(MAX_CONCURRENT)
 
     def __call__(self, bundle: PromptBundle, e0: list[Row], ds: Dataset) -> str:
         import requests
@@ -355,10 +330,9 @@ class RemoteSynthesizer:
         payload = {"model": self.model,
                    "messages": [{"role": role, "content": content}
                                 for role, content in bundle.messages()]}
-        with self._gate:
-            resp = requests.post(
-                self.endpoint, json=payload, timeout=REQUEST_TIMEOUT,
-                headers={"Authorization": f"Bearer {self._key}"})
+        resp = requests.post(
+            self.endpoint, json=payload, timeout=REQUEST_TIMEOUT,
+            headers={"Authorization": f"Bearer {self._key}"})
         resp.raise_for_status()
         return extract_completion(resp.json())
 
@@ -376,22 +350,17 @@ def squared_distances(e1: list[SyntheticRow], ids: np.ndarray,
     """
     views = ds.x_views()
     s_num, s_sym = encode_cells([sr.cells for sr in e1], ds, views)
-    n_num = s_num.shape[1]
     pool_num = views["XT_num"].take(ids, axis=1)  # C order, unlike [:, ids]
     pool_sym = views["X_sym"][ids].T
-    # One C-ordered (column, pool row) block of terms per synthetic row.
-    # Reducing its first axis adds the columns one at a time, numeric then
+    gap = pool_num - s_num[:, :, None]
+    code = s_sym[:, :, None]
+    # One C-ordered (synthetic row, column, pool row) block of terms.
+    # Reducing its middle axis adds the columns one at a time, numeric then
     # symbolic; any other memory order lets numpy sum pairwise, which moves
     # the last bits and with them, on near ties, the mapped rows.
-    terms = np.empty((n_num + s_sym.shape[1], len(ids)))
-    d2 = np.empty((len(e1), len(ids)))
-    for i in range(len(e1)):
-        gap = pool_num - s_num[i, :, None]
-        code = s_sym[i, :, None]
-        terms[:n_num] = np.where(np.isnan(gap), 1.0, gap * gap)
-        terms[n_num:] = (pool_sym != code) | (code < 0)
-        d2[i] = terms.sum(axis=0)
-    return d2
+    terms = np.concatenate((np.where(np.isnan(gap), 1.0, gap * gap),
+                            (pool_sym != code) | (code < 0)), axis=1)
+    return terms.sum(axis=1)
 
 
 def map_to_pool(e1: list[SyntheticRow], pool: np.ndarray,
@@ -410,8 +379,7 @@ def map_to_pool(e1: list[SyntheticRow], pool: np.ndarray,
 
 
 def warm_start(ds: Dataset, b0: int, budget: int, synthesizer: Synthesizer,
-               rng: random.Random,
-               log: Optional[LogFn] = None) -> WarmStartResult:
+               rng: random.Random, log: LogFn = ignore) -> WarmStartResult:
     """Cold start, then synthesize/parse/map/label; cold rows alone on failure.
 
     The synthesizer gets one extra attempt per RETRY_WAITS entry, each after
@@ -433,21 +401,17 @@ def warm_start(ds: Dataset, b0: int, budget: int, synthesizer: Synthesizer,
         if wait:
             time.sleep(wait)
         try:
-            if log:
-                log({"event": "request", "attempt": attempt,
-                     "messages": [{"role": r, "content": c}
-                                  for r, c in bundle.messages()]})
+            log({"event": "request", "attempt": attempt,
+                 "messages": [{"role": r, "content": c}
+                              for r, c in bundle.messages()]})
             text = synthesizer(bundle, ranked, ds)
-            if log:
-                log({"event": "response", "attempt": attempt, "text": text})
+            log({"event": "response", "attempt": attempt, "text": text})
             synth = parse_response(text, ds)
             break
         except (SynthesisError, OSError, ValueError) as exc:
-            if log:
-                log({"event": "error", "attempt": attempt, "error": str(exc)})
+            log({"event": "error", "attempt": attempt, "error": str(exc)})
     if synth is None:
-        if log:
-            log({"event": "fallback"})
+        log({"event": "fallback"})
         return WarmStartResult(fallback=True)
     pool = ds.unlabeled_ids()
     if len(pool):

@@ -40,6 +40,7 @@ def test_parse_arms_standalone_words():
     ",,,",
     "random/exploit,random/exploit",   # a repeated arm
     "random,baseline,random/random",   # the same arm spelled two ways
+    "llm/random",          # random selection takes no start
 ])
 def test_parse_arms_rejects_bad_specs(spec):
     with pytest.raises(ConfigError):
@@ -62,6 +63,10 @@ def test_parse_arms_rejects_bad_specs(spec):
     ["run", "--data", str(MALFORMED / "header_only.csv")],
     ["run", "--data", TOY, "--treatments", "random/exploit,random/exploit,baseline"],
     ["run", "--data", TOY, "--budgets", "10,10"],
+    ["run", "--data", TOY, "--treatments", "llm/exploit", "--budgets", "10",
+     "--repeats", "1", "--endpoint", "https://api.example/v1/chat/completions"],
+    ["run", "--data", TOY, "--treatments", "llm/exploit", "--budgets", "10",
+     "--repeats", "1", "--model", "gpt-x"],             # no --synth remote
 ])
 def test_bad_configurations_exit_2(argv, tmp_path, monkeypatch):
     monkeypatch.delenv("MOOTOPT_API_KEY", raising=False)
@@ -194,7 +199,7 @@ def test_failures_are_listed_in_run_order_at_any_job_count(tmp_path, monkeypatch
     still list the failures in run order, after the grid has ended."""
     monkeypatch.setattr(cli, "MockSynthesizer", SlowFirstBrokenSynth)
     want = [f"run failed: toy llm/exploit budget=10 repeat={rep}: "
-            "synthesizer broke" for rep in (0, 1)]
+            "TypeError: synthesizer broke" for rep in (0, 1)]
     for jobs in ("1", "2"):
         out = tmp_path / f"run{jobs}"
         assert main(["run", "--data", TOY, "--treatments", "llm/exploit",

@@ -1,6 +1,9 @@
 """Run orchestration: budgets, traces, seeds, and the treatment grid."""
 
 import statistics
+import sys
+import threading
+import types
 
 import pytest
 
@@ -11,7 +14,8 @@ from mootopt.engine import (DEFAULT_ARMS, GridSpec, Treatment,
                             run_baseline, run_grid, run_random)
 from mootopt.objective import chebyshev
 from mootopt.report import improvement_curve_csv
-from mootopt.warmstart import MockSynthesizer
+from mootopt.warmstart import (MockSynthesizer, RemoteSynthesizer,
+                               SyntheticRow, render_synthetic)
 
 
 def test_default_grid_is_nine_arms():
@@ -316,7 +320,7 @@ def test_run_grid_reports_failures_without_dying(toy):
     # both llm repeats fail, in run order: there is no synthesizer to call
     assert out.failures == [
         f"run failed: toy llm/exploit budget=6 repeat={rep}: "
-        "llm start needs a synthesizer" for rep in (0, 1)]
+        "ValueError: llm start needs a synthesizer" for rep in (0, 1)]
     assert out.events == []
     assert [(r.treatment.start, r.repeat) for r in out.results] == [
         ("random", 0), ("random", 1)]
@@ -330,10 +334,46 @@ def test_run_grid_returns_events_and_failures_in_run_order(toy):
         assert out.results == []
         assert out.failures == [
             f"run failed: toy llm/exploit budget=6 repeat={rep}: "
-            "synthesizer broke" for rep in (0, 1)]
+            "TypeError: synthesizer broke" for rep in (0, 1)]
         # a run that fails partway keeps what it logged, stamped with its keys
         assert [(e["repeat"], e["seq"], e["event"]) for e in out.events] == [
             (0, 0, "request"), (1, 0, "request")]
         assert list(out.events[0])[:6] == [
             "dataset", "start", "acquire", "budget", "repeat", "seq"]
     assert outs[0] == outs[1]
+
+
+def test_failure_messages_name_the_exception_type(toy):
+    """An exception with an empty message still says what went wrong."""
+    def silent(bundle, ranked, ds):
+        raise threading.BrokenBarrierError
+
+    grid = GridSpec(arms=(("llm", "exploit"),), budgets=(6,), repeats=1)
+    out = run_grid([toy], grid, synthesizer=silent)
+    assert out.failures == [
+        "run failed: toy llm/exploit budget=6 repeat=0: BrokenBarrierError: "]
+
+
+def test_remote_requests_in_flight_are_bounded_by_jobs_alone(toy, monkeypatch):
+    """Six jobs keep six requests in flight. Each fake request waits until
+    all six have arrived, so any cap below the job count would break the
+    barrier and fail the runs."""
+    monkeypatch.setenv("MOOTOPT_API_KEY", "sk-test")
+    reply = render_synthetic([SyntheticRow(toy.rows[0].x, "better"),
+                              SyntheticRow(toy.rows[1].x, "poorer")], toy)
+    barrier = threading.Barrier(6, timeout=10)
+
+    def fake_post(url, json=None, timeout=None, headers=None):
+        barrier.wait()
+        return types.SimpleNamespace(
+            raise_for_status=lambda: None,
+            json=lambda: {"choices": [{"message": {"content": reply}}]})
+
+    monkeypatch.setitem(sys.modules, "requests",
+                        types.SimpleNamespace(post=fake_post))
+    synth = RemoteSynthesizer("https://api.example/v1/chat/completions", "model-x")
+    grid = GridSpec(arms=(("llm", "exploit"),), budgets=(10,), repeats=6)
+    out = run_grid([toy], grid, synthesizer=synth, jobs=6)
+    assert out.failures == []
+    assert [r.repeat for r in out.results] == list(range(6))
+    assert not any(r.warm_fallback for r in out.results)

@@ -63,6 +63,17 @@ def test_prompt_meta_table_summarizes_columns(toy):
     assert "sd=" in bundle.system
 
 
+def test_prompt_metadata_lists_x_columns_only(auto93):
+    """Goal columns stay out of the system prompt: their whole-file stats
+    would show goal values of rows no run has labeled."""
+    system = build_prompt(cold_start(auto93, 4, random.Random(2)), auto93).system
+    assert [c.name for c in auto93.y_cols] == ["Lbs-", "Acc+", "Mpg+"]
+    for col in auto93.y_cols:
+        assert col.name not in system
+    for col in auto93.x_cols:
+        assert f"| {col.name} |" in system
+
+
 def test_prompt_examples_tag_best_and_rest(toy):
     e0 = cold_start(toy, 4, random.Random(2))
     ranked = sorted(e0, key=lambda r: (chebyshev(r, toy), r.id))
@@ -540,7 +551,13 @@ def test_remote_failures_count_as_failed_attempts(stage, exc, monkeypatch, toy,
     ({"output": "H"}, "H"),
 ])
 def test_extract_completion_common_shapes(payload, want):
-    assert extract_completion(payload) == want
+    """Only the chat-completions shape, choices[0].message.content, is read;
+    every other shape raises SynthesisError, which costs one attempt."""
+    if payload == {"choices": [{"message": {"content": want}}]}:
+        assert extract_completion(payload) == want
+    else:
+        with pytest.raises(SynthesisError):
+            extract_completion(payload)
 
 
 def test_extract_completion_rejects_junk():
