@@ -14,7 +14,8 @@ the order they were labeled. `fresh()` hands each run a new mask and
 order, so runs never see each other's labels.
 
 Inside the label loop a row is its id. `Row` objects, which carry cells,
-serve only the warm start's prompt side and the best/rest split.
+serve only the warm start's prompt side; a best/rest split builds them
+only when its halves are read as Rows.
 
 `normalize` and `encode_cells` are the one rule that turns cells into
 numbers: min-max scaled numerics and alphabet codes for symbols. The
@@ -238,6 +239,12 @@ class Dataset:
           XT_num      X_num transposed into C order, one row per column
           num_missing (n_num,) True for columns with a missing cell
           X_sym       (n_rows, n_sym) alphabet codes, -1 where missing
+          sym_edges   (n_sym + 1,) start of each symbolic column's alphabet in
+                      one flat code space over all of them; the last edge,
+                      n_slots, is a slot for missing cells
+          sym_sizes   (n_sym,) alphabet size per symbolic column
+          XT_sym      (n_sym, n_rows) flat codes in C order, one row per
+                      column, n_slots where missing
         Only x values feed these views, so using them never leaks labels.
         """
         return self.cached("x_views", _build_x_views)
@@ -284,8 +291,14 @@ def _build_x_views(ds: Dataset) -> dict:
               "alphabets": [sorted(ds.col_stats(ds.x_cols[p]).freq) for p in sym_pos]}
     X_num, X_sym = encode_cells([row.x for row in ds.rows], ds, layout)
     XT_num = np.ascontiguousarray(X_num.T)
+    sizes = np.array([len(a) for a in layout["alphabets"]], dtype=np.intp)
+    edges = np.concatenate(([0], np.cumsum(sizes)))
+    XT_sym = np.where(X_sym.T >= 0, X_sym.T + edges[:-1, None], edges[-1])
     return {**layout, "X_num": X_num, "XT_num": XT_num,
-            "num_missing": np.isnan(XT_num).any(axis=1), "X_sym": X_sym}
+            "num_missing": np.isnan(XT_num).any(axis=1), "X_sym": X_sym,
+            "sym_edges": edges,
+            "sym_sizes": sizes,
+            "XT_sym": np.ascontiguousarray(XT_sym)}
 
 
 def _parse_cell(raw: str, col: ColumnSpec, row_no: int) -> Cell:

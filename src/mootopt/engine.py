@@ -6,9 +6,10 @@ budget of labels, and reports the best (lowest) chebyshev seen. The two
 surrogate families share one loop: refit on every labeled row after each
 new label, score the unlabeled pool, label the argmax. Inside the loop a
 row is its id: the labeled set and the pool are id arrays read off the
-mask, the acquisitions return the id to label, and scores come from the
-table's cached chebyshev vector through `objective.reveal`. Row objects
-appear only in the best/rest split and the warm start's prompt.
+mask, the best/rest split hands the fit id halves, the acquisitions
+return the id to label, and scores come from the table's cached
+chebyshev vector through `objective.reveal`. Row objects appear only on
+the warm start's prompt side.
 
 Runs are anytime: the budget only stops the loop, and a run's seed does
 not depend on it, so a budget-b run labels exactly the first b rows of

@@ -14,7 +14,7 @@ has not labeled, so no caller can see a goal it has not paid for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def reveal(ids, ds: Dataset):
     Raises ValueError if any of the rows is unlabeled.
     """
     hidden = ~ds.is_labeled(ids)
-    if np.any(hidden):
+    if hidden.any():
         first = ids if np.ndim(ids) == 0 else np.asarray(ids)[hidden][0]
         raise ValueError(f"row {first} is unlabeled; its goal values are hidden")
     return ds.cached(_SCORES, _score_vector)[ids]
@@ -54,14 +54,28 @@ def chebyshev(row: Row, ds: Dataset) -> float:
     return float(reveal(row.id, ds))
 
 
-@dataclass
+@dataclass(eq=False)
 class BestRestSplit:
-    best: list[Row]  # ascending chebyshev
-    rest: list[Row]
+    """Labeled ids in ascending chebyshev; the first k are best.
+
+    The fit reads the two halves as ids. `best` and `rest` build their
+    Rows on request, for the warm start, which renders cells.
+    """
+    ranked: np.ndarray
+    k: int
+    rows: list[Row] = field(repr=False)  # the table's rows, to build Rows from
+
+    @property
+    def best(self) -> list[Row]:
+        return [self.rows[i] for i in self.ranked[:self.k]]
+
+    @property
+    def rest(self) -> list[Row]:
+        return [self.rows[i] for i in self.ranked[self.k:]]
 
     @property
     def n(self) -> int:
-        return len(self.best) + len(self.rest)
+        return len(self.ranked)
 
 
 def best_size(n: int) -> int:
@@ -70,10 +84,10 @@ def best_size(n: int) -> int:
 
 
 def split(labeled, ds: Dataset) -> BestRestSplit:
-    """Partition labeled rows (Row objects or ids) into best and rest Rows.
+    """Partition labeled rows (Row objects or ids) into best and rest ids.
 
-    The one place ids become Rows: the engine splits its labeled ids, and
-    the warm start splits the Rows its prompt renders.
+    The engine splits its labeled ids and fits on the id halves; the warm
+    start splits the Rows its prompt renders and reads the halves as Rows.
 
     Best is the first round(sqrt(N)) rows by ascending chebyshev. Ties at
     the boundary break by ascending row id, so repeated calls on the same
@@ -82,6 +96,5 @@ def split(labeled, ds: Dataset) -> BestRestSplit:
     if len(labeled) < 2:
         raise ValueError(f"need at least 2 labeled rows to split, got {len(labeled)}")
     ids = row_ids(labeled)
-    ranked = [ds.rows[i] for i in ids[np.lexsort((ids, reveal(ids, ds)))]]
-    k = best_size(len(ranked))
-    return BestRestSplit(best=ranked[:k], rest=ranked[k:])
+    ranked = ids[np.lexsort((ids, reveal(ids, ds)))]
+    return BestRestSplit(ranked=ranked, k=best_size(len(ranked)), rows=ds.rows)

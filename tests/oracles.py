@@ -1,20 +1,20 @@
 """Reference forms of the vectorized code in src/mootopt, for tests.
 
-The package scores whole pools and whole tables at once. Most forms here
-work one row, one column at a time, so tests can check the vectorized
-paths against a formula that is easy to read; score_pool keeps the plain
-expression that the package's in-place pool scoring must match bit for
-bit. Nothing in the package imports this module.
+The package scores whole tables at once. Most forms here work one row,
+one column at a time, so tests can check the vectorized paths against a
+formula that is easy to read; score_pool keeps the plain expression whose
+entries the package's in-place table scoring must match bit for bit.
+Nothing in the package imports this module.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from mootopt import gp
 from mootopt.data import MAXIMIZE, NUMERIC, ColumnSpec, Dataset, NumStats, Row
-from mootopt.likelihood import (EPS_DIV, LOG_SQRT_2PI, SD_FLOOR, ClassStats,
-                                TwoClassModel)
+from mootopt.likelihood import EPS_DIV, LOG_SQRT_2PI, SD_FLOOR, TwoClassModel
 
 
 # -- cell encoding and distance ----------------------------------------------------
@@ -98,10 +98,9 @@ def chebyshev(row: Row, ds: Dataset) -> float:
 
 # -- naive Bayes -------------------------------------------------------------------
 
-def class_numeric_stats(rows: list[Row], views: dict) -> tuple[np.ndarray, np.ndarray]:
+def class_numeric_stats(ids: np.ndarray, views: dict) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and floored sd of a class, one column at a time."""
     num_pos = views["num_pos"]
-    ids = np.array([r.id for r in rows], dtype=np.int64)
     xn = views["X_num"][ids] if num_pos else np.empty((len(ids), 0))
     mean = np.full(len(num_pos), np.nan)
     sd = np.full(len(num_pos), SD_FLOOR)
@@ -114,26 +113,36 @@ def class_numeric_stats(rows: list[Row], views: dict) -> tuple[np.ndarray, np.nd
     return mean, sd
 
 
-def _log_like_row(cs: ClassStats, m: TwoClassModel, ds: Dataset, i: int) -> float:
+def class_symbol_counts(ids: np.ndarray, ds: Dataset) -> tuple[list[dict], list[int]]:
+    """Per symbolic column of a class: counts of each symbol, and the
+    number of cells that are not missing, one row at a time."""
+    sym_pos = ds.x_views()["sym_pos"]
+    counts = [Counter(ds.rows[i].x[p] for i in ids if ds.rows[i].x[p] is not None)
+              for p in sym_pos]
+    return counts, [sum(c.values()) for c in counts]
+
+
+def _log_like_row(m: TwoClassModel, c: int, ds: Dataset, i: int) -> float:
+    """Class c's (0 best, 1 rest) log prior plus log likelihood of row i."""
     views, row = m.views, ds.rows[i]
-    lp = math.log(cs.prior)
+    lp = math.log(m.prior[c])
     for j, p in enumerate(views["num_pos"]):
         v = row.x[p]
-        if v is None or math.isnan(cs.num_mean[j]):
+        mean, sd = m.num_mean[c, j], m.num_sd[c, j]
+        if v is None or math.isnan(mean):
             continue  # missing cell (or no class data) contributes factor 1
         z = norm(ds.x_cols[p], float(v), ds)
-        sd = cs.num_sd[j]
-        lp += -0.5 * ((z - cs.num_mean[j]) / sd) ** 2 - math.log(sd) - LOG_SQRT_2PI
+        lp += -0.5 * ((z - mean) / sd) ** 2 - math.log(sd) - LOG_SQRT_2PI
     for j, p in enumerate(views["sym_pos"]):
         v = row.x[p]
         if v is None:
-            continue
+            continue  # a missing cell, so every cell of an empty alphabet, adds 0
         alphabet = views["alphabets"][j]
         try:
-            count = cs.sym_counts[j][alphabet.index(v)]
+            count = m.sym_counts[c, views["sym_edges"][j] + alphabet.index(v)]
         except ValueError:
             count = 0.0  # value unseen at load
-        lp += math.log((count + 1.0) / (cs.sym_n[j] + len(alphabet)))
+        lp += math.log((count + 1.0) / (m.sym_n[c, j] + len(alphabet)))
     return lp
 
 
@@ -143,8 +152,8 @@ def likes(m: TwoClassModel, ds: Dataset, i: int) -> tuple[float, float]:
     The shared max log is subtracted before exponentiating, so at least one
     of the returned values is exactly 1 and both are finite.
     """
-    lb = _log_like_row(m.best, m, ds, i)
-    lr = _log_like_row(m.rest, m, ds, i)
+    lb = _log_like_row(m, 0, ds, i)
+    lr = _log_like_row(m, 1, ds, i)
     top = max(lb, lr)
     return math.exp(lb - top), math.exp(lr - top)
 
@@ -154,25 +163,31 @@ def score_pool(m: TwoClassModel, ids: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Not a scalar form: its float operations, and the memory order that
     fixes numpy's summation order, are the ones the package's in-place
-    version must reproduce bit for bit.
+    table scoring must reproduce bit for bit. Boolean column indexing
+    leaves the numeric terms in F order, so each row's sum runs left to
+    right.
     """
-    def log_like(cs: ClassStats) -> np.ndarray:
+    def log_like(c: int) -> np.ndarray:
         views = m.views
-        lp = np.full(len(ids), math.log(cs.prior))
+        lp = np.full(len(ids), math.log(m.prior[c]))
         xn = views["X_num"][ids]
-        usable = ~np.isnan(cs.num_mean)
+        usable = ~np.isnan(m.num_mean[c])
         if usable.any():
             xn = xn[:, usable]
-            mean, sd = cs.num_mean[usable], cs.num_sd[usable]
+            mean, sd = m.num_mean[c, usable], m.num_sd[c, usable]
             terms = -0.5 * ((xn - mean) / sd) ** 2 - np.log(sd) - LOG_SQRT_2PI
             lp += np.where(np.isnan(xn), 0.0, terms).sum(axis=1)
+        edges = views["sym_edges"]
         for j, alphabet in enumerate(views["alphabets"]):
+            if not alphabet:
+                continue  # no cell of the column was observed: it adds nothing
             codes = views["X_sym"][ids, j]
-            logp = np.log((cs.sym_counts[j] + 1.0) / (cs.sym_n[j] + len(alphabet)))
+            counts = m.sym_counts[c, edges[j]:edges[j + 1]]
+            logp = np.log((counts + 1.0) / (m.sym_n[c, j] + len(alphabet)))
             lp += np.where(codes >= 0, logp[np.maximum(codes, 0)], 0.0)
         return lp
 
-    lb, lr = log_like(m.best), log_like(m.rest)
+    lb, lr = log_like(0), log_like(1)
     top = np.maximum(lb, lr)
     return np.exp(lb - top), np.exp(lr - top)
 

@@ -269,11 +269,16 @@ def test_x_views_cache_shapes(toy):
 @pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.csv")))
 def test_x_views_match_the_cell_by_cell_encoding(name):
     """The encoder's views equal norm() and alphabet.index() applied cell
-    by cell, bit for bit, in the memory order the surrogates' sums rely on."""
+    by cell, bit for bit, in the memory order the surrogates' sums rely on.
+    The flat symbol codes number every column's alphabet in turn, and a
+    missing cell takes the slot after the last symbol."""
     ds = shipped(name)
     views = ds.x_views()
+    sizes = [len(a) for a in views["alphabets"]]
+    starts = [sum(sizes[:j]) for j in range(len(sizes))]
     want_num = np.full(views["X_num"].shape, np.nan)
     want_sym = np.full(views["X_sym"].shape, -1)
+    want_flat = np.full(views["X_sym"].T.shape, sum(sizes))
     for i, row in enumerate(ds.rows):
         for j, p in enumerate(views["num_pos"]):
             if row.x[p] is not None:
@@ -281,8 +286,13 @@ def test_x_views_match_the_cell_by_cell_encoding(name):
         for j, p in enumerate(views["sym_pos"]):
             if row.x[p] is not None:
                 want_sym[i, j] = views["alphabets"][j].index(row.x[p])
+                want_flat[j, i] = starts[j] + want_sym[i, j]
     assert views["X_num"].tobytes() == want_num.tobytes()
     assert np.array_equal(views["X_sym"], want_sym)
+    assert views["sym_sizes"].tolist() == sizes
+    assert views["sym_edges"].tolist() == starts + [sum(sizes)]
+    assert np.array_equal(views["XT_sym"], want_flat)
+    assert views["XT_sym"].flags.c_contiguous
     assert views["X_num"].flags.c_contiguous and views["XT_num"].flags.c_contiguous
     assert views["XT_num"].tobytes() == np.ascontiguousarray(want_num.T).tobytes()
 

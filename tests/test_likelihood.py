@@ -1,5 +1,6 @@
 """Two-class naive-Bayes surrogate and its acquisition scores."""
 
+import io
 import itertools
 import math
 import random
@@ -7,11 +8,19 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import DATA, label_ids, shipped
 from mootopt import likelihood as lh
+from mootopt.data import load_csv
 from mootopt.objective import BestRestSplit, split
+
+
+def halves(ds, k, end=None):
+    """Rows [0, k) as best and [k, end) as rest."""
+    end = len(ds.rows) if end is None else end
+    return BestRestSplit(ranked=np.arange(end), k=k, rows=ds.rows)
 
 
 def fit_on(ds, n):
@@ -23,8 +32,8 @@ def fit_on(ds, n):
 
 def test_priors_and_counts(auto93):
     m, _ = fit_on(auto93, 16)
-    assert m.best.prior == 0.25 and m.best.n == 4
-    assert m.rest.prior == 0.75 and m.rest.n == 12
+    assert m.prior.tolist() == [0.25, 0.75]
+    assert m.sym_n.tolist() == [[4], [12]]  # origin has no '?' cell
 
 
 def test_fit_rejects_an_empty_class(make_ds):
@@ -35,7 +44,7 @@ def test_fit_rejects_an_empty_class(make_ds):
     """)
     label_ids(ds)
     with pytest.raises(ValueError):
-        lh.fit(BestRestSplit(best=[], rest=ds.rows), ds)
+        lh.fit(halves(ds, 0), ds)
 
 
 def test_identical_values_hit_the_sd_floor(make_ds):
@@ -47,8 +56,8 @@ def test_identical_values_hit_the_sd_floor(make_ds):
         10,4
     """)
     label_ids(ds)
-    m = lh.fit(BestRestSplit(best=ds.rows[:2], rest=ds.rows[2:]), ds)
-    assert m.best.num_sd[0] == lh.SD_FLOOR
+    m = lh.fit(halves(ds, 2), ds)
+    assert m.num_sd[0, 0] == lh.SD_FLOOR
 
 
 def test_class_that_never_saw_a_column_is_neutral(make_ds):
@@ -60,36 +69,45 @@ def test_class_that_never_saw_a_column_is_neutral(make_ds):
         7,4
     """)
     label_ids(ds)
-    m = lh.fit(BestRestSplit(best=ds.rows[:2], rest=ds.rows[2:]), ds)
-    assert math.isnan(m.best.num_mean[0])
+    m = lh.fit(halves(ds, 2), ds)
+    assert math.isnan(m.num_mean[0, 0])
     b, r = oracles.likes(m, ds, 2)
     assert math.isfinite(b) and math.isfinite(r)
 
 
 def test_class_stats_equal_the_per_column_oracle_bit_for_bit():
-    """The one-reduction class stats match the per-column loop exactly on
-    every shipped table, at class sizes on both sides of numpy's 8-wide
-    pairwise summation, and on auto93's columns with '?' cells."""
+    """The stacked class stats match the per-column loop exactly on every
+    shipped table, for both classes, at class sizes on both sides of
+    numpy's 8-wide pairwise summation, and on auto93's columns with '?'
+    cells. The symbol counts match a count of each row's cells."""
     rng = random.Random(5)
     for path in sorted(DATA.glob("*.csv")):
         ds = shipped(path.stem)
         views = ds.x_views()
         n = len(ds.rows)
-        gappy = [r for r in ds.rows if None in r.x]
-        classes = [rng.sample(ds.rows, min(k, n)) for k in (1, 2, 7, 9, 17, 30, 200)]
-        classes += [ds.rows, gappy, gappy[:1]] if gappy else [ds.rows]
-        for rows in classes:
-            cs = lh._class_stats(rows, n, views)
-            mean, sd = oracles.class_numeric_stats(rows, views)
-            assert np.array_equal(cs.num_mean, mean, equal_nan=True), path.stem
-            assert np.array_equal(cs.num_sd, sd), path.stem
+        gappy = [r.id for r in ds.rows if None in r.x]
+        classes = [rng.sample(range(n), min(k, n)) for k in (1, 2, 7, 9, 17, 30, 200)]
+        classes += [list(range(n)), gappy, gappy[:1]] if gappy else [list(range(n))]
+        for best, rest in zip(classes, classes[1:] + classes[:1]):
+            ranked = np.array(best + rest, dtype=np.intp)
+            m = lh.fit(BestRestSplit(ranked=ranked, k=len(best), rows=ds.rows), ds)
+            for c, ids in enumerate((best, rest)):
+                mean, sd = oracles.class_numeric_stats(np.array(ids), views)
+                assert np.array_equal(m.num_mean[c], mean, equal_nan=True), path.stem
+                assert np.array_equal(m.num_sd[c], sd), path.stem
+                counts, known = oracles.class_symbol_counts(ids, ds)
+                assert m.sym_n[c].tolist() == known, path.stem
+                flat = [counts[j][s] for j, alphabet in enumerate(views["alphabets"])
+                        for s in alphabet]
+                assert m.sym_counts[c].tolist() == flat, path.stem
+            assert m.prior.tolist() == [len(best) / len(ranked), len(rest) / len(ranked)]
     assert shipped("auto93").x_views()["num_missing"].any()
 
 
 def test_score_pool_equals_the_plain_expression_bit_for_bit():
-    """The in-place pool scoring reproduces the plain numpy expression
-    exactly on every shipped table. Under tiny class sds (nasa93dem) the
-    last bits of the sums decide which row is picked."""
+    """The in-place table scoring reproduces the plain numpy expression
+    over the pool exactly on every shipped table. Under tiny class sds
+    (nasa93dem) the last bits of the sums decide which row is picked."""
     rng = random.Random(8)
     for path in sorted(DATA.glob("*.csv")):
         for size in (4, 9, 16, 30):
@@ -99,8 +117,8 @@ def test_score_pool_equals_the_plain_expression_bit_for_bit():
             pool = ds.unlabeled_ids()
             if len(pool) == 0:
                 continue
-            for got, want in zip(lh.score_pool(m, pool), oracles.score_pool(m, pool)):
-                assert np.array_equal(got, want), (path.stem, size)
+            for got, want in zip(lh.score_table(m), oracles.score_pool(m, pool)):
+                assert np.array_equal(got[pool], want), (path.stem, size)
 
 
 # -- hand-worked likelihoods -------------------------------------------------
@@ -122,7 +140,7 @@ def test_symbolic_smoothing_hand_case(make_ds):
         c,6
     """)
     label_ids(ds)
-    m = lh.fit(BestRestSplit(best=ds.rows[:3], rest=ds.rows[3:]), ds)
+    m = lh.fit(halves(ds, 3), ds)
     b, r = oracles.likes(m, ds, 0)
     assert b == 1.0
     assert r == pytest.approx(1.0 / 3.0, rel=1e-12)
@@ -184,7 +202,7 @@ def test_acquisitions_registry():
 def test_score_pool_agrees_with_scalar_likes(auto93):
     m, _ = fit_on(auto93, 14)
     pool = auto93.unlabeled_ids()[:40]
-    B, R = lh.score_pool(m, pool)
+    B, R = (v[pool] for v in lh.score_table(m))
     for k, i in enumerate(pool):
         b, r = oracles.likes(m, auto93, i)
         assert B[k] == pytest.approx(b, rel=1e-9, abs=1e-12)
@@ -203,7 +221,7 @@ def test_score_pool_handles_missing_cells(make_ds):
     """)
     m = lh.fit(split(label_ids(ds, range(4)), ds), ds)
     pool = ds.unlabeled_ids()
-    B, R = lh.score_pool(m, pool)
+    B, R = (v[pool] for v in lh.score_table(m))
     for k, i in enumerate(pool):
         b, r = oracles.likes(m, ds, i)
         assert B[k] == pytest.approx(b, rel=1e-9)
@@ -248,7 +266,7 @@ def test_acquire_breaks_ties_toward_low_ids(make_ds):
         9,5
     """)
     label_ids(ds, [0, 1])
-    m = lh.fit(BestRestSplit(best=ds.rows[:1], rest=ds.rows[1:2]), ds)
+    m = lh.fit(halves(ds, 1, 2), ds)
     for ids in itertools.permutations([2, 3, 4]):  # three identical candidates
         for fn in lh.ACQUIRES:
             assert lh.acquire_tpe(m, np.array(ids), fn) == 2
@@ -263,3 +281,64 @@ def test_acquire_matches_brute_force_argmax(auto93, fn):
     best_score = max(s for s, _ in scored)
     want = min(i for s, i in scored if s == pytest.approx(best_score, rel=1e-9))
     assert chosen == want
+
+
+# -- generated tables ----------------------------------------------------------
+
+@st.composite
+def nb_tables(draw):
+    """A small MOOT table as CSV text, plus how many of its rows to label.
+
+    Numeric columns take integer-tenth values, a constant (whose class sds
+    hit SD_FLOOR), or mostly '?' cells (so a class may never see one);
+    symbolic columns draw from up to three letters, or are all '?' (an
+    empty alphabet). Few enough numeric columns that numpy sums every row
+    left to right, pool of one row included.
+    """
+    n_labeled = draw(st.integers(2, 30))
+    n_rows = n_labeled + draw(st.integers(1, 10))
+    missing = st.sampled_from([0.0, 0.2, 0.9, 1.0])
+    columns = []
+    for j in range(draw(st.integers(0, 4))):
+        kind, rate = draw(st.sampled_from(["spread", "constant"])), draw(missing)
+        values = draw(st.lists(st.integers(-50, 50), min_size=n_rows, max_size=n_rows))
+        holes = draw(st.lists(st.floats(0, 1, exclude_max=True), min_size=n_rows,
+                              max_size=n_rows))
+        cells = ["?" if h < rate else ("7" if kind == "constant" else str(v / 10))
+                 for v, h in zip(values, holes)]
+        columns.append((f"N{j}", cells))
+    for j in range(draw(st.integers(0 if columns else 1, 2))):
+        letters = draw(st.sampled_from(["", "a", "ab", "abc"]))
+        cells = draw(st.lists(st.sampled_from(list(letters) + ["?"]),
+                              min_size=n_rows, max_size=n_rows))
+        columns.append((f"s{j}", cells))
+    goals = draw(st.lists(st.integers(0, 9), min_size=n_rows, max_size=n_rows))
+    columns.append(("Cost-", [str(g) for g in goals]))
+    lines = [",".join(name for name, _ in columns)]
+    lines += [",".join(cells[i] for _, cells in columns) for i in range(n_rows)]
+    return "\n".join(lines) + "\n", n_labeled
+
+
+@settings(max_examples=200, deadline=None)
+@given(nb_tables(), st.randoms(use_true_random=False))
+def test_table_scorer_and_acquire_match_the_oracles_on_generated_tables(table, rnd):
+    """On generated tables the scorer's pool entries equal the plain
+    expression bit for bit, for both classes, and acquire_tpe, handed the
+    pool shuffled, returns the brute-force argmax with the lowest id
+    winning ties."""
+    text, n_labeled = table
+    ds = load_csv(io.StringIO(text), name="generated")
+    label_ids(ds, rnd.sample(range(len(ds.rows)), n_labeled))
+    m = lh.fit(split(ds.labeled_ids(), ds), ds)
+    pool = ds.unlabeled_ids()
+    want = oracles.score_pool(m, pool)
+    for got, expected in zip(lh.score_table(m), want):
+        assert np.array_equal(got[pool], expected)
+    shuffled = pool.tolist()
+    rnd.shuffle(shuffled)
+    for fn in lh.ACQUIRES:
+        scored = [(oracles.ACQUISITIONS[fn](b, r), i)
+                  for b, r, i in zip(*want, pool.tolist())]
+        top = max(s for s, _ in scored)
+        pick = min(i for s, i in scored if s == top)
+        assert lh.acquire_tpe(m, np.array(shuffled), fn) == pick
