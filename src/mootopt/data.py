@@ -237,14 +237,11 @@ class Dataset:
           alphabets   sorted observed values per symbolic column
           X_num       (n_rows, n_num) normalized values, NaN where missing
           XT_num      X_num transposed into C order, one row per column
-          num_missing (n_num,) True for columns with a missing cell
           X_sym       (n_rows, n_sym) alphabet codes, -1 where missing
           sym_edges   (n_sym + 1,) start of each symbolic column's alphabet in
-                      one flat code space over all of them; the last edge,
-                      n_slots, is a slot for missing cells
+                      one flat code space over all of them; the last edge
+                      is the space's size, n_slots
           sym_sizes   (n_sym,) alphabet size per symbolic column
-          XT_sym      (n_sym, n_rows) flat codes in C order, one row per
-                      column, n_slots where missing
         Only x values feed these views, so using them never leaks labels.
         """
         return self.cached("x_views", _build_x_views)
@@ -293,12 +290,8 @@ def _build_x_views(ds: Dataset) -> dict:
     XT_num = np.ascontiguousarray(X_num.T)
     sizes = np.array([len(a) for a in layout["alphabets"]], dtype=np.intp)
     edges = np.concatenate(([0], np.cumsum(sizes)))
-    XT_sym = np.where(X_sym.T >= 0, X_sym.T + edges[:-1, None], edges[-1])
-    return {**layout, "X_num": X_num, "XT_num": XT_num,
-            "num_missing": np.isnan(XT_num).any(axis=1), "X_sym": X_sym,
-            "sym_edges": edges,
-            "sym_sizes": sizes,
-            "XT_sym": np.ascontiguousarray(XT_sym)}
+    return {**layout, "X_num": X_num, "XT_num": XT_num, "X_sym": X_sym,
+            "sym_edges": edges, "sym_sizes": sizes}
 
 
 def _parse_cell(raw: str, col: ColumnSpec, row_no: int) -> Cell:
@@ -323,9 +316,14 @@ def _column_stats(col: ColumnSpec, cells: list[Cell]) -> ColumnStats:
         if not len(vals):
             return NumStats()
         lo, hi = float(vals.min()), float(vals.max())
-        # numpy's mean of a constant column can miss it by an ulp; its sd is 0.
-        return NumStats(lo=lo, hi=hi, median=float(np.median(vals)),
-                        sd=float(vals.std()) if lo < hi else 0.0, n=len(vals))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # numpy's mean of a constant column can miss it by an ulp; its sd is 0.
+            st = NumStats(lo=lo, hi=hi, median=float(np.median(vals)),
+                          sd=float(vals.std()) if lo < hi else 0.0, n=len(vals))
+        if not (math.isfinite(st.median) and math.isfinite(st.sd)):
+            raise ParseError(f"numeric column {col.name!r} holds values too large "
+                             f"to summarize, from {lo!r} to {hi!r}")
+        return st
     freq = dict(Counter(str(v) for v in cells if v is not None))
     if not freq:
         return SymStats()
@@ -352,13 +350,21 @@ def load_csv(source: Union[str, Path, TextIO], name: Optional[str] = None) -> Da
     if isinstance(source, (str, Path)):
         path = Path(source)
         ds_name = name or path.stem
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return _load_csv_stream(fh, ds_name)
     return _load_csv_stream(source, name or "<stream>")
 
 
 def _load_csv_stream(fh, name: str) -> Dataset:
     reader = csv.reader(fh)
+    try:
+        return _parse_records(reader, name)
+    except csv.Error as e:
+        raise ParseError(f"row {reader.line_num}: {e}") from None
+
+
+def _parse_records(reader, name: str) -> Dataset:
     try:
         header = next(reader)
     except StopIteration:

@@ -3,15 +3,19 @@
 Class-conditional naive-Bayes likelihoods stand in for p(x|best) and
 p(x|rest): one Gaussian per numeric independent column (on normalized
 values, so wide raw ranges cannot dominate) and add-1 smoothed frequencies
-per symbolic column. The acquisitions turn the two likelihoods B and R
-into scores: exploit chases the zone where both models agree a row is
-best, explore chases the zone of dispute where B and R are similar but
-large.
+per symbolic column. Both acquisitions read one number per row, the log
+ratio d = log B - log R of the two class posteriors, TPE's l(x)/g(x)
+(Bergstra et al., "Algorithms for Hyper-Parameter Optimization", 2011):
+exploit's B / R is e^d, so it ranks by d, the zone where both models agree
+a row is best; explore's |B + R| / |B - R| is coth(|d| / 2), so it ranks
+by -|d|, the zone of dispute.
 
-The model is fitted on the two id halves of a best/rest split, and holds
-both classes' statistics stacked, best first. It scores every row of the
-table for both classes at once; the pool it is asked about, like the pick
-it returns, is row ids.
+Each Gaussian term is a quadratic in x, so d is linear in one per-table
+design matrix [x^2, x, known, symbol one-hot]: a step sums the design rows
+of each half of a best/rest split into the class statistics, turns those
+into one (best - rest) weight per design column, and scores every row of
+the table with one matrix product. The pool it is asked about, like the
+pick it returns, is row ids.
 """
 
 from __future__ import annotations
@@ -25,20 +29,58 @@ from .data import Dataset
 from .objective import BestRestSplit
 
 ACQUIRES = ("exploit", "explore")
-EPS_DIV = 1e-30          # keeps every ratio finite
-SD_FLOOR = 1e-9          # on the normalized [0,1] scale
-LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+CONSTANT_FLOOR = 0.5  # sd floor of a column with fewer than two distinct values
+FLOOR_MIN = 1e-6      # no sd floor is finer, so every 1 / sd^2 stays under 1e12
+TIE_REL = 1e-12       # scores this close, relative to their terms' scale, tie
 
 
 @dataclass
 class TwoClassModel:
-    """Per-class statistics; row 0 of each array is best, row 1 rest."""
+    """Per-class statistics, row 0 of each array best and row 1 rest, and
+    the weights they give the table's design matrix."""
     prior: np.ndarray       # (2,)
     num_mean: np.ndarray    # (2, n_num); NaN where the class saw no value
-    num_sd: np.ndarray      # (2, n_num), floored at SD_FLOOR
+    num_sd: np.ndarray      # (2, n_num), floored at the column's sd floor
     sym_counts: np.ndarray  # (2, n_slots) over the flat symbol space (x_views)
     sym_n: np.ndarray       # (2, n_sym) observed (non-missing) cells per column
-    views: dict             # Dataset.x_views() of the table the model was fitted on
+    design: np.ndarray      # table_terms(ds)["design"]
+    weights: np.ndarray     # best minus rest, one per design column
+    offset: float           # log(prior_best / prior_rest)
+
+
+def table_terms(ds: Dataset) -> dict:
+    """Whole-table arrays of the naive-Bayes step, built once per table.
+
+    Returns a dict with:
+      floor   (n_num,) sd floor per numeric column: half the smallest gap
+              between the column's distinct normalized values, at least
+              FLOOR_MIN, or CONSTANT_FLOOR when it has no such gap
+      design  (n_rows, 3 n_num + n_sym + n_slots) C-ordered [x^2, x,
+              known, symbol one-hot]: x^2 and x of each numeric column, 0
+              where missing; 1 where a numeric, then a symbolic, cell is
+              known; 1 in the slot of each row's symbol. Every entry is in
+              [0, 1].
+    Only x values feed them, so using them never leaks labels.
+    """
+    return ds.cached("nb_terms", _build_terms)
+
+
+def _build_terms(ds: Dataset) -> dict:
+    views = ds.x_views()
+    floor = np.full(len(views["num_pos"]), CONSTANT_FLOOR)
+    for j, col in enumerate(views["XT_num"]):
+        distinct = np.unique(col[~np.isnan(col)])
+        if len(distinct) > 1:
+            floor[j] = max(np.diff(distinct).min() / 2, FLOOR_MIN)
+    X = views["X_num"]
+    known = ~np.isnan(X)
+    x = np.where(known, X, 0.0)
+    codes, edges = views["X_sym"], views["sym_edges"]
+    onehot = np.zeros((len(X), edges[-1]))
+    i, j = np.nonzero(codes >= 0)
+    onehot[i, edges[j] + codes[i, j]] = 1.0
+    design = np.hstack([x * x, x, known, codes >= 0, onehot])
+    return {"floor": floor, "design": design}
 
 
 def fit(split: BestRestSplit, ds: Dataset) -> TwoClassModel:
@@ -47,112 +89,56 @@ def fit(split: BestRestSplit, ds: Dataset) -> TwoClassModel:
     if k == 0 or k == n:
         empty = "best" if k == 0 else "rest"
         raise ValueError(f"cannot fit a two-class model with an empty {empty} class")
-    views = ds.x_views()
-    n_class = np.array([[k], [n - k]])
-    # Mean and sd of every numeric column of both classes, by the
-    # arithmetic of ndarray.mean and .std: sum, divide, center, square,
-    # sum, divide, root. Each class's cells of a column are a contiguous
-    # stretch of one row of the block, so numpy sums them in the same
-    # order as the 1-D column it would otherwise reduce, and the results
-    # are equal bit for bit. A column where a class has a missing cell
-    # sums to NaN; numpy's pairwise sum of its known cells groups them by
-    # how many there are, so those are redone one at a time.
-    block = views["XT_num"].take(split.ranked, axis=1)  # C order, unlike [:, ids]
-    halves = (block[:, :k], block[:, k:])
-    sums = np.empty((2, len(block)))
-    for c, half in enumerate(halves):
-        np.add.reduce(half, axis=1, out=sums[c])
-    mean = sums / n_class
-    for c, half in enumerate(halves):
-        np.subtract(half, mean[c][:, None], out=half)
-    np.multiply(block, block, out=block)
-    for c, half in enumerate(halves):
-        np.add.reduce(half, axis=1, out=sums[c])
-    sd = np.maximum(np.sqrt(sums / n_class), SD_FLOOR)
-    class_ids = (split.ranked[:k], split.ranked[k:])
-    for c, j in zip(*np.isnan(mean).nonzero()):
-        col = views["XT_num"][j, class_ids[c]]
-        known = col[~np.isnan(col)]
-        if known.size:
-            mean[c, j] = known.mean()
-            sd[c, j] = max(known.std(), SD_FLOOR)
-        else:
-            mean[c, j], sd[c, j] = np.nan, SD_FLOOR
-    # Every symbol count of both classes in one bincount: the rest class
-    # counts in a second copy of the flat code space. The last slot of
-    # each copy counts missing cells.
-    n_slots = views["sym_edges"][-1]
-    codes = views["XT_sym"].take(split.ranked, axis=1)
-    observed = np.add.reduceat(codes < n_slots, [0, k], axis=1)
-    codes[:, k:] += n_slots + 1
-    counts = np.bincount(codes.ravel(), minlength=2 * (n_slots + 1))
-    counts = counts.reshape(2, n_slots + 1)[:, :n_slots].astype(float)
-    return TwoClassModel(prior=n_class[:, 0] / n, num_mean=mean, num_sd=sd,
-                         sym_counts=counts, sym_n=observed.T, views=views)
-
-
-def score_table(m: TwoClassModel) -> tuple[np.ndarray, np.ndarray]:
-    """Likelihood pair (B, R) for every row of the table, indexed by id.
-
-    Computed in log space; the larger of each row's two log likelihoods is
-    subtracted before exponentiating, so one of each pair is exactly 1 and
-    both are finite.
-    """
-    views = m.views
-    XT_num, XT_sym = views["XT_num"], views["XT_sym"]
-    n_num, n_rows = XT_num.shape
-    # One C-ordered (class, term, row) block: the numeric terms, the log
-    # prior, then the symbolic terms. Reducing over the term axis adds
-    # each row's terms left to right, as a per-row sum would, and adding
-    # the prior after the numeric terms and before the symbolic ones keeps
-    # the order of the sums it replaces. Change that order and the sums
-    # change in the last bits, and with them, under tiny class sds, the
-    # picks.
-    block = np.empty((2, n_num + 1 + len(XT_sym), n_rows))
-    terms = block[:, :n_num]
-    mean, sd = m.num_mean[:, :, None], m.num_sd[:, :, None]
-    # -0.5 * ((x - mean) / sd) ** 2 - log(sd) - log(sqrt(2 pi)), in place
-    np.subtract(XT_num, mean, out=terms)
-    terms /= sd
-    np.square(terms, out=terms)
-    terms *= -0.5
-    terms -= np.log(sd)
-    terms -= LOG_SQRT_2PI
-    if views["num_missing"].any():
-        # a missing cell, or a column the class never saw, adds nothing
-        terms[np.isnan(terms)] = 0.0
-    block[:, n_num] = [[math.log(p)] for p in m.prior.tolist()]
-    # Add-1 smoothed log frequencies over the flat code space, plus a
-    # last slot of 0 that every missing cell reads.
-    sizes = views["sym_sizes"]
-    logp = np.zeros((2, m.sym_counts.shape[1] + 1))
-    logp[:, :-1] = np.log((m.sym_counts + 1.0)
-                          / (m.sym_n + sizes).repeat(sizes, axis=1))
-    block[:, n_num + 1:] = logp[:, XT_sym]
-    logs = np.add.reduce(block, axis=1)
-    logs -= np.maximum(logs[0], logs[1])
-    b, r = np.exp(logs)
-    return b, r
+    views, terms = ds.x_views(), table_terms(ds)
+    design, floor = terms["design"], terms["floor"]
+    p, q = len(floor), len(views["sym_pos"])
+    # Each class's sums of every design column: one gather of the labeled
+    # rows, summed over each class's stretch of them.
+    rows = design[split.ranked]
+    sums = np.add.reduceat(rows, [0, k], axis=0)
+    known = sums[:, 2 * p:3 * p]
+    with np.errstate(invalid="ignore"):  # 0 / 0 is NaN: the class saw no value
+        mean = sums[:, p:2 * p] / known
+        # the sd in two passes, so a tight class keeps it through rounding
+        dev = rows[:, p:2 * p] - mean.repeat([k, n - k], axis=0)
+        dev *= rows[:, 2 * p:3 * p]
+        sd = np.fmax(np.sqrt(np.add.reduceat(dev * dev, [0, k], axis=0) / known), floor)
+    sym_n, counts = sums[:, 3 * p:3 * p + q], sums[:, 3 * p + q:]
+    # A class's log density of a numeric x is -x^2 / (2 sd^2) + x mean / sd^2
+    # - mean^2 / (2 sd^2) - log sd - log(sqrt(2 pi)), the last term the
+    # same for both classes; of a symbol, add-1 smoothed, it is
+    # log(count + 1) - log(observed + alphabet size).
+    prec = 1.0 / (sd * sd)
+    mp = mean * prec
+    # no cell of an empty alphabet is known, so any size will do for it
+    sizes = np.maximum(views["sym_sizes"], 1)
+    per_class = np.concatenate([-0.5 * prec, mp, -0.5 * mean * mp - np.log(sd),
+                                -np.log(sym_n + sizes), np.log(counts + 1.0)], axis=1)
+    weights = per_class[0] - per_class[1]
+    # a numeric column either class never saw (NaN mean) adds nothing to d
+    weights[:3 * p].reshape(3, p)[:, np.isnan(weights[p:2 * p])] = 0.0
+    return TwoClassModel(prior=np.array([k, n - k]) / n, num_mean=mean, num_sd=sd,
+                         sym_counts=counts, sym_n=sym_n, design=design,
+                         weights=weights, offset=math.log(k / (n - k)))
 
 
 def acquire_tpe(m: TwoClassModel, pool: np.ndarray, fn: str) -> int:
     """The id in `pool` maximizing the acquisition.
 
-    exploit scores B / R, the zone where both models agree a row is best;
-    explore scores |B + R| / |B - R|, the zone of dispute. Scores the
-    whole table and reads the pool's entries off it; ties break toward
-    the lowest row id regardless of the order the pool was passed in.
+    exploit ranks by d = log B - log R, explore by -|d|. Ties go to the
+    lowest id among the pool rows scoring within TIE_REL of the top, taken
+    relative to the sum of the weights' magnitudes plus the offset's. That
+    sum bounds every |d|, since each design entry is in [0, 1], and it sets
+    the scale of d's rounding, so rows whose true d are equal tie whatever
+    order their terms are summed in.
     """
     if len(pool) == 0:
         raise ValueError("cannot acquire from an empty pool")
     if fn not in ACQUIRES:
         raise ValueError(f"unknown TPE acquisition {fn!r}")
-    b, r = score_table(m)
-    if fn == "exploit":
-        scores = b / (r + EPS_DIV)
-    else:
-        scores = np.abs(b + r) / (np.abs(b - r) + EPS_DIV)
-    in_pool = np.empty_like(scores)
-    in_pool.fill(-np.inf)
-    in_pool[pool] = scores[pool]
-    return int(in_pool.argmax())  # the first, so the lowest id, of any tie
+    d = m.design @ m.weights
+    score = d[pool] + m.offset
+    if fn == "explore":
+        score = -np.abs(score)
+    tol = TIE_REL * (np.abs(m.weights).sum() + abs(m.offset))
+    return int(pool[score >= score.max() - tol].min())

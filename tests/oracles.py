@@ -2,8 +2,8 @@
 
 The package scores whole tables at once. Most forms here work one row,
 one column at a time, so tests can check the vectorized paths against a
-formula that is easy to read; score_pool keeps the plain expression whose
-entries the package's in-place table scoring must match bit for bit.
+formula that is easy to read; score_pool keeps the plain per-class
+expression of the log ratio the package computes as one matrix product.
 Nothing in the package imports this module.
 """
 
@@ -14,7 +14,10 @@ import numpy as np
 
 from mootopt import gp
 from mootopt.data import MAXIMIZE, NUMERIC, ColumnSpec, Dataset, NumStats, Row
-from mootopt.likelihood import EPS_DIV, LOG_SQRT_2PI, SD_FLOOR, TwoClassModel
+from mootopt.likelihood import CONSTANT_FLOOR, FLOOR_MIN, TwoClassModel
+
+EPS_DIV = 1e-30  # keeps the scalar acquisition ratios finite
+LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 # -- cell encoding and distance ----------------------------------------------------
@@ -98,18 +101,27 @@ def chebyshev(row: Row, ds: Dataset) -> float:
 
 # -- naive Bayes -------------------------------------------------------------------
 
+def sd_floor(values: np.ndarray) -> float:
+    """A numeric column's sd floor from its normalized values: half the
+    smallest gap between two distinct known values, one pair at a time."""
+    distinct = sorted(set(float(v) for v in values if not math.isnan(v)))
+    gaps = [b - a for a, b in zip(distinct, distinct[1:])]
+    return max(min(gaps) / 2, FLOOR_MIN) if gaps else CONSTANT_FLOOR
+
+
 def class_numeric_stats(ids: np.ndarray, views: dict) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and floored sd of a class, one column at a time."""
     num_pos = views["num_pos"]
     xn = views["X_num"][ids] if num_pos else np.empty((len(ids), 0))
+    floor = [sd_floor(col) for col in views["XT_num"]]
     mean = np.full(len(num_pos), np.nan)
-    sd = np.full(len(num_pos), SD_FLOOR)
+    sd = np.array(floor, dtype=float)
     for j in range(len(num_pos)):
         col = xn[:, j]
         known = col[~np.isnan(col)]
         if known.size:
             mean[j] = known.mean()
-            sd[j] = max(known.std(), SD_FLOOR)
+            sd[j] = max(known.std(), floor[j])
     return mean, sd
 
 
@@ -124,13 +136,13 @@ def class_symbol_counts(ids: np.ndarray, ds: Dataset) -> tuple[list[dict], list[
 
 def _log_like_row(m: TwoClassModel, c: int, ds: Dataset, i: int) -> float:
     """Class c's (0 best, 1 rest) log prior plus log likelihood of row i."""
-    views, row = m.views, ds.rows[i]
+    views, row = ds.x_views(), ds.rows[i]
     lp = math.log(m.prior[c])
     for j, p in enumerate(views["num_pos"]):
         v = row.x[p]
         mean, sd = m.num_mean[c, j], m.num_sd[c, j]
-        if v is None or math.isnan(mean):
-            continue  # missing cell (or no class data) contributes factor 1
+        if v is None or np.isnan(m.num_mean[:, j]).any():
+            continue  # a missing cell, or a column either class never saw, adds 0
         z = norm(ds.x_cols[p], float(v), ds)
         lp += -0.5 * ((z - mean) / sd) ** 2 - math.log(sd) - LOG_SQRT_2PI
     for j, p in enumerate(views["sym_pos"]):
@@ -158,25 +170,23 @@ def likes(m: TwoClassModel, ds: Dataset, i: int) -> tuple[float, float]:
     return math.exp(lb - top), math.exp(lr - top)
 
 
-def score_pool(m: TwoClassModel, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B, R) over a pool, as one plain numpy expression per class.
+def log_ratio(m: TwoClassModel, ds: Dataset, i: int) -> float:
+    """d = log B - log R for row `i`, one cell at a time."""
+    return _log_like_row(m, 0, ds, i) - _log_like_row(m, 1, ds, i)
 
-    Not a scalar form: its float operations, and the memory order that
-    fixes numpy's summation order, are the ones the package's in-place
-    table scoring must reproduce bit for bit. Boolean column indexing
-    leaves the numeric terms in F order, so each row's sum runs left to
-    right.
-    """
+
+def score_pool(m: TwoClassModel, ds: Dataset, ids: np.ndarray) -> np.ndarray:
+    """d = log B - log R over a pool, as one plain numpy expression per
+    class: each Gaussian term in its centered form, summed per row."""
+    views = ds.x_views()
+    usable = ~np.isnan(m.num_mean).any(axis=0)
+
     def log_like(c: int) -> np.ndarray:
-        views = m.views
         lp = np.full(len(ids), math.log(m.prior[c]))
-        xn = views["X_num"][ids]
-        usable = ~np.isnan(m.num_mean[c])
-        if usable.any():
-            xn = xn[:, usable]
-            mean, sd = m.num_mean[c, usable], m.num_sd[c, usable]
-            terms = -0.5 * ((xn - mean) / sd) ** 2 - np.log(sd) - LOG_SQRT_2PI
-            lp += np.where(np.isnan(xn), 0.0, terms).sum(axis=1)
+        xn = views["X_num"][ids][:, usable]
+        mean, sd = m.num_mean[c, usable], m.num_sd[c, usable]
+        terms = -0.5 * ((xn - mean) / sd) ** 2 - np.log(sd) - LOG_SQRT_2PI
+        lp += np.where(np.isnan(xn), 0.0, terms).sum(axis=1)
         edges = views["sym_edges"]
         for j, alphabet in enumerate(views["alphabets"]):
             if not alphabet:
@@ -187,9 +197,7 @@ def score_pool(m: TwoClassModel, ids: np.ndarray) -> tuple[np.ndarray, np.ndarra
             lp += np.where(codes >= 0, logp[np.maximum(codes, 0)], 0.0)
         return lp
 
-    lb, lr = log_like(0), log_like(1)
-    top = np.maximum(lb, lr)
-    return np.exp(lb - top), np.exp(lr - top)
+    return log_like(0) - log_like(1)
 
 
 def exploit(b: float, r: float) -> float:

@@ -198,10 +198,10 @@ NB_GOLDEN = Path(__file__).resolve().parent / "golden" / "nasa93dem_nb_results.j
 
 def test_naive_bayes_grid_on_nasa93dem_matches_the_golden_results(tmp_path):
     """The four naive-Bayes arms on nasa93dem reproduce results.jsonl byte
-    for byte, with one worker and with two. Its class sds sit at the
-    floor, so the picks hang on the last bits of the likelihood sums: a
-    scorer that sums in another order changes records here that the
-    toy/auto93 golden file does not see. The file was written by
+    for byte, with one worker and with two. nasa93dem is the one
+    high-dimensional table, so these records pin naive-Bayes picks over
+    the widest design matrix, which the toy/auto93 golden file does not
+    reach. The file was written by
     `mootopt run --data data/nasa93dem.csv --treatments
     llm/exploit,llm/explore,random/exploit,random/explore --budgets
     10,20,30 --repeats 10 --synth mock`."""

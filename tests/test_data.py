@@ -6,7 +6,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import DATA, shipped
@@ -144,6 +144,7 @@ def test_symbolic_mode_breaks_ties_lexicographically(make_ds):
     "Kloc,effort-\nabc,2\n",             # non-numeric cell in numeric column
     "Kloc,effort-\n1,4\ninf,5\n3,9\n",     # non-finite cell
     "Kloc,effort-\n",                     # header only
+    "Kloc,effort-\n1e200,4\n-1e200,5\n",  # sd overflows a float
 ])
 def test_load_rejects_malformed_tables(text):
     with pytest.raises(ParseError):
@@ -165,6 +166,39 @@ def test_load_refuses_a_header_without_rows():
     for text in ("Kloc,effort-\n", "Kloc,effort-\n\n\n"):
         with pytest.raises(ParseError, match="no data rows"):
             load_csv(io.StringIO(text), name="bad")
+
+
+def test_load_strips_a_utf8_byte_order_mark(tmp_path):
+    """Excel's "CSV UTF-8" export starts the file with the bytes EF BB BF;
+    they must not become part of the first column's name, nor turn that
+    numeric column symbolic."""
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfKloc,effort-\n1,2\n3,4\n")
+    col = load_csv(path).x_cols[0]
+    assert (col.name, col.kind) == ("Kloc", d.NUMERIC)
+
+
+def test_load_names_the_row_of_a_csv_reader_error():
+    with pytest.raises(ParseError, match="^row 1: new-line character seen"):
+        load_csv(io.StringIO("Kloc,effort-\r1,2\r3,4\r"))
+
+
+CSV_CHARS = st.sampled_from(list('Kkx,-+X?ab019.e" \t\r\n')
+                            + ["inf", "nan", "1e200", "1e308", "\x00"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(),
+                 st.lists(CSV_CHARS).map("".join),
+                 st.lists(CSV_CHARS).map(lambda cs: "Kloc,s,effort-\n" + "".join(cs))))
+def test_load_csv_returns_a_dataset_or_raises_parse_error(text):
+    """Whatever text it is handed, load_csv loads a table or raises
+    ParseError; no other exception escapes."""
+    try:
+        ds = load_csv(io.StringIO(text), name="fuzz")
+    except ParseError:
+        return
+    assert isinstance(ds, d.Dataset) and ds.rows
 
 
 # -- normalization -----------------------------------------------------------
@@ -270,15 +304,13 @@ def test_x_views_cache_shapes(toy):
 def test_x_views_match_the_cell_by_cell_encoding(name):
     """The encoder's views equal norm() and alphabet.index() applied cell
     by cell, bit for bit, in the memory order the surrogates' sums rely on.
-    The flat symbol codes number every column's alphabet in turn, and a
-    missing cell takes the slot after the last symbol."""
+    The flat symbol space numbers every column's alphabet in turn."""
     ds = shipped(name)
     views = ds.x_views()
     sizes = [len(a) for a in views["alphabets"]]
     starts = [sum(sizes[:j]) for j in range(len(sizes))]
     want_num = np.full(views["X_num"].shape, np.nan)
     want_sym = np.full(views["X_sym"].shape, -1)
-    want_flat = np.full(views["X_sym"].T.shape, sum(sizes))
     for i, row in enumerate(ds.rows):
         for j, p in enumerate(views["num_pos"]):
             if row.x[p] is not None:
@@ -286,13 +318,10 @@ def test_x_views_match_the_cell_by_cell_encoding(name):
         for j, p in enumerate(views["sym_pos"]):
             if row.x[p] is not None:
                 want_sym[i, j] = views["alphabets"][j].index(row.x[p])
-                want_flat[j, i] = starts[j] + want_sym[i, j]
     assert views["X_num"].tobytes() == want_num.tobytes()
     assert np.array_equal(views["X_sym"], want_sym)
     assert views["sym_sizes"].tolist() == sizes
     assert views["sym_edges"].tolist() == starts + [sum(sizes)]
-    assert np.array_equal(views["XT_sym"], want_flat)
-    assert views["XT_sym"].flags.c_contiguous
     assert views["X_num"].flags.c_contiguous and views["XT_num"].flags.c_contiguous
     assert views["XT_num"].tobytes() == np.ascontiguousarray(want_num.T).tobytes()
 

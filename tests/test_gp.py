@@ -134,6 +134,16 @@ def test_unsalvageable_kernel_raises_gp_fit_error():
         gp.fit(np.array([[0.0], [0.0]]), np.array([0.0, 2e9]), length_scale=1.0)
 
 
+def test_jitter_ladder_settles_on_a_larger_jitter_that_factorizes():
+    # Duplicate inputs with a large signal variance: NOISE_VAR alone leaves
+    # the kernel indefinite, and a rung further up the ladder factorizes it.
+    model = gp.fit(np.array([[0.0], [0.0], [1.0]]), np.array([0.0, 1e6, 5e5]),
+                   length_scale=1.0)
+    assert gp.NOISE_VAR < model.jitter <= gp.JITTER_MAX
+    mu, sd = model.predict_batch(np.array([[0.0], [0.5], [3.0]]))
+    assert np.isfinite(mu).all() and np.isfinite(sd).all()
+
+
 def test_fit_gp_targets_one_minus_chebyshev(auto93):
     labeled = label_ids(auto93, range(8))
     model = gp.fit_gp(labeled, auto93)

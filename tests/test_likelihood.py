@@ -1,5 +1,6 @@
 """Two-class naive-Bayes surrogate and its acquisition scores."""
 
+import dataclasses
 import io
 import itertools
 import math
@@ -28,6 +29,34 @@ def fit_on(ds, n):
     return lh.fit(split(labeled, ds), ds), labeled
 
 
+def log_ratio(m):
+    """d = log B - log R for every row, as acquire_tpe computes it."""
+    return m.design @ m.weights + m.offset
+
+
+def tie_tol(m):
+    """acquire_tpe's tie tolerance."""
+    return lh.TIE_REL * (np.abs(m.weights).sum() + abs(m.offset))
+
+
+def rounding_tol(m):
+    """How far the one-product d and the per-class oracle may differ: 1e-12
+    relative to 1 + the sum of every class's 1 / sd^2, the scale of the
+    largest Gaussian terms either side rounds. Both sides err by a few
+    ulps of that scale per term, far under this bound."""
+    return 1e-12 * (1.0 + (1.0 / m.num_sd ** 2).sum())
+
+
+def assert_is_the_pick(chosen, d, ids, fn, tol, err):
+    """`chosen` is acquire_tpe's pick by the oracle's d, each d off by at
+    most `err`: it scores within the tie tolerance of the top, and no lower
+    id clearly does."""
+    scores = {int(i): (v if fn == "exploit" else -abs(v)) for v, i in zip(d, ids)}
+    top = max(scores.values())
+    assert scores[chosen] >= top - tol - 2 * err
+    assert all(s < top - tol + 2 * err for i, s in scores.items() if i < chosen)
+
+
 # -- class stats -------------------------------------------------------------
 
 def test_priors_and_counts(auto93):
@@ -48,42 +77,83 @@ def test_fit_rejects_an_empty_class(make_ds):
 
 
 def test_identical_values_hit_the_sd_floor(make_ds):
+    """W normalizes to 0.5, 0.5, 0, 1, so its floor is half the gap of 0.5;
+    C has one value, so the constant floor; F's gap is 1e-9 of its range,
+    so FLOOR_MIN."""
     ds = make_ds("""
-        W,Cost-
-        5,1
-        5,2
-        0,3
-        10,4
+        W,C,F,Cost-
+        5,3,0,1
+        5,3,1,2
+        0,3,1000000000,3
+        10,3,1000000000,4
     """)
     label_ids(ds)
     m = lh.fit(halves(ds, 2), ds)
-    assert m.num_sd[0, 0] == lh.SD_FLOOR
+    floor = lh.table_terms(ds)["floor"]
+    assert floor.tolist() == [0.25, lh.CONSTANT_FLOOR, lh.FLOOR_MIN]
+    assert m.num_sd[0, 0] == 0.25  # rest holds 0 and 1, so its sd is 0.5
+    assert m.num_sd[:, 1].tolist() == [lh.CONSTANT_FLOOR] * 2
+    assert m.num_sd[1, 2] == lh.FLOOR_MIN
 
 
 def test_class_that_never_saw_a_column_is_neutral(make_ds):
+    """Best saw no W, so W adds nothing to d, though rest's sd of W (0.41)
+    is not best's floor (0.2): d is the log prior ratio on every row."""
     ds = make_ds("""
         W,Cost-
         ?,1
         ?,2
-        3,3
-        7,4
+        0,3
+        10,4
+        4,5
     """)
     label_ids(ds)
     m = lh.fit(halves(ds, 2), ds)
     assert math.isnan(m.num_mean[0, 0])
+    assert m.num_sd[:, 0].tolist() == [0.2, pytest.approx(0.4109, abs=1e-4)]
     b, r = oracles.likes(m, ds, 2)
     assert math.isfinite(b) and math.isfinite(r)
+    assert not m.weights.any()
+    assert log_ratio(m).tolist() == [math.log(2 / 3)] * 5
 
 
-def test_class_stats_equal_the_per_column_oracle_bit_for_bit():
-    """The stacked class stats match the per-column loop exactly on every
-    shipped table, for both classes, at class sizes on both sides of
-    numpy's 8-wide pairwise summation, and on auto93's columns with '?'
-    cells. The symbol counts match a count of each row's cells."""
+def test_design_matches_the_cell_by_cell_encoding():
+    """Each row of the cached design is [x^2, x, known, symbol known,
+    one-hot] of its own cells, built one cell at a time: norm() for a
+    numeric cell, and for a symbol its place in the flat space that
+    numbers every column's alphabet in turn. Missing cells stay 0."""
+    for path in sorted(DATA.glob("*.csv")):
+        ds = shipped(path.stem)
+        views, design = ds.x_views(), lh.table_terms(ds)["design"]
+        p, q = len(views["num_pos"]), len(views["sym_pos"])
+        starts = np.cumsum([0] + [len(a) for a in views["alphabets"]])
+        want = np.zeros(design.shape)
+        for i, row in enumerate(ds.rows):
+            for j, c in enumerate(views["num_pos"]):
+                if row.x[c] is not None:
+                    z = oracles.norm(ds.x_cols[c], float(row.x[c]), ds)
+                    want[i, [j, p + j, 2 * p + j]] = z * z, z, 1.0
+            for j, c in enumerate(views["sym_pos"]):
+                if row.x[c] is not None:
+                    slot = starts[j] + views["alphabets"][j].index(row.x[c])
+                    want[i, [3 * p + j, 3 * p + q + slot]] = 1.0
+        assert np.array_equal(design, want), path.stem
+        assert design.flags.c_contiguous
+
+
+def test_class_stats_match_the_per_column_oracle():
+    """The class stats summed from the design rows match numpy's mean and
+    std of each column within 1e-12 relative, on every shipped table, for
+    both classes, at class sizes on both sides of numpy's 8-wide pairwise
+    summation, and on auto93's columns with '?' cells. The floors match
+    the one-pair-at-a-time oracle exactly, and the symbol counts match a
+    count of each row's cells."""
     rng = random.Random(5)
     for path in sorted(DATA.glob("*.csv")):
         ds = shipped(path.stem)
         views = ds.x_views()
+        assert lh.table_terms(ds)["floor"].tolist() == [
+            oracles.sd_floor(col) for col in views["XT_num"]], path.stem
         n = len(ds.rows)
         gappy = [r.id for r in ds.rows if None in r.x]
         classes = [rng.sample(range(n), min(k, n)) for k in (1, 2, 7, 9, 17, 30, 200)]
@@ -93,21 +163,22 @@ def test_class_stats_equal_the_per_column_oracle_bit_for_bit():
             m = lh.fit(BestRestSplit(ranked=ranked, k=len(best), rows=ds.rows), ds)
             for c, ids in enumerate((best, rest)):
                 mean, sd = oracles.class_numeric_stats(np.array(ids), views)
-                assert np.array_equal(m.num_mean[c], mean, equal_nan=True), path.stem
-                assert np.array_equal(m.num_sd[c], sd), path.stem
+                assert np.allclose(m.num_mean[c], mean, rtol=1e-12, atol=0,
+                                   equal_nan=True), path.stem
+                assert np.allclose(m.num_sd[c], sd, rtol=1e-12, atol=0), path.stem
                 counts, known = oracles.class_symbol_counts(ids, ds)
                 assert m.sym_n[c].tolist() == known, path.stem
                 flat = [counts[j][s] for j, alphabet in enumerate(views["alphabets"])
                         for s in alphabet]
                 assert m.sym_counts[c].tolist() == flat, path.stem
             assert m.prior.tolist() == [len(best) / len(ranked), len(rest) / len(ranked)]
-    assert shipped("auto93").x_views()["num_missing"].any()
+    assert np.isnan(shipped("auto93").x_views()["X_num"]).any()
 
 
-def test_score_pool_equals_the_plain_expression_bit_for_bit():
-    """The in-place table scoring reproduces the plain numpy expression
-    over the pool exactly on every shipped table. Under tiny class sds
-    (nasa93dem) the last bits of the sums decide which row is picked."""
+def test_log_ratio_matches_the_plain_expression_on_shipped_tables():
+    """The one-product d matches the per-class centered expression over
+    the pool on every shipped table, within rounding_tol, and acquire_tpe
+    picks by the oracle's d."""
     rng = random.Random(8)
     for path in sorted(DATA.glob("*.csv")):
         for size in (4, 9, 16, 30):
@@ -117,8 +188,11 @@ def test_score_pool_equals_the_plain_expression_bit_for_bit():
             pool = ds.unlabeled_ids()
             if len(pool) == 0:
                 continue
-            for got, want in zip(lh.score_table(m), oracles.score_pool(m, pool)):
-                assert np.array_equal(got[pool], want), (path.stem, size)
+            want, err = oracles.score_pool(m, ds, pool), rounding_tol(m)
+            assert np.abs(log_ratio(m)[pool] - want).max() <= err, (path.stem, size)
+            for fn in lh.ACQUIRES:
+                assert_is_the_pick(lh.acquire_tpe(m, pool, fn), want, pool, fn,
+                                   tie_tol(m), err)
 
 
 # -- hand-worked likelihoods -------------------------------------------------
@@ -202,11 +276,12 @@ def test_acquisitions_registry():
 def test_score_pool_agrees_with_scalar_likes(auto93):
     m, _ = fit_on(auto93, 14)
     pool = auto93.unlabeled_ids()[:40]
-    B, R = (v[pool] for v in lh.score_table(m))
-    for k, i in enumerate(pool):
+    d = log_ratio(m)
+    for i in pool:
+        assert abs(d[i] - oracles.log_ratio(m, auto93, i)) <= rounding_tol(m)
         b, r = oracles.likes(m, auto93, i)
-        assert B[k] == pytest.approx(b, rel=1e-9, abs=1e-12)
-        assert R[k] == pytest.approx(r, rel=1e-9, abs=1e-12)
+        if min(b, r) > 0.0:  # the smaller side may underflow outright
+            assert d[i] == pytest.approx(math.log(b / r), rel=1e-9, abs=1e-9)
 
 
 def test_score_pool_handles_missing_cells(make_ds):
@@ -221,11 +296,10 @@ def test_score_pool_handles_missing_cells(make_ds):
     """)
     m = lh.fit(split(label_ids(ds, range(4)), ds), ds)
     pool = ds.unlabeled_ids()
-    B, R = (v[pool] for v in lh.score_table(m))
-    for k, i in enumerate(pool):
+    d = log_ratio(m)
+    for i in pool:
         b, r = oracles.likes(m, ds, i)
-        assert B[k] == pytest.approx(b, rel=1e-9)
-        assert R[k] == pytest.approx(r, rel=1e-9)
+        assert d[i] == pytest.approx(math.log(b / r), rel=1e-9, abs=1e-12)
 
 
 # -- acquire_tpe -------------------------------------------------------------
@@ -276,11 +350,9 @@ def test_acquire_breaks_ties_toward_low_ids(make_ds):
 def test_acquire_matches_brute_force_argmax(auto93, fn):
     m, _ = fit_on(auto93, 12)
     pool = auto93.unlabeled_ids()[:50]
-    chosen = lh.acquire_tpe(m, pool, fn)
-    scored = [(oracles.ACQUISITIONS[fn](*oracles.likes(m, auto93, i)), i) for i in pool]
-    best_score = max(s for s, _ in scored)
-    want = min(i for s, i in scored if s == pytest.approx(best_score, rel=1e-9))
-    assert chosen == want
+    d = [oracles.log_ratio(m, auto93, i) for i in pool]
+    assert_is_the_pick(lh.acquire_tpe(m, pool, fn), d, pool, fn, tie_tol(m),
+                       rounding_tol(m))
 
 
 # -- generated tables ----------------------------------------------------------
@@ -290,22 +362,25 @@ def nb_tables(draw):
     """A small MOOT table as CSV text, plus how many of its rows to label.
 
     Numeric columns take integer-tenth values, a constant (whose class sds
-    hit SD_FLOOR), or mostly '?' cells (so a class may never see one);
-    symbolic columns draw from up to three letters, or are all '?' (an
-    empty alphabet). Few enough numeric columns that numpy sums every row
-    left to right, pool of one row included.
+    hit CONSTANT_FLOOR), integer tenths plus one cell of 1e9 (whose floor
+    is FLOOR_MIN, so the expanded quadratic cancels hardest), or mostly '?'
+    cells (so a class may never see one); symbolic columns draw from up to
+    three letters, or are all '?' (an empty alphabet).
     """
     n_labeled = draw(st.integers(2, 30))
     n_rows = n_labeled + draw(st.integers(1, 10))
     missing = st.sampled_from([0.0, 0.2, 0.9, 1.0])
     columns = []
     for j in range(draw(st.integers(0, 4))):
-        kind, rate = draw(st.sampled_from(["spread", "constant"])), draw(missing)
+        kind = draw(st.sampled_from(["spread", "constant", "outlier"]))
+        rate = draw(missing)
         values = draw(st.lists(st.integers(-50, 50), min_size=n_rows, max_size=n_rows))
         holes = draw(st.lists(st.floats(0, 1, exclude_max=True), min_size=n_rows,
                               max_size=n_rows))
         cells = ["?" if h < rate else ("7" if kind == "constant" else str(v / 10))
                  for v, h in zip(values, holes)]
+        if kind == "outlier":
+            cells[draw(st.integers(0, n_rows - 1))] = "1e9"
         columns.append((f"N{j}", cells))
     for j in range(draw(st.integers(0 if columns else 1, 2))):
         letters = draw(st.sampled_from(["", "a", "ab", "abc"]))
@@ -319,26 +394,59 @@ def nb_tables(draw):
     return "\n".join(lines) + "\n", n_labeled
 
 
-@settings(max_examples=200, deadline=None)
-@given(nb_tables(), st.randoms(use_true_random=False))
-def test_table_scorer_and_acquire_match_the_oracles_on_generated_tables(table, rnd):
-    """On generated tables the scorer's pool entries equal the plain
-    expression bit for bit, for both classes, and acquire_tpe, handed the
-    pool shuffled, returns the brute-force argmax with the lowest id
-    winning ties."""
+def fitted_table(table, rnd):
     text, n_labeled = table
     ds = load_csv(io.StringIO(text), name="generated")
     label_ids(ds, rnd.sample(range(len(ds.rows)), n_labeled))
-    m = lh.fit(split(ds.labeled_ids(), ds), ds)
+    return ds, lh.fit(split(ds.labeled_ids(), ds), ds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nb_tables(), st.randoms(use_true_random=False))
+def test_table_scorer_and_acquire_match_the_oracles_on_generated_tables(table, rnd):
+    """On generated tables the one-product d matches the per-class
+    expression within rounding_tol, and acquire_tpe, handed the pool
+    shuffled, picks by the oracle's d with the lowest id winning ties."""
+    ds, m = fitted_table(table, rnd)
     pool = ds.unlabeled_ids()
-    want = oracles.score_pool(m, pool)
-    for got, expected in zip(lh.score_table(m), want):
-        assert np.array_equal(got[pool], expected)
+    want, err = oracles.score_pool(m, ds, pool), rounding_tol(m)
+    assert np.abs(log_ratio(m)[pool] - want).max() <= err
     shuffled = pool.tolist()
     rnd.shuffle(shuffled)
     for fn in lh.ACQUIRES:
-        scored = [(oracles.ACQUISITIONS[fn](b, r), i)
-                  for b, r, i in zip(*want, pool.tolist())]
-        top = max(s for s, _ in scored)
-        pick = min(i for s, i in scored if s == top)
-        assert lh.acquire_tpe(m, np.array(shuffled), fn) == pick
+        assert_is_the_pick(lh.acquire_tpe(m, np.array(shuffled), fn), want, pool, fn,
+                           tie_tol(m), err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nb_tables(), st.randoms(use_true_random=False))
+def test_pick_ignores_pool_order_and_term_order(table, rnd):
+    """The pick is the same for any order of the pool and any order of
+    the terms that make up d: the design's columns permuted with their
+    weights, in C or Fortran memory order (another BLAS kernel)."""
+    ds, m = fitted_table(table, rnd)
+    pool = ds.unlabeled_ids()
+    perm = list(range(len(m.weights)))
+    rnd.shuffle(perm)
+    shuffled = pool.tolist()
+    rnd.shuffle(shuffled)
+    reordered = [dataclasses.replace(m, design=layout(m.design[:, perm]),
+                                     weights=m.weights[perm])
+                 for layout in (np.ascontiguousarray, np.asfortranarray)]
+    for fn in lh.ACQUIRES:
+        chosen = lh.acquire_tpe(m, pool, fn)
+        assert lh.acquire_tpe(m, np.array(shuffled), fn) == chosen
+        for other in reordered:
+            assert lh.acquire_tpe(other, np.array(shuffled), fn) == chosen
+
+
+@settings(max_examples=200, deadline=None)
+@given(nb_tables(), st.randoms(use_true_random=False))
+def test_no_acquisition_score_is_non_finite_or_saturates(table, rnd):
+    """d, and with it both acquisitions' scores, is finite and far from
+    1e30 on every row, FLOOR_MIN columns included."""
+    _, m = fitted_table(table, rnd)
+    d = log_ratio(m)
+    assert np.isfinite(m.weights).all()
+    for score in (d, -np.abs(d)):
+        assert np.isfinite(score).all() and (np.abs(score) < 1e30).all()
