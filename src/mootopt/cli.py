@@ -16,7 +16,7 @@ from . import __version__, engine, gp, report
 from .data import ParseError, load_csv
 from .warmstart import DEFAULT_KEY_ENV, MockSynthesizer, RemoteSynthesizer
 
-ARM_ACQUIRES = tuple(a for a in engine.ALL_ACQUIRES if a != "baseline")
+ARM_ACQUIRES = engine.ACTIVE_ACQUIRES + ("random",)
 
 
 class ConfigError(ValueError):

@@ -20,13 +20,15 @@ only when its halves are read as Rows.
 `normalize` and `encode_cells` are the one rule that turns cells into
 numbers: min-max scaled numerics and alphabet codes for symbols. The
 surrogates' views, the warm start's nearest-row mapping and the goal
-scores all use it.
+scores all use it, and `x_views` holds each table's encoding, symbol
+one-hot included, for both surrogates.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -236,12 +238,10 @@ class Dataset:
           sym_pos     x-list positions of symbolic columns
           alphabets   sorted observed values per symbolic column
           X_num       (n_rows, n_num) normalized values, NaN where missing
-          XT_num      X_num transposed into C order, one row per column
           X_sym       (n_rows, n_sym) alphabet codes, -1 where missing
-          sym_edges   (n_sym + 1,) start of each symbolic column's alphabet in
-                      one flat code space over all of them; the last edge
-                      is the space's size, n_slots
-          sym_sizes   (n_sym,) alphabet size per symbolic column
+          onehot      (n_rows, n_slots) 1 in the slot of each known symbol,
+                      over one flat space that numbers every symbolic
+                      column's alphabet in turn
         Only x values feed these views, so using them never leaks labels.
         """
         return self.cached("x_views", _build_x_views)
@@ -287,11 +287,11 @@ def _build_x_views(ds: Dataset) -> dict:
               "sym_pos": sym_pos,
               "alphabets": [sorted(ds.col_stats(ds.x_cols[p]).freq) for p in sym_pos]}
     X_num, X_sym = encode_cells([row.x for row in ds.rows], ds, layout)
-    XT_num = np.ascontiguousarray(X_num.T)
-    sizes = np.array([len(a) for a in layout["alphabets"]], dtype=np.intp)
-    edges = np.concatenate(([0], np.cumsum(sizes)))
-    return {**layout, "X_num": X_num, "XT_num": XT_num, "X_sym": X_sym,
-            "sym_edges": edges, "sym_sizes": sizes}
+    starts = np.cumsum([0] + [len(a) for a in layout["alphabets"]])
+    onehot = np.zeros((len(ds.rows), starts[-1]))
+    i, j = np.nonzero(X_sym >= 0)
+    onehot[i, starts[j] + X_sym[i, j]] = 1.0
+    return {**layout, "X_num": X_num, "X_sym": X_sym, "onehot": onehot}
 
 
 def _parse_cell(raw: str, col: ColumnSpec, row_no: int) -> Cell:
@@ -350,14 +350,18 @@ def load_csv(source: Union[str, Path, TextIO], name: Optional[str] = None) -> Da
     if isinstance(source, (str, Path)):
         path = Path(source)
         ds_name = name or path.stem
-        # utf-8-sig drops the byte-order mark that Excel's "CSV UTF-8" writes
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return _load_csv_stream(fh, ds_name)
     return _load_csv_stream(source, name or "<stream>")
 
 
 def _load_csv_stream(fh, name: str) -> Dataset:
-    reader = csv.reader(fh)
+    # Drop the byte-order mark Excel's "CSV UTF-8" export starts with, before
+    # the csv reader sees it, so a quoted first header cell stays quoted.
+    lines = iter(fh)
+    first = next(lines, None)
+    reader = csv.reader(itertools.chain(
+        () if first is None else (first.removeprefix("\ufeff"),), lines))
     try:
         return _parse_records(reader, name)
     except csv.Error as e:

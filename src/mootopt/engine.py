@@ -38,10 +38,7 @@ from .data import Dataset, sample_ids
 from .objective import chebyshev, reveal, split  # noqa: F401
 from .warmstart import LogFn, Synthesizer, cold_start, ignore, warm_start
 
-TPE_ACQUIRES = likelihood.ACQUIRES
-GP_ACQUIRES = gp.ACQUIRES
-ACTIVE_ACQUIRES = TPE_ACQUIRES + GP_ACQUIRES
-ALL_ACQUIRES = ACTIVE_ACQUIRES + ("random", "baseline")
+ACTIVE_ACQUIRES = likelihood.ACQUIRES + gp.ACQUIRES
 
 B0 = 4  # labels consumed before the acquisition loop
 DEFAULT_BUDGETS = (10, 15, 20, 25, 30)
@@ -115,7 +112,7 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
             log({"event": "pool_exhausted", "evals": work.evaluations})
             break
         labeled = work.labeled_ids()
-        if t.acquire in TPE_ACQUIRES:
+        if t.acquire in likelihood.ACQUIRES:
             model = likelihood.fit(split(labeled, work), work)
             i = likelihood.acquire_tpe(model, pool, t.acquire)
         else:

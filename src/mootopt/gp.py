@@ -39,18 +39,7 @@ class GpFitError(RuntimeError):
 
 def _encode_all(ds: Dataset) -> np.ndarray:
     views = ds.x_views()
-    parts = []
-    if views["num_pos"]:
-        parts.append(np.nan_to_num(views["X_num"], nan=0.5))
-    for j, alphabet in enumerate(views["alphabets"]):
-        codes = views["X_sym"][:, j]
-        block = np.zeros((len(codes), len(alphabet)))
-        known = codes >= 0
-        block[np.nonzero(known)[0], codes[known]] = 1.0
-        parts.append(block)
-    if not parts:
-        return np.zeros((len(ds.rows), 0))
-    return np.hstack(parts)
+    return np.hstack([np.nan_to_num(views["X_num"], nan=0.5), views["onehot"]])
 
 
 def encode_rows(ds: Dataset, ids: np.ndarray) -> np.ndarray:
@@ -150,19 +139,13 @@ def fit(X: np.ndarray, y: np.ndarray,
     _check_finite(X, y)
     signal_var = max(float(y.var()), SIGNAL_VAR_FLOOR)
     sqdist = cdist(X, X, "sqeuclidean")
-    best = None
-    for ls in LENGTH_SCALE_GRID if length_scale is None else (length_scale,):
-        model = _try_fit(X, y, sqdist, ls, signal_var)
-        if best is None or model.log_marginal > best.log_marginal:
-            best = model
-    assert best is not None
-    return best
+    grid = LENGTH_SCALE_GRID if length_scale is None else (length_scale,)
+    return max((_try_fit(X, y, sqdist, ls, signal_var) for ls in grid),
+               key=lambda m: m.log_marginal)
 
 
 def fit_gp(labeled: np.ndarray, ds: Dataset) -> GpModel:
     """Fit the surrogate to the labeled ids on the target g = 1 - chebyshev."""
-    if len(labeled) < 2:
-        raise ValueError(f"need at least 2 labeled rows, got {len(labeled)}")
     return fit(encode_rows(ds, labeled), 1.0 - reveal(labeled, ds))
 
 

@@ -36,13 +36,7 @@ TIE_REL = 1e-12       # scores this close, relative to their terms' scale, tie
 
 @dataclass
 class TwoClassModel:
-    """Per-class statistics, row 0 of each array best and row 1 rest, and
-    the weights they give the table's design matrix."""
-    prior: np.ndarray       # (2,)
-    num_mean: np.ndarray    # (2, n_num); NaN where the class saw no value
-    num_sd: np.ndarray      # (2, n_num), floored at the column's sd floor
-    sym_counts: np.ndarray  # (2, n_slots) over the flat symbol space (x_views)
-    sym_n: np.ndarray       # (2, n_sym) observed (non-missing) cells per column
+    """What a step reads: d = design @ weights + offset for every row."""
     design: np.ndarray      # table_terms(ds)["design"]
     weights: np.ndarray     # best minus rest, one per design column
     offset: float           # log(prior_best / prior_rest)
@@ -60,6 +54,7 @@ def table_terms(ds: Dataset) -> dict:
               where missing; 1 where a numeric, then a symbolic, cell is
               known; 1 in the slot of each row's symbol. Every entry is in
               [0, 1].
+      sizes   (n_sym,) alphabet size per symbolic column
     Only x values feed them, so using them never leaks labels.
     """
     return ds.cached("nb_terms", _build_terms)
@@ -68,19 +63,16 @@ def table_terms(ds: Dataset) -> dict:
 def _build_terms(ds: Dataset) -> dict:
     views = ds.x_views()
     floor = np.full(len(views["num_pos"]), CONSTANT_FLOOR)
-    for j, col in enumerate(views["XT_num"]):
+    X = views["X_num"]
+    for j, col in enumerate(X.T):
         distinct = np.unique(col[~np.isnan(col)])
         if len(distinct) > 1:
             floor[j] = max(np.diff(distinct).min() / 2, FLOOR_MIN)
-    X = views["X_num"]
     known = ~np.isnan(X)
     x = np.where(known, X, 0.0)
-    codes, edges = views["X_sym"], views["sym_edges"]
-    onehot = np.zeros((len(X), edges[-1]))
-    i, j = np.nonzero(codes >= 0)
-    onehot[i, edges[j] + codes[i, j]] = 1.0
-    design = np.hstack([x * x, x, known, codes >= 0, onehot])
-    return {"floor": floor, "design": design}
+    design = np.hstack([x * x, x, known, views["X_sym"] >= 0, views["onehot"]])
+    sizes = np.array([len(a) for a in views["alphabets"]])
+    return {"floor": floor, "design": design, "sizes": sizes}
 
 
 def fit(split: BestRestSplit, ds: Dataset) -> TwoClassModel:
@@ -89,9 +81,9 @@ def fit(split: BestRestSplit, ds: Dataset) -> TwoClassModel:
     if k == 0 or k == n:
         empty = "best" if k == 0 else "rest"
         raise ValueError(f"cannot fit a two-class model with an empty {empty} class")
-    views, terms = ds.x_views(), table_terms(ds)
+    terms = table_terms(ds)
     design, floor = terms["design"], terms["floor"]
-    p, q = len(floor), len(views["sym_pos"])
+    p, q = len(floor), len(terms["sizes"])
     # Each class's sums of every design column: one gather of the labeled
     # rows, summed over each class's stretch of them.
     rows = design[split.ranked]
@@ -111,15 +103,14 @@ def fit(split: BestRestSplit, ds: Dataset) -> TwoClassModel:
     prec = 1.0 / (sd * sd)
     mp = mean * prec
     # no cell of an empty alphabet is known, so any size will do for it
-    sizes = np.maximum(views["sym_sizes"], 1)
+    sizes = np.maximum(terms["sizes"], 1)
     per_class = np.concatenate([-0.5 * prec, mp, -0.5 * mean * mp - np.log(sd),
                                 -np.log(sym_n + sizes), np.log(counts + 1.0)], axis=1)
     weights = per_class[0] - per_class[1]
     # a numeric column either class never saw (NaN mean) adds nothing to d
     weights[:3 * p].reshape(3, p)[:, np.isnan(weights[p:2 * p])] = 0.0
-    return TwoClassModel(prior=np.array([k, n - k]) / n, num_mean=mean, num_sd=sd,
-                         sym_counts=counts, sym_n=sym_n, design=design,
-                         weights=weights, offset=math.log(k / (n - k)))
+    return TwoClassModel(design=design, weights=weights,
+                         offset=math.log(k / (n - k)))
 
 
 def acquire_tpe(m: TwoClassModel, pool: np.ndarray, fn: str) -> int:

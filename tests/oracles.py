@@ -9,12 +9,14 @@ Nothing in the package imports this module.
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from mootopt import gp
 from mootopt.data import MAXIMIZE, NUMERIC, ColumnSpec, Dataset, NumStats, Row
-from mootopt.likelihood import CONSTANT_FLOOR, FLOOR_MIN, TwoClassModel
+from mootopt.likelihood import CONSTANT_FLOOR, FLOOR_MIN
+from mootopt.objective import BestRestSplit
 
 EPS_DIV = 1e-30  # keeps the scalar acquisition ratios finite
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -113,7 +115,7 @@ def class_numeric_stats(ids: np.ndarray, views: dict) -> tuple[np.ndarray, np.nd
     """Per-column mean and floored sd of a class, one column at a time."""
     num_pos = views["num_pos"]
     xn = views["X_num"][ids] if num_pos else np.empty((len(ids), 0))
-    floor = [sd_floor(col) for col in views["XT_num"]]
+    floor = [sd_floor(col) for col in views["X_num"].T]
     mean = np.full(len(num_pos), np.nan)
     sd = np.array(floor, dtype=float)
     for j in range(len(num_pos)):
@@ -125,7 +127,7 @@ def class_numeric_stats(ids: np.ndarray, views: dict) -> tuple[np.ndarray, np.nd
     return mean, sd
 
 
-def class_symbol_counts(ids: np.ndarray, ds: Dataset) -> tuple[list[dict], list[int]]:
+def class_symbol_counts(ids: np.ndarray, ds: Dataset) -> tuple[list[Counter], list[int]]:
     """Per symbolic column of a class: counts of each symbol, and the
     number of cells that are not missing, one row at a time."""
     sym_pos = ds.x_views()["sym_pos"]
@@ -134,14 +136,59 @@ def class_symbol_counts(ids: np.ndarray, ds: Dataset) -> tuple[list[dict], list[
     return counts, [sum(c.values()) for c in counts]
 
 
-def _log_like_row(m: TwoClassModel, c: int, ds: Dataset, i: int) -> float:
+@dataclass
+class ClassStats:
+    """A best/rest split's per-class statistics, index 0 best and 1 rest."""
+    prior: list[float]
+    mean: np.ndarray             # (2, n_num); NaN where the class saw no value
+    sd: np.ndarray               # (2, n_num), floored at the column's sd floor
+    counts: list[list[Counter]]  # per class, per symbolic column
+    known: list[list[int]]       # per class, per symbolic column: observed cells
+
+
+def class_stats(split: BestRestSplit, ds: Dataset) -> ClassStats:
+    """The stats likelihood.fit summarizes a split by, from its two halves."""
+    halves = (split.ranked[:split.k], split.ranked[split.k:])
+    nums = [class_numeric_stats(ids, ds.x_views()) for ids in halves]
+    syms = [class_symbol_counts(ids, ds) for ids in halves]
+    return ClassStats(prior=[len(ids) / split.n for ids in halves],
+                      mean=np.array([mean for mean, _ in nums]),
+                      sd=np.array([sd for _, sd in nums]),
+                      counts=[counts for counts, _ in syms],
+                      known=[known for _, known in syms])
+
+
+def design_weights(s: ClassStats, ds: Dataset) -> np.ndarray:
+    """Each class's coefficient of every column of the naive-Bayes design,
+    (2, n_cols), one column at a time: the terms _log_like_row sums,
+    expanded in x and without the log sqrt(2 pi) both classes share."""
+    views = ds.x_views()
+    p = len(views["num_pos"])
+    out = []
+    for c in (0, 1):
+        num = np.zeros((3, p))  # x^2, x and known coefficients per column
+        for j in range(p):
+            if not np.isnan(s.mean[:, j]).any():  # a column either class never saw adds 0
+                mean, sd = s.mean[c, j], s.sd[c, j]
+                num[:, j] = (-0.5 / sd ** 2, mean / sd ** 2,
+                             -0.5 * mean ** 2 / sd ** 2 - math.log(sd))
+        # no cell of an empty alphabet is known, so any size will do for it
+        known = [-math.log(s.known[c][j] + max(len(alphabet), 1))
+                 for j, alphabet in enumerate(views["alphabets"])]
+        slots = [math.log(s.counts[c][j][v] + 1.0)
+                 for j, alphabet in enumerate(views["alphabets"]) for v in alphabet]
+        out.append(np.concatenate([num.ravel(), known, slots]))
+    return np.array(out)
+
+
+def _log_like_row(s: ClassStats, c: int, ds: Dataset, i: int) -> float:
     """Class c's (0 best, 1 rest) log prior plus log likelihood of row i."""
     views, row = ds.x_views(), ds.rows[i]
-    lp = math.log(m.prior[c])
+    lp = math.log(s.prior[c])
     for j, p in enumerate(views["num_pos"]):
         v = row.x[p]
-        mean, sd = m.num_mean[c, j], m.num_sd[c, j]
-        if v is None or np.isnan(m.num_mean[:, j]).any():
+        mean, sd = s.mean[c, j], s.sd[c, j]
+        if v is None or np.isnan(s.mean[:, j]).any():
             continue  # a missing cell, or a column either class never saw, adds 0
         z = norm(ds.x_cols[p], float(v), ds)
         lp += -0.5 * ((z - mean) / sd) ** 2 - math.log(sd) - LOG_SQRT_2PI
@@ -150,50 +197,45 @@ def _log_like_row(m: TwoClassModel, c: int, ds: Dataset, i: int) -> float:
         if v is None:
             continue  # a missing cell, so every cell of an empty alphabet, adds 0
         alphabet = views["alphabets"][j]
-        try:
-            count = m.sym_counts[c, views["sym_edges"][j] + alphabet.index(v)]
-        except ValueError:
-            count = 0.0  # value unseen at load
-        lp += math.log((count + 1.0) / (m.sym_n[c, j] + len(alphabet)))
+        lp += math.log((s.counts[c][j][v] + 1.0) / (s.known[c][j] + len(alphabet)))
     return lp
 
 
-def likes(m: TwoClassModel, ds: Dataset, i: int) -> tuple[float, float]:
+def likes(s: ClassStats, ds: Dataset, i: int) -> tuple[float, float]:
     """Likelihood pair (B, R) for row `i` of `ds`, computed in log space.
 
     The shared max log is subtracted before exponentiating, so at least one
     of the returned values is exactly 1 and both are finite.
     """
-    lb = _log_like_row(m, 0, ds, i)
-    lr = _log_like_row(m, 1, ds, i)
+    lb = _log_like_row(s, 0, ds, i)
+    lr = _log_like_row(s, 1, ds, i)
     top = max(lb, lr)
     return math.exp(lb - top), math.exp(lr - top)
 
 
-def log_ratio(m: TwoClassModel, ds: Dataset, i: int) -> float:
+def log_ratio(s: ClassStats, ds: Dataset, i: int) -> float:
     """d = log B - log R for row `i`, one cell at a time."""
-    return _log_like_row(m, 0, ds, i) - _log_like_row(m, 1, ds, i)
+    return _log_like_row(s, 0, ds, i) - _log_like_row(s, 1, ds, i)
 
 
-def score_pool(m: TwoClassModel, ds: Dataset, ids: np.ndarray) -> np.ndarray:
+def score_pool(s: ClassStats, ds: Dataset, ids: np.ndarray) -> np.ndarray:
     """d = log B - log R over a pool, as one plain numpy expression per
     class: each Gaussian term in its centered form, summed per row."""
     views = ds.x_views()
-    usable = ~np.isnan(m.num_mean).any(axis=0)
+    usable = ~np.isnan(s.mean).any(axis=0)
 
     def log_like(c: int) -> np.ndarray:
-        lp = np.full(len(ids), math.log(m.prior[c]))
+        lp = np.full(len(ids), math.log(s.prior[c]))
         xn = views["X_num"][ids][:, usable]
-        mean, sd = m.num_mean[c, usable], m.num_sd[c, usable]
+        mean, sd = s.mean[c, usable], s.sd[c, usable]
         terms = -0.5 * ((xn - mean) / sd) ** 2 - np.log(sd) - LOG_SQRT_2PI
         lp += np.where(np.isnan(xn), 0.0, terms).sum(axis=1)
-        edges = views["sym_edges"]
         for j, alphabet in enumerate(views["alphabets"]):
             if not alphabet:
                 continue  # no cell of the column was observed: it adds nothing
             codes = views["X_sym"][ids, j]
-            counts = m.sym_counts[c, edges[j]:edges[j + 1]]
-            logp = np.log((counts + 1.0) / (m.sym_n[c, j] + len(alphabet)))
+            counts = np.array([s.counts[c][j][v] for v in alphabet], dtype=float)
+            logp = np.log((counts + 1.0) / (s.known[c][j] + len(alphabet)))
             lp += np.where(codes >= 0, logp[np.maximum(codes, 0)], 0.0)
         return lp
 

@@ -287,7 +287,7 @@ def test_improvement_flattens_by_budget_thirty():
             # The 100 runs this claim was first checked on: their seed key
             # still holds the budget, 30, as derive_seed's key once did.
             # The claim is seed-sensitive; over base seeds 1-10 it holds
-            # for 3 of 10 under this key and 4 of 10 under derive_seed's.
+            # for 3 of 10 under this key and 2 of 10 under derive_seed's.
             seed = zlib.crc32(f"{ds.name}|llm|exploit|30|{rep}|1".encode())
             res = run_active(ds, Treatment("llm", "exploit", 30), synth, seed)
             curve = dict(res.trace)

@@ -171,11 +171,15 @@ def test_load_refuses_a_header_without_rows():
 def test_load_strips_a_utf8_byte_order_mark(tmp_path):
     """Excel's "CSV UTF-8" export starts the file with the bytes EF BB BF;
     they must not become part of the first column's name, nor turn that
-    numeric column symbolic."""
+    numeric column symbolic, whether the file is read from a path or from
+    a text stream, and whether or not the first header cell is quoted."""
     path = tmp_path / "bom.csv"
-    path.write_bytes(b"\xef\xbb\xbfKloc,effort-\n1,2\n3,4\n")
-    col = load_csv(path).x_cols[0]
-    assert (col.name, col.kind) == ("Kloc", d.NUMERIC)
+    for header in ("Kloc,effort-", '"Kloc",effort-'):
+        text = "\ufeff" + header + "\n1,2\n3,4\n"
+        path.write_bytes(text.encode("utf-8"))
+        for source in (path, io.StringIO(text)):
+            col = load_csv(source).x_cols[0]
+            assert (col.name, col.kind) == ("Kloc", d.NUMERIC), (header, source)
 
 
 def test_load_names_the_row_of_a_csv_reader_error():
@@ -297,6 +301,8 @@ def test_x_views_cache_shapes(toy):
     assert views["alphabets"][0] == sorted(views["alphabets"][0])
     assert views["X_num"].shape == (12, 2)
     assert views["X_sym"].shape == (12, 1)
+    assert views["onehot"].shape == (12, len(views["alphabets"][0]))
+    assert set(views) == {"num_pos", "sym_pos", "alphabets", "X_num", "X_sym", "onehot"}
     assert toy.x_views() is views  # built once
 
 
@@ -311,6 +317,7 @@ def test_x_views_match_the_cell_by_cell_encoding(name):
     starts = [sum(sizes[:j]) for j in range(len(sizes))]
     want_num = np.full(views["X_num"].shape, np.nan)
     want_sym = np.full(views["X_sym"].shape, -1)
+    want_onehot = np.zeros((len(ds.rows), sum(sizes)))
     for i, row in enumerate(ds.rows):
         for j, p in enumerate(views["num_pos"]):
             if row.x[p] is not None:
@@ -318,12 +325,11 @@ def test_x_views_match_the_cell_by_cell_encoding(name):
         for j, p in enumerate(views["sym_pos"]):
             if row.x[p] is not None:
                 want_sym[i, j] = views["alphabets"][j].index(row.x[p])
+                want_onehot[i, starts[j] + want_sym[i, j]] = 1.0
     assert views["X_num"].tobytes() == want_num.tobytes()
     assert np.array_equal(views["X_sym"], want_sym)
-    assert views["sym_sizes"].tolist() == sizes
-    assert views["sym_edges"].tolist() == starts + [sum(sizes)]
-    assert views["X_num"].flags.c_contiguous and views["XT_num"].flags.c_contiguous
-    assert views["XT_num"].tobytes() == np.ascontiguousarray(want_num.T).tobytes()
+    assert views["onehot"].tobytes() == want_onehot.tobytes()
+    assert views["X_num"].flags.c_contiguous
 
 
 def test_encode_codes_unseen_and_missing_symbols_as_minus_one(toy):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import DATA, SlowFirstBrokenSynth, label_ids, shipped
 from mootopt import engine as eng
+from mootopt.cli import ARM_ACQUIRES
 from mootopt.engine import (DEFAULT_ARMS, GridSpec, Treatment,
                             baseline_summary, cut, derive_seed, run_active,
                             run_baseline, run_grid, run_random)
@@ -23,8 +24,8 @@ def test_default_grid_is_nine_arms():
     assert ("llm", "exploit") in DEFAULT_ARMS
     assert ("random", "random") in DEFAULT_ARMS
     assert ("baseline", "baseline") in DEFAULT_ARMS
-    assert set(eng.ALL_ACQUIRES) == {
-        "exploit", "explore", "ucb", "pi", "ei", "random", "baseline"}
+    assert set(eng.ACTIVE_ACQUIRES) == {"exploit", "explore", "ucb", "pi", "ei"}
+    assert set(ARM_ACQUIRES) == set(eng.ACTIVE_ACQUIRES) | {"random"}
 
 
 # -- run_active ---------------------------------------------------------------

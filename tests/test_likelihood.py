@@ -24,9 +24,13 @@ def halves(ds, k, end=None):
     return BestRestSplit(ranked=np.arange(end), k=k, rows=ds.rows)
 
 
+def fitted(sp, ds):
+    """The model fit gives a split, and the oracle's class stats of it."""
+    return lh.fit(sp, ds), oracles.class_stats(sp, ds)
+
+
 def fit_on(ds, n):
-    labeled = label_ids(ds, range(n))
-    return lh.fit(split(labeled, ds), ds), labeled
+    return fitted(split(label_ids(ds, range(n)), ds), ds)
 
 
 def log_ratio(m):
@@ -39,12 +43,23 @@ def tie_tol(m):
     return lh.TIE_REL * (np.abs(m.weights).sum() + abs(m.offset))
 
 
-def rounding_tol(m):
+def rounding_tol(s):
     """How far the one-product d and the per-class oracle may differ: 1e-12
     relative to 1 + the sum of every class's 1 / sd^2, the scale of the
     largest Gaussian terms either side rounds. Both sides err by a few
     ulps of that scale per term, far under this bound."""
-    return 1e-12 * (1.0 + (1.0 / m.num_sd ** 2).sum())
+    return 1e-12 * (1.0 + (1.0 / s.sd ** 2).sum())
+
+
+def assert_weights_match(m, s, ds, msg=None):
+    """m's weights are the best-minus-rest design coefficients of the
+    oracle's class stats, each within 1e-12 of the two classes' terms'
+    magnitudes, and its offset is their log prior ratio."""
+    w = oracles.design_weights(s, ds)
+    assert (np.abs(m.weights - (w[0] - w[1]))
+            <= 1e-12 * (np.abs(w[0]) + np.abs(w[1]))).all(), msg
+    assert m.offset == pytest.approx(math.log(s.prior[0] / s.prior[1]),
+                                     rel=1e-12, abs=1e-15), msg
 
 
 def assert_is_the_pick(chosen, d, ids, fn, tol, err):
@@ -60,9 +75,15 @@ def assert_is_the_pick(chosen, d, ids, fn, tol, err):
 # -- class stats -------------------------------------------------------------
 
 def test_priors_and_counts(auto93):
-    m, _ = fit_on(auto93, 16)
-    assert m.prior.tolist() == [0.25, 0.75]
-    assert m.sym_n.tolist() == [[4], [12]]  # origin has no '?' cell
+    """4 of 16 rows are best, so the offset is log(4 / 12). origin has no
+    '?' cell, so its known-symbol weight is log((12 + size) / (4 + size))."""
+    m, s = fit_on(auto93, 16)
+    assert s.prior == [0.25, 0.75] and s.known == [[4], [12]]
+    assert m.offset == math.log(4 / 12)
+    p, size = s.mean.shape[1], len(auto93.x_views()["alphabets"][0])
+    assert m.weights[3 * p] == pytest.approx(math.log((12 + size) / (4 + size)),
+                                             rel=1e-12)
+    assert_weights_match(m, s, auto93)
 
 
 def test_fit_rejects_an_empty_class(make_ds):
@@ -88,12 +109,17 @@ def test_identical_values_hit_the_sd_floor(make_ds):
         10,3,1000000000,4
     """)
     label_ids(ds)
-    m = lh.fit(halves(ds, 2), ds)
+    m, s = fitted(halves(ds, 2), ds)
     floor = lh.table_terms(ds)["floor"]
     assert floor.tolist() == [0.25, lh.CONSTANT_FLOOR, lh.FLOOR_MIN]
-    assert m.num_sd[0, 0] == 0.25  # rest holds 0 and 1, so its sd is 0.5
-    assert m.num_sd[:, 1].tolist() == [lh.CONSTANT_FLOOR] * 2
-    assert m.num_sd[1, 2] == lh.FLOOR_MIN
+    assert s.sd[:, 0].tolist() == [0.25, 0.5]  # rest holds 0 and 1
+    assert s.sd[:, 1].tolist() == [lh.CONSTANT_FLOOR] * 2
+    assert s.sd[:, 2].tolist() == [lh.FLOOR_MIN] * 2
+    assert_weights_match(m, s, ds)
+    # W's x^2 weight is -1 / (2 0.25^2) + 1 / (2 0.5^2); F's x weight is
+    # best's mean 5e-10 minus rest's 1, over FLOOR_MIN^2
+    assert m.weights[0] == -6.0
+    assert m.weights[5] == pytest.approx((5e-10 - 1) / lh.FLOOR_MIN ** 2, rel=1e-12)
 
 
 def test_class_that_never_saw_a_column_is_neutral(make_ds):
@@ -108,10 +134,11 @@ def test_class_that_never_saw_a_column_is_neutral(make_ds):
         4,5
     """)
     label_ids(ds)
-    m = lh.fit(halves(ds, 2), ds)
-    assert math.isnan(m.num_mean[0, 0])
-    assert m.num_sd[:, 0].tolist() == [0.2, pytest.approx(0.4109, abs=1e-4)]
-    b, r = oracles.likes(m, ds, 2)
+    m, s = fitted(halves(ds, 2), ds)
+    assert math.isnan(s.mean[0, 0])
+    assert s.sd[:, 0].tolist() == [0.2, pytest.approx(0.4109, abs=1e-4)]
+    assert_weights_match(m, s, ds)
+    b, r = oracles.likes(s, ds, 2)
     assert math.isfinite(b) and math.isfinite(r)
     assert not m.weights.any()
     assert log_ratio(m).tolist() == [math.log(2 / 3)] * 5
@@ -142,36 +169,26 @@ def test_design_matches_the_cell_by_cell_encoding():
 
 
 def test_class_stats_match_the_per_column_oracle():
-    """The class stats summed from the design rows match numpy's mean and
-    std of each column within 1e-12 relative, on every shipped table, for
-    both classes, at class sizes on both sides of numpy's 8-wide pairwise
-    summation, and on auto93's columns with '?' cells. The floors match
-    the one-pair-at-a-time oracle exactly, and the symbol counts match a
-    count of each row's cells."""
+    """The weights fit sums from the design rows match those of the
+    oracle's class stats (numpy's mean and std of each column, and a count
+    of each row's cells), on every shipped table, at class sizes on both
+    sides of numpy's 8-wide pairwise summation, and on auto93's columns
+    with '?' cells. The floors match the one-pair-at-a-time oracle
+    exactly."""
     rng = random.Random(5)
     for path in sorted(DATA.glob("*.csv")):
         ds = shipped(path.stem)
         views = ds.x_views()
         assert lh.table_terms(ds)["floor"].tolist() == [
-            oracles.sd_floor(col) for col in views["XT_num"]], path.stem
+            oracles.sd_floor(col) for col in views["X_num"].T], path.stem
         n = len(ds.rows)
         gappy = [r.id for r in ds.rows if None in r.x]
         classes = [rng.sample(range(n), min(k, n)) for k in (1, 2, 7, 9, 17, 30, 200)]
         classes += [list(range(n)), gappy, gappy[:1]] if gappy else [list(range(n))]
         for best, rest in zip(classes, classes[1:] + classes[:1]):
             ranked = np.array(best + rest, dtype=np.intp)
-            m = lh.fit(BestRestSplit(ranked=ranked, k=len(best), rows=ds.rows), ds)
-            for c, ids in enumerate((best, rest)):
-                mean, sd = oracles.class_numeric_stats(np.array(ids), views)
-                assert np.allclose(m.num_mean[c], mean, rtol=1e-12, atol=0,
-                                   equal_nan=True), path.stem
-                assert np.allclose(m.num_sd[c], sd, rtol=1e-12, atol=0), path.stem
-                counts, known = oracles.class_symbol_counts(ids, ds)
-                assert m.sym_n[c].tolist() == known, path.stem
-                flat = [counts[j][s] for j, alphabet in enumerate(views["alphabets"])
-                        for s in alphabet]
-                assert m.sym_counts[c].tolist() == flat, path.stem
-            assert m.prior.tolist() == [len(best) / len(ranked), len(rest) / len(ranked)]
+            m, s = fitted(BestRestSplit(ranked=ranked, k=len(best), rows=ds.rows), ds)
+            assert_weights_match(m, s, ds, path.stem)
     assert np.isnan(shipped("auto93").x_views()["X_num"]).any()
 
 
@@ -184,11 +201,11 @@ def test_log_ratio_matches_the_plain_expression_on_shipped_tables():
         for size in (4, 9, 16, 30):
             ds = shipped(path.stem)
             label_ids(ds, rng.sample(range(len(ds.rows)), min(size, len(ds.rows))))
-            m = lh.fit(split(ds.labeled_ids(), ds), ds)
+            m, s = fitted(split(ds.labeled_ids(), ds), ds)
             pool = ds.unlabeled_ids()
             if len(pool) == 0:
                 continue
-            want, err = oracles.score_pool(m, ds, pool), rounding_tol(m)
+            want, err = oracles.score_pool(s, ds, pool), rounding_tol(s)
             assert np.abs(log_ratio(m)[pool] - want).max() <= err, (path.stem, size)
             for fn in lh.ACQUIRES:
                 assert_is_the_pick(lh.acquire_tpe(m, pool, fn), want, pool, fn,
@@ -214,10 +231,11 @@ def test_symbolic_smoothing_hand_case(make_ds):
         c,6
     """)
     label_ids(ds)
-    m = lh.fit(halves(ds, 3), ds)
-    b, r = oracles.likes(m, ds, 0)
+    m, s = fitted(halves(ds, 3), ds)
+    b, r = oracles.likes(s, ds, 0)
     assert b == 1.0
     assert r == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert log_ratio(m)[0] == pytest.approx(math.log(3.0), rel=1e-12)
 
 
 def test_numeric_likelihood_matches_gaussian_pdf_oracle(make_ds):
@@ -229,20 +247,21 @@ def test_numeric_likelihood_matches_gaussian_pdf_oracle(make_ds):
         0.8,3
         1.0,4
     """)
-    m = lh.fit(split(label_ids(ds), ds), ds)
+    m, s = fitted(split(label_ids(ds), ds), ds)
     col = ds.x_cols[0]
     z = [oracles.norm(col, float(r.x[0]), ds) for r in ds.rows]
     mu_b, sd_b = statistics.fmean(z[:2]), statistics.pstdev(z[:2])
     mu_r, sd_r = statistics.fmean(z[2:]), statistics.pstdev(z[2:])
     want = gaussian(mu_b, sd_b).pdf(z[1]) / gaussian(mu_r, sd_r).pdf(z[1])
-    b, r = oracles.likes(m, ds, 1)
+    b, r = oracles.likes(s, ds, 1)
     assert b / r == pytest.approx(want, rel=1e-9)
+    assert log_ratio(m)[1] == pytest.approx(math.log(want), rel=1e-9)
 
 
 def test_likes_rescales_the_larger_class_to_one(auto93):
-    m, _ = fit_on(auto93, 12)
+    _, s = fit_on(auto93, 12)
     for i in auto93.unlabeled_ids()[:20]:
-        b, r = oracles.likes(m, auto93, i)
+        b, r = oracles.likes(s, auto93, i)
         assert max(b, r) == 1.0
         # the smaller side may underflow to 0.0 outright when a class sd
         # is tiny and the row sits far from its mean
@@ -274,12 +293,12 @@ def test_acquisitions_registry():
 
 
 def test_score_pool_agrees_with_scalar_likes(auto93):
-    m, _ = fit_on(auto93, 14)
+    m, s = fit_on(auto93, 14)
     pool = auto93.unlabeled_ids()[:40]
     d = log_ratio(m)
     for i in pool:
-        assert abs(d[i] - oracles.log_ratio(m, auto93, i)) <= rounding_tol(m)
-        b, r = oracles.likes(m, auto93, i)
+        assert abs(d[i] - oracles.log_ratio(s, auto93, i)) <= rounding_tol(s)
+        b, r = oracles.likes(s, auto93, i)
         if min(b, r) > 0.0:  # the smaller side may underflow outright
             assert d[i] == pytest.approx(math.log(b / r), rel=1e-9, abs=1e-9)
 
@@ -294,11 +313,11 @@ def test_score_pool_handles_missing_cells(make_ds):
         ?,a,5
         5,?,6
     """)
-    m = lh.fit(split(label_ids(ds, range(4)), ds), ds)
+    m, s = fitted(split(label_ids(ds, range(4)), ds), ds)
     pool = ds.unlabeled_ids()
     d = log_ratio(m)
     for i in pool:
-        b, r = oracles.likes(m, ds, i)
+        b, r = oracles.likes(s, ds, i)
         assert d[i] == pytest.approx(math.log(b / r), rel=1e-9, abs=1e-12)
 
 
@@ -348,11 +367,11 @@ def test_acquire_breaks_ties_toward_low_ids(make_ds):
 
 @pytest.mark.parametrize("fn", ["exploit", "explore"])
 def test_acquire_matches_brute_force_argmax(auto93, fn):
-    m, _ = fit_on(auto93, 12)
+    m, s = fit_on(auto93, 12)
     pool = auto93.unlabeled_ids()[:50]
-    d = [oracles.log_ratio(m, auto93, i) for i in pool]
+    d = [oracles.log_ratio(s, auto93, i) for i in pool]
     assert_is_the_pick(lh.acquire_tpe(m, pool, fn), d, pool, fn, tie_tol(m),
-                       rounding_tol(m))
+                       rounding_tol(s))
 
 
 # -- generated tables ----------------------------------------------------------
@@ -398,18 +417,20 @@ def fitted_table(table, rnd):
     text, n_labeled = table
     ds = load_csv(io.StringIO(text), name="generated")
     label_ids(ds, rnd.sample(range(len(ds.rows)), n_labeled))
-    return ds, lh.fit(split(ds.labeled_ids(), ds), ds)
+    return (ds, *fitted(split(ds.labeled_ids(), ds), ds))
 
 
 @settings(max_examples=200, deadline=None)
 @given(nb_tables(), st.randoms(use_true_random=False))
 def test_table_scorer_and_acquire_match_the_oracles_on_generated_tables(table, rnd):
-    """On generated tables the one-product d matches the per-class
-    expression within rounding_tol, and acquire_tpe, handed the pool
-    shuffled, picks by the oracle's d with the lowest id winning ties."""
-    ds, m = fitted_table(table, rnd)
+    """On generated tables the weights match the oracle's class stats, the
+    one-product d matches the per-class expression within rounding_tol,
+    and acquire_tpe, handed the pool shuffled, picks by the oracle's d
+    with the lowest id winning ties."""
+    ds, m, s = fitted_table(table, rnd)
+    assert_weights_match(m, s, ds)
     pool = ds.unlabeled_ids()
-    want, err = oracles.score_pool(m, ds, pool), rounding_tol(m)
+    want, err = oracles.score_pool(s, ds, pool), rounding_tol(s)
     assert np.abs(log_ratio(m)[pool] - want).max() <= err
     shuffled = pool.tolist()
     rnd.shuffle(shuffled)
@@ -424,7 +445,7 @@ def test_pick_ignores_pool_order_and_term_order(table, rnd):
     """The pick is the same for any order of the pool and any order of
     the terms that make up d: the design's columns permuted with their
     weights, in C or Fortran memory order (another BLAS kernel)."""
-    ds, m = fitted_table(table, rnd)
+    ds, m, _ = fitted_table(table, rnd)
     pool = ds.unlabeled_ids()
     perm = list(range(len(m.weights)))
     rnd.shuffle(perm)
@@ -445,7 +466,7 @@ def test_pick_ignores_pool_order_and_term_order(table, rnd):
 def test_no_acquisition_score_is_non_finite_or_saturates(table, rnd):
     """d, and with it both acquisitions' scores, is finite and far from
     1e30 on every row, FLOOR_MIN columns included."""
-    _, m = fitted_table(table, rnd)
+    _, m, _ = fitted_table(table, rnd)
     d = log_ratio(m)
     assert np.isfinite(m.weights).all()
     for score in (d, -np.abs(d)):

@@ -1,5 +1,7 @@
 """Warm-start pipeline: prompts, parsing, mapping, and the fallback path."""
 
+import io
+import math
 import random
 import sys
 import types
@@ -7,11 +9,12 @@ import types
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import DATA, label_ids, shipped
 from mootopt import warmstart as ws
-from mootopt.data import NUMERIC, Row
+from mootopt.data import NUMERIC, Row, load_csv
 from mootopt.objective import chebyshev, reveal
 from mootopt.warmstart import (MockSynthesizer, PromptBundle, RemoteSynthesizer,
                                SyntheticRow, SynthesisError, build_prompt,
@@ -213,6 +216,53 @@ def test_parse_requires_one_row_of_each_claim(make_ds):
 """
     with pytest.raises(SynthesisError):
         parse_response(text, ds)
+
+
+# Two numeric columns with values, one with none, and a symbolic column.
+FUZZ_DS = load_csv(io.StringIO("Kloc,Team,Empty,lang,Cost-,Speed+\n"
+                               "1,5,?,py,1,2\n10,3,?,c,2,3\n4,?,?,?,3,1\n"),
+                   name="fuzz")
+FUZZ_CELLS = st.one_of(
+    st.sampled_from([c.name for c in FUZZ_DS.x_cols]
+                    + ["?", "nan", "inf", "-inf", "1e400", "-1e400", "|", "",
+                       "py", "zz", "**3**", "`4`", "---", ":-:"]),
+    st.integers(-100, 100).map(str),
+    st.integers(-100, 100).map(str),
+    st.floats().map(repr))
+# Table rows of the 4 x cells, or 4 plus a tag, come up most often, so that
+# about one text in ten parses.
+FUZZ_ROWS = st.one_of(*(st.lists(FUZZ_CELLS, min_size=lo, max_size=hi)
+                        for lo, hi in ((0, 6), (4, 5), (4, 4)))).map(
+    lambda cells: "| " + " | ".join(cells) + " |")
+FUZZ_SECTIONS = st.tuples(
+    st.sampled_from(["Better Examples:", "Poorer Examples:", "two worse ones",
+                     "BETTER", "here you go"]),
+    st.lists(FUZZ_ROWS, min_size=1, max_size=4)).map(lambda t: "\n".join([t[0], *t[1]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.one_of(FUZZ_SECTIONS, FUZZ_SECTIONS,
+                                               st.text(max_size=20)),
+                                     max_size=6).map("\n".join)))
+def test_parse_returns_rows_of_both_claims_or_raises_synthesis_error(text):
+    """Whatever text it is handed, parse_response returns 2-4 rows with at
+    least one per claim, each with one cell per x column and every numeric
+    cell finite and, where its column has values, inside their range; or it
+    raises SynthesisError. No other exception escapes."""
+    try:
+        rows = parse_response(text, FUZZ_DS)
+    except SynthesisError:
+        return
+    assert 2 <= len(rows) <= 4
+    assert {r.claim for r in rows} == {ws.BETTER, ws.POORER}
+    for r in rows:
+        assert len(r.cells) == len(FUZZ_DS.x_cols)
+        for col, v in zip(FUZZ_DS.x_cols, r.cells):
+            if col.kind != NUMERIC or v is None:
+                continue
+            assert math.isfinite(v)
+            stats = FUZZ_DS.col_stats(col)
+            assert stats.n == 0 or stats.lo <= v <= stats.hi
 
 
 # -- mock synthesizer ---------------------------------------------------------
