@@ -6,7 +6,9 @@
 # Runs `mootopt run --data data --seed 1` and then `mootopt rank` twice:
 # in a `git archive` of REV and in the working tree. Then diffs the two
 # output directories with `diff -r`, prints each file that differs, and
-# exits 1 if any does, 0 if all are identical.
+# exits 1 if any does, 0 if all are identical. When they differ it also
+# prints scripts/diff_results.py's summary of the changed records and
+# rank tables; the summary does not affect the exit status.
 set -euo pipefail
 
 rev=${1:?usage: scripts/compare_outputs.sh REV}
@@ -33,4 +35,5 @@ if diff -r out-base out-tree >/dev/null; then
 fi
 echo "output files that differ from $rev's (out-base: $rev, out-tree: working tree):"
 diff -rq out-base out-tree || true
+python3 "$root/scripts/diff_results.py" out-base out-tree || true
 exit 1

@@ -3,13 +3,13 @@
 A run owns a private copy of the dataset's label state (`Dataset.fresh()`:
 a label mask and a label order over the shared rows), consumes at most its
 budget of labels, and reports the best (lowest) chebyshev seen. The two
-surrogate families share one loop: refit on every labeled row after each
-new label, score the unlabeled pool, label the argmax. Inside the loop a
-row is its id: the labeled set and the pool are id arrays read off the
-mask, the best/rest split hands the fit id halves, the acquisitions
-return the id to label, and scores come from the table's cached
-chebyshev vector through `objective.reveal`. Row objects appear only on
-the warm start's prompt side.
+surrogate families share one loop: fit the labeled rows (the GP extends
+the last step's posterior by the new row), score the unlabeled pool,
+label the argmax. Inside the loop a row is its id: the labeled set and
+the pool are id arrays read off the mask, the best/rest split hands the
+fit id halves, the acquisitions return the id to label, and scores come
+from the table's cached chebyshev vector through `objective.reveal`.
+Row objects appear only on the warm start's prompt side.
 
 Runs are anytime: the budget only stops the loop, and a run's seed does
 not depend on it, so a budget-b run labels exactly the first b rows of
@@ -106,6 +106,7 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
                               log=log).fallback
     else:
         cold_start(work, B0, rng)
+    model = None
     while work.evaluations < t.budget:
         pool = work.unlabeled_ids()
         if len(pool) == 0:
@@ -116,9 +117,9 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
             model = likelihood.fit(split(labeled, work), work)
             i = likelihood.acquire_tpe(model, pool, t.acquire)
         else:
-            model = gp.fit_gp(labeled, work)
+            model = gp.fit_gp(labeled, work, model)
             f_star = gp.incumbent(labeled, work)
-            i = gp.acquire_gp(model, f_star, pool, t.acquire, work, rng=rng)
+            i = gp.acquire_gp(model, f_star, pool, t.acquire, rng=rng)
         work.label(i)
     trace, best = _trace(work)
     return RunResult(dataset=ds.name, treatment=t, repeat=0, seed=seed,

@@ -29,7 +29,6 @@ from .data import Dataset
 from .objective import BestRestSplit
 
 ACQUIRES = ("exploit", "explore")
-CONSTANT_FLOOR = 0.5  # sd floor of a column with fewer than two distinct values
 FLOOR_MIN = 1e-6      # no sd floor is finer, so every 1 / sd^2 stays under 1e12
 TIE_REL = 1e-12       # scores this close, relative to their terms' scale, tie
 
@@ -48,7 +47,8 @@ def table_terms(ds: Dataset) -> dict:
     Returns a dict with:
       floor   (n_num,) sd floor per numeric column: half the smallest gap
               between the column's distinct normalized values, at least
-              FLOOR_MIN, or CONSTANT_FLOOR when it has no such gap
+              FLOOR_MIN (a column with one value has no gap; its weights
+              cancel to 0 whatever its floor)
       design  (n_rows, 3 n_num + n_sym + n_slots) C-ordered [x^2, x,
               known, symbol one-hot]: x^2 and x of each numeric column, 0
               where missing; 1 where a numeric, then a symbolic, cell is
@@ -62,7 +62,7 @@ def table_terms(ds: Dataset) -> dict:
 
 def _build_terms(ds: Dataset) -> dict:
     views = ds.x_views()
-    floor = np.full(len(views["num_pos"]), CONSTANT_FLOOR)
+    floor = np.full(len(views["num_pos"]), FLOOR_MIN)
     X = views["X_num"]
     for j, col in enumerate(X.T):
         distinct = np.unique(col[~np.isnan(col)])

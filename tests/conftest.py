@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mootopt import warmstart
+from mootopt import gp, warmstart
 from mootopt.data import Dataset, load_csv
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -31,6 +31,17 @@ def label_ids(ds: Dataset, ids=None) -> np.ndarray:
     for i in ids:
         ds.label(i)
     return ids
+
+
+def gp_posterior(X, y, probes) -> tuple:
+    """A gp.GpModel over raw vectors: its encoded rows are X's then the
+    probes', and X's rows join it with targets y. Returns the model and
+    its posterior mean and sd at the probes."""
+    X = np.asarray(X, dtype=float)
+    probes = np.asarray(probes, dtype=float).reshape(-1, X.shape[1])
+    model = gp.GpModel(np.vstack([X, probes]))
+    model.extend(np.arange(len(X)), np.asarray(y, dtype=float))
+    return (model, *model.posterior(np.arange(len(X), len(X) + len(probes))))
 
 
 class SlowFirstBrokenSynth:

@@ -3,7 +3,9 @@
 The package scores whole tables at once. Most forms here work one row,
 one column at a time, so tests can check the vectorized paths against a
 formula that is easy to read; score_pool keeps the plain per-class
-expression of the log ratio the package computes as one matrix product.
+expression of the log ratio the package computes as one matrix product,
+and gp_refit the from-scratch GP fit the package extends one row at a
+time.
 Nothing in the package imports this module.
 """
 
@@ -12,10 +14,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.spatial.distance import cdist
 
 from mootopt import gp
 from mootopt.data import MAXIMIZE, NUMERIC, ColumnSpec, Dataset, NumStats, Row
-from mootopt.likelihood import CONSTANT_FLOOR, FLOOR_MIN
+from mootopt.likelihood import FLOOR_MIN
 from mootopt.objective import BestRestSplit
 
 EPS_DIV = 1e-30  # keeps the scalar acquisition ratios finite
@@ -105,10 +109,11 @@ def chebyshev(row: Row, ds: Dataset) -> float:
 
 def sd_floor(values: np.ndarray) -> float:
     """A numeric column's sd floor from its normalized values: half the
-    smallest gap between two distinct known values, one pair at a time."""
+    smallest gap between two distinct known values, one pair at a time,
+    or FLOOR_MIN when that is finer or the column has no such gap."""
     distinct = sorted(set(float(v) for v in values if not math.isnan(v)))
     gaps = [b - a for a, b in zip(distinct, distinct[1:])]
-    return max(min(gaps) / 2, FLOOR_MIN) if gaps else CONSTANT_FLOOR
+    return max(min(gaps) / 2, FLOOR_MIN) if gaps else FLOOR_MIN
 
 
 def class_numeric_stats(ids: np.ndarray, views: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -271,10 +276,83 @@ ACQUISITIONS = {"exploit": exploit, "explore": explore}
 # -- gaussian process ---------------------------------------------------------------
 
 def encode_row(ds: Dataset, i: int) -> np.ndarray:
-    return gp.encode_rows(ds, np.array([i]))[0]
+    return gp.encode_table(ds)[i]
 
 
-def predict(model: gp.GpModel, x: np.ndarray) -> tuple[float, float]:
+@dataclass
+class GpRefit:
+    """A GP fitted from scratch to all its training rows at once: GPML's
+    Algorithm 2.1 (Rasmussen & Williams 2006) on K = s (R + j I), the
+    kernel gp.GpModel extends one bordered row at a time."""
+    X: np.ndarray           # training inputs, one encoded row per line
+    y_mean: float
+    alpha: np.ndarray       # K^-1 (y - y_mean)
+    L: np.ndarray           # Cholesky factor of K
+    length_scale: float
+    signal_var: float
+    jitter: float           # j, relative to signal_var
+    log_marginal: float
+
+    def predict_batch(self, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and sd at each query point (noise-free latent)."""
+        _check_finite(Xs)
+        ks = self.signal_var * np.exp(
+            -cdist(Xs, self.X, "sqeuclidean") / (2.0 * self.length_scale ** 2))
+        mu = self.y_mean + ks @ self.alpha
+        v = solve_triangular(self.L, ks.T, lower=True)
+        var = self.signal_var - np.einsum("ij,ij->j", v, v)
+        return mu, np.sqrt(np.maximum(var, 0.0))
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("GP inputs must not contain infs or NaNs")
+
+
+def _refit_at(X: np.ndarray, y: np.ndarray, length_scale: float,
+              signal_var: float) -> GpRefit:
+    n = len(y)
+    y_mean = float(y.mean())
+    yc = y - y_mean
+    R = np.exp(-cdist(X, X, "sqeuclidean") / (2.0 * length_scale ** 2))
+    jitter = gp.NOISE_VAR
+    while True:
+        try:
+            L = np.linalg.cholesky(signal_var * (R + jitter * np.eye(n)))
+            break
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+            if jitter > gp.JITTER_MAX * (1.0 + 1e-12):
+                raise gp.GpFitError("kernel factorization failed") from None
+    alpha = solve_triangular(L.T, solve_triangular(L, yc, lower=True), lower=False)
+    lml = (-0.5 * float(yc @ alpha)
+           - float(np.log(np.diag(L)).sum())
+           - 0.5 * n * math.log(2.0 * math.pi))
+    return GpRefit(X=X, y_mean=y_mean, alpha=alpha, L=L,
+                   length_scale=length_scale, signal_var=signal_var,
+                   jitter=jitter, log_marginal=lml)
+
+
+def gp_refit(X: np.ndarray, y: np.ndarray,
+             length_scale: float | None = None) -> GpRefit:
+    """Fit a GP to raw vectors and targets from scratch.
+
+    With length_scale=None gp.LENGTH_SCALE_GRID is searched and the fit
+    with the highest log marginal likelihood wins (first winner on ties).
+    """
+    X = np.asarray(X, dtype=float).reshape(len(y), -1)
+    y = np.asarray(y, dtype=float)
+    if len(y) < 2:
+        raise ValueError(f"need at least 2 training points, got {len(y)}")
+    _check_finite(X, y)
+    signal_var = max(float(y.var()), gp.SIGNAL_VAR_FLOOR)
+    grid = gp.LENGTH_SCALE_GRID if length_scale is None else (length_scale,)
+    return max((_refit_at(X, y, ls, signal_var) for ls in grid),
+               key=lambda m: m.log_marginal)
+
+
+def predict(model: GpRefit, x: np.ndarray) -> tuple[float, float]:
     """Posterior mean and sd at one point."""
     mu, sigma = model.predict_batch(np.asarray(x, dtype=float).reshape(1, -1))
     return float(mu[0]), float(sigma[0])
@@ -285,7 +363,8 @@ def _phi(z: float) -> float:
 
 
 def _cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    # erfc keeps the lower tail's digits that 1 + erf(z / sqrt 2) cancels
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def ucb(mu: float, sigma: float, kappa: float = gp.KAPPA) -> float:

@@ -30,7 +30,7 @@ from mootopt.stats import Sample, cliffs_delta, scott_knott, sk_split
 from mootopt.warmstart import MockSynthesizer
 
 import oracles
-from conftest import DATA, label_ids, shipped
+from conftest import DATA, gp_posterior, label_ids, shipped
 
 SS_FILES = ("SS-A", "SS-B", "SS-C", "SS-D", "SS-E")
 
@@ -130,11 +130,10 @@ def test_gp_surrogate_recovers_a_smooth_function():
     rng = np.random.default_rng(0)
     X = rng.uniform(0.0, 1.0, size=(20, 1))
     y = np.sin(2.0 * np.pi * X[:, 0])
-    model = gp.fit(X, y)
     probes = np.linspace(0.0, 1.0, 100).reshape(-1, 1)
-    mu, _ = model.predict_batch(probes)
+    _, mu, _ = gp_posterior(X, y, probes)
     assert np.max(np.abs(mu - np.sin(2.0 * np.pi * probes[:, 0]))) <= 0.05
-    _, sd_train = model.predict_batch(X)
+    _, _, sd_train = gp_posterior(X, y, X)
     assert np.max(sd_train) <= 1e-3
     for mu_v, f_star in ((0.9, 0.1), (0.1, 0.9), (0.5, 0.5)):
         assert oracles.ei(mu_v, 0.0, f_star) == 0.0

@@ -215,6 +215,26 @@ def test_naive_bayes_grid_on_nasa93dem_matches_the_golden_results(tmp_path):
         assert (out / "results.jsonl").read_bytes() == NB_GOLDEN.read_bytes(), jobs
 
 
+GP_GOLDEN = Path(__file__).resolve().parent / "golden" / "gp_results.jsonl"
+
+
+def test_gp_grid_matches_the_golden_results(tmp_path):
+    """The three GP arms on SS-D and nasa93dem reproduce results.jsonl byte
+    for byte, with one worker and with two. These records pin GP picks on
+    a high-dimensional table and on a process-simulation one, which the
+    toy/auto93 golden file does not reach. The file was written by
+    `mootopt run --data data/SS-D.csv data/nasa93dem.csv --treatments
+    random/ucb,random/pi,random/ei --budgets 10,20,30 --repeats 10`."""
+    for jobs in ("1", "2"):
+        out = tmp_path / f"run{jobs}"
+        assert main(["run", "--data", str(DATA / "SS-D.csv"),
+                     str(DATA / "nasa93dem.csv"),
+                     "--treatments", "random/ucb,random/pi,random/ei",
+                     "--budgets", "10,20,30", "--repeats", "10",
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        assert (out / "results.jsonl").read_bytes() == GP_GOLDEN.read_bytes(), jobs
+
+
 def test_a_symbolic_column_with_no_observed_value_runs_every_arm(tmp_path):
     """Every cell of `color` is '?', so its alphabet is empty; the
     naive-Bayes arms score it as adding nothing to either class, as a

@@ -43,12 +43,16 @@ def tie_tol(m):
     return lh.TIE_REL * (np.abs(m.weights).sum() + abs(m.offset))
 
 
-def rounding_tol(s):
+def rounding_tol(s, ds):
     """How far the one-product d and the per-class oracle may differ: 1e-12
     relative to 1 + the sum of every class's 1 / sd^2, the scale of the
     largest Gaussian terms either side rounds. Both sides err by a few
-    ulps of that scale per term, far under this bound."""
-    return 1e-12 * (1.0 + (1.0 / s.sd ** 2).sum())
+    ulps of that scale per term, far under this bound. A column with fewer
+    than two distinct values is 0.5 on every row and in every class mean,
+    so its Gaussian terms are 0 on both sides and it adds nothing."""
+    varied = [len(np.unique(col[~np.isnan(col)])) > 1
+              for col in ds.x_views()["X_num"].T]
+    return 1e-12 * (1.0 + (1.0 / s.sd[:, varied] ** 2).sum())
 
 
 def assert_weights_match(m, s, ds, msg=None):
@@ -99,8 +103,8 @@ def test_fit_rejects_an_empty_class(make_ds):
 
 def test_identical_values_hit_the_sd_floor(make_ds):
     """W normalizes to 0.5, 0.5, 0, 1, so its floor is half the gap of 0.5;
-    C has one value, so the constant floor; F's gap is 1e-9 of its range,
-    so FLOOR_MIN."""
+    C has one value, so no gap, and F's gap is 1e-9 of its range: both
+    take FLOOR_MIN. C is 0.5 in both classes, so its weights are 0."""
     ds = make_ds("""
         W,C,F,Cost-
         5,3,0,1
@@ -111,14 +115,15 @@ def test_identical_values_hit_the_sd_floor(make_ds):
     label_ids(ds)
     m, s = fitted(halves(ds, 2), ds)
     floor = lh.table_terms(ds)["floor"]
-    assert floor.tolist() == [0.25, lh.CONSTANT_FLOOR, lh.FLOOR_MIN]
+    assert floor.tolist() == [0.25, lh.FLOOR_MIN, lh.FLOOR_MIN]
     assert s.sd[:, 0].tolist() == [0.25, 0.5]  # rest holds 0 and 1
-    assert s.sd[:, 1].tolist() == [lh.CONSTANT_FLOOR] * 2
+    assert s.sd[:, 1].tolist() == [lh.FLOOR_MIN] * 2
     assert s.sd[:, 2].tolist() == [lh.FLOOR_MIN] * 2
     assert_weights_match(m, s, ds)
     # W's x^2 weight is -1 / (2 0.25^2) + 1 / (2 0.5^2); F's x weight is
     # best's mean 5e-10 minus rest's 1, over FLOOR_MIN^2
     assert m.weights[0] == -6.0
+    assert m.weights[[1, 4, 7]].tolist() == [0.0] * 3  # C's x^2, x and known
     assert m.weights[5] == pytest.approx((5e-10 - 1) / lh.FLOOR_MIN ** 2, rel=1e-12)
 
 
@@ -205,7 +210,7 @@ def test_log_ratio_matches_the_plain_expression_on_shipped_tables():
             pool = ds.unlabeled_ids()
             if len(pool) == 0:
                 continue
-            want, err = oracles.score_pool(s, ds, pool), rounding_tol(s)
+            want, err = oracles.score_pool(s, ds, pool), rounding_tol(s, ds)
             assert np.abs(log_ratio(m)[pool] - want).max() <= err, (path.stem, size)
             for fn in lh.ACQUIRES:
                 assert_is_the_pick(lh.acquire_tpe(m, pool, fn), want, pool, fn,
@@ -297,7 +302,7 @@ def test_score_pool_agrees_with_scalar_likes(auto93):
     pool = auto93.unlabeled_ids()[:40]
     d = log_ratio(m)
     for i in pool:
-        assert abs(d[i] - oracles.log_ratio(s, auto93, i)) <= rounding_tol(s)
+        assert abs(d[i] - oracles.log_ratio(s, auto93, i)) <= rounding_tol(s, auto93)
         b, r = oracles.likes(s, auto93, i)
         if min(b, r) > 0.0:  # the smaller side may underflow outright
             assert d[i] == pytest.approx(math.log(b / r), rel=1e-9, abs=1e-9)
@@ -371,7 +376,7 @@ def test_acquire_matches_brute_force_argmax(auto93, fn):
     pool = auto93.unlabeled_ids()[:50]
     d = [oracles.log_ratio(s, auto93, i) for i in pool]
     assert_is_the_pick(lh.acquire_tpe(m, pool, fn), d, pool, fn, tie_tol(m),
-                       rounding_tol(s))
+                       rounding_tol(s, auto93))
 
 
 # -- generated tables ----------------------------------------------------------
@@ -381,7 +386,7 @@ def nb_tables(draw):
     """A small MOOT table as CSV text, plus how many of its rows to label.
 
     Numeric columns take integer-tenth values, a constant (whose class sds
-    hit CONSTANT_FLOOR), integer tenths plus one cell of 1e9 (whose floor
+    hit FLOOR_MIN and whose weights cancel), integer tenths plus one cell of 1e9 (whose floor
     is FLOOR_MIN, so the expanded quadratic cancels hardest), or mostly '?'
     cells (so a class may never see one); symbolic columns draw from up to
     three letters, or are all '?' (an empty alphabet).
@@ -430,7 +435,7 @@ def test_table_scorer_and_acquire_match_the_oracles_on_generated_tables(table, r
     ds, m, s = fitted_table(table, rnd)
     assert_weights_match(m, s, ds)
     pool = ds.unlabeled_ids()
-    want, err = oracles.score_pool(s, ds, pool), rounding_tol(s)
+    want, err = oracles.score_pool(s, ds, pool), rounding_tol(s, ds)
     assert np.abs(log_ratio(m)[pool] - want).max() <= err
     shuffled = pool.tolist()
     rnd.shuffle(shuffled)
