@@ -294,20 +294,28 @@ def _build_x_views(ds: Dataset) -> dict:
     return {**layout, "X_num": X_num, "X_sym": X_sym, "onehot": onehot}
 
 
-def _parse_cell(raw: str, col: ColumnSpec, row_no: int) -> Cell:
-    cell = raw.strip()
-    if cell == MISSING:
-        return None
-    if col.kind == NUMERIC:
-        try:
-            v = float(cell)
-        except ValueError:
-            v = math.nan
-        if not math.isfinite(v):
-            raise ParseError(f"row {row_no}: cell {cell!r} in numeric column "
-                             f"{col.name!r} is not a finite number")
-        return v
-    return cell
+def _parse_column(col: ColumnSpec, raws, row_nos: list[int]) -> list[Cell]:
+    """One column's stripped cells, None where missing. A numeric column's
+    cells are floats; its first cell that is not finite raises ParseError."""
+    cells = [raw.strip() for raw in raws]
+    if col.kind != NUMERIC:
+        return [None if c == MISSING else c for c in cells]
+    try:
+        values = [None if c == MISSING else float(c) for c in cells]
+        if all(map(math.isfinite, filter(None, values))):  # skips None and 0.0
+            return values
+    except ValueError:
+        pass
+    row_no, cell = next((n, c) for n, c in zip(row_nos, cells) if not _finite(c))
+    raise ParseError(f"row {row_no}: cell {cell!r} in numeric column "
+                     f"{col.name!r} is not a finite number")
+
+
+def _finite(cell: str) -> bool:
+    try:
+        return cell == MISSING or math.isfinite(float(cell))
+    except ValueError:
+        return False
 
 
 def _column_stats(col: ColumnSpec, cells: list[Cell]) -> ColumnStats:
@@ -374,30 +382,25 @@ def _parse_records(reader, name: str) -> Dataset:
     except StopIteration:
         raise ParseError("empty file: no header record") from None
     columns = parse_header(header)
-    x_cols = [c for c in columns if c.role == INDEPENDENT]
-    y_cols = [c for c in columns if c.role == GOAL]
 
-    rows: list[Row] = []
-    col_cells: list[list[Cell]] = [[] for _ in columns]
+    records, row_nos = [], []
     for row_no, record in enumerate(reader, start=2):
         if not record:
             continue  # blank trailing line
         if len(record) != len(columns):
             raise ParseError(
                 f"row {row_no}: expected {len(columns)} cells, found {len(record)}")
-        parsed = [_parse_cell(raw, col, row_no) for raw, col in zip(record, columns)]
-        for cells, v in zip(col_cells, parsed):
-            cells.append(v)
-        x = tuple(parsed[c.index] for c in x_cols)
-        y = tuple(parsed[c.index] for c in y_cols)  # type: ignore[misc]
-        rows.append(Row(id=len(rows), x=x, y=y))
-    if not rows:
+        records.append(record)
+        row_nos.append(row_no)
+    if not records:
         raise ParseError("no data rows after the header")
 
-    stats: list[Optional[ColumnStats]] = [
-        None if c.role == IGNORED else _column_stats(c, col_cells[c.index])
-        for c in columns
-    ]
+    parsed = [_parse_column(c, raws, row_nos) for c, raws in zip(columns, zip(*records))]
+    xs = zip(*(parsed[c.index] for c in columns if c.role == INDEPENDENT))
+    ys = zip(*(parsed[c.index] for c in columns if c.role == GOAL))
+    rows = [Row(id=i, x=x, y=y) for i, (x, y) in enumerate(zip(xs, ys))]
+    stats = [None if c.role == IGNORED else _column_stats(c, parsed[c.index])
+             for c in columns]
     return Dataset(name, columns, rows, stats)
 
 

@@ -119,7 +119,7 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
         else:
             model = gp.fit_gp(labeled, work, model)
             f_star = gp.incumbent(labeled, work)
-            i = gp.acquire_gp(model, f_star, pool, t.acquire, rng=rng)
+            i = gp.acquire_gp(model, f_star, pool, t.acquire)
         work.label(i)
     trace, best = _trace(work)
     return RunResult(dataset=ds.name, treatment=t, repeat=0, seed=seed,

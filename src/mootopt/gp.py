@@ -19,7 +19,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .data import Dataset, sample_ids
+from .data import Dataset
 # chebyshev stays bound here because perfbench/tracer.py counts calls by it.
 from .objective import chebyshev, reveal  # noqa: F401
 
@@ -28,7 +28,6 @@ LENGTH_SCALE_GRID = (0.1, 0.3, 1.0, 3.0)
 NOISE_VAR = 1e-6     # jitter j, relative to the signal variance: K = s (R + j I)
 JITTER_MAX = 1e-2
 SIGNAL_VAR_FLOOR = 1e-12
-POOL_CAP = 4096      # larger pools are scored on a seeded subsample
 KAPPA = 2.0          # UCB exploration weight
 EPSILON = 0.01       # PI/EI improvement margin over the incumbent
 CAPACITY = 32        # rows a posterior holds before its arrays double
@@ -172,20 +171,13 @@ def _scores(fn: str, mu: np.ndarray, sigma: np.ndarray, f_star: float) -> np.nda
     return np.where(sigma > 0.0, d * ndtr(z) + sigma * pdf, 0.0)
 
 
-def acquire_gp(model: GpModel, f_star: float, pool: np.ndarray, fn: str, rng=None) -> int:
-    """The id in `pool` maximizing the acquisition.
-
-    Pools larger than POOL_CAP are thinned to a seeded uniform subsample.
-    Ties break toward the lowest row id regardless of pool order.
-    """
+def acquire_gp(model: GpModel, f_star: float, pool: np.ndarray, fn: str) -> int:
+    """The id in `pool` maximizing the acquisition; ties break toward the
+    lowest row id regardless of pool order."""
     if len(pool) == 0:
         raise ValueError("cannot acquire from an empty pool")
     if fn not in ACQUIRES:
         raise ValueError(f"unknown GP acquisition {fn!r}")
     candidates = np.sort(pool)
-    if len(candidates) > POOL_CAP:
-        if rng is None:
-            raise ValueError(f"pool of {len(candidates)} rows needs an rng to subsample")
-        candidates = np.sort(sample_ids(rng, candidates, POOL_CAP))
     mu, sigma = model.posterior(candidates)
     return int(candidates[np.argmax(_scores(fn, mu, sigma, f_star))])

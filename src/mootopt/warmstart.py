@@ -16,11 +16,14 @@ to label.
 
 from __future__ import annotations
 
+import http.client
+import json
 import math
 import os
 import random
 import re
 import time
+import urllib.request
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
@@ -309,8 +312,8 @@ def extract_completion(payload: object) -> str:
 
 class RemoteSynthesizer:
     """Chat-endpoint client. The request carries a model id plus ordered
-    (role, content) messages; the API key comes from an environment
-    variable so it never lands in configs or logs."""
+    (role, content) messages; the key comes from an environment variable, so
+    it never lands in configs or logs. A failed request raises SynthesisError."""
 
     name = "remote"
 
@@ -325,16 +328,19 @@ class RemoteSynthesizer:
         self._key = key
 
     def __call__(self, bundle: PromptBundle, e0: list[Row], ds: Dataset) -> str:
-        import requests
-
-        payload = {"model": self.model,
-                   "messages": [{"role": role, "content": content}
-                                for role, content in bundle.messages()]}
-        resp = requests.post(
-            self.endpoint, json=payload, timeout=REQUEST_TIMEOUT,
-            headers={"Authorization": f"Bearer {self._key}"})
-        resp.raise_for_status()
-        return extract_completion(resp.json())
+        payload = {"model": self.model, "messages": [
+            {"role": role, "content": content} for role, content in bundle.messages()]}
+        request = urllib.request.Request(
+            self.endpoint, data=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"})
+        # Unredirected, so no redirect target ever receives the key.
+        request.add_unredirected_header("Authorization", f"Bearer {self._key}")
+        try:  # a reply cut short raises an HTTPException, which is no OSError
+            with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT) as resp:
+                body = json.load(resp)
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            raise SynthesisError(f"request to {self.endpoint} failed: {exc}") from exc
+        return extract_completion(body)
 
 
 # -- mapping synthetic rows onto the pool ------------------------------------
@@ -408,7 +414,7 @@ def warm_start(ds: Dataset, b0: int, budget: int, synthesizer: Synthesizer,
             log({"event": "response", "attempt": attempt, "text": text})
             synth = parse_response(text, ds)
             break
-        except (SynthesisError, OSError, ValueError) as exc:
+        except SynthesisError as exc:
             log({"event": "error", "attempt": attempt, "error": str(exc)})
     if synth is None:
         log({"event": "fallback"})

@@ -1,8 +1,12 @@
-"""Shared fixtures: shipped MOOT tables plus an inline-table builder."""
+"""Shared fixtures: shipped MOOT tables, an inline-table builder and a
+loopback chat endpoint."""
 
+import http.server
 import io
 import itertools
+import json
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -84,6 +88,66 @@ def sleeps(monkeypatch) -> list:
     waits: list = []
     monkeypatch.setattr(warmstart.time, "sleep", waits.append)
     return waits
+
+
+class ChatServer(http.server.ThreadingHTTPServer):
+    """A chat endpoint on 127.0.0.1 that answers each POST (or GET) by
+    calling `respond(handler)`, after it appends the request's headers and
+    JSON body (None if it has none) to `seen`."""
+
+    def __init__(self, respond):
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.respond = respond
+        self.seen: list = []
+        self.url = f"http://127.0.0.1:{self.server_port}/v1/chat/completions"
+
+    def handle_error(self, request, client_address):
+        pass  # a reply written after the client gave up fails; that is expected
+
+
+class _ChatHandler(http.server.BaseHTTPRequestHandler):
+    def do_POST(self):  # noqa: N802 - http.server naming
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.seen.append((dict(self.headers), json.loads(body) if body else None))
+        self.server.respond(self)
+
+    do_GET = do_POST  # a redirected POST may come back as a GET
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+def send(handler, body: bytes, status: int = 200, length=None) -> None:
+    """Reply with `body`, announcing `length` bytes (default: its length)."""
+    handler.send_response(status)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(body) if length is None else length))
+    handler.end_headers()
+    handler.wfile.write(body)
+
+
+def completion(text: str) -> bytes:
+    """A chat-completions response body whose reply is `text`."""
+    return json.dumps({"choices": [{"message": {"content": text}}]}).encode("utf-8")
+
+
+@pytest.fixture
+def chat_server():
+    """`chat_server(respond)` starts a ChatServer and returns it; every
+    server started stops at teardown."""
+    servers = []
+
+    def start(respond) -> ChatServer:
+        server = ChatServer(respond)
+        threading.Thread(target=server.serve_forever, args=(0.05,),
+                         daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 import statistics
 
 import numpy as np
@@ -365,6 +366,17 @@ def test_load_drops_ignored_columns_and_reads_missing_cells(make_ds):
 
 
 # -- label accounting --------------------------------------------------------
+
+def test_sample_ids_draws_what_the_row_list_draw_did(auto93):
+    """Sampling ids picks the same rows, in the same order, from the same
+    rng state as rng.sample over the id-sorted row list."""
+    pool = auto93.unlabeled_ids()[10:50]
+    rows = [auto93.rows[i] for i in pool]
+    for seed in range(5):
+        old = random.Random(seed).sample(rows, 8)
+        new = d.sample_ids(random.Random(seed), pool, 8)
+        assert new.tolist() == [r.id for r in old]
+
 
 def test_label_accounting(toy):
     assert toy.evaluations == 0

@@ -1,13 +1,12 @@
 """Run orchestration: budgets, traces, seeds, and the treatment grid."""
 
 import statistics
-import sys
 import threading
-import types
 
 import pytest
 
-from conftest import DATA, SlowFirstBrokenSynth, label_ids, shipped
+from conftest import (DATA, SlowFirstBrokenSynth, completion, label_ids, send,
+                      shipped)
 from mootopt import engine as eng
 from mootopt.cli import ARM_ACQUIRES
 from mootopt.engine import (DEFAULT_ARMS, GridSpec, Treatment,
@@ -355,26 +354,25 @@ def test_failure_messages_name_the_exception_type(toy):
         "run failed: toy llm/exploit budget=6 repeat=0: BrokenBarrierError: "]
 
 
-def test_remote_requests_in_flight_are_bounded_by_jobs_alone(toy, monkeypatch):
-    """Six jobs keep six requests in flight. Each fake request waits until
-    all six have arrived, so any cap below the job count would break the
-    barrier and fail the runs."""
+def test_remote_requests_in_flight_are_bounded_by_jobs_alone(toy, monkeypatch,
+                                                            chat_server):
+    """Six jobs keep six requests in flight. The endpoint answers each
+    request only once all six have arrived, so any cap below the job count
+    would break the barrier and the runs would fall back."""
     monkeypatch.setenv("MOOTOPT_API_KEY", "sk-test")
     reply = render_synthetic([SyntheticRow(toy.rows[0].x, "better"),
                               SyntheticRow(toy.rows[1].x, "poorer")], toy)
     barrier = threading.Barrier(6, timeout=10)
 
-    def fake_post(url, json=None, timeout=None, headers=None):
+    def respond(handler):
         barrier.wait()
-        return types.SimpleNamespace(
-            raise_for_status=lambda: None,
-            json=lambda: {"choices": [{"message": {"content": reply}}]})
+        send(handler, completion(reply))
 
-    monkeypatch.setitem(sys.modules, "requests",
-                        types.SimpleNamespace(post=fake_post))
-    synth = RemoteSynthesizer("https://api.example/v1/chat/completions", "model-x")
+    server = chat_server(respond)
+    synth = RemoteSynthesizer(server.url, "model-x")
     grid = GridSpec(arms=(("llm", "exploit"),), budgets=(10,), repeats=6)
     out = run_grid([toy], grid, synthesizer=synth, jobs=6)
     assert out.failures == []
     assert [r.repeat for r in out.results] == list(range(6))
     assert not any(r.warm_fallback for r in out.results)
+    assert len(server.seen) == 6

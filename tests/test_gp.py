@@ -3,7 +3,6 @@
 import io
 import itertools
 import math
-import random
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import gp_posterior, label_ids
 from mootopt import gp
-from mootopt.data import load_csv, sample_ids
+from mootopt.data import load_csv
 from mootopt.objective import chebyshev, reveal
 
 
@@ -366,40 +365,3 @@ def test_acquire_gp_breaks_ties_toward_low_ids(make_ds):
     for ids in itertools.permutations([3, 4, 5]):  # identical candidates
         for fn in gp.ACQUIRES:
             assert gp.acquire_gp(model, f_star, np.array(ids), fn) == 3
-
-
-def test_id_subsample_draws_what_the_row_list_draw_did(auto93, monkeypatch):
-    """With a small cap, sampling ids picks the same rows from the same rng
-    state as rng.sample over the id-sorted row list, and the pick is the
-    argmax over exactly those rows."""
-    model, f_star = fitted(auto93, 10)
-    pool = auto93.unlabeled_ids()[:40]
-    rows = [auto93.rows[i] for i in pool]
-    monkeypatch.setattr(gp, "POOL_CAP", 8)
-    for seed in range(5):
-        old = sorted(random.Random(seed).sample(rows, 8), key=lambda r: r.id)
-        new = np.sort(sample_ids(random.Random(seed), pool, 8))
-        assert [r.id for r in old] == new.tolist()
-        mu, sd = model.posterior(new)
-        want = new[int(np.argmax(mu + 2.0 * sd))]
-        got = gp.acquire_gp(model, f_star, pool[::-1], "ucb",
-                            rng=random.Random(seed))
-        assert got == want
-
-
-def test_acquire_gp_large_pools_need_an_rng(auto93, monkeypatch):
-    model, f_star = fitted(auto93, 10)
-    pool = auto93.unlabeled_ids()[:20]
-    monkeypatch.setattr(gp, "POOL_CAP", 8)
-    with pytest.raises(ValueError):
-        gp.acquire_gp(model, f_star, pool, "ucb")
-
-
-def test_acquire_gp_subsampling_is_seed_deterministic(auto93, monkeypatch):
-    model, f_star = fitted(auto93, 10)
-    pool = auto93.unlabeled_ids()[:20]
-    monkeypatch.setattr(gp, "POOL_CAP", 8)
-    picks = {gp.acquire_gp(model, f_star, pool, "ucb",
-                           rng=random.Random(0))
-             for _ in range(3)}
-    assert len(picks) == 1

@@ -3,16 +3,17 @@
 import io
 import math
 import random
+import socket
 import sys
-import types
+import threading
+import urllib.request
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import DATA, label_ids, shipped
+from conftest import DATA, completion, label_ids, send, shipped
 from mootopt import warmstart as ws
 from mootopt.data import NUMERIC, Row, load_csv
 from mootopt.objective import chebyshev, reveal
@@ -526,67 +527,116 @@ def test_remote_synthesizer_requires_a_key(monkeypatch):
         RemoteSynthesizer("https://api.example/v1/chat", "model-x")
 
 
-def test_remote_synthesizer_posts_the_bundle(monkeypatch, toy):
+def test_remote_synthesizer_posts_the_bundle(monkeypatch, toy, chat_server):
     monkeypatch.setenv("MOOTOPT_API_KEY", "sk-test")
     ranked = by_cheb(toy)[:4]
     reply = render_synthetic(mock_synthesize(ranked, toy), toy)
-    work = toy.fresh()
-    seen = {}
+    server = chat_server(lambda handler: send(handler, completion(reply)))
+    timeouts = []
+    urlopen = urllib.request.urlopen
 
-    def fake_post(url, json=None, timeout=None, headers=None):
-        seen.update(url=url, payload=json, timeout=timeout, headers=headers)
-        return types.SimpleNamespace(
-            raise_for_status=lambda: None,
-            json=lambda: {"choices": [{"message": {"content": reply}}]})
+    def spy(request, timeout):
+        timeouts.append(timeout)
+        return urlopen(request, timeout=timeout)
 
-    monkeypatch.setitem(sys.modules, "requests",
-                        types.SimpleNamespace(post=fake_post))
-    synth = RemoteSynthesizer("https://api.example/v1/chat", "model-x")
-    res = warm_start(work, 4, 8, synth, random.Random(9))
+    monkeypatch.setattr(urllib.request, "urlopen", spy)
+    synth = RemoteSynthesizer(server.url, "model-x")
+    res = warm_start(toy.fresh(), 4, 8, synth, random.Random(9))
     assert not res.fallback
-    assert seen["url"] == "https://api.example/v1/chat"
-    assert seen["timeout"] == 60.0
-    assert seen["headers"]["Authorization"] == "Bearer sk-test"
-    assert seen["payload"]["model"] == "model-x"
-    roles = [m["role"] for m in seen["payload"]["messages"]]
+    assert timeouts == [60.0]
+    [(headers, payload)] = server.seen
+    assert headers["Authorization"] == "Bearer sk-test"
+    assert headers["Content-Type"] == "application/json"
+    assert payload["model"] == "model-x"
+    roles = [m["role"] for m in payload["messages"]]
     assert roles == ["system", "user"]
 
 
-@pytest.mark.parametrize("stage,exc", [
-    ("raise_for_status", requests.HTTPError("503 Server Error: Service Unavailable")),
-    ("json", requests.exceptions.JSONDecodeError("Expecting value", "<html>", 0)),
-    ("post", requests.ConnectionError("connection refused")),
-    ("post", requests.Timeout("read timed out")),
-], ids=["http-error", "non-json-body", "connection-refused", "timeout"])
-def test_remote_failures_count_as_failed_attempts(stage, exc, monkeypatch, toy,
-                                                  sleeps):
-    """An error status, a body that is not JSON, a refused connection and
-    a timeout each cost one attempt; after three the warm start falls
+def test_remote_warm_start_needs_no_requests_package(monkeypatch, toy,
+                                                     chat_server):
+    """The client is the standard library's: with `requests` unimportable,
+    a remote warm start labels the rows its reply maps to, as the same
+    reply handed over directly does."""
+    monkeypatch.setitem(sys.modules, "requests", None)
+    monkeypatch.setenv("MOOTOPT_API_KEY", "sk-test")
+    reply = render_synthetic([SyntheticRow(toy.rows[0].x, "better"),
+                              SyntheticRow(toy.rows[1].x, "poorer")], toy)
+    server = chat_server(lambda handler: send(handler, completion(reply)))
+    direct = toy.fresh()
+    warm_start(direct, 4, 8, lambda bundle, e0, ds: reply, random.Random(9))
+    res = warm_start(toy, 4, 8, RemoteSynthesizer(server.url, "model-x"),
+                     random.Random(9))
+    assert not res.fallback and len(server.seen) == 1
+    assert toy.evaluations > 4
+    assert toy.label_order.tolist() == direct.label_order.tolist()
+
+
+def refused_url() -> str:
+    """A loopback URL whose port was bound and then closed."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1/chat/completions"
+
+
+def reply_late(handler):
+    # Well past the test's 0.2 s timeout. Not time.sleep, which `sleeps` records.
+    threading.Event().wait(1.0)
+    send(handler, completion("late"))
+
+
+@pytest.mark.parametrize("respond", [
+    lambda handler: send(handler, b'{"error": "overloaded"}', status=503),
+    lambda handler: send(handler, b"<html>overloaded</html>"),
+    None,
+    reply_late,
+    lambda handler: send(handler, b'{"choices"', length=100),
+], ids=["http-error", "non-json-body", "connection-refused", "timeout",
+        "cut-short"])
+def test_remote_failures_count_as_failed_attempts(respond, monkeypatch, toy,
+                                                  sleeps, chat_server):
+    """An error status, a body that is not JSON, a refused connection, a
+    timeout and a reply cut short each cost one attempt, reported as one
+    SynthesisError naming the endpoint; after three the warm start falls
     back, having waited before each retry."""
     monkeypatch.setenv("MOOTOPT_API_KEY", "sk-test")
-    posts = []
-
-    def fail():
-        raise exc
-
-    def fake_post(url, json=None, timeout=None, headers=None):
-        posts.append(url)
-        if stage == "post":
-            raise exc
-        reply = {"raise_for_status": lambda: None, "json": lambda: {"content": ""}}
-        reply[stage] = fail
-        return types.SimpleNamespace(**reply)
-
-    monkeypatch.setitem(sys.modules, "requests",
-                        types.SimpleNamespace(post=fake_post))
-    synth = RemoteSynthesizer("https://api.example/v1/chat", "model-x")
+    if respond is reply_late:
+        monkeypatch.setattr(ws, "REQUEST_TIMEOUT", 0.2)
+    server = None if respond is None else chat_server(respond)
+    url = refused_url() if server is None else server.url
     events = []
-    res = warm_start(toy, 4, 8, synth, random.Random(9), log=events.append)
-    assert len(posts) == 3
+    res = warm_start(toy, 4, 8, RemoteSynthesizer(url, "model-x"),
+                     random.Random(9), log=events.append)
+    if server is not None:
+        assert len(server.seen) == 3
     assert sleeps == list(ws.RETRY_WAITS)
     assert res.fallback and toy.evaluations == 4
     assert [e["event"] for e in events] == ["request", "error"] * 3 + ["fallback"]
-    assert {e["error"] for e in events if e["event"] == "error"} == {str(exc)}
+    [error] = {e["error"] for e in events if e["event"] == "error"}
+    assert error.startswith(f"request to {url} failed: ")
+
+
+@pytest.mark.parametrize("status", [302, 307])
+def test_remote_redirects_cost_an_attempt_and_never_carry_the_key(
+        status, monkeypatch, toy, sleeps, chat_server):
+    """A 302 is followed as a GET without the body, a 307 not at all; either
+    way the attempt fails, and the redirect target never sees the key."""
+    monkeypatch.setenv("MOOTOPT_API_KEY", "sk-test")
+    target = chat_server(lambda handler: send(handler, completion("moved")))
+
+    def redirect(handler):
+        handler.send_response(status)
+        handler.send_header("Location", target.url)
+        handler.send_header("Content-Length", "0")
+        handler.end_headers()
+
+    server = chat_server(redirect)
+    res = warm_start(toy, 4, 8, RemoteSynthesizer(server.url, "model-x"),
+                     random.Random(9))
+    assert res.fallback and len(server.seen) == 3
+    assert all(h["Authorization"] == "Bearer sk-test" for h, _ in server.seen)
+    assert len(target.seen) == (3 if status == 302 else 0)
+    assert not any("Authorization" in h for h, _ in target.seen)
 
 
 @pytest.mark.parametrize("payload,want", [
