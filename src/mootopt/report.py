@@ -1,10 +1,11 @@
-"""Report generation over a directory of run records.
+"""Every file `mootopt rank` writes, from a directory of run records.
 
 Everything here is a pure function of the results file plus the manifest
 written alongside it, so regenerating reports is always safe and always
-byte-identical. One rank table per dataset, one rank-frequency table per
-dimensionality stratum, an evaluations-needed summary, the budget
-versus normalized-improvement series, and per-arm run outcomes.
+byte-identical. One rank table per dataset (text and CSV), one
+rank-frequency table per dimensionality stratum, an evaluations-needed
+summary, the budget versus normalized-improvement series, and per-arm
+run outcomes.
 """
 
 from __future__ import annotations
@@ -12,14 +13,16 @@ from __future__ import annotations
 import json
 import re
 import statistics
+from collections import Counter
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .stats import (FreqRow, RankTable, Sample, frequency_csv,
-                    rank_frequencies, rank_table_csv, render_rank_table,
-                    scott_knott)
+import numpy as np
+
+from .stats import RankTable, Sample, scott_knott
 
 STRATA = ("low", "medium", "high")
+SPARK_WIDTH = 20
 
 
 def load_results(path: Path) -> list[dict]:
@@ -44,20 +47,62 @@ def samples_by_dataset(records: list[dict]) -> dict[str, list[Sample]]:
             for ds, by_key in sorted(grouped.items())}
 
 
-def dataset_rank_tables(records: list[dict]) -> dict[str, RankTable]:
-    return {ds: scott_knott(samples)
-            for ds, samples in samples_by_dataset(records).items()}
+def _pair_ranks(table: RankTable) -> dict[tuple[str, str], dict[int, int]]:
+    """Each (start, acquire) pair's ranks in one table, each mapped to the
+    smallest budget at which the pair holds it."""
+    held: dict[tuple[str, str], dict[int, int]] = {}
+    for group in table.groups:
+        for start, acquire, budget in (s.label for s in group.samples):
+            by_rank = held.setdefault((start, acquire), {})
+            by_rank[group.rank] = min(budget, by_rank.get(group.rank, budget))
+    return held
 
 
-def stratum_frequencies(tables: dict[str, RankTable],
-                        dims_of: dict[str, str]) -> dict[str, list[FreqRow]]:
-    """Rank-frequency rows per dimensionality stratum (may be empty)."""
-    out: dict[str, list[FreqRow]] = {}
-    for stratum in STRATA:
-        members = [tables[ds] for ds in sorted(tables)
-                   if dims_of.get(ds) == stratum]
-        out[stratum] = rank_frequencies(members) if members else []
-    return out
+def _rank_matrix_csv(rows: Iterable[tuple[str, str, dict[int, float]]],
+                     empty: str) -> str:
+    """One `start,acquire,rank0,...` line per (start, acquire, {rank: value})
+    row, values to one decimal and `empty` where a row has no value. The
+    columns run to the highest rank any row holds, rank0 at least."""
+    rows = list(rows)
+    top = max((r for _, _, by_rank in rows for r in by_rank), default=0)
+    lines = ["start,acquire," + ",".join(f"rank{r}" for r in range(top + 1))]
+    for start, acquire, by_rank in rows:
+        cells = [f"{by_rank[r]:.1f}" if r in by_rank else empty
+                 for r in range(top + 1)]
+        lines.append(f"{start},{acquire}," + ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+class FreqRow(NamedTuple):
+    start: str
+    acquire: str
+    pct: dict[int, float]  # rank -> percent
+
+
+def rank_frequencies(tables: Sequence[RankTable]) -> list[FreqRow]:
+    """How often each (start, acquire) pair lands at each rank.
+
+    A pair's rank within one table is its best rank over budgets; each
+    table is one dataset, and percentages are out of all tables given.
+    A pair missing from a table contributes nothing for that table.
+    Rows come back sorted by the rank-0 percentage, best first.
+    """
+    if not tables:
+        raise ValueError("rank_frequencies needs at least 1 table")
+    counts: dict[tuple[str, str], Counter] = {}
+    for table in tables:
+        for pair, by_rank in _pair_ranks(table).items():
+            counts.setdefault(pair, Counter())[min(by_rank)] += 1
+    rows = [FreqRow(start, acquire,
+                    {r: 100.0 * c / len(tables) for r, c in tally.items()})
+            for (start, acquire), tally in counts.items()]
+    rows.sort(key=lambda fr: (-fr.pct.get(0, 0.0), fr.start, fr.acquire))
+    return rows
+
+
+def frequency_csv(rows: list[FreqRow]) -> str:
+    """Rank-frequency percentages, one row per (start, acquire) pair."""
+    return _rank_matrix_csv(rows, empty="0.0")
 
 
 def evals_needed_csv(tables: dict[str, RankTable]) -> str:
@@ -68,28 +113,13 @@ def evals_needed_csv(tables: dict[str, RankTable]) -> str:
     average runs over the datasets where the pair reached that rank.
     """
     budgets: dict[tuple[str, str], dict[int, list[int]]] = {}
-    max_rank = 0
     for table in tables.values():
-        per_pair: dict[tuple[str, str], dict[int, int]] = {}
-        for group in table.groups:
-            max_rank = max(max_rank, group.rank)
-            for s in group.samples:
-                pair = (str(s.label[0]), str(s.label[1]))
-                b = int(s.label[2])
-                slot = per_pair.setdefault(pair, {})
-                slot[group.rank] = min(b, slot.get(group.rank, b))
-        for pair, by_rank in per_pair.items():
+        for pair, by_rank in _pair_ranks(table).items():
             for rank, budget in by_rank.items():
                 budgets.setdefault(pair, {}).setdefault(rank, []).append(budget)
-    header = "start,acquire," + ",".join(f"rank{r}" for r in range(max_rank + 1))
-    lines = [header]
-    for pair in sorted(budgets):
-        cells = []
-        for r in range(max_rank + 1):
-            hits = budgets[pair].get(r)
-            cells.append(f"{statistics.fmean(hits):.1f}" if hits else "")
-        lines.append(f"{pair[0]},{pair[1]}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _rank_matrix_csv(
+        ((start, acquire, {r: statistics.fmean(b) for r, b in by_rank.items()})
+         for (start, acquire), by_rank in sorted(budgets.items())), empty="")
 
 
 def improvement_curve_csv(records: list[dict], manifest: dict) -> str:
@@ -101,22 +131,19 @@ def improvement_curve_csv(records: list[dict], manifest: dict) -> str:
     are excluded; the file statistics already are the baseline.
     """
     summaries = manifest.get("datasets", {})
-    grouped: dict[tuple, list[float]] = {}
-    for rec in records:
-        if rec["acquire"] == "baseline":
-            continue
-        key = (rec["dataset"], rec["start"], rec["acquire"], rec["budget"])
-        grouped.setdefault(key, []).append(float(rec["best"]))
     lines = ["dataset,start,acquire,budget,improvement"]
-    for (ds, start, acquire, budget), vals in sorted(grouped.items()):
+    for ds, samples in samples_by_dataset(records).items():
         info = summaries.get(ds, {}).get("chebyshev")
         if not info:
             continue
         mu, lo = float(info["mean"]), float(info["lo"])
         if mu <= lo:
             continue
-        improvement = (statistics.fmean(vals) - lo) / (mu - lo)
-        lines.append(f"{ds},{start},{acquire},{budget},{improvement!r}")
+        for s in samples:
+            start, acquire, budget = s.label
+            if acquire != "baseline":
+                improvement = (statistics.fmean(s.values) - lo) / (mu - lo)
+                lines.append(f"{ds},{start},{acquire},{budget},{improvement!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -141,13 +168,57 @@ def outcomes_csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _spark(values: list[float], lo: float, hi: float,
+           width: int = SPARK_WIDTH) -> str:
+    """Quartile strip: dashes span q1..q3, 'o' marks the median."""
+    marks = [" "] * width
+    if hi > lo:
+        q1, q2, q3 = np.percentile(values, [25, 50, 75])
+        at = lambda v: min(width - 1, int((v - lo) / (hi - lo) * width))
+        for i in range(at(q1), at(q3) + 1):
+            marks[i] = "-"
+        marks[at(q2)] = "o"
+    else:
+        marks[0] = "o"
+    return "".join(marks)
+
+
+def render_rank_table(table: RankTable, title: str = "") -> str:
+    """Aligned text: rank, treatment, budget, median, sd, quartile strip."""
+    pooled = [v for s in table.samples for v in s.values]
+    lo, hi = min(pooled), max(pooled)
+    rows = []
+    for group in table.groups:
+        for s in group.samples:
+            start, acquire, budget = s.label
+            rows.append((str(group.rank), start, acquire, str(budget),
+                         f"{s.median:.2f}", f"{s.sd:.2f}",
+                         "|" + _spark(s.values, lo, hi) + "|"))
+    header = ("rank", "start", "acquire", "budget", "median", "sd", "")
+    widths = [max(len(r[i]) for r in rows + [header]) for i in range(7)]
+    lines = [title] if title else []
+    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+    for r in rows:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def rank_table_csv(table: RankTable) -> str:
+    lines = ["rank,start,acquire,budget,median,sd,n"]
+    for group in table.groups:
+        for s in group.samples:
+            start, acquire, budget = s.label
+            lines.append(f"{group.rank},{start},{acquire},{budget},"
+                         f"{s.median!r},{s.sd!r},{len(s.values)}")
+    return "\n".join(lines) + "\n"
+
+
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
 
 
-def write_reports(results_dir: Path,
-                  out_dir: Optional[Path] = None) -> list[Path]:
-    """Generate every report artifact; returns the files written."""
+def write_reports(results_dir: Path, out_dir: Optional[Path] = None) -> None:
+    """Generate every report artifact."""
     results_dir = Path(results_dir)
     out_dir = Path(out_dir) if out_dir else results_dir
     records = load_results(results_dir / "results.jsonl")
@@ -159,24 +230,23 @@ def write_reports(results_dir: Path,
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
 
     def emit(name: str, text: str) -> None:
-        path = out_dir / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
+        (out_dir / name).write_text(text, encoding="utf-8")
 
-    tables = dataset_rank_tables(records)
-    for ds, table in sorted(tables.items()):
+    tables = {ds: scott_knott(samples)
+              for ds, samples in samples_by_dataset(records).items()}
+    for ds, table in tables.items():
         emit(f"rank_{_safe_name(ds)}.txt", render_rank_table(table, title=ds))
         emit(f"rank_{_safe_name(ds)}.csv", rank_table_csv(table))
 
     dims_of = {ds: info.get("dims", "")
                for ds, info in manifest.get("datasets", {}).items()}
-    for stratum, rows in stratum_frequencies(tables, dims_of).items():
-        emit(f"freq_{stratum}.csv", frequency_csv(rows))
+    for stratum in STRATA:
+        members = [t for ds, t in tables.items() if dims_of.get(ds) == stratum]
+        emit(f"freq_{stratum}.csv",
+             frequency_csv(rank_frequencies(members) if members else []))
 
     emit("evals_needed.csv", evals_needed_csv(tables))
     emit("improvement_curve.csv", improvement_curve_csv(records, manifest))
     emit("outcomes.csv", outcomes_csv(records))
-    return written

@@ -1,5 +1,5 @@
 """Treatment ranking: Scott-Knott bi-clustering gated by effect size
-and bootstrap significance, plus cross-dataset rank-frequency tables.
+and bootstrap significance.
 
 Samples sort by median, then a cut maximizing the between-group mean
 difference splits the list; the two halves recurse only when they differ
@@ -11,7 +11,7 @@ order with contiguous ranks, rank 0 best (lowest chebyshev).
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,7 +19,6 @@ import numpy as np
 DELTA_SMALL = 0.147  # Cliff's Delta at or below this is a negligible effect
 N_BOOT = 512         # bootstrap resamples per test
 CONF = 0.95          # the bootstrap rejects "same" at significance 1 - CONF
-SPARK_WIDTH = 20
 
 
 @dataclass
@@ -142,105 +141,3 @@ def scott_knott(samples: Sequence[Sample]) -> RankTable:
 
     descend(list(ordered))
     return RankTable([RankGroup(rank=i, samples=g) for i, g in enumerate(groups)])
-
-
-# -- cross-dataset aggregation ------------------------------------------------
-
-@dataclass
-class FreqRow:
-    start: str
-    acquire: str
-    pct: dict[int, float] = field(default_factory=dict)  # rank -> percent
-
-
-def rank_frequencies(tables: Sequence[RankTable]) -> list[FreqRow]:
-    """How often each (start, acquire) pair lands at each rank.
-
-    A pair's rank within one table is its best rank over budgets; each
-    table is one dataset, and percentages are out of all tables given.
-    A pair missing from a table contributes nothing for that table.
-    Rows come back sorted by the rank-0 percentage, best first.
-    """
-    if not tables:
-        raise ValueError("rank_frequencies needs at least 1 table")
-    pairs = sorted({(s.label[0], s.label[1])
-                    for t in tables for s in t.samples})
-    counts: dict[tuple[str, str], dict[int, int]] = {p: {} for p in pairs}
-    for table in tables:
-        for pair in pairs:
-            ranks = [g.rank for g in table.groups for s in g.samples
-                     if (s.label[0], s.label[1]) == pair]
-            if ranks:
-                r = min(ranks)
-                counts[pair][r] = counts[pair].get(r, 0) + 1
-    out = []
-    for (start, acquire) in pairs:
-        pct = {r: 100.0 * c / len(tables)
-               for r, c in sorted(counts[(start, acquire)].items())}
-        out.append(FreqRow(start=start, acquire=acquire, pct=pct))
-    out.sort(key=lambda fr: (-fr.pct.get(0, 0.0), fr.start, fr.acquire))
-    return out
-
-
-# -- rendering ----------------------------------------------------------------
-
-def _spark(values: list[float], lo: float, hi: float,
-           width: int = SPARK_WIDTH) -> str:
-    """Quartile strip: dashes span q1..q3, 'o' marks the median."""
-    marks = [" "] * width
-    if hi > lo:
-        q1, q2, q3 = np.percentile(values, [25, 50, 75])
-        at = lambda v: min(width - 1, int((v - lo) / (hi - lo) * width))
-        for i in range(at(q1), at(q3) + 1):
-            marks[i] = "-"
-        marks[at(q2)] = "o"
-    else:
-        marks[0] = "o"
-    return "".join(marks)
-
-
-def _label_parts(label: tuple) -> tuple[str, str, str]:
-    start, acquire = str(label[0]), str(label[1])
-    budget = str(label[2]) if len(label) > 2 else ""
-    return start, acquire, budget
-
-
-def render_rank_table(table: RankTable, title: str = "") -> str:
-    """Aligned text: rank, treatment, budget, median, sd, quartile strip."""
-    pooled = [v for s in table.samples for v in s.values]
-    lo, hi = min(pooled), max(pooled)
-    rows = []
-    for group in table.groups:
-        for s in group.samples:
-            start, acquire, budget = _label_parts(s.label)
-            rows.append((str(group.rank), start, acquire, budget,
-                         f"{s.median:.2f}", f"{s.sd:.2f}",
-                         "|" + _spark(s.values, lo, hi) + "|"))
-    header = ("rank", "start", "acquire", "budget", "median", "sd", "")
-    widths = [max(len(r[i]) for r in rows + [header]) for i in range(7)]
-    lines = [title] if title else []
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
-    for r in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def rank_table_csv(table: RankTable) -> str:
-    lines = ["rank,start,acquire,budget,median,sd,n"]
-    for group in table.groups:
-        for s in group.samples:
-            start, acquire, budget = _label_parts(s.label)
-            lines.append(f"{group.rank},{start},{acquire},{budget},"
-                         f"{s.median!r},{s.sd!r},{len(s.values)}")
-    return "\n".join(lines) + "\n"
-
-
-def frequency_csv(rows: list[FreqRow]) -> str:
-    """Rank-frequency percentages, one row per (start, acquire) pair."""
-    max_rank = max((r for fr in rows for r in fr.pct), default=0)
-    header = "start,acquire," + ",".join(f"rank{r}" for r in range(max_rank + 1))
-    lines = [header]
-    for fr in rows:
-        cells = [f"{fr.pct.get(r, 0.0):.1f}" for r in range(max_rank + 1)]
-        lines.append(f"{fr.start},{fr.acquire}," + ",".join(cells))
-    return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from mootopt import gp
@@ -318,14 +318,21 @@ def _refit_at(X: np.ndarray, y: np.ndarray, length_scale: float,
     R = np.exp(-cdist(X, X, "sqeuclidean") / (2.0 * length_scale ** 2))
     jitter = gp.NOISE_VAR
     while True:
+        K = signal_var * (R + jitter * np.eye(n))
         try:
-            L = np.linalg.cholesky(signal_var * (R + jitter * np.eye(n)))
+            L = np.linalg.cholesky(K)
             break
         except np.linalg.LinAlgError:
             jitter *= 10.0
             if jitter > gp.JITTER_MAX * (1.0 + 1e-12):
                 raise gp.GpFitError("kernel factorization failed") from None
-    alpha = solve_triangular(L.T, solve_triangular(L, yc, lower=True), lower=False)
+    alpha = cho_solve((L, True), yc)
+    # One step of iterative refinement against K itself, the residual in
+    # extended precision: on near-singular kernels (repeated encodings make
+    # R + jI condition about 1e7) one double-precision solve is off by more
+    # than the 1e-9 the posterior tests allow.
+    residual = yc.astype(np.longdouble) - K.astype(np.longdouble) @ alpha
+    alpha = alpha + cho_solve((L, True), residual.astype(float))
     lml = (-0.5 * float(yc @ alpha)
            - float(np.log(np.diag(L)).sum())
            - 0.5 * n * math.log(2.0 * math.pi))

@@ -7,10 +7,10 @@ import statistics
 import pytest
 from hypothesis import given, strategies as st
 
+from mootopt.report import (evals_needed_csv, frequency_csv, rank_frequencies,
+                            rank_table_csv, render_rank_table)
 from mootopt.stats import (RankGroup, RankTable, Sample, bootstrap_same,
-                           cliffs_delta, frequency_csv, rank_frequencies,
-                           rank_table_csv, render_rank_table, scott_knott,
-                           sk_split)
+                           cliffs_delta, scott_knott, sk_split)
 
 
 # -- Sample --------------------------------------------------------------------
@@ -290,3 +290,17 @@ def test_frequency_csv_exact_bytes():
         "start,acquire,rank0,rank1\n"
         "random,exploit,100.0,0.0\n"
         "random,random,0.0,100.0\n")
+
+
+def test_evals_needed_csv_exact_bytes():
+    """A pair holding one rank at two budgets counts the smaller; budgets
+    average over the datasets where the pair holds the rank, and a rank
+    the pair never holds is an empty cell."""
+    RE = lambda b: pair_sample("random", "exploit", b, [0.1])
+    RR = lambda b: pair_sample("random", "random", b, [0.5])
+    tables = {"a": table_of([RE(20), RE(10)], [RR(10), RE(30)]),
+              "b": table_of([RE(30)], [RR(20)], [RR(30)])}
+    assert evals_needed_csv(tables) == (
+        "start,acquire,rank0,rank1,rank2\n"
+        "random,exploit,20.0,30.0,\n"
+        "random,random,,15.0,30.0\n")
