@@ -352,7 +352,7 @@ def load_csv(source: Union[str, Path, TextIO], name: Optional[str] = None) -> Da
     prompts and reports, and they also reach the surrogates: chebyshev
     normalizes goals by their whole-file ranges, so the targets a surrogate
     fits (objective.reveal's cached score vector) depend on the goal values
-    of unlabeled rows too. ROADMAP.md, open item 5, plans a label-honest
+    of unlabeled rows too. ROADMAP.md, open item 6, plans a label-honest
     mode that scales by the labeled rows only.
     """
     if isinstance(source, (str, Path)):

@@ -17,8 +17,6 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .stats import RankTable, Sample, scott_knott
 
 STRATA = ("low", "medium", "high")
@@ -168,12 +166,25 @@ def outcomes_csv(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _quartiles(values: list[float]) -> list[float]:
+    """np.percentile(values, [25, 50, 75]) from one sort: numpy's linear
+    rule, lerping from the upper end where the weight is 0.5 or more."""
+    v = sorted(values)
+    if len(v) == 1:
+        return v * 3
+    out = []
+    for at in ((len(v) - 1) * q for q in (0.25, 0.5, 0.75)):
+        a, b, t = v[int(at)], v[int(at) + 1], at - int(at)
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
+
+
 def _spark(values: list[float], lo: float, hi: float,
            width: int = SPARK_WIDTH) -> str:
     """Quartile strip: dashes span q1..q3, 'o' marks the median."""
     marks = [" "] * width
     if hi > lo:
-        q1, q2, q3 = np.percentile(values, [25, 50, 75])
+        q1, q2, q3 = _quartiles(values)
         at = lambda v: min(width - 1, int((v - lo) / (hi - lo) * width))
         for i in range(at(q1), at(q3) + 1):
             marks[i] = "-"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +24,8 @@ CONF = 0.95          # the bootstrap rejects "same" at significance 1 - CONF
 
 @dataclass
 class Sample:
+    """A labeled list of values. `median` and `sd` are computed once and
+    cached, so `values` must not change after construction."""
     label: tuple  # (start, acquire, budget) in reports; opaque elsewhere
     values: list[float]
 
@@ -30,11 +33,11 @@ class Sample:
         if not self.values:
             raise ValueError(f"sample {self.label!r} has no values")
 
-    @property
+    @cached_property
     def median(self) -> float:
         return statistics.median(self.values)
 
-    @property
+    @cached_property
     def sd(self) -> float:
         return statistics.pstdev(self.values) if len(self.values) > 1 else 0.0
 

@@ -16,14 +16,12 @@ to label.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import random
 import re
 import time
-import urllib.request
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
@@ -328,6 +326,8 @@ class RemoteSynthesizer:
         self._key = key
 
     def __call__(self, bundle: PromptBundle, e0: list[Row], ds: Dataset) -> str:
+        import http.client  # the HTTP stack loads only when a request is sent
+        import urllib.request
         payload = {"model": self.model, "messages": [
             {"role": role, "content": content} for role, content in bundle.messages()]}
         request = urllib.request.Request(

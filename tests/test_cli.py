@@ -1,8 +1,11 @@
 """Command-line behavior: arm grammar, exit codes, artifact contracts."""
 
 import json
+import os
 import shutil
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -423,3 +426,35 @@ def test_evals_needed_is_well_formed(ranked):
     lines = (ranked / "evals_needed.csv").read_text().splitlines()
     assert lines[0].startswith("start,acquire,rank0")
     assert any(l.startswith("llm,exploit,") for l in lines[1:])
+
+
+# -- import footprint -------------------------------------------------------------
+
+FOOTPRINT = """
+import json, sys
+from mootopt.cli import main
+toy, out = sys.argv[1:]
+codes = [main(["run", "--data", toy, "--repeats", "1", "--out", out + "/a",
+               "--treatments", "random/exploit,random/ucb,llm/exploit"]),
+         main(["rank", out + "/a"])]
+cold = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+              or m in ("urllib.request", "http.client"))
+codes.append(main(["run", "--data", toy, "--repeats", "1", "--out", out + "/b",
+                   "--treatments", "random/pi"]))
+print(json.dumps({"codes": codes, "cold": cold,
+                  "pi": "scipy.special" in sys.modules}))
+"""
+
+
+def test_scipy_and_the_http_stack_load_only_for_runs_that_use_them(tmp_path):
+    """A fresh process, since this one already holds scipy through the
+    test oracles: naive Bayes, UCB, mock LLM starts and `rank` load neither
+    scipy nor the HTTP stack, and a PI run loads scipy.special."""
+    src = str(Path(mootopt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT, TOY, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == {"codes": [0, 0, 0], "cold": [], "pi": True}

@@ -4,11 +4,12 @@ import itertools
 import random
 import statistics
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from mootopt.report import (evals_needed_csv, frequency_csv, rank_frequencies,
-                            rank_table_csv, render_rank_table)
+from mootopt.report import (_quartiles, evals_needed_csv, frequency_csv,
+                            rank_frequencies, rank_table_csv, render_rank_table)
 from mootopt.stats import (RankGroup, RankTable, Sample, bootstrap_same,
                            cliffs_delta, scott_knott, sk_split)
 
@@ -22,6 +23,30 @@ def test_sample_summary_properties():
     assert Sample(("x",), [5.0]).sd == 0.0
     with pytest.raises(ValueError):
         Sample(("empty",), [])
+
+
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+def test_cached_sample_statistics_equal_the_statistics_module(values):
+    s = Sample(("x",), values)
+    for _ in range(2):  # the first read computes, the second reads the cache
+        assert s.median == statistics.median(values)
+        assert s.sd == (statistics.pstdev(values) if len(values) > 1 else 0.0)
+
+
+# -- quartiles -------------------------------------------------------------------
+
+magnitudes = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e300, 1e300),
+                       st.floats(-1e-300, 1e-300), st.integers(-3, 3).map(float))
+
+
+@given(st.lists(magnitudes, min_size=1, max_size=40))
+@example([-0.0])
+@example([0.7, 0.7, 0.7, 0.1])
+@example([-1e300, 1e300, 2.5e-301, -3.0])
+def test_quartiles_equal_numpy_percentile_bit_for_bit(values):
+    want = np.percentile(values, [25, 50, 75])
+    got = np.array(_quartiles(values))
+    assert got.tobytes() == want.tobytes(), (got, want)
 
 
 # -- Cliff's delta ---------------------------------------------------------------
