@@ -4,11 +4,12 @@
 #     scripts/compare_outputs.sh REV
 #
 # Runs `mootopt run --data data --seed 1` and then `mootopt rank` twice:
-# in a `git archive` of REV and in the working tree. Then diffs the two
-# output directories with `diff -r`, prints each file that differs, and
-# exits 1 if any does, 0 if all are identical. When they differ it also
-# prints scripts/diff_results.py's summary of the changed records and
-# rank tables; the summary does not affect the exit status.
+# in a `git archive` of REV and in the working tree, printing the wall
+# seconds of each tree's run and rank. Then diffs the two output
+# directories with `diff -r`, prints each file that differs, and exits 1
+# if any does, 0 if all are identical. When they differ it also prints
+# scripts/diff_results.py's summary of the changed records and rank
+# tables; neither the summary nor the timings affect the exit status.
 set -euo pipefail
 
 rev=${1:?usage: scripts/compare_outputs.sh REV}
@@ -19,14 +20,23 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/base"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/base"
 
-grid() {  # grid TREE OUT: the default grid and its ranking, from TREE's source
-    (cd "$1" && export PYTHONPATH=src \
-        && python3 -m mootopt.cli run --data data --seed 1 --out "$2" >/dev/null \
-        && python3 -m mootopt.cli rank "$2" >/dev/null)
+seconds() {  # seconds T0 T1: T1 - T0, two $EPOCHREALTIME readings
+    awk -v t0="$1" -v t1="$2" 'BEGIN { printf "%.2f", t1 - t0 }'
 }
 
-grid "$tmp/base" "$tmp/out-base"
-grid "$root" "$tmp/out-tree"
+grid() {  # grid TREE OUT NAME: the default grid and its ranking, from TREE's source
+    local t0 t1 t2
+    t0=$EPOCHREALTIME
+    (cd "$1" && PYTHONPATH=src python3 -m mootopt.cli run --data data --seed 1 \
+        --out "$2" >/dev/null)
+    t1=$EPOCHREALTIME
+    (cd "$1" && PYTHONPATH=src python3 -m mootopt.cli rank "$2" >/dev/null)
+    t2=$EPOCHREALTIME
+    echo "$3: run $(seconds "$t0" "$t1") s, rank $(seconds "$t1" "$t2") s (wall)"
+}
+
+grid "$tmp/base" "$tmp/out-base" "$rev"
+grid "$root" "$tmp/out-tree" "working tree"
 
 cd "$tmp"
 if diff -r out-base out-tree >/dev/null; then

@@ -84,17 +84,25 @@ def collect_data_paths(specs: list[str]) -> list[Path]:
 
 
 def load_datasets(specs: list[str]):
+    """Every table the specs name. Two tables may not share a name, nor
+    a rank file name: `rank` would write one over the other."""
     datasets = []
-    seen = set()
+    source: dict[str, Path] = {}
     for path in collect_data_paths(specs):
         try:
             ds = load_csv(path)
         except (OSError, ParseError) as exc:
             raise ConfigError(f"cannot load {path}: {exc}") from exc
-        if ds.name in seen:
+        if ds.name in source:
             raise ConfigError(f"duplicate dataset name {ds.name!r} (from {path})")
-        seen.add(ds.name)
+        source[ds.name] = path
         datasets.append(ds)
+    clash = report.clashing_names(source)
+    if clash:
+        a, b = clash
+        raise ConfigError(
+            f"{source[a]} and {source[b]} would both write "
+            f"{report.rank_stem(a)}.txt and .csv (datasets {a!r} and {b!r})")
     return datasets
 
 

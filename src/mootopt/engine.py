@@ -2,14 +2,20 @@
 
 A run owns a private copy of the dataset's label state (`Dataset.fresh()`:
 a label mask and a label order over the shared rows), consumes at most its
-budget of labels, and reports the best (lowest) chebyshev seen. The two
-surrogate families share one loop: fit the labeled rows (the GP extends
-the last step's posterior by the new row), score the unlabeled pool,
-label the argmax. Inside the loop a row is its id: the labeled set and
-the pool are id arrays read off the mask, the best/rest split hands the
-fit id halves, the acquisitions return the id to label, and scores come
-from the table's cached chebyshev vector through `objective.reveal`.
-Row objects appear only on the warm start's prompt side.
+budget of labels, and reports the best (lowest) chebyshev seen. A run
+starts cold or warm, then loops: fit the labeled rows, score the
+unlabeled pool, label the argmax. A GP run loops alone, extending the
+last step's posterior by the new row. Naive-Bayes runs loop in lockstep
+batches (`label_tpe`): each step fits every run of the batch at once and
+scores the table for all of them with one matrix product, and each run
+labels its own pick. A batch shares the table's design matrix but no
+label state, so a run's labels are those it would get alone, and a
+single run is a batch of one. Inside the loop a row is its id: the
+labeled set and the pool are read off the label state, the best/rest
+split hands the fit id halves, the acquisitions return the id to label,
+and scores come from the table's cached chebyshev vector through
+`objective.reveal`. Row objects appear only on the warm start's prompt
+side.
 
 Runs are anytime: the budget only stops the loop, and a run's seed does
 not depend on it, so a budget-b run labels exactly the first b rows of
@@ -17,9 +23,12 @@ any larger run. The grid therefore runs each (dataset, arm, repeat) once,
 at the largest budget that fits the table, and `cut`s every smaller
 budget's result from that run's best-so-far trace.
 
-Runs share no state. A grid run returns its result, its transcript events
-and its failure as values, and `run_grid` assembles them in a fixed run
-order, so the grid's outputs are the same at any job count.
+Runs share no label state. A grid runs in two phases on one thread
+pool: every run's start (or, for a GP, random or baseline run, the whole
+run) is a task of its own, then each table's started naive-Bayes runs
+are one batch task. Each run keeps its result, its transcript events and
+its failure, and `run_grid` assembles them in a fixed run order, so the
+grid's outputs are the same at any job count.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
+
+import numpy as np
 
 from . import gp, likelihood
 from .data import Dataset, sample_ids
@@ -86,11 +97,12 @@ def _trace(work: Dataset) -> tuple[list[tuple[int, float]], float]:
     return list(enumerate(curve, start=1)), curve[-1] if curve else float("inf")
 
 
-def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
-               seed: int, log: LogFn = ignore) -> RunResult:
-    """One surrogate-guided run under a hard label budget."""
+def _start(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
+           seed: int, log: LogFn = ignore) -> tuple[Dataset, bool]:
+    """A surrogate-guided run's label state after its cold or warm start,
+    and whether the warm start fell back to the cold rows."""
     if t.acquire not in ACTIVE_ACQUIRES:
-        raise ValueError(f"run_active cannot handle acquire={t.acquire!r}")
+        raise ValueError(f"no surrogate-guided run has acquire={t.acquire!r}")
     if t.budget > len(ds.rows):
         raise ValueError(
             f"budget {t.budget} exceeds the {len(ds.rows)} rows of {ds.name}")
@@ -98,33 +110,66 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
         raise ValueError(f"budget {t.budget} must exceed the warm size {B0}")
     work = ds.fresh()
     rng = random.Random(seed)
-    fallback = False
-    if t.start == "llm":
-        if synthesizer is None:
-            raise ValueError("llm start needs a synthesizer")
-        fallback = warm_start(work, B0, t.budget, synthesizer, rng,
-                              log=log).fallback
-    else:
+    if t.start != "llm":
         cold_start(work, B0, rng)
-    model = None
-    while work.evaluations < t.budget:
-        pool = work.unlabeled_ids()
-        if len(pool) == 0:
-            log({"event": "pool_exhausted", "evals": work.evaluations})
-            break
-        labeled = work.labeled_ids()
-        if t.acquire in likelihood.ACQUIRES:
-            model = likelihood.fit(split(labeled, work), work)
-            i = likelihood.acquire_tpe(model, pool, t.acquire)
-        else:
-            model = gp.fit_gp(labeled, work, model)
-            f_star = gp.incumbent(labeled, work)
-            i = gp.acquire_gp(model, f_star, pool, t.acquire)
-        work.label(i)
+        return work, False
+    if synthesizer is None:
+        raise ValueError("llm start needs a synthesizer")
+    return work, warm_start(work, B0, t.budget, synthesizer, rng,
+                            log=log).fallback
+
+
+def label_tpe(ds: Dataset, works: list[Dataset],
+              treatments: list[Treatment]) -> None:
+    """Label each started naive-Bayes run of `ds` up to its budget.
+
+    The runs step in lockstep, each step one batched fit and one batched
+    pick (see likelihood) over the runs still short of their budget;
+    every run then labels its own pick. A run's labels do not depend on
+    the runs beside it. The budget never exceeds the table, so no run's
+    pool runs dry first.
+    """
+    pool = np.ones((len(works), len(ds.rows)), dtype=bool)
+    for r, work in enumerate(works):
+        pool[r, work.labeled_ids()] = False
+    while True:
+        live = [r for r, (work, t) in enumerate(zip(works, treatments))
+                if work.evaluations < t.budget]
+        if not live:
+            return
+        model = likelihood.fit(
+            [split(works[r].labeled_ids(), works[r]) for r in live], ds)
+        picks = likelihood.acquire_tpe(
+            model, pool[live], [treatments[r].acquire for r in live])
+        for r, i in zip(live, picks.tolist()):
+            works[r].label(i)
+            pool[r, i] = False
+
+
+def _finish(ds: Dataset, t: Treatment, seed: int, work: Dataset,
+            fallback: bool) -> RunResult:
     trace, best = _trace(work)
     return RunResult(dataset=ds.name, treatment=t, repeat=0, seed=seed,
                      best_chebyshev=best, evaluations_used=work.evaluations,
                      trace=trace, warm_fallback=fallback)
+
+
+def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
+               seed: int, log: LogFn = ignore) -> RunResult:
+    """One surrogate-guided run under a hard label budget: its start, then
+    its label loop (a naive-Bayes run's as a batch of one)."""
+    work, fallback = _start(ds, t, synthesizer, seed, log)
+    if t.acquire in likelihood.ACQUIRES:
+        label_tpe(ds, [work], [t])
+    else:
+        model = None  # extended by one row a label
+        while work.evaluations < t.budget:
+            labeled = work.labeled_ids()
+            model = gp.fit_gp(labeled, work, model)
+            f_star = gp.incumbent(labeled, work)
+            work.label(gp.acquire_gp(model, f_star, work.unlabeled_ids(),
+                                     t.acquire))
+    return _finish(ds, t, seed, work, fallback)
 
 
 def run_random(ds: Dataset, b1: int, seed: int) -> RunResult:
@@ -242,34 +287,68 @@ def _cuts(result: RunResult, grid: GridSpec) -> list[RunResult]:
             if b <= result.treatment.budget]
 
 
-def _run_one(ds: Dataset, t: Treatment, repeat: int, grid: GridSpec,
-             synthesizer: Optional[Synthesizer]
-             ) -> tuple[Optional[RunResult], list[dict], Optional[str]]:
-    """One grid task: its result (None if it failed), its transcript events
-    and its failure message (None if it ran).
+@dataclass
+class _GridRun:
+    """One (dataset, arm, repeat) of a grid and what it produced: its
+    result, or its failure, and its transcript events. A naive-Bayes run
+    holds its label state between its start and its batch's loop."""
+    ds: Dataset
+    t: Treatment
+    repeat: int
+    seed: int
+    events: list[dict] = field(default_factory=list)
+    work: Optional[Dataset] = None
+    fallback: bool = False
+    result: Optional[RunResult] = None
+    failure: Optional[str] = None
 
-    A run that fails partway keeps the events it logged. Each event is
-    stamped with the run's keys and its position in the run.
+    def log(self, event: dict) -> None:
+        """Keep an event, stamped with the run's keys and its position in
+        the run."""
+        t = self.t
+        self.events.append({"dataset": self.ds.name, "start": t.start,
+                            "acquire": t.acquire, "budget": t.budget,
+                            "repeat": self.repeat, "seq": len(self.events),
+                            **event})
+
+    def fail(self, exc: Exception) -> None:
+        t = self.t
+        self.failure = (f"run failed: {self.ds.name} {t.start}/{t.acquire} "
+                        f"budget={t.budget} repeat={self.repeat}: "
+                        f"{type(exc).__name__}: {exc}")
+
+
+def _first_phase(run: _GridRun, synthesizer: Optional[Synthesizer]) -> None:
+    """A GP, random or baseline run whole; a naive-Bayes run's start only.
+
+    A run that fails partway keeps the events it logged.
     """
-    seed = derive_seed(ds.name, t.start, t.acquire, repeat, grid.base_seed)
-    events: list[dict] = []
-    result, failure = None, None
+    ds, t = run.ds, run.t
     try:
         if t.acquire == "baseline":
-            result = run_baseline(ds, seed)
+            run.result = run_baseline(ds, run.seed)
         elif t.acquire == "random":
-            result = run_random(ds, t.budget, seed)
+            run.result = run_random(ds, t.budget, run.seed)
+        elif t.acquire in likelihood.ACQUIRES:
+            run.work, run.fallback = _start(ds, t, synthesizer, run.seed,
+                                            log=run.log)
         else:
-            result = run_active(ds, t, synthesizer, seed, log=events.append)
-        result.repeat = repeat
+            run.result = run_active(ds, t, synthesizer, run.seed, log=run.log)
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        failure = (f"run failed: {ds.name} {t.start}/{t.acquire} "
-                   f"budget={t.budget} repeat={repeat}: "
-                   f"{type(exc).__name__}: {exc}")
-    stamped = [{"dataset": ds.name, "start": t.start, "acquire": t.acquire,
-                "budget": t.budget, "repeat": repeat, "seq": seq, **event}
-               for seq, event in enumerate(events)]
-    return result, stamped, failure
+        run.fail(exc)
+
+
+def _label_table(runs: list[_GridRun]) -> None:
+    """One table's started naive-Bayes runs, labeled as one batch."""
+    try:
+        label_tpe(runs[0].ds, [run.work for run in runs],
+                  [run.t for run in runs])
+    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
+        for run in runs:
+            run.fail(exc)
+        return
+    for run in runs:
+        run.result = _finish(run.ds, run.t, run.seed, run.work, run.fallback)
 
 
 @dataclass
@@ -286,23 +365,35 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
     """Every (dataset, arm, budget, repeat) cell, deterministically ordered.
 
     Each (dataset, arm, repeat) runs once, at its largest budget, and the
-    cells of the smaller budgets are cut from it. Runs share no state:
-    each labels a fresh copy of its table and returns its result, events
-    and failure as values, so `jobs` threads may run them in any order.
-    Run order is (dataset, start, acquire, repeat); events and failures
-    follow it, so no output depends on `jobs`. A failing run loses its
-    cells but not the rest of the grid.
+    cells of the smaller budgets are cut from it. Two phases share one
+    pool of `jobs` threads: first each run is a task of its own (a
+    naive-Bayes run's start only, so `jobs` alone bounds the synthesizer
+    requests in flight), then each table's started naive-Bayes runs, of
+    every arm and repeat, are one `label_tpe` batch. Run order is
+    (dataset, start, acquire, repeat); events and failures follow it, so
+    no output depends on `jobs`. A failing run loses its cells but not
+    the rest of the grid.
     """
-    tasks = sorted(((ds, t, rep) for ds in datasets
-                    for t, rep in _jobs_for(ds, grid)),
-                   key=lambda task: (task[0].name, task[1].start,
-                                     task[1].acquire, task[2]))
+    runs = sorted((_GridRun(ds, t, rep, derive_seed(ds.name, t.start, t.acquire,
+                                                    rep, grid.base_seed))
+                   for ds in datasets for t, rep in _jobs_for(ds, grid)),
+                  key=lambda run: (run.ds.name, run.t.start, run.t.acquire,
+                                   run.repeat))
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        done = list(pool.map(
-            lambda task: _run_one(*task, grid, synthesizer), tasks))
-    results = [c for r, _, _ in done if r is not None for c in _cuts(r, grid)]
+        list(pool.map(lambda run: _first_phase(run, synthesizer), runs))
+        tables: dict[str, list[_GridRun]] = {}
+        for run in runs:
+            if run.work is not None:  # a started naive-Bayes run
+                tables.setdefault(run.ds.name, []).append(run)
+        list(pool.map(_label_table, tables.values()))
+    results = []
+    for run in runs:
+        if run.result is not None:
+            run.result.repeat = run.repeat
+            results += _cuts(run.result, grid)
     results.sort(key=lambda r: (r.dataset, r.treatment.start, r.treatment.acquire,
                                 r.treatment.budget, r.repeat))
     return GridResult(results=results,
-                      events=[e for _, events, _ in done for e in events],
-                      failures=[f for _, _, f in done if f is not None])
+                      events=[e for run in runs for e in run.events],
+                      failures=[run.failure for run in runs
+                                if run.failure is not None])

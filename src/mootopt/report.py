@@ -224,8 +224,20 @@ def rank_table_csv(table: RankTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "_", name)
+def rank_stem(dataset: str) -> str:
+    """The name, without extension, of a dataset's two rank files."""
+    return "rank_" + re.sub(r"[^A-Za-z0-9._-]+", "_", dataset)
+
+
+def clashing_names(names: Iterable[str]) -> Optional[tuple[str, str]]:
+    """The first two distinct dataset names whose rank files would share a
+    name (`a b` and `a_b` both write rank_a_b.*), or None."""
+    first: dict[str, str] = {}
+    for name in names:
+        other = first.setdefault(rank_stem(name), name)
+        if other != name:
+            return other, name
+    return None
 
 
 def write_reports(results_dir: Path, out_dir: Optional[Path] = None) -> None:
@@ -245,11 +257,16 @@ def write_reports(results_dir: Path, out_dir: Optional[Path] = None) -> None:
     def emit(name: str, text: str) -> None:
         (out_dir / name).write_text(text, encoding="utf-8")
 
-    tables = {ds: scott_knott(samples)
-              for ds, samples in samples_by_dataset(records).items()}
+    by_dataset = samples_by_dataset(records)
+    clash = clashing_names(by_dataset)
+    if clash:
+        stem = rank_stem(clash[0])
+        raise ValueError(f"datasets {clash[0]!r} and {clash[1]!r} would both "
+                         f"write {stem}.txt and {stem}.csv")
+    tables = {ds: scott_knott(samples) for ds, samples in by_dataset.items()}
     for ds, table in tables.items():
-        emit(f"rank_{_safe_name(ds)}.txt", render_rank_table(table, title=ds))
-        emit(f"rank_{_safe_name(ds)}.csv", rank_table_csv(table))
+        emit(f"{rank_stem(ds)}.txt", render_rank_table(table, title=ds))
+        emit(f"{rank_stem(ds)}.csv", rank_table_csv(table))
 
     dims_of = {ds: info.get("dims", "")
                for ds, info in manifest.get("datasets", {}).items()}

@@ -4,8 +4,9 @@ The package scores whole tables at once. Most forms here work one row,
 one column at a time, so tests can check the vectorized paths against a
 formula that is easy to read; score_pool keeps the plain per-class
 expression of the log ratio the package computes as one matrix product,
-and gp_refit the from-scratch GP fit the package extends one row at a
-time.
+fit_run and acquire_run the naive-Bayes step of one run, which the
+package takes for a batch of runs at once, and gp_refit the
+from-scratch GP fit the package extends one row at a time.
 Nothing in the package imports this module.
 """
 
@@ -19,7 +20,7 @@ from scipy.spatial.distance import cdist
 
 from mootopt import gp
 from mootopt.data import MAXIMIZE, NUMERIC, ColumnSpec, Dataset, NumStats, Row
-from mootopt.likelihood import FLOOR_MIN
+from mootopt.likelihood import FLOOR_MIN, TIE_REL, table_terms
 from mootopt.objective import BestRestSplit
 
 EPS_DIV = 1e-30  # keeps the scalar acquisition ratios finite
@@ -245,6 +246,52 @@ def score_pool(s: ClassStats, ds: Dataset, ids: np.ndarray) -> np.ndarray:
         return lp
 
     return log_like(0) - log_like(1)
+
+
+@dataclass
+class RunModel:
+    """One run's naive-Bayes step: d = design @ weights + offset."""
+    design: np.ndarray
+    weights: np.ndarray     # best minus rest, one per design column
+    offset: float           # log(prior_best / prior_rest)
+
+
+def fit_run(split: BestRestSplit, ds: Dataset) -> RunModel:
+    """likelihood.fit for one run on its own: the per-run form the batched
+    fit must equal bit for bit, run by run."""
+    k, n = split.k, split.n
+    if k == 0 or k == n:
+        raise ValueError("cannot fit a two-class model with an empty class")
+    terms = table_terms(ds)
+    design, floor = terms["design"], terms["floor"]
+    p, q = len(floor), len(terms["sizes"])
+    rows = design[split.ranked]
+    sums = np.add.reduceat(rows, [0, k], axis=0)
+    known = sums[:, 2 * p:3 * p]
+    with np.errstate(invalid="ignore"):
+        mean = sums[:, p:2 * p] / known
+        dev = rows[:, p:2 * p] - mean.repeat([k, n - k], axis=0)
+        dev *= rows[:, 2 * p:3 * p]
+        sd = np.fmax(np.sqrt(np.add.reduceat(dev * dev, [0, k], axis=0) / known), floor)
+    sym_n, counts = sums[:, 3 * p:3 * p + q], sums[:, 3 * p + q:]
+    prec = 1.0 / (sd * sd)
+    mp = mean * prec
+    sizes = np.maximum(terms["sizes"], 1)
+    per_class = np.concatenate([-0.5 * prec, mp, -0.5 * mean * mp - np.log(sd),
+                                -np.log(sym_n + sizes), np.log(counts + 1.0)], axis=1)
+    weights = per_class[0] - per_class[1]
+    weights[:3 * p].reshape(3, p)[:, np.isnan(weights[p:2 * p])] = 0.0
+    return RunModel(design=design, weights=weights, offset=math.log(k / (n - k)))
+
+
+def acquire_run(m: RunModel, pool: np.ndarray, fn: str) -> int:
+    """likelihood.acquire_tpe for one run and a pool of ids: the lowest id
+    scoring within TIE_REL of the top, scored by one matrix-vector product."""
+    score = (m.design @ m.weights)[pool] + m.offset
+    if fn == "explore":
+        score = -np.abs(score)
+    tol = TIE_REL * (np.abs(m.weights).sum() + abs(m.offset))
+    return int(pool[score >= score.max() - tol].min())
 
 
 def exploit(b: float, r: float) -> float:

@@ -196,13 +196,17 @@ def test_every_run_labels_at_most_its_budget(monkeypatch):
     calls the labeling oracle more often than its largest budget allows,
     the reported evaluation count equals the calls actually made, and the
     record cut from it at each budget b reports min(b, calls). Exact, zero
-    tolerance."""
-    calls = []
+    tolerance. Each run labels its own copy of the table, naive-Bayes runs
+    inside their table's batch too, so calls are counted per copy."""
+    calls = {}
     original = Dataset.label
 
     def spying_label(self, i):
-        calls.append(i)
+        calls[self] = calls.get(self, 0) + 1
         return original(self, i)
+
+    def run_of(record):
+        return record.treatment.start, record.treatment.acquire, record.repeat
 
     monkeypatch.setattr(Dataset, "label", spying_label)
     grid = GridSpec(arms=DEFAULT_ARMS, budgets=DEFAULT_BUDGETS, repeats=20)
@@ -212,22 +216,28 @@ def test_every_run_labels_at_most_its_budget(monkeypatch):
         # summary, and then the baseline run labels nothing.
         ds = load_csv(DATA / f"{name}.csv")
         fits = [b for b in DEFAULT_BUDGETS if b <= len(ds.rows)]
-        for t, rep in eng._jobs_for(ds, grid):
-            calls.clear()
-            result, _, failure = eng._run_one(ds, t, rep, grid, synth)
-            assert failure is None
-            cap = len(ds.rows) if t.acquire == "baseline" else max(fits)
-            assert t.budget == cap
-            assert len(calls) <= cap
-            assert result.evaluations_used == len(calls)
-            cells = eng._cuts(result, grid)
-            if t.acquire == "baseline":
-                assert cells == [result]
+        cap = max(fits)
+        jobs = eng._jobs_for(ds, grid)
+        assert all(t.budget == (len(ds.rows) if t.acquire == "baseline" else cap)
+                   for t, _ in jobs)
+        calls.clear()
+        out = eng.run_grid([ds], grid, synthesizer=synth)
+        assert out.failures == []
+        # one copy labels every row for the baseline; each other run spends
+        # exactly its budget on a copy of its own
+        assert sorted(calls.values()) == [cap] * (len(jobs) - 1) + [len(ds.rows)]
+        runs = 0
+        for (_, acquire, _), group in itertools.groupby(
+                sorted(out.results, key=run_of), key=run_of):
+            group = list(group)
+            runs += 1
+            if acquire == "baseline":
+                assert [c.evaluations_used for c in group] == [len(ds.rows)]
                 continue
-            assert len(calls) == t.budget
-            assert [c.treatment.budget for c in cells] == fits
-            for c in cells:
-                assert c.evaluations_used == min(c.treatment.budget, len(calls))
+            assert [c.treatment.budget for c in group] == fits
+            for c in group:
+                assert c.evaluations_used == min(c.treatment.budget, cap)
+        assert runs == len(jobs)
 
 
 # 7 ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mootopt
-from mootopt import cli, engine, gp
+from mootopt import cli, engine, gp, report
 from mootopt.cli import ConfigError, main, parse_arms
 from mootopt.engine import DEFAULT_ARMS, baseline_summary
 
@@ -74,6 +74,33 @@ def test_parse_arms_rejects_bad_specs(spec):
 def test_bad_configurations_exit_2(argv, tmp_path, monkeypatch):
     monkeypatch.delenv("MOOTOPT_API_KEY", raising=False)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+
+
+def test_run_refuses_tables_whose_rank_files_would_clash(tmp_path, capsys):
+    """`a b` and `a_b` both map to rank_a_b.*, so rank would overwrite one
+    table's report with the other's; run refuses the pair up front."""
+    for name in ("a b", "a_b"):
+        shutil.copy(TOY, tmp_path / f"{name}.csv")
+    assert main(["run", "--data", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "a b.csv") in err and str(tmp_path / "a_b.csv") in err
+    assert "rank_a_b.txt" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_rank_refuses_results_whose_rank_files_would_clash(tmp_path, capsys):
+    """A results file holding both `a b` and `a_b` makes write_reports
+    raise before it writes anything, and rank exit 2."""
+    records = [{"dataset": name, "start": "random", "acquire": "random",
+                "budget": 10, "repeat": 0, "seed": 1, "best": 0.5,
+                "evals": 10, "fallback": False} for name in ("a b", "a_b")]
+    (tmp_path / "results.jsonl").write_text(
+        "".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(ValueError, match="'a b' and 'a_b'"):
+        report.write_reports(tmp_path)
+    assert main(["rank", str(tmp_path)]) == 2
+    assert "rank_a_b.txt" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.jsonl"]
 
 
 REMOVED_FLAGS = [

@@ -1,5 +1,6 @@
 """Run orchestration: budgets, traces, seeds, and the treatment grid."""
 
+import itertools
 import statistics
 import threading
 
@@ -239,45 +240,115 @@ CUT_ARMS = tuple((start, acquire) for acquire in eng.ACTIVE_ACQUIRES
 def test_each_budget_record_is_a_standalone_run_at_that_budget(name):
     """Under the seed rule, the grid's record at each budget equals a run
     made at that budget alone, for every active acquisition under both
-    starts and for random selection. Budgets 5 and 7 stop inside the warm
+    starts and for random selection, and for each repeat: a naive-Bayes
+    run alone is a batch of one. Budgets 5 and 7 stop inside the warm
     start. A record holds the best-so-far curve, not the rows, so a row
     that does not lower the curve goes unseen here; the random draw's
     prefix property is checked on its own above."""
     ds = shipped(name)
     synth = MockSynthesizer()
     for base in range(3):
-        grid = GridSpec(arms=CUT_ARMS, budgets=(5, 7, 10, 30), repeats=1,
+        grid = GridSpec(arms=CUT_ARMS, budgets=(5, 7, 10, 30), repeats=2,
                         base_seed=base)
         results = completed(run_grid([ds], grid, synthesizer=synth))
         fits = [b for b in grid.budgets if b <= len(ds.rows)]
-        assert len(results) == len(CUT_ARMS) * len(fits)
+        assert len(results) == len(CUT_ARMS) * len(fits) * 2
         for r in results:
             t = r.treatment
-            seed = derive_seed(ds.name, t.start, t.acquire, 0, base)
+            seed = derive_seed(ds.name, t.start, t.acquire, r.repeat, base)
             if t.acquire == "random":
                 alone = run_random(ds, t.budget, seed)
             else:
                 alone = run_active(ds, t, synth, seed)
+            alone.repeat = r.repeat
             assert (r.to_record(), r.trace) == (alone.to_record(), alone.trace)
 
 
 # -- run_grid --------------------------------------------------------------------
 
 def test_run_grid_runs_each_arm_and_repeat_once(toy, monkeypatch):
-    budgets = []
-    original = eng.run_active
+    """The table's three runs enter one label loop, once each, at the
+    largest budget that fits."""
+    batches = []
+    original = eng.label_tpe
 
-    def spy(ds, t, *args, **kwargs):
-        budgets.append(t.budget)
-        return original(ds, t, *args, **kwargs)
+    def spy(ds, works, treatments):
+        batches.append([t.budget for t in treatments])
+        return original(ds, works, treatments)
 
-    monkeypatch.setattr(eng, "run_active", spy)
+    monkeypatch.setattr(eng, "label_tpe", spy)
     results = completed(run_grid([toy], GridSpec(arms=(("random", "exploit"),),
                                                  budgets=(6, 99, 8, 7),
                                                  repeats=3)))
-    assert budgets == [8, 8, 8]
+    assert batches == [[8, 8, 8]]
     assert sorted(r.treatment.budget for r in results) == [6] * 3 + [7] * 3 + [8] * 3
     assert len({r.seed for r in results}) == 3
+
+class BrokenFirstSynth:
+    """The mock synthesizer, except that its first call raises TypeError,
+    which no warm start catches."""
+
+    def __init__(self):
+        self.calls = itertools.count()
+
+    def __call__(self, bundle, ranked, ds):
+        if next(self.calls) == 0:
+            raise TypeError("synthesizer broke")
+        return MockSynthesizer()(bundle, ranked, ds)
+
+
+NB_ARMS = (("llm", "exploit"), ("llm", "explore"),
+           ("random", "exploit"), ("random", "explore"))
+
+
+def test_a_runs_records_do_not_depend_on_the_runs_in_its_batch():
+    """Each table's naive-Bayes runs share one label loop, but no run's
+    records depend on the others: repeats 0-1 of a three-repeat grid are
+    the two-repeat grid's records, and a run whose warm start fails drops
+    out of its batch without changing the other runs' records."""
+    tables = [shipped("auto93"), shipped("nasa93dem")]
+
+    def grid(repeats, synth):
+        return run_grid(tables, GridSpec(arms=NB_ARMS, repeats=repeats),
+                        synthesizer=synth)
+
+    def cells(results):
+        return [(r.to_record(), r.trace) for r in results]
+
+    two = completed(grid(2, MockSynthesizer()))
+    three = completed(grid(3, MockSynthesizer()))
+    assert len(three) == len(two) * 3 // 2
+    assert cells(two) == cells(r for r in three if r.repeat < 2)
+    broken = grid(2, BrokenFirstSynth())
+    # one job: the first synthesizer call is the first run's warm start
+    assert broken.failures == [
+        f"run failed: auto93 llm/exploit budget=30 repeat=0: "
+        "TypeError: synthesizer broke"]
+    assert cells(broken.results) == cells(
+        r for r in two if (r.dataset, r.treatment.start, r.treatment.acquire,
+                           r.repeat) != ("auto93", "llm", "exploit", 0))
+
+
+def test_a_failing_batch_fails_its_own_runs_only(monkeypatch):
+    """A label loop that raises fails every run of its table's batch, each
+    with its own message, and no run of another table or arm."""
+    original = eng.label_tpe
+
+    def broken_on_toy(ds, works, treatments):
+        if ds.name == "toy":
+            raise RuntimeError("loop broke")
+        return original(ds, works, treatments)
+
+    monkeypatch.setattr(eng, "label_tpe", broken_on_toy)
+    grid = GridSpec(arms=(("random", "exploit"), ("random", "random")),
+                    budgets=(6, 8), repeats=2)
+    out = run_grid([shipped("auto93"), shipped("toy")], grid)
+    assert out.failures == [
+        f"run failed: toy random/exploit budget=8 repeat={rep}: "
+        "RuntimeError: loop broke" for rep in (0, 1)]
+    assert sorted({(r.dataset, r.treatment.acquire) for r in out.results}) == [
+        ("auto93", "exploit"), ("auto93", "random"), ("toy", "random")]
+
 
 SMALL_GRID = GridSpec(
     arms=(("random", "exploit"), ("random", "random"), ("baseline", "baseline")),

@@ -24,9 +24,25 @@ def halves(ds, k, end=None):
     return BestRestSplit(ranked=np.arange(end), k=k, rows=ds.rows)
 
 
+def fit_one(sp, ds):
+    """lh.fit on a batch of one split: that run's model."""
+    m = lh.fit([sp], ds)
+    return oracles.RunModel(design=m.design, weights=m.weights[0],
+                            offset=m.offset[0])
+
+
+def pick(m, pool, fn):
+    """lh.acquire_tpe's pick for the one run of `m` from the ids `pool`."""
+    mask = np.zeros((1, len(m.design)), dtype=bool)
+    mask[0, pool] = True
+    batch = lh.TwoClassModel(design=m.design, weights=m.weights[None],
+                             offset=np.array([m.offset]))
+    return int(lh.acquire_tpe(batch, mask, [fn])[0])
+
+
 def fitted(sp, ds):
     """The model fit gives a split, and the oracle's class stats of it."""
-    return lh.fit(sp, ds), oracles.class_stats(sp, ds)
+    return fit_one(sp, ds), oracles.class_stats(sp, ds)
 
 
 def fit_on(ds, n):
@@ -98,7 +114,7 @@ def test_fit_rejects_an_empty_class(make_ds):
     """)
     label_ids(ds)
     with pytest.raises(ValueError):
-        lh.fit(halves(ds, 0), ds)
+        fit_one(halves(ds, 0), ds)
 
 
 def test_identical_values_hit_the_sd_floor(make_ds):
@@ -213,7 +229,7 @@ def test_log_ratio_matches_the_plain_expression_on_shipped_tables():
             want, err = oracles.score_pool(s, ds, pool), rounding_tol(s, ds)
             assert np.abs(log_ratio(m)[pool] - want).max() <= err, (path.stem, size)
             for fn in lh.ACQUIRES:
-                assert_is_the_pick(lh.acquire_tpe(m, pool, fn), want, pool, fn,
+                assert_is_the_pick(pick(m, pool, fn), want, pool, fn,
                                    tie_tol(m), err)
 
 
@@ -332,26 +348,26 @@ def test_acquire_rejects_bad_inputs(auto93):
     m, _ = fit_on(auto93, 10)
     pool = auto93.unlabeled_ids()
     with pytest.raises(ValueError):
-        lh.acquire_tpe(m, pool, "greedy")
+        pick(m, pool, "greedy")
     with pytest.raises(ValueError):
-        lh.acquire_tpe(m, pool[:0], "exploit")
+        pick(m, pool[:0], "exploit")
 
 
 def test_acquire_singleton_pool(auto93):
     m, _ = fit_on(auto93, 10)
     only = auto93.unlabeled_ids()[:1]
-    assert lh.acquire_tpe(m, only, "exploit") == only[0]
+    assert pick(m, only, "exploit") == only[0]
 
 
 def test_acquire_ignores_pool_order(auto93):
     m, _ = fit_on(auto93, 10)
     pool = auto93.unlabeled_ids()[:30]
-    chosen = lh.acquire_tpe(m, pool, "exploit")
+    chosen = pick(m, pool, "exploit")
     rng = random.Random(1)
     for _ in range(5):
         shuffled = pool.tolist()
         rng.shuffle(shuffled)
-        assert lh.acquire_tpe(m, np.array(shuffled), "exploit") == chosen
+        assert pick(m, np.array(shuffled), "exploit") == chosen
 
 
 def test_acquire_breaks_ties_toward_low_ids(make_ds):
@@ -364,10 +380,10 @@ def test_acquire_breaks_ties_toward_low_ids(make_ds):
         9,5
     """)
     label_ids(ds, [0, 1])
-    m = lh.fit(halves(ds, 1, 2), ds)
+    m = fit_one(halves(ds, 1, 2), ds)
     for ids in itertools.permutations([2, 3, 4]):  # three identical candidates
         for fn in lh.ACQUIRES:
-            assert lh.acquire_tpe(m, np.array(ids), fn) == 2
+            assert pick(m, np.array(ids), fn) == 2
 
 
 @pytest.mark.parametrize("fn", ["exploit", "explore"])
@@ -375,7 +391,7 @@ def test_acquire_matches_brute_force_argmax(auto93, fn):
     m, s = fit_on(auto93, 12)
     pool = auto93.unlabeled_ids()[:50]
     d = [oracles.log_ratio(s, auto93, i) for i in pool]
-    assert_is_the_pick(lh.acquire_tpe(m, pool, fn), d, pool, fn, tie_tol(m),
+    assert_is_the_pick(pick(m, pool, fn), d, pool, fn, tie_tol(m),
                        rounding_tol(s, auto93))
 
 
@@ -440,7 +456,7 @@ def test_table_scorer_and_acquire_match_the_oracles_on_generated_tables(table, r
     shuffled = pool.tolist()
     rnd.shuffle(shuffled)
     for fn in lh.ACQUIRES:
-        assert_is_the_pick(lh.acquire_tpe(m, np.array(shuffled), fn), want, pool, fn,
+        assert_is_the_pick(pick(m, np.array(shuffled), fn), want, pool, fn,
                            tie_tol(m), err)
 
 
@@ -460,10 +476,10 @@ def test_pick_ignores_pool_order_and_term_order(table, rnd):
                                      weights=m.weights[perm])
                  for layout in (np.ascontiguousarray, np.asfortranarray)]
     for fn in lh.ACQUIRES:
-        chosen = lh.acquire_tpe(m, pool, fn)
-        assert lh.acquire_tpe(m, np.array(shuffled), fn) == chosen
+        chosen = pick(m, pool, fn)
+        assert pick(m, np.array(shuffled), fn) == chosen
         for other in reordered:
-            assert lh.acquire_tpe(other, np.array(shuffled), fn) == chosen
+            assert pick(other, np.array(shuffled), fn) == chosen
 
 
 @settings(max_examples=200, deadline=None)
@@ -476,3 +492,34 @@ def test_no_acquisition_score_is_non_finite_or_saturates(table, rnd):
     assert np.isfinite(m.weights).all()
     for score in (d, -np.abs(d)):
         assert np.isfinite(score).all() and (np.abs(score) < 1e30).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(nb_tables(), st.data())
+def test_batched_fit_and_pick_equal_the_per_run_oracle(table, data):
+    """Each run of a batch gets the weights and offset the per-run fit
+    gives it alone, bit for bit, and the pick the per-run acquisition
+    makes from its own pool: runs of uneven label counts, every boundary
+    k from 1 to n - 1, exploit and explore mixed, on tables with
+    one-value columns and missing numerics."""
+    ds = load_csv(io.StringIO(table[0]), name="generated")
+    n_rows = len(ds.rows)
+    rnd = data.draw(st.randoms(use_true_random=False))
+    splits, fns = [], []
+    for _ in range(data.draw(st.integers(1, 5))):
+        n = data.draw(st.integers(2, n_rows - 1))
+        ranked = np.array(rnd.sample(range(n_rows), n), dtype=np.intp)
+        splits.append(BestRestSplit(ranked=ranked, k=data.draw(st.integers(1, n - 1)),
+                                    rows=ds.rows))
+        fns.append(data.draw(st.sampled_from(lh.ACQUIRES)))
+    m = lh.fit(splits, ds)
+    pool = np.ones((len(splits), n_rows), dtype=bool)
+    for r, sp in enumerate(splits):
+        pool[r, sp.ranked] = False
+    picks = lh.acquire_tpe(m, pool, fns)
+    assert m.weights.shape == (len(splits), m.design.shape[1])
+    for r, (sp, fn) in enumerate(zip(splits, fns)):
+        want = oracles.fit_run(sp, ds)
+        assert m.weights[r].tobytes() == want.weights.tobytes()
+        assert m.offset[r] == want.offset
+        assert picks[r] == oracles.acquire_run(want, pool[r].nonzero()[0], fn)
