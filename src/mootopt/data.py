@@ -15,7 +15,8 @@ order, so runs never see each other's labels.
 
 Inside the label loop a row is its id. `Row` objects, which carry cells,
 serve only the warm start's prompt side; a best/rest split builds them
-only when its halves are read as Rows.
+only when its halves are read as Rows. `Row` is a NamedTuple; the loader
+parses each column in one pass, then zips the columns into Rows.
 
 `normalize` and `encode_cells` are the one rule that turns cells into
 numbers: min-max scaled numerics and alphabet codes for symbols. The
@@ -33,7 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, TextIO, Union
+from typing import NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -82,8 +83,7 @@ class SymStats:
 ColumnStats = Union[NumStats, SymStats]
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     id: int  # index in Dataset.rows
     x: tuple[Cell, ...]
     y: tuple[Optional[float], ...]
@@ -270,14 +270,15 @@ def encode_cells(cells, ds: Dataset, layout: dict) -> tuple[np.ndarray, np.ndarr
     is missing or holds a symbol never seen at load.
     """
     num_pos, sym_pos = layout["num_pos"], layout["sym_pos"]
-    X_num = np.array([[c[p] for p in num_pos] for c in cells],
-                     dtype=float).reshape(len(cells), len(num_pos))  # None -> NaN
+    columns = list(zip(*cells)) or [()] * len(ds.x_cols)
+    X_num = np.empty((len(cells), len(num_pos)))
     for j, p in enumerate(num_pos):
-        X_num[:, j] = normalize(X_num[:, j], ds.col_stats(ds.x_cols[p]))
+        X_num[:, j] = normalize(np.array(columns[p], dtype=float),  # None -> NaN
+                                ds.col_stats(ds.x_cols[p]))
     X_sym = np.empty((len(cells), len(sym_pos)), dtype=np.int64)
     for j, (p, alphabet) in enumerate(zip(sym_pos, layout["alphabets"])):
         code = {s: k for k, s in enumerate(alphabet)}
-        X_sym[:, j] = [code.get(c[p], -1) for c in cells]
+        X_sym[:, j] = [code.get(c, -1) for c in columns[p]]
     return X_num, X_sym
 
 
@@ -297,11 +298,12 @@ def _build_x_views(ds: Dataset) -> dict:
 def _parse_column(col: ColumnSpec, raws, row_nos: list[int]) -> list[Cell]:
     """One column's stripped cells, None where missing. A numeric column's
     cells are floats; its first cell that is not finite raises ParseError."""
-    cells = [raw.strip() for raw in raws]
+    cells = list(map(str.strip, raws))
     if col.kind != NUMERIC:
         return [None if c == MISSING else c for c in cells]
     try:
-        values = [None if c == MISSING else float(c) for c in cells]
+        values = (list(map(float, cells)) if MISSING not in cells
+                  else [None if c == MISSING else float(c) for c in cells])
         if all(map(math.isfinite, filter(None, values))):  # skips None and 0.0
             return values
     except ValueError:
@@ -320,13 +322,20 @@ def _finite(cell: str) -> bool:
 
 def _column_stats(col: ColumnSpec, cells: list[Cell]) -> ColumnStats:
     if col.kind == NUMERIC:
-        vals = np.array([v for v in cells if v is not None], dtype=float)
+        vals = np.array(cells, dtype=float)  # None -> NaN; no cell is NaN
+        vals = vals[~np.isnan(vals)]
         if not len(vals):
             return NumStats()
         lo, hi = float(vals.min()), float(vals.max())
+        # np.median's value, without the numpy.ma import np.median costs;
+        # its sum starts at 0.0, so a median of -0.0 reads 0.0.
+        h = len(vals) // 2
+        part = np.partition(vals, [h - 1, h] if len(vals) % 2 == 0 else h)
         with np.errstate(over="ignore", invalid="ignore"):
+            median = (0.0 + part[h] if len(vals) % 2
+                      else (0.0 + part[h - 1] + part[h]) / 2)
             # numpy's mean of a constant column can miss it by an ulp; its sd is 0.
-            st = NumStats(lo=lo, hi=hi, median=float(np.median(vals)),
+            st = NumStats(lo=lo, hi=hi, median=float(median),
                           sd=float(vals.std()) if lo < hi else 0.0, n=len(vals))
         if not (math.isfinite(st.median) and math.isfinite(st.sd)):
             raise ParseError(f"numeric column {col.name!r} holds values too large "
@@ -398,7 +407,7 @@ def _parse_records(reader, name: str) -> Dataset:
     parsed = [_parse_column(c, raws, row_nos) for c, raws in zip(columns, zip(*records))]
     xs = zip(*(parsed[c.index] for c in columns if c.role == INDEPENDENT))
     ys = zip(*(parsed[c.index] for c in columns if c.role == GOAL))
-    rows = [Row(id=i, x=x, y=y) for i, (x, y) in enumerate(zip(xs, ys))]
+    rows = list(map(Row, range(len(records)), xs, ys))
     stats = [None if c.role == IGNORED else _column_stats(c, parsed[c.index])
              for c in columns]
     return Dataset(name, columns, rows, stats)

@@ -38,13 +38,13 @@ import random
 import statistics
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import gp, likelihood
-from .data import Dataset, sample_ids
+from .data import Dataset
 # chebyshev stays bound here because perfbench/tracer.py counts calls by it.
 from .objective import chebyshev, reveal, split  # noqa: F401
 from .warmstart import LogFn, Synthesizer, cold_start, ignore, warm_start
@@ -177,15 +177,21 @@ def run_random(ds: Dataset, b1: int, seed: int) -> RunResult:
 
     The rows are the first b1 of one shuffle of the whole table, so, as in
     an active run, a smaller budget labels a prefix of a larger one.
-    random.sample at k=b1 would not: its algorithm depends on k.
+    random.sample at k=b1 would not: its algorithm depends on k. The loop
+    makes exactly the first b1 draws of `random.sample(range(n), n)`,
+    whose pool branch (draw `randrange(n - k)`, then move the pool's last
+    live id into the gap) CPython always takes at k = n, and stops there.
     """
-    if b1 > len(ds.rows):
-        raise ValueError(f"b1={b1} exceeds the {len(ds.rows)} rows of {ds.name}")
+    n = len(ds.rows)
+    if b1 > n:
+        raise ValueError(f"b1={b1} exceeds the {n} rows of {ds.name}")
     work = ds.fresh()
     rng = random.Random(seed)
-    pool = work.unlabeled_ids()
-    for i in sample_ids(rng, pool, len(pool))[:b1]:
-        work.label(i)
+    pool = list(range(n))
+    for k in range(b1):
+        j = rng.randrange(n - k)
+        work.label(pool[j])
+        pool[j] = pool[n - k - 1]
     trace, best = _trace(work)
     return RunResult(dataset=ds.name, treatment=Treatment("random", "random", b1),
                      repeat=0, seed=seed, best_chebyshev=best,
@@ -233,9 +239,13 @@ def cut(result: RunResult, budget: int) -> RunResult:
     fallback are shared.
     """
     n = min(budget, result.evaluations_used)
-    return replace(result, treatment=replace(result.treatment, budget=budget),
-                   best_chebyshev=result.trace[n - 1][1], evaluations_used=n,
-                   trace=result.trace[:n])
+    t = result.treatment
+    return RunResult(dataset=result.dataset,
+                     treatment=Treatment(t.start, t.acquire, budget),
+                     repeat=result.repeat, seed=result.seed,
+                     best_chebyshev=result.trace[n - 1][1], evaluations_used=n,
+                     trace=result.trace[:n], warm_fallback=result.warm_fallback,
+                     spread=result.spread)
 
 
 def derive_seed(dataset: str, start: str, acquire: str, repeat: int,

@@ -72,9 +72,11 @@ def _build_terms(ds: Dataset) -> dict:
     floor = np.full(len(views["num_pos"]), FLOOR_MIN)
     X = views["X_num"]
     for j, col in enumerate(X.T):
-        distinct = np.unique(col[~np.isnan(col)])
-        if len(distinct) > 1:
-            floor[j] = max(np.diff(distinct).min() / 2, FLOOR_MIN)
+        # Sorted gaps, not np.unique's: np.unique imports numpy.ma.
+        gaps = np.diff(np.sort(col[~np.isnan(col)]))
+        gaps = gaps[gaps > 0]
+        if len(gaps):
+            floor[j] = max(gaps.min() / 2, FLOOR_MIN)
     known = ~np.isnan(X)
     x = np.where(known, X, 0.0)
     design = np.hstack([x * x, x, known, views["X_sym"] >= 0, views["onehot"]])

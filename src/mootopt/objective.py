@@ -31,8 +31,9 @@ def ideal_point(ds: Dataset) -> list[float]:
 def _score_vector(ds: Dataset) -> np.ndarray:
     """Every row's chebyshev; a missing goal counts as maximally bad."""
     worst = np.zeros(len(ds.rows))
-    for j, (col, target) in enumerate(zip(ds.y_cols, ideal_point(ds))):
-        z = normalize([r.y[j] for r in ds.rows], ds.col_stats(col))  # None -> NaN
+    goals = zip(*(r.y for r in ds.rows))
+    for values, col, target in zip(goals, ds.y_cols, ideal_point(ds)):
+        z = normalize(values, ds.col_stats(col))  # None -> NaN
         worst = np.maximum(worst, np.where(np.isnan(z), 1.0, np.abs(z - target)))
     return worst
 

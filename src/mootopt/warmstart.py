@@ -154,7 +154,7 @@ def build_prompt(e0: list[Row], ds: Dataset) -> PromptBundle:
     """Prompt sections from labeled rows (expected sorted by chebyshev)."""
     if len(e0) < 2:
         raise ValueError("build_prompt needs at least 2 labeled rows")
-    system = SYSTEM_ROLE + "\n\n" + _meta_table(ds)
+    system = SYSTEM_ROLE + "\n\n" + ds.cached("meta_table", _meta_table)
     examples = "Given Examples:\n\n" + render_examples(e0, ds)
     return PromptBundle(system=system, examples=examples, task=TASK_TEXT)
 

@@ -2,7 +2,10 @@
 
 The package scores whole tables at once. Most forms here work one row,
 one column at a time, so tests can check the vectorized paths against a
-formula that is easy to read; score_pool keeps the plain per-class
+formula that is easy to read. load_rows keeps the cell-by-cell loader
+that the package's column passes replace, and encode_rows, x_views_rows
+and score_vector_rows the row-wise builds of the encodings and the goal
+scores; score_pool keeps the plain per-class
 expression of the log ratio the package computes as one matrix product,
 fit_run and acquire_run the naive-Bayes step of one run, which the
 package takes for a batch of runs at once, and gp_refit the
@@ -10,6 +13,8 @@ from-scratch GP fit the package extends one row at a time.
 Nothing in the package imports this module.
 """
 
+import csv
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -19,7 +24,9 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from mootopt import gp
-from mootopt.data import MAXIMIZE, NUMERIC, ColumnSpec, Dataset, NumStats, Row
+from mootopt.data import (GOAL, IGNORED, INDEPENDENT, MAXIMIZE, MISSING, NUMERIC,
+                          ColumnSpec, Dataset, NumStats, ParseError, Row,
+                          SymStats, mode, normalize, parse_header)
 from mootopt.likelihood import FLOOR_MIN, TIE_REL, table_terms
 from mootopt.objective import BestRestSplit
 
@@ -27,7 +34,117 @@ EPS_DIV = 1e-30  # keeps the scalar acquisition ratios finite
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
+# -- loading --------------------------------------------------------------------
+
+def load_rows(fh) -> tuple[list[ColumnSpec], list[Row], list]:
+    """load_csv of an open text stream, one cell at a time: the table's
+    columns, its Rows and its column stats.
+
+    Each cell is stripped and parsed on its own, column after column, the
+    Rows are built one by one, and a numeric column's median is
+    np.median's. Raises ParseError with load_csv's message.
+    """
+    lines = iter(fh)
+    first = next(lines, None)
+    reader = csv.reader(itertools.chain(
+        () if first is None else (first.removeprefix("\ufeff"),), lines))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty file: no header record")
+        columns = parse_header(header)
+        records, row_nos = [], []
+        for row_no, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != len(columns):
+                raise ParseError(f"row {row_no}: expected {len(columns)} cells, "
+                                 f"found {len(record)}")
+            records.append(record)
+            row_nos.append(row_no)
+    except csv.Error as e:
+        raise ParseError(f"row {reader.line_num}: {e}") from None
+    if not records:
+        raise ParseError("no data rows after the header")
+    parsed = {c.index: [_cell(c, record[c.index], row_no)
+                        for record, row_no in zip(records, row_nos)]
+              for c in columns}
+    rows = []
+    for i in range(len(records)):
+        x = tuple(parsed[c.index][i] for c in columns if c.role == INDEPENDENT)
+        y = tuple(parsed[c.index][i] for c in columns if c.role == GOAL)
+        rows.append(Row(id=i, x=x, y=y))
+    stats = [None if c.role == IGNORED else _stats(c, parsed[c.index])
+             for c in columns]
+    return columns, rows, stats
+
+
+def _cell(col: ColumnSpec, raw: str, row_no: int):
+    cell = raw.strip()
+    if cell == MISSING:
+        return None
+    if col.kind != NUMERIC:
+        return cell
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"row {row_no}: cell {cell!r} in numeric column "
+                         f"{col.name!r} is not a finite number")
+    return value
+
+
+def _stats(col: ColumnSpec, cells: list):
+    if col.kind != NUMERIC:
+        freq = dict(Counter(str(v) for v in cells if v is not None))
+        if not freq:
+            return SymStats()
+        return SymStats(mode=mode(freq), freq=freq, n=sum(freq.values()))
+    vals = np.array([v for v in cells if v is not None], dtype=float)
+    if not len(vals):
+        return NumStats()
+    lo, hi = float(vals.min()), float(vals.max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        st = NumStats(lo=lo, hi=hi, median=float(np.median(vals)),
+                      sd=float(vals.std()) if lo < hi else 0.0, n=len(vals))
+    if not (math.isfinite(st.median) and math.isfinite(st.sd)):
+        raise ParseError(f"numeric column {col.name!r} holds values too large "
+                         f"to summarize, from {lo!r} to {hi!r}")
+    return st
+
+
 # -- cell encoding and distance ----------------------------------------------------
+
+def encode_rows(cells, ds: Dataset, layout: dict) -> tuple[np.ndarray, np.ndarray]:
+    """data.encode_cells, one cell tuple at a time: the numeric block is
+    built row by row and normalized in place, one column at a time."""
+    num_pos, sym_pos = layout["num_pos"], layout["sym_pos"]
+    X_num = np.array([[c[p] for p in num_pos] for c in cells],
+                     dtype=float).reshape(len(cells), len(num_pos))  # None -> NaN
+    for j, p in enumerate(num_pos):
+        X_num[:, j] = normalize(X_num[:, j], ds.col_stats(ds.x_cols[p]))
+    X_sym = np.empty((len(cells), len(sym_pos)), dtype=np.int64)
+    for j, (p, alphabet) in enumerate(zip(sym_pos, layout["alphabets"])):
+        code = {s: k for k, s in enumerate(alphabet)}
+        X_sym[:, j] = [code.get(c[p], -1) for c in cells]
+    return X_num, X_sym
+
+
+def x_views_rows(ds: Dataset) -> dict:
+    """Dataset.x_views() from encode_rows over the table's Rows."""
+    sym_pos = [i for i, c in enumerate(ds.x_cols) if c.kind != NUMERIC]
+    layout = {"num_pos": [i for i, c in enumerate(ds.x_cols) if c.kind == NUMERIC],
+              "sym_pos": sym_pos,
+              "alphabets": [sorted(ds.col_stats(ds.x_cols[p]).freq) for p in sym_pos]}
+    X_num, X_sym = encode_rows([row.x for row in ds.rows], ds, layout)
+    starts = np.cumsum([0] + [len(a) for a in layout["alphabets"]])
+    onehot = np.zeros((len(ds.rows), starts[-1]))
+    i, j = np.nonzero(X_sym >= 0)
+    onehot[i, starts[j] + X_sym[i, j]] = 1.0
+    return {**layout, "X_num": X_num, "X_sym": X_sym, "onehot": onehot}
+
+
 
 def norm(col: ColumnSpec, v: float, ds: Dataset) -> float:
     """Map one numeric value into [0,1] using the column's observed range.
@@ -90,6 +207,16 @@ def squared_distances(e1, ids: np.ndarray, ds: Dataset) -> np.ndarray:
 
 
 # -- objective -----------------------------------------------------------------
+
+def score_vector_rows(ds: Dataset) -> np.ndarray:
+    """objective's score vector, reading each goal as r.y[j] row by row."""
+    worst = np.zeros(len(ds.rows))
+    for j, col in enumerate(ds.y_cols):
+        target = 1.0 if col.direction == MAXIMIZE else 0.0
+        z = normalize([r.y[j] for r in ds.rows], ds.col_stats(col))  # None -> NaN
+        worst = np.maximum(worst, np.where(np.isnan(z), 1.0, np.abs(z - target)))
+    return worst
+
 
 def chebyshev(row: Row, ds: Dataset) -> float:
     """Max normalized gap between a row's goals and the ideal point,

@@ -4,13 +4,14 @@ import io
 import math
 import random
 import statistics
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from conftest import DATA, shipped
+from conftest import DATA, label_ids, shipped
 from mootopt import data as d
 from mootopt.data import (NumStats, ParseError, classify_dims, format_cell,
                           load_csv, normalize, parse_header)
@@ -206,6 +207,81 @@ def test_load_csv_returns_a_dataset_or_raises_parse_error(text):
     assert isinstance(ds, d.Dataset) and ds.rows
 
 
+NUMBERS = st.one_of(st.integers(-10**6, 10**6).map(str),
+                    st.floats(-1e6, 1e6).map(repr),
+                    st.floats(-1e6, 1e6).map(lambda v: f"{v:.3e}"),
+                    st.sampled_from(["?", "0", "-0.0", "1_0"]))
+SYMBOLS = st.sampled_from(["a", "b", "c", "?", "a b", "1", "x?"])
+NOT_FINITE = st.sampled_from(["inf", "-inf", "nan", "NaN", "abc", "", "1..2", "?0"])
+
+
+@st.composite
+def moot_csv(draw, broken=None):
+    """MOOT CSV text: numeric, symbolic, ignored and goal columns of 1-12
+    rows, with missing cells, padded and quoted cells, maybe a BOM, CRLF
+    line ends and blank trailing lines. A broken table also holds
+    non-finite or non-numeric numeric cells and ragged rows."""
+    roles = draw(st.lists(st.sampled_from(["Num", "sym", "NumX", "symX", "+", "-"]),
+                          max_size=5))
+    roles = draw(st.permutations(roles + [draw(st.sampled_from(["Num", "sym"])),
+                                          draw(st.sampled_from(["+", "-"]))]))
+    names = [f"g{i}{r}" if r in "+-" else f"{r[0]}{i}{r[3:]}"
+             for i, r in enumerate(roles)]
+    broken = draw(st.booleans()) if broken is None else broken
+
+    def cell(role):
+        if role.startswith("sym"):
+            text = draw(SYMBOLS)
+        elif broken and draw(st.integers(0, 7)) == 0:
+            text = draw(NOT_FINITE)
+        elif draw(st.integers(0, 200)) == 0:
+            text = draw(st.sampled_from(["1.7e308", "-1.7e308"]))  # sums overflow
+        else:
+            text = draw(NUMBERS)
+        text = " " * draw(st.integers(0, 2)) + text + " " * draw(st.integers(0, 1))
+        return f'"{text}"' if draw(st.integers(0, 4)) == 0 else text
+
+    records = [[cell(r) for r in roles] for _ in range(draw(st.integers(1, 12)))]
+    if broken and draw(st.integers(0, 5)) == 0:
+        records[draw(st.integers(0, len(records) - 1))].pop()
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return ("\ufeff" * draw(st.booleans())
+            + "".join(",".join(r) + end for r in [names] + records)
+            + end * draw(st.integers(0, 2)))
+
+
+def bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+@settings(max_examples=400, deadline=None)
+@given(moot_csv())
+@example("\ufeff\"Kloc\", kind ,effort-\r\n 2 ,\"a\",1\r\n?,b,4\r\n\r\n")
+@example("Kloc,effort-\n1.7e308,1\n1.7e308,2\n")  # the median's sum overflows
+@example("Kloc,effort-\n1,inf\nabc,2\n")  # the first bad column is named
+def test_load_csv_equals_the_cell_by_cell_oracle(text):
+    """The column passes load the rows, stats and errors the cell-by-cell
+    loader does: the same cells with the same types, every median and sd
+    to the bit, and the same ParseError text."""
+    try:
+        columns, rows, stats = oracles.load_rows(io.StringIO(text))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            load_csv(io.StringIO(text))
+        assert str(got.value) == str(exc)
+        return
+    ds = load_csv(io.StringIO(text))
+    assert ds.columns == columns
+    assert all(type(row) is d.Row for row in ds.rows)
+    assert repr(ds.rows) == repr(rows)  # repr tells -0.0 and "1" from 0.0 and 1.0
+    for got, want in zip(ds.stats, stats, strict=True):
+        if isinstance(want, NumStats):
+            assert (got.lo, got.hi, got.n) == (want.lo, want.hi, want.n)
+            assert (bits(got.median), bits(got.sd)) == (bits(want.median), bits(want.sd))
+        else:
+            assert got == want
+
+
 # -- normalization -----------------------------------------------------------
 
 def test_norm_midpoint_and_clamping(make_ds):
@@ -331,6 +407,55 @@ def test_x_views_match_the_cell_by_cell_encoding(name):
     assert np.array_equal(views["X_sym"], want_sym)
     assert views["onehot"].tobytes() == want_onehot.tobytes()
     assert views["X_num"].flags.c_contiguous
+
+
+def assert_encodings_match_the_row_wise_builds(ds):
+    views, want = ds.x_views(), oracles.x_views_rows(ds)
+    for key in ("X_num", "X_sym", "onehot"):
+        assert views[key].dtype == want[key].dtype, key
+        assert views[key].shape == want[key].shape, key
+        assert views[key].tobytes() == want[key].tobytes(), key
+    work = ds.fresh()
+    scores = reveal(label_ids(work), work)
+    assert scores.tobytes() == oracles.score_vector_rows(ds).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.csv")))
+def test_column_wise_encodings_equal_the_row_wise_builds(name):
+    assert_encodings_match_the_row_wise_builds(shipped(name))
+
+
+@settings(max_examples=150, deadline=None)
+@given(moot_csv(broken=False))
+def test_column_wise_encodings_of_generated_tables_equal_the_row_wise_builds(text):
+    """Generated tables hold missing cells, one-value columns and symbols
+    that look like numbers."""
+    try:
+        ds = load_csv(io.StringIO(text))
+    except ParseError:
+        return  # a column too large to summarize
+    assert_encodings_match_the_row_wise_builds(ds)
+
+
+@pytest.mark.parametrize("text", [
+    "Kloc,Ram,effort-\n1,2,3\n4,?,6\n",  # no symbolic x column
+    "kind,os,effort-\na,x,3\n?,y,6\n",   # no numeric x column
+    "Kloc,kind,effort-\n1,a,3\n?,b,6\n",
+])
+def test_encode_cells_keeps_its_shapes(text):
+    """Zero cells, and tables without a numeric or a symbolic x column,
+    still give a (cells, numeric columns) float block and a (cells,
+    symbolic columns) code block."""
+    ds = load_csv(io.StringIO(text))
+    views = ds.x_views()
+    n_num, n_sym = len(views["num_pos"]), len(views["sym_pos"])
+    for cells in ([], [row.x for row in ds.rows]):
+        num, codes = d.encode_cells(cells, ds, views)
+        want_num, want_codes = oracles.encode_rows(cells, ds, views)
+        assert (num.shape, codes.shape) == ((len(cells), n_num), (len(cells), n_sym))
+        assert (num.dtype, codes.dtype) == (np.float64, np.int64)
+        assert num.tobytes() == want_num.tobytes()
+        assert codes.tobytes() == want_codes.tobytes()
 
 
 def test_encode_codes_unseen_and_missing_symbols_as_minus_one(toy):

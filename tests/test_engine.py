@@ -1,15 +1,21 @@
 """Run orchestration: budgets, traces, seeds, and the treatment grid."""
 
+import functools
+import io
 import itertools
+import random
 import statistics
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (DATA, SlowFirstBrokenSynth, completion, label_ids, send,
                       shipped)
 from mootopt import engine as eng
 from mootopt.cli import ARM_ACQUIRES
+from mootopt.data import Dataset, load_csv, sample_ids
 from mootopt.engine import (DEFAULT_ARMS, GridSpec, Treatment,
                             baseline_summary, cut, derive_seed, run_active,
                             run_baseline, run_grid, run_random)
@@ -101,6 +107,43 @@ def test_run_random_draws_are_prefixes_of_larger_draws(nasa93dem):
         for b in (1, 10, 29):
             small = run_random(nasa93dem, b, seed)
             assert small.trace == big.trace[:b]
+
+
+class LabelLog(Dataset):
+    """A table whose copies append each label to the `log` they share."""
+
+    def label(self, i: int) -> None:
+        super().label(i)
+        self.log.append(int(i))
+
+
+@functools.lru_cache(maxsize=None)
+def ramp(n: int) -> LabelLog:
+    ds = load_csv(io.StringIO("A,b-\n" + "".join(f"{i},{i}\n" for i in range(n))))
+    return LabelLog(ds.name, ds.columns, ds.rows, ds.stats)
+
+
+def random_labels(n: int, b1: int, seed: int) -> list[int]:
+    ds = ramp(n)
+    ds.log = []
+    run_random(ds, b1, seed)
+    return ds.log
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2000).flatmap(
+           lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(1, n))),
+       st.integers(0, 2**32 - 1))
+def test_run_random_labels_the_head_of_one_whole_table_sample(sizes, seed):
+    """run_random makes only its b1 draws, mirroring the pool branch that
+    CPython's random.sample always takes at k = n. This test guards that
+    mirror: the labels are the first b1 ids of sample_ids over the whole
+    table, and a smaller budget's labels are a prefix of a larger one's."""
+    n, b1, b2 = sizes
+    small, big = sorted((b1, b2))
+    whole = sample_ids(random.Random(seed), np.arange(n), n).tolist()
+    assert random_labels(n, big, seed) == whole[:big]
+    assert random_labels(n, small, seed) == whole[:small]
 
 
 def test_run_random_single_label(toy):
