@@ -129,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--key-env", default=DEFAULT_KEY_ENV, dest="key_env",
                      help="environment variable holding the API key")
     run.add_argument("--out", default="results", help="output directory")
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=int, default=1,
+                     help="threads for the starts (caps synth requests in flight)")
 
     rank = sub.add_parser("rank", help="build report tables from run output")
     rank.add_argument("results", help="directory holding results.jsonl")

@@ -3,19 +3,14 @@
 A run owns a private copy of the dataset's label state (`Dataset.fresh()`:
 a label mask and a label order over the shared rows), consumes at most its
 budget of labels, and reports the best (lowest) chebyshev seen. A run
-starts cold or warm, then loops: fit the labeled rows, score the
-unlabeled pool, label the argmax. A GP run loops alone, extending the
-last step's posterior by the new row. Naive-Bayes runs loop in lockstep
-batches (`label_tpe`): each step fits every run of the batch at once and
-scores the table for all of them with one matrix product, and each run
-labels its own pick. A batch shares the table's design matrix but no
-label state, so a run's labels are those it would get alone, and a
-single run is a batch of one. Inside the loop a row is its id: the
-labeled set and the pool are read off the label state, the best/rest
-split hands the fit id halves, the acquisitions return the id to label,
-and scores come from the table's cached chebyshev vector through
-`objective.reveal`. Row objects appear only on the warm start's prompt
-side.
+starts cold or warm, then loops: fit the labeled rows, score the unlabeled
+pool, label the argmax. A GP run loops alone (`label_gp`); naive-Bayes
+runs loop in lockstep batches (`label_tpe`) that share the table's design
+matrix but no label state. Inside the loop a row is its id: the labeled
+set and the pool are read off the label state, the best/rest split hands
+the fit id halves, the acquisitions return the id to label, and scores
+come from the table's cached chebyshev vector through `objective.reveal`.
+Row objects appear only on the warm start's prompt side.
 
 Runs are anytime: the budget only stops the loop, and a run's seed does
 not depend on it, so a budget-b run labels exactly the first b rows of
@@ -23,12 +18,11 @@ any larger run. The grid therefore runs each (dataset, arm, repeat) once,
 at the largest budget that fits the table, and `cut`s every smaller
 budget's result from that run's best-so-far trace.
 
-Runs share no label state. A grid runs in two phases on one thread
-pool: every run's start (or, for a GP, random or baseline run, the whole
-run) is a task of its own, then each table's started naive-Bayes runs
-are one batch task. Each run keeps its result, its transcript events and
-its failure, and `run_grid` assembles them in a fixed run order, so the
-grid's outputs are the same at any job count.
+Runs share no label state. In a grid only the starts run on a thread
+pool, since only a warm start waits (on the synthesizer); every label
+loop runs on the calling thread. Each run keeps its result, its
+transcript events and its failure, and `run_grid` assembles them in a
+fixed run order, so the grid's outputs are the same at any job count.
 """
 
 from __future__ import annotations
@@ -38,8 +32,9 @@ import random
 import statistics
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -154,6 +149,18 @@ def _finish(ds: Dataset, t: Treatment, seed: int, work: Dataset,
                      trace=trace, warm_fallback=fallback)
 
 
+def label_gp(work: Dataset, t: Treatment) -> None:
+    """Label a started GP run up to its budget, extending the last step's
+    posterior by one row a label."""
+    model = None
+    while work.evaluations < t.budget:
+        labeled = work.labeled_ids()
+        model = gp.fit_gp(labeled, work, model)
+        f_star = gp.incumbent(labeled, work)
+        work.label(gp.acquire_gp(model, f_star, work.unlabeled_ids(),
+                                 t.acquire))
+
+
 def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
                seed: int, log: LogFn = ignore) -> RunResult:
     """One surrogate-guided run under a hard label budget: its start, then
@@ -162,13 +169,7 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
     if t.acquire in likelihood.ACQUIRES:
         label_tpe(ds, [work], [t])
     else:
-        model = None  # extended by one row a label
-        while work.evaluations < t.budget:
-            labeled = work.labeled_ids()
-            model = gp.fit_gp(labeled, work, model)
-            f_star = gp.incumbent(labeled, work)
-            work.label(gp.acquire_gp(model, f_star, work.unlabeled_ids(),
-                                     t.acquire))
+        label_gp(work, t)
     return _finish(ds, t, seed, work, fallback)
 
 
@@ -300,8 +301,8 @@ def _cuts(result: RunResult, grid: GridSpec) -> list[RunResult]:
 @dataclass
 class _GridRun:
     """One (dataset, arm, repeat) of a grid and what it produced: its
-    result, or its failure, and its transcript events. A naive-Bayes run
-    holds its label state between its start and its batch's loop."""
+    result, or its failure, and its transcript events. A started run
+    holds its label state until its label loop."""
     ds: Dataset
     t: Treatment
     repeat: int
@@ -321,44 +322,29 @@ class _GridRun:
                             "repeat": self.repeat, "seq": len(self.events),
                             **event})
 
-    def fail(self, exc: Exception) -> None:
-        t = self.t
-        self.failure = (f"run failed: {self.ds.name} {t.start}/{t.acquire} "
-                        f"budget={t.budget} repeat={self.repeat}: "
-                        f"{type(exc).__name__}: {exc}")
 
-
-def _first_phase(run: _GridRun, synthesizer: Optional[Synthesizer]) -> None:
-    """A GP, random or baseline run whole; a naive-Bayes run's start only.
-
-    A run that fails partway keeps the events it logged.
-    """
-    ds, t = run.ds, run.t
+@contextmanager
+def _failing(runs: list[_GridRun]) -> Iterator[None]:
+    """If the block raises, fail each of `runs` with a message naming the
+    run and the exception."""
     try:
-        if t.acquire == "baseline":
-            run.result = run_baseline(ds, run.seed)
-        elif t.acquire == "random":
-            run.result = run_random(ds, t.budget, run.seed)
-        elif t.acquire in likelihood.ACQUIRES:
-            run.work, run.fallback = _start(ds, t, synthesizer, run.seed,
-                                            log=run.log)
-        else:
-            run.result = run_active(ds, t, synthesizer, run.seed, log=run.log)
-    except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-        run.fail(exc)
-
-
-def _label_table(runs: list[_GridRun]) -> None:
-    """One table's started naive-Bayes runs, labeled as one batch."""
-    try:
-        label_tpe(runs[0].ds, [run.work for run in runs],
-                  [run.t for run in runs])
+        yield
     except Exception as exc:  # noqa: BLE001 - reported, not swallowed
         for run in runs:
-            run.fail(exc)
-        return
-    for run in runs:
-        run.result = _finish(run.ds, run.t, run.seed, run.work, run.fallback)
+            t = run.t
+            run.failure = (f"run failed: {run.ds.name} {t.start}/{t.acquire} "
+                           f"budget={t.budget} repeat={run.repeat}: "
+                           f"{type(exc).__name__}: {exc}")
+
+
+def _label_run(run: _GridRun) -> RunResult:
+    """A started GP run's label loop, or a random or baseline run whole."""
+    if run.t.acquire == "baseline":
+        return run_baseline(run.ds, run.seed)
+    if run.t.acquire == "random":
+        return run_random(run.ds, run.t.budget, run.seed)
+    label_gp(run.work, run.t)
+    return _finish(run.ds, run.t, run.seed, run.work, run.fallback)
 
 
 @dataclass
@@ -375,30 +361,43 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
     """Every (dataset, arm, budget, repeat) cell, deterministically ordered.
 
     Each (dataset, arm, repeat) runs once, at its largest budget, and the
-    cells of the smaller budgets are cut from it. Two phases share one
-    pool of `jobs` threads: first each run is a task of its own (a
-    naive-Bayes run's start only, so `jobs` alone bounds the synthesizer
-    requests in flight), then each table's started naive-Bayes runs, of
-    every arm and repeat, are one `label_tpe` batch. Run order is
-    (dataset, start, acquire, repeat); events and failures follow it, so
-    no output depends on `jobs`. A failing run loses its cells but not
-    the rest of the grid.
+    cells of the smaller budgets are cut from it. Only the starts run on a
+    pool of `jobs` threads, so `jobs` bounds the synthesizer requests in
+    flight. The label loops run on the calling thread, a table's started
+    naive-Bayes runs as one `label_tpe` batch. Run order is (dataset,
+    start, acquire, repeat); events and failures follow it, so no output
+    depends on `jobs`. A failing run loses its cells, not the grid.
     """
     runs = sorted((_GridRun(ds, t, rep, derive_seed(ds.name, t.start, t.acquire,
                                                     rep, grid.base_seed))
                    for ds in datasets for t, rep in _jobs_for(ds, grid)),
                   key=lambda run: (run.ds.name, run.t.start, run.t.acquire,
                                    run.repeat))
+
+    def start(run: _GridRun) -> None:  # a failed run keeps its events
+        with _failing([run]):
+            run.work, run.fallback = _start(run.ds, run.t, synthesizer,
+                                            run.seed, log=run.log)
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(lambda run: _first_phase(run, synthesizer), runs))
-        tables: dict[str, list[_GridRun]] = {}
-        for run in runs:
-            if run.work is not None:  # a started naive-Bayes run
-                tables.setdefault(run.ds.name, []).append(run)
-        list(pool.map(_label_table, tables.values()))
+        list(pool.map(start, [run for run in runs
+                              if run.t.acquire in ACTIVE_ACQUIRES]))
+    tables: dict[str, list[_GridRun]] = {}
+    for run in runs:
+        if run.failure is None and run.t.acquire in likelihood.ACQUIRES:
+            tables.setdefault(run.ds.name, []).append(run)
+        elif run.failure is None:
+            with _failing([run]):
+                run.result = _label_run(run)
+    for batch in tables.values():
+        with _failing(batch):
+            label_tpe(batch[0].ds, [run.work for run in batch],
+                      [run.t for run in batch])
+            for run in batch:
+                run.result = _finish(run.ds, run.t, run.seed, run.work, run.fallback)
     results = []
     for run in runs:
-        if run.result is not None:
+        if run.failure is None:
             run.result.repeat = run.repeat
             results += _cuts(run.result, grid)
     results.sort(key=lambda r: (r.dataset, r.treatment.start, r.treatment.acquire,

@@ -398,6 +398,34 @@ SMALL_GRID = GridSpec(
     budgets=(6, 8), repeats=2)
 
 
+def test_only_the_starts_leave_the_calling_thread(toy, monkeypatch):
+    """At three jobs every start runs on a pool thread, and every label
+    loop, and every random and baseline run, on the caller's thread."""
+    threads: dict[str, set[int]] = {}
+
+    def spy(name):
+        original = getattr(eng, name)
+
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return original(*args, **kwargs)
+        monkeypatch.setattr(eng, name, wrapper)
+
+    for name in ("cold_start", "warm_start", "label_tpe", "label_gp",
+                 "run_random", "run_baseline"):
+        spy(name)
+    grid = GridSpec(arms=(("llm", "exploit"), ("llm", "ucb"), ("random", "ei"),
+                          ("random", "explore"), ("random", "random"),
+                          ("baseline", "baseline")), budgets=(6, 8), repeats=3)
+    completed(run_grid([toy], grid, synthesizer=MockSynthesizer(), jobs=3))
+    here = threading.get_ident()
+    assert sorted(threads) == ["cold_start", "label_gp", "label_tpe",
+                               "run_baseline", "run_random", "warm_start"]
+    for name in ("label_tpe", "label_gp", "run_random", "run_baseline"):
+        assert threads[name] == {here}, name
+    assert here not in threads["cold_start"] | threads["warm_start"]
+
+
 def test_run_grid_is_schedule_independent(toy):
     serial = completed(run_grid([toy], SMALL_GRID, jobs=1))
     threaded = completed(run_grid([toy.fresh()], SMALL_GRID, jobs=3))
@@ -468,11 +496,13 @@ def test_failure_messages_name_the_exception_type(toy):
         "run failed: toy llm/exploit budget=6 repeat=0: BrokenBarrierError: "]
 
 
+@pytest.mark.parametrize("acquire", ["exploit", "ucb"])
 def test_remote_requests_in_flight_are_bounded_by_jobs_alone(toy, monkeypatch,
-                                                            chat_server):
-    """Six jobs keep six requests in flight. The endpoint answers each
-    request only once all six have arrived, so any cap below the job count
-    would break the barrier and the runs would fall back."""
+                                                            chat_server, acquire):
+    """Six jobs keep six requests in flight, for a naive-Bayes and a GP
+    arm alike. The endpoint answers each request only once all six have
+    arrived, so any cap below the job count would break the barrier and
+    the runs would fall back."""
     monkeypatch.setenv("MOOTOPT_API_KEY", "sk-test")
     reply = render_synthetic([SyntheticRow(toy.rows[0].x, "better"),
                               SyntheticRow(toy.rows[1].x, "poorer")], toy)
@@ -484,7 +514,7 @@ def test_remote_requests_in_flight_are_bounded_by_jobs_alone(toy, monkeypatch,
 
     server = chat_server(respond)
     synth = RemoteSynthesizer(server.url, "model-x")
-    grid = GridSpec(arms=(("llm", "exploit"),), budgets=(10,), repeats=6)
+    grid = GridSpec(arms=(("llm", acquire),), budgets=(10,), repeats=6)
     out = run_grid([toy], grid, synthesizer=synth, jobs=6)
     assert out.failures == []
     assert [r.repeat for r in out.results] == list(range(6))
