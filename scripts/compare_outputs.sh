@@ -5,11 +5,13 @@
 #
 # Runs `mootopt run --data data --seed 1` and then `mootopt rank` twice:
 # in a `git archive` of REV and in the working tree, printing the wall
-# seconds of each tree's run and rank. Then diffs the two output
-# directories with `diff -r`, prints each file that differs, and exits 1
-# if any does, 0 if all are identical. When they differ it also prints
+# seconds of each tree's run and rank and the line count of its
+# src/mootopt. Then diffs the two output directories with `diff -r`,
+# prints each file that differs, and exits 1 if any does, 0 if all are
+# identical. When they differ it also prints
 # scripts/diff_results.py's summary of the changed records and rank
-# tables; neither the summary nor the timings affect the exit status.
+# tables; neither the summary, the timings nor the line counts affect the
+# exit status.
 set -euo pipefail
 
 rev=${1:?usage: scripts/compare_outputs.sh REV}
@@ -32,7 +34,8 @@ grid() {  # grid TREE OUT NAME: the default grid and its ranking, from TREE's so
     t1=$EPOCHREALTIME
     (cd "$1" && PYTHONPATH=src python3 -m mootopt.cli rank "$2" >/dev/null)
     t2=$EPOCHREALTIME
-    echo "$3: run $(seconds "$t0" "$t1") s, rank $(seconds "$t1" "$t2") s (wall)"
+    echo "$3: run $(seconds "$t0" "$t1") s, rank $(seconds "$t1" "$t2") s (wall)," \
+        "src/mootopt $(cat "$1"/src/mootopt/*.py | wc -l) lines"
 }
 
 grid "$tmp/base" "$tmp/out-base" "$rev"

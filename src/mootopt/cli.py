@@ -16,45 +16,38 @@ from . import __version__, engine, gp, report
 from .data import ParseError, load_csv
 from .warmstart import DEFAULT_KEY_ENV, MockSynthesizer, RemoteSynthesizer
 
-ARM_ACQUIRES = engine.ACTIVE_ACQUIRES + ("random",)
-
 
 class ConfigError(ValueError):
     """Bad flags or unusable inputs; maps to exit code 2."""
 
 
-def parse_arms(spec: str) -> tuple[tuple[str, str], ...]:
-    """Treatment list syntax: comma-separated `start/acquire` items.
+def _spelling(arm: tuple[str, str]) -> str:
+    """`start/acquire`, or one word for an arm whose start is its
+    acquisition (`random`, `baseline`)."""
+    start, acquire = arm
+    return start if start == acquire else f"{start}/{acquire}"
 
-    `baseline` and `random` stand alone (`random/random` is the same arm);
-    every other arm is `llm/...` or `random/...` with an acquisition from
-    the known set.
-    """
+
+# Every treatment spelling and its arm; `random/random` also means `random`.
+SPELLINGS = {**{_spelling(arm): arm for arm in engine.ARMS},
+             "random/random": ("random", "random")}
+
+
+def parse_arms(spec: str) -> tuple[tuple[str, str], ...]:
+    """Treatment list syntax: comma-separated items from SPELLINGS, with
+    spaces allowed around each item and its `/`."""
     arms = []
     for item in spec.split(","):
-        item = item.strip()
-        if not item:
+        word = "/".join(part.strip() for part in item.split("/"))
+        if not word:
             continue
-        if item == "baseline":
-            arms.append(("baseline", "baseline"))
-            continue
-        if item == "random":
-            arms.append(("random", "random"))
-            continue
-        if "/" not in item:
-            raise ConfigError(
-                f"treatment {item!r} is not start/acquire, 'random', or 'baseline'")
-        start, acquire = (p.strip() for p in item.split("/", 1))
-        if start not in ("random", "llm"):
-            raise ConfigError(f"unknown start {start!r} in treatment {item!r}")
-        if acquire not in ARM_ACQUIRES:
-            raise ConfigError(f"unknown acquire {acquire!r} in treatment {item!r}")
-        if acquire == "random" and start != "random":
-            raise ConfigError(f"random selection takes no start: {item!r}")
-        arms.append((start, acquire))
+        if word not in SPELLINGS:
+            raise ConfigError(f"unknown treatment {item.strip()!r}; known: "
+                              + ", ".join(SPELLINGS))
+        arms.append(SPELLINGS[word])
     for arm in arms:
         if arms.count(arm) > 1:
-            raise ConfigError(f"treatment {format_arms((arm,))!r} is repeated")
+            raise ConfigError(f"treatment {_spelling(arm)!r} is repeated")
     if not arms:
         raise ConfigError("empty treatment list")
     return tuple(arms)
@@ -62,9 +55,7 @@ def parse_arms(spec: str) -> tuple[tuple[str, str], ...]:
 
 def format_arms(arms: tuple[tuple[str, str], ...]) -> str:
     """The treatment-list spelling of `arms`; the inverse of parse_arms."""
-    return ",".join(start if (start, acquire) in (("baseline", "baseline"),
-                                                  ("random", "random"))
-                    else f"{start}/{acquire}" for start, acquire in arms)
+    return ",".join(map(_spelling, arms))
 
 
 def collect_data_paths(specs: list[str]) -> list[Path]:
@@ -117,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="MOOT csv files or directories of them")
     run.add_argument("--treatments", default=format_arms(engine.DEFAULT_ARMS),
                      help="comma list of start/acquire arms, plus 'random' "
-                          "and 'baseline' (default: the full nine-arm grid)")
+                          "and 'baseline' (default: the full nine-arm grid); "
+                          "an unknown one is refused with every known spelling")
     run.add_argument("--budgets",
                      default=",".join(map(str, engine.DEFAULT_BUDGETS)),
                      help="comma list of total label budgets")

@@ -138,13 +138,12 @@ def parse_header(names: list[str]) -> list[ColumnSpec]:
     return specs
 
 
+STRATA = ("low", "medium", "high")  # fewer than 6, 6-11, over 11 columns
+
+
 def classify_dims(n_independent: int) -> str:
-    """low / medium / high stratum from the independent-column count."""
-    if n_independent < 6:
-        return "low"
-    if n_independent <= 11:
-        return "medium"
-    return "high"
+    """The stratum (one of STRATA) of a table's independent-column count."""
+    return STRATA[(n_independent >= 6) + (n_independent > 11)]
 
 
 class Dataset:

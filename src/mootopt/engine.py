@@ -16,7 +16,8 @@ Runs are anytime: the budget only stops the loop, and a run's seed does
 not depend on it, so a budget-b run labels exactly the first b rows of
 any larger run. The grid therefore runs each (dataset, arm, repeat) once,
 at the largest budget that fits the table, and `cut`s every smaller
-budget's result from that run's best-so-far trace.
+budget's result from that run's best-so-far trace. The baseline is not
+a run: a grid gives each table one baseline record, read off its summary.
 
 Runs share no label state. In a grid only the starts run on a thread
 pool, since only a warm start waits (on the synthesizer); every label
@@ -142,7 +143,7 @@ def label_tpe(ds: Dataset, works: list[Dataset],
 
 
 def _finish(ds: Dataset, t: Treatment, seed: int, work: Dataset,
-            fallback: bool) -> RunResult:
+            fallback: bool = False) -> RunResult:
     trace, best = _trace(work)
     return RunResult(dataset=ds.name, treatment=t, repeat=0, seed=seed,
                      best_chebyshev=best, evaluations_used=work.evaluations,
@@ -193,17 +194,14 @@ def run_random(ds: Dataset, b1: int, seed: int) -> RunResult:
         j = rng.randrange(n - k)
         work.label(pool[j])
         pool[j] = pool[n - k - 1]
-    trace, best = _trace(work)
-    return RunResult(dataset=ds.name, treatment=Treatment("random", "random", b1),
-                     repeat=0, seed=seed, best_chebyshev=best,
-                     evaluations_used=work.evaluations, trace=trace)
+    return _finish(ds, Treatment("random", "random", b1), seed, work)
 
 
 def baseline_summary(ds: Dataset) -> tuple[float, float, float, float]:
     """(mean, lo, median, sd) of chebyshev over every row of the file.
 
-    Computed once per table: the baseline arm and the manifest read the
-    same value.
+    Computed once per table: the baseline record and the manifest read
+    the same value.
     """
     return ds.cached("baseline_summary", _summarize)
 
@@ -237,7 +235,7 @@ def cut(result: RunResult, budget: int) -> RunResult:
 
     The budget only stops the loop, so the smaller run's labels are the
     larger run's first min(budget, evals); the seed and the warm start's
-    fallback are shared.
+    fallback are shared. The baseline is not a run, so it is never cut.
     """
     n = min(budget, result.evaluations_used)
     t = result.treatment
@@ -245,8 +243,7 @@ def cut(result: RunResult, budget: int) -> RunResult:
                      treatment=Treatment(t.start, t.acquire, budget),
                      repeat=result.repeat, seed=result.seed,
                      best_chebyshev=result.trace[n - 1][1], evaluations_used=n,
-                     trace=result.trace[:n], warm_fallback=result.warm_fallback,
-                     spread=result.spread)
+                     trace=result.trace[:n], warm_fallback=result.warm_fallback)
 
 
 def derive_seed(dataset: str, start: str, acquire: str, repeat: int,
@@ -267,35 +264,25 @@ class GridSpec:
     base_seed: int = 1
 
 
-DEFAULT_ARMS = (
-    ("llm", "exploit"), ("llm", "explore"),
-    ("random", "exploit"), ("random", "explore"),
-    ("random", "ucb"), ("random", "pi"), ("random", "ei"),
-    ("random", "random"),
-    ("baseline", "baseline"),
-)
+# Every (start, acquire) arm a grid can run: each surrogate-guided
+# acquisition from a warm or a cold start, then random selection and the
+# baseline, which take no start of their own.
+ARMS = tuple((start, acquire) for start in ("llm", "random")
+             for acquire in ACTIVE_ACQUIRES) + (("random", "random"),
+                                                ("baseline", "baseline"))
+# The paper's nine-arm grid: the LLM warm-starts only the naive-Bayes arms.
+DEFAULT_ARMS = tuple(arm for arm in ARMS
+                     if arm[0] != "llm" or arm[1] in likelihood.ACQUIRES)
 
 
 def _jobs_for(ds: Dataset, grid: GridSpec) -> list[tuple[Treatment, int]]:
-    """One run per (arm, repeat), at the largest budget the table holds."""
+    """One run per (arm, repeat), at the largest budget the table holds;
+    the baseline is a record, not a run."""
     # tiny file: skip oversize budgets instead of dying
     fits = [b for b in grid.budgets if b <= len(ds.rows)]
-    jobs: list[tuple[Treatment, int]] = []
-    for start, acquire in grid.arms:
-        if acquire == "baseline":
-            jobs.append((Treatment(start, acquire, len(ds.rows)), 0))
-        elif fits:
-            jobs += [(Treatment(start, acquire, max(fits)), repeat)
-                     for repeat in range(grid.repeats)]
-    return jobs
-
-
-def _cuts(result: RunResult, grid: GridSpec) -> list[RunResult]:
-    """A run's result at each grid budget up to its own."""
-    if result.treatment.acquire == "baseline":
-        return [result]
-    return [cut(result, b) for b in grid.budgets
-            if b <= result.treatment.budget]
+    return [(Treatment(start, acquire, max(fits)), repeat)
+            for start, acquire in grid.arms if fits and acquire != "baseline"
+            for repeat in range(grid.repeats)]
 
 
 @dataclass
@@ -338,9 +325,7 @@ def _failing(runs: list[_GridRun]) -> Iterator[None]:
 
 
 def _label_run(run: _GridRun) -> RunResult:
-    """A started GP run's label loop, or a random or baseline run whole."""
-    if run.t.acquire == "baseline":
-        return run_baseline(run.ds, run.seed)
+    """A started GP run's label loop, or a random run whole."""
     if run.t.acquire == "random":
         return run_random(run.ds, run.t.budget, run.seed)
     label_gp(run.work, run.t)
@@ -361,12 +346,14 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
     """Every (dataset, arm, budget, repeat) cell, deterministically ordered.
 
     Each (dataset, arm, repeat) runs once, at its largest budget, and the
-    cells of the smaller budgets are cut from it. Only the starts run on a
-    pool of `jobs` threads, so `jobs` bounds the synthesizer requests in
-    flight. The label loops run on the calling thread, a table's started
-    naive-Bayes runs as one `label_tpe` batch. Run order is (dataset,
-    start, acquire, repeat); events and failures follow it, so no output
-    depends on `jobs`. A failing run loses its cells, not the grid.
+    cells of the smaller budgets are cut from it. The baseline arm is not
+    a run but one record per table, read off the table's summary. Only
+    the starts run on a pool of `jobs` threads, so `jobs` bounds the
+    synthesizer requests in flight. The label loops run on the calling
+    thread, a table's started naive-Bayes runs as one `label_tpe` batch.
+    Run order is (dataset, start, acquire, repeat); events and failures
+    follow it, so no output depends on `jobs`. A failing run loses its
+    cells, not the grid.
     """
     runs = sorted((_GridRun(ds, t, rep, derive_seed(ds.name, t.start, t.acquire,
                                                     rep, grid.base_seed))
@@ -395,11 +382,14 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
                       [run.t for run in batch])
             for run in batch:
                 run.result = _finish(run.ds, run.t, run.seed, run.work, run.fallback)
-    results = []
+    results = [run_baseline(ds, derive_seed(ds.name, "baseline", "baseline", 0,
+                                            grid.base_seed))
+               for ds in datasets if ("baseline", "baseline") in grid.arms]
     for run in runs:
         if run.failure is None:
             run.result.repeat = run.repeat
-            results += _cuts(run.result, grid)
+            results += [cut(run.result, b) for b in grid.budgets
+                        if b <= run.t.budget]
     results.sort(key=lambda r: (r.dataset, r.treatment.start, r.treatment.acquire,
                                 r.treatment.budget, r.repeat))
     return GridResult(results=results,

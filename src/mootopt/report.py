@@ -10,6 +10,8 @@ run outcomes.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 import statistics
@@ -17,9 +19,9 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from .data import STRATA
 from .stats import RankTable, Sample, scott_knott
 
-STRATA = ("low", "medium", "high")
 SPARK_WIDTH = 20
 
 
@@ -56,6 +58,15 @@ def _pair_ranks(table: RankTable) -> dict[tuple[str, str], dict[int, int]]:
     return held
 
 
+def _csv(header: str, rows: Iterable[Sequence]) -> str:
+    """CSV text of a header line and rows, quoting only the fields that
+    need it (a dataset name with a comma, say); a float is its repr."""
+    out = io.StringIO()
+    out.write(header + "\n")
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def _rank_matrix_csv(rows: Iterable[tuple[str, str, dict[int, float]]],
                      empty: str) -> str:
     """One `start,acquire,rank0,...` line per (start, acquire, {rank: value})
@@ -63,12 +74,10 @@ def _rank_matrix_csv(rows: Iterable[tuple[str, str, dict[int, float]]],
     columns run to the highest rank any row holds, rank0 at least."""
     rows = list(rows)
     top = max((r for _, _, by_rank in rows for r in by_rank), default=0)
-    lines = ["start,acquire," + ",".join(f"rank{r}" for r in range(top + 1))]
-    for start, acquire, by_rank in rows:
-        cells = [f"{by_rank[r]:.1f}" if r in by_rank else empty
-                 for r in range(top + 1)]
-        lines.append(f"{start},{acquire}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv("start,acquire," + ",".join(f"rank{r}" for r in range(top + 1)),
+                ([start, acquire] + [f"{by_rank[r]:.1f}" if r in by_rank
+                                     else empty for r in range(top + 1)]
+                 for start, acquire, by_rank in rows))
 
 
 class FreqRow(NamedTuple):
@@ -129,7 +138,7 @@ def improvement_curve_csv(records: list[dict], manifest: dict) -> str:
     are excluded; the file statistics already are the baseline.
     """
     summaries = manifest.get("datasets", {})
-    lines = ["dataset,start,acquire,budget,improvement"]
+    rows = []
     for ds, samples in samples_by_dataset(records).items():
         info = summaries.get(ds, {}).get("chebyshev")
         if not info:
@@ -140,9 +149,9 @@ def improvement_curve_csv(records: list[dict], manifest: dict) -> str:
         for s in samples:
             start, acquire, budget = s.label
             if acquire != "baseline":
-                improvement = (statistics.fmean(s.values) - lo) / (mu - lo)
-                lines.append(f"{ds},{start},{acquire},{budget},{improvement!r}")
-    return "\n".join(lines) + "\n"
+                rows.append([ds, start, acquire, budget,
+                             (statistics.fmean(s.values) - lo) / (mu - lo)])
+    return _csv("dataset,start,acquire,budget,improvement", rows)
 
 
 def outcomes_csv(records: list[dict]) -> str:
@@ -159,11 +168,9 @@ def outcomes_csv(records: list[dict]) -> str:
         arm = (rec["dataset"], rec["start"], rec["acquire"])
         fell_back.setdefault(arm, {})[rec["repeat"], rec["seed"]] = rec["fallback"]
         short[arm] = short.get(arm, 0) + (rec["evals"] < rec["budget"])
-    lines = ["dataset,start,acquire,runs,fallbacks,short_records"]
-    for arm, runs in sorted(fell_back.items()):
-        lines.append(",".join(arm) + f",{len(runs)},{sum(runs.values())},"
-                     f"{short[arm]}")
-    return "\n".join(lines) + "\n"
+    return _csv("dataset,start,acquire,runs,fallbacks,short_records",
+                ([*arm, len(runs), sum(runs.values()), short[arm]]
+                 for arm, runs in sorted(fell_back.items())))
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -215,13 +222,9 @@ def render_rank_table(table: RankTable, title: str = "") -> str:
 
 
 def rank_table_csv(table: RankTable) -> str:
-    lines = ["rank,start,acquire,budget,median,sd,n"]
-    for group in table.groups:
-        for s in group.samples:
-            start, acquire, budget = s.label
-            lines.append(f"{group.rank},{start},{acquire},{budget},"
-                         f"{s.median!r},{s.sd!r},{len(s.values)}")
-    return "\n".join(lines) + "\n"
+    return _csv("rank,start,acquire,budget,median,sd,n",
+                ([group.rank, *s.label, s.median, s.sd, len(s.values)]
+                 for group in table.groups for s in group.samples))
 
 
 def rank_stem(dataset: str) -> str:

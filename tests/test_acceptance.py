@@ -218,14 +218,13 @@ def test_every_run_labels_at_most_its_budget(monkeypatch):
         fits = [b for b in DEFAULT_BUDGETS if b <= len(ds.rows)]
         cap = max(fits)
         jobs = eng._jobs_for(ds, grid)
-        assert all(t.budget == (len(ds.rows) if t.acquire == "baseline" else cap)
-                   for t, _ in jobs)
+        assert all(t.budget == cap for t, _ in jobs)
         calls.clear()
         out = eng.run_grid([ds], grid, synthesizer=synth)
         assert out.failures == []
-        # one copy labels every row for the baseline; each other run spends
-        # exactly its budget on a copy of its own
-        assert sorted(calls.values()) == [cap] * (len(jobs) - 1) + [len(ds.rows)]
+        # one copy labels every row for the baseline record; each run
+        # spends exactly its budget on a copy of its own
+        assert sorted(calls.values()) == [cap] * len(jobs) + [len(ds.rows)]
         runs = 0
         for (_, acquire, _), group in itertools.groupby(
                 sorted(out.results, key=run_of), key=run_of):
@@ -237,7 +236,7 @@ def test_every_run_labels_at_most_its_budget(monkeypatch):
             assert [c.treatment.budget for c in group] == fits
             for c in group:
                 assert c.evaluations_used == min(c.treatment.budget, cap)
-        assert runs == len(jobs)
+        assert runs == len(jobs) + 1
 
 
 # 7 ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Command-line behavior: arm grammar, exit codes, artifact contracts."""
 
+import csv
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ import pytest
 import mootopt
 from mootopt import cli, engine, gp, report
 from mootopt.cli import ConfigError, main, parse_arms
-from mootopt.engine import DEFAULT_ARMS, baseline_summary
+from mootopt.engine import ARMS, DEFAULT_ARMS, baseline_summary
 
 from conftest import DATA, SlowFirstBrokenSynth
 
@@ -26,6 +29,10 @@ MALFORMED = Path(__file__).resolve().parent / "malformed"
 def test_parse_arms_default_grid_round_trips():
     spec = cli.build_parser().parse_args(["run", "--data", "x"]).treatments
     assert parse_arms(spec) == DEFAULT_ARMS
+
+
+def test_parse_arms_reads_back_every_arm():
+    assert parse_arms(cli.format_arms(ARMS)) == ARMS
 
 
 def test_parse_arms_standalone_words():
@@ -48,6 +55,15 @@ def test_parse_arms_standalone_words():
 def test_parse_arms_rejects_bad_specs(spec):
     with pytest.raises(ConfigError):
         parse_arms(spec)
+
+
+def test_a_refused_treatment_names_every_known_spelling():
+    with pytest.raises(ConfigError) as exc:
+        parse_arms("llm/random")
+    head, known = str(exc.value).split("; known: ")
+    assert "'llm/random'" in head
+    assert known.split(", ") == [cli.format_arms((arm,)) for arm in ARMS] + [
+        "random/random"]
 
 
 # -- configuration errors exit with 2 -------------------------------------------
@@ -368,6 +384,20 @@ def test_manifest_contents(smoke, toy):
     assert info["chebyshev"]["sd"] == pytest.approx(sd)
 
 
+def test_seed_rule_reproduces_every_seed(smoke):
+    """crc32 of the key the manifest's seed_rule names is each record's
+    seed; the key's `seed` is the base seed from the config."""
+    manifest = json.loads((smoke / "manifest.json").read_text())
+    rule = re.fullmatch(r"crc32\('(.*)'\)", manifest["seed_rule"])
+    fields = rule.group(1).split("|")
+    records = read_jsonl(smoke / "results.jsonl")
+    assert {r["acquire"] for r in records} == {"exploit", "random", "baseline"}
+    for rec in records:
+        key = {**rec, "seed": manifest["config"]["seed"]}
+        text = "|".join(str(key[f]) for f in fields)
+        assert zlib.crc32(text.encode("utf-8")) == rec["seed"], text
+
+
 def test_manifest_records_the_fixed_settings(smoke):
     config = json.loads((smoke / "manifest.json").read_text())["config"]
     assert (config["kappa"], config["epsilon"], config["warm_size"]) == \
@@ -416,6 +446,24 @@ def test_improvement_curve_arithmetic(ranked):
     assert not any(",baseline," in l for l in lines)
     row = next(l for l in lines if l.startswith("toy,llm,exploit,10,"))
     assert float(row.rsplit(",", 1)[1]) == pytest.approx(want)
+
+
+def test_rank_quotes_a_dataset_name_with_a_comma(tmp_path):
+    """Every row of the per-record rank files has the header's fields."""
+    table = tmp_path / "my,toy.csv"
+    shutil.copy(TOY, table)
+    out = tmp_path / "out"
+    assert main(["run", "--data", str(table), "--treatments",
+                 "llm/exploit,random,baseline", "--budgets", "10",
+                 "--repeats", "1", "--out", str(out)]) == 0
+    assert main(["rank", str(out)]) == 0
+    for name in ("improvement_curve.csv", "outcomes.csv"):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows, name
+        for row in rows:
+            assert len(row) == len(header), (name, row)
+            assert row[0] == "my,toy", (name, row)
 
 
 def test_outcomes_count_runs_fallbacks_and_short_records(tmp_path):

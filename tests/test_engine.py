@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import (DATA, SlowFirstBrokenSynth, completion, label_ids, send,
                       shipped)
 from mootopt import engine as eng
-from mootopt.cli import ARM_ACQUIRES
 from mootopt.data import Dataset, load_csv, sample_ids
 from mootopt.engine import (DEFAULT_ARMS, GridSpec, Treatment,
                             baseline_summary, cut, derive_seed, run_active,
@@ -31,7 +30,9 @@ def test_default_grid_is_nine_arms():
     assert ("random", "random") in DEFAULT_ARMS
     assert ("baseline", "baseline") in DEFAULT_ARMS
     assert set(eng.ACTIVE_ACQUIRES) == {"exploit", "explore", "ucb", "pi", "ei"}
-    assert set(ARM_ACQUIRES) == set(eng.ACTIVE_ACQUIRES) | {"random"}
+    assert {a for _, a in eng.ARMS} == set(eng.ACTIVE_ACQUIRES) | {"random",
+                                                                 "baseline"}
+    assert len(eng.ARMS) == 12 and set(DEFAULT_ARMS) <= set(eng.ARMS)
 
 
 # -- run_active ---------------------------------------------------------------
