@@ -179,12 +179,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     grid_out = engine.run_grid(datasets, grid, synthesizer=synthesizer,
                                jobs=args.jobs)
+    for ds in datasets:
+        if ds.name in grid_out.skipped:
+            print(f"note: {ds.name} has {len(ds.rows)} rows; budgets "
+                  f"{','.join(map(str, grid_out.skipped[ds.name]))} are skipped",
+                  file=sys.stderr)
     for msg in grid_out.failures:
         print(msg, file=sys.stderr)
 
     with open(out_dir / "results.jsonl", "w", encoding="utf-8") as fh:
-        for r in grid_out.results:
-            fh.write(json.dumps(r.to_record()) + "\n")
+        for rec in grid_out.records:
+            fh.write(json.dumps(rec) + "\n")
 
     with open(out_dir / "transcript.jsonl", "w", encoding="utf-8") as fh:
         for event in grid_out.events:

@@ -2,28 +2,31 @@
 
 A run owns a private copy of the dataset's label state (`Dataset.fresh()`:
 a label mask and a label order over the shared rows), consumes at most its
-budget of labels, and reports the best (lowest) chebyshev seen. A run
-starts cold or warm, then loops: fit the labeled rows, score the unlabeled
-pool, label the argmax. A GP run loops alone (`label_gp`); naive-Bayes
-runs loop in lockstep batches (`label_tpe`) that share the table's design
-matrix but no label state. Inside the loop a row is its id: the labeled
-set and the pool are read off the label state, the best/rest split hands
-the fit id halves, the acquisitions return the id to label, and scores
-come from the table's cached chebyshev vector through `objective.reveal`.
-Row objects appear only on the warm start's prompt side.
+budget of labels, and reports its best-so-far curve: the lowest chebyshev
+seen after each label. A run starts cold or warm, then loops: fit the
+labeled rows, score the unlabeled pool, label the argmax. A GP run loops
+alone (`label_gp`); naive-Bayes runs loop in lockstep batches
+(`label_tpe`) that share the table's design matrix but no label state.
+Inside the loop a row is its id: the labeled set and the pool are read off
+the label state, the best/rest split hands the fit id halves, the
+acquisitions return the id to label, and scores come from the table's
+cached chebyshev vector through `objective.reveal`. Row objects appear
+only on the warm start's prompt side.
 
 Runs are anytime: the budget only stops the loop, and a run's seed does
 not depend on it, so a budget-b run labels exactly the first b rows of
 any larger run. The grid therefore runs each (dataset, arm, repeat) once,
-at the largest budget that fits the table, and `cut`s every smaller
-budget's result from that run's best-so-far trace. The baseline is not
-a run: a grid gives each table one baseline record, read off its summary.
+at the largest budget that fits the table, and reads every smaller
+budget's record off that run's curve (`RunResult.record`). The baseline
+is not a run: a grid gives each table one baseline record, read off its
+summary.
 
 Runs share no label state. In a grid only the starts run on a thread
 pool, since only a warm start waits (on the synthesizer); every label
 loop runs on the calling thread. Each run keeps its result, its
-transcript events and its failure, and `run_grid` assembles them in a
-fixed run order, so the grid's outputs are the same at any job count.
+transcript events and its failure, and `run_grid` assembles their
+records in a fixed run order, so the grid's outputs are the same at any
+job count.
 """
 
 from __future__ import annotations
@@ -54,43 +57,31 @@ DEFAULT_REPEATS = 20
 
 @dataclass(frozen=True)
 class Treatment:
-    start: str    # "random" | "llm" | "baseline"
-    acquire: str  # exploit | explore | ucb | pi | ei | random | baseline
+    start: str    # "random" | "llm"
+    acquire: str  # exploit | explore | ucb | pi | ei | random
     budget: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunResult:
     dataset: str
     treatment: Treatment
-    repeat: int
     seed: int
-    best_chebyshev: float
-    evaluations_used: int
-    trace: list[tuple[int, float]] = field(default_factory=list)
-    warm_fallback: bool = False
-    spread: Optional[float] = None  # baseline only: sd of all rows' chebyshev
+    curve: list[float]  # curve[k]: the lowest chebyshev after k + 1 labels
+    fallback: bool = False  # the warm start fell back to the cold rows
 
-    def to_record(self) -> dict:
-        rec = {"dataset": self.dataset,
-               "start": self.treatment.start,
-               "acquire": self.treatment.acquire,
-               "budget": self.treatment.budget,
-               "repeat": self.repeat,
-               "seed": self.seed,
-               "best": self.best_chebyshev,
-               "evals": self.evaluations_used,
-               "fallback": self.warm_fallback}
-        if self.spread is not None:
-            rec["spread"] = self.spread
-        return rec
+    def record(self, budget: int, repeat: int = 0) -> dict:
+        """What a run at `budget` reports, as a `results.jsonl` record.
 
-
-def _trace(work: Dataset) -> tuple[list[tuple[int, float]], float]:
-    """Best-so-far curve over the label order, plus the final best."""
-    scores = reveal(work.label_order, work).tolist()
-    curve = list(itertools.accumulate(scores, min))
-    return list(enumerate(curve, start=1)), curve[-1] if curve else float("inf")
+        The budget only stops the loop, so a run at a smaller budget labels
+        this run's first min(budget, evals) rows; the seed and the warm
+        start's fallback are shared.
+        """
+        n = min(budget, len(self.curve))
+        return {"dataset": self.dataset, "start": self.treatment.start,
+                "acquire": self.treatment.acquire, "budget": budget,
+                "repeat": repeat, "seed": self.seed, "best": self.curve[n - 1],
+                "evals": n, "fallback": self.fallback}
 
 
 def _start(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
@@ -144,10 +135,9 @@ def label_tpe(ds: Dataset, works: list[Dataset],
 
 def _finish(ds: Dataset, t: Treatment, seed: int, work: Dataset,
             fallback: bool = False) -> RunResult:
-    trace, best = _trace(work)
-    return RunResult(dataset=ds.name, treatment=t, repeat=0, seed=seed,
-                     best_chebyshev=best, evaluations_used=work.evaluations,
-                     trace=trace, warm_fallback=fallback)
+    scores = reveal(work.label_order, work).tolist()
+    return RunResult(ds.name, t, seed, list(itertools.accumulate(scores, min)),
+                     fallback)
 
 
 def label_gp(work: Dataset, t: Treatment) -> None:
@@ -185,8 +175,8 @@ def run_random(ds: Dataset, b1: int, seed: int) -> RunResult:
     live id into the gap) CPython always takes at k = n, and stops there.
     """
     n = len(ds.rows)
-    if b1 > n:
-        raise ValueError(f"b1={b1} exceeds the {n} rows of {ds.name}")
+    if not 1 <= b1 <= n:
+        raise ValueError(f"b1={b1} is not within the 1..{n} rows of {ds.name}")
     work = ds.fresh()
     rng = random.Random(seed)
     pool = list(range(n))
@@ -211,39 +201,21 @@ def _summarize(ds: Dataset) -> tuple[float, float, float, float]:
     for i in range(len(work.rows)):
         work.label(i)
     scores = reveal(work.labeled_ids(), work).tolist()
-    return (statistics.fmean(scores), min(scores),
-            statistics.median(scores),
-            statistics.pstdev(scores) if len(scores) > 1 else 0.0)
+    return (statistics.fmean(scores), min(scores), statistics.median(scores),
+            statistics.pstdev(scores))
 
 
-def run_baseline(ds: Dataset, seed: int = 0) -> RunResult:
-    """Label everything; report the file's median chebyshev and its spread.
+def run_baseline(ds: Dataset, seed: int = 0) -> dict:
+    """The table's baseline record: label everything, report the median
+    chebyshev as `best` and the sd as `spread`.
 
     By convention the budget column carries the row count, which is what
     makes the frugal treatments' budgets legible next to it.
     """
-    mean, lo, median, sd = baseline_summary(ds)
-    n = len(ds.rows)
-    t = Treatment("baseline", "baseline", n)
-    return RunResult(dataset=ds.name, treatment=t, repeat=0, seed=seed,
-                     best_chebyshev=median, evaluations_used=n,
-                     trace=[(n, median)], spread=sd)
-
-
-def cut(result: RunResult, budget: int) -> RunResult:
-    """What a run at `budget` reports, read off a run at a larger budget.
-
-    The budget only stops the loop, so the smaller run's labels are the
-    larger run's first min(budget, evals); the seed and the warm start's
-    fallback are shared. The baseline is not a run, so it is never cut.
-    """
-    n = min(budget, result.evaluations_used)
-    t = result.treatment
-    return RunResult(dataset=result.dataset,
-                     treatment=Treatment(t.start, t.acquire, budget),
-                     repeat=result.repeat, seed=result.seed,
-                     best_chebyshev=result.trace[n - 1][1], evaluations_used=n,
-                     trace=result.trace[:n], warm_fallback=result.warm_fallback)
+    *_, median, sd = baseline_summary(ds)
+    return {"dataset": ds.name, "start": "baseline", "acquire": "baseline",
+            "budget": len(ds.rows), "repeat": 0, "seed": seed, "best": median,
+            "evals": len(ds.rows), "fallback": False, "spread": sd}
 
 
 def derive_seed(dataset: str, start: str, acquire: str, repeat: int,
@@ -278,7 +250,7 @@ DEFAULT_ARMS = tuple(arm for arm in ARMS
 def _jobs_for(ds: Dataset, grid: GridSpec) -> list[tuple[Treatment, int]]:
     """One run per (arm, repeat), at the largest budget the table holds;
     the baseline is a record, not a run."""
-    # tiny file: skip oversize budgets instead of dying
+    # tiny file: skip oversize budgets instead of dying; run_grid names them
     fits = [b for b in grid.budgets if b <= len(ds.rows)]
     return [(Treatment(start, acquire, max(fits)), repeat)
             for start, acquire in grid.arms if fits and acquire != "baseline"
@@ -324,20 +296,14 @@ def _failing(runs: list[_GridRun]) -> Iterator[None]:
                            f"{type(exc).__name__}: {exc}")
 
 
-def _label_run(run: _GridRun) -> RunResult:
-    """A started GP run's label loop, or a random run whole."""
-    if run.t.acquire == "random":
-        return run_random(run.ds, run.t.budget, run.seed)
-    label_gp(run.work, run.t)
-    return _finish(run.ds, run.t, run.seed, run.work, run.fallback)
-
-
 @dataclass
 class GridResult:
     """What a grid produced, independent of how many jobs ran it."""
-    results: list[RunResult]  # every cell, sorted by dataset, arm, budget, repeat
-    events: list[dict]        # transcript events, in run order
-    failures: list[str]       # one message per failed run, in run order
+    records: list[dict]   # every cell, sorted by dataset, arm, budget, repeat
+    events: list[dict]    # transcript events, in run order
+    failures: list[str]   # one message per failed run, in run order
+    # each table's budgets larger than the table, which no run can spend
+    skipped: dict[str, list[int]] = field(default_factory=dict)
 
 
 def run_grid(datasets: list[Dataset], grid: GridSpec,
@@ -345,15 +311,16 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
              jobs: int = 1) -> GridResult:
     """Every (dataset, arm, budget, repeat) cell, deterministically ordered.
 
-    Each (dataset, arm, repeat) runs once, at its largest budget, and the
-    cells of the smaller budgets are cut from it. The baseline arm is not
-    a run but one record per table, read off the table's summary. Only
-    the starts run on a pool of `jobs` threads, so `jobs` bounds the
-    synthesizer requests in flight. The label loops run on the calling
-    thread, a table's started naive-Bayes runs as one `label_tpe` batch.
-    Run order is (dataset, start, acquire, repeat); events and failures
-    follow it, so no output depends on `jobs`. A failing run loses its
-    cells, not the grid.
+    Each (dataset, arm, repeat) runs once, at its largest budget, and
+    every budget's record is read off its curve by `RunResult.record`.
+    A budget larger than a table has no cells there; `skipped` names it.
+    The baseline arm is not a run but one record per table, read off the
+    table's summary. Only the starts run on a pool of `jobs` threads, so
+    `jobs` bounds the synthesizer requests in flight. The label loops run
+    on the calling thread, a table's started naive-Bayes runs as one
+    `label_tpe` batch. Run order is (dataset, start, acquire, repeat);
+    events and failures follow it, so no output depends on `jobs`. A
+    failing run loses its cells, not the grid.
     """
     runs = sorted((_GridRun(ds, t, rep, derive_seed(ds.name, t.start, t.acquire,
                                                     rep, grid.base_seed))
@@ -373,26 +340,30 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
     for run in runs:
         if run.failure is None and run.t.acquire in likelihood.ACQUIRES:
             tables.setdefault(run.ds.name, []).append(run)
-        elif run.failure is None:
+        elif run.failure is None:  # a started GP run, or a random run whole
             with _failing([run]):
-                run.result = _label_run(run)
+                if run.t.acquire == "random":
+                    run.result = run_random(run.ds, run.t.budget, run.seed)
+                else:
+                    label_gp(run.work, run.t)
+                    run.result = _finish(run.ds, run.t, run.seed, run.work,
+                                         run.fallback)
     for batch in tables.values():
         with _failing(batch):
             label_tpe(batch[0].ds, [run.work for run in batch],
                       [run.t for run in batch])
             for run in batch:
                 run.result = _finish(run.ds, run.t, run.seed, run.work, run.fallback)
-    results = [run_baseline(ds, derive_seed(ds.name, "baseline", "baseline", 0,
+    records = [run_baseline(ds, derive_seed(ds.name, "baseline", "baseline", 0,
                                             grid.base_seed))
                for ds in datasets if ("baseline", "baseline") in grid.arms]
-    for run in runs:
-        if run.failure is None:
-            run.result.repeat = run.repeat
-            results += [cut(run.result, b) for b in grid.budgets
-                        if b <= run.t.budget]
-    results.sort(key=lambda r: (r.dataset, r.treatment.start, r.treatment.acquire,
-                                r.treatment.budget, r.repeat))
-    return GridResult(results=results,
+    records += [run.result.record(b, run.repeat) for run in runs
+                if run.failure is None for b in grid.budgets if b <= run.t.budget]
+    records.sort(key=lambda r: (r["dataset"], r["start"], r["acquire"],
+                                r["budget"], r["repeat"]))
+    return GridResult(records=records,
                       events=[e for run in runs for e in run.events],
                       failures=[run.failure for run in runs
-                                if run.failure is not None])
+                                if run.failure is not None],
+                      skipped={ds.name: big for ds in datasets if (big := [
+                          b for b in grid.budgets if b > len(ds.rows)])})

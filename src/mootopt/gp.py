@@ -8,7 +8,8 @@ j relative to s. The length scale comes from a small grid searched by log
 marginal likelihood. R + j I depends on the labeled rows alone, so a run
 keeps one posterior and each label borders its Cholesky factor by one
 row (Rasmussen & Williams 2006, Alg. 2.1; Golub & Van Loan).
-PI and EI import scipy's normal CDF at their first score, nothing sooner.
+EI imports scipy's normal CDF at its first score, nothing sooner; PI
+ranks by z and needs no CDF.
 
 Every function here takes row ids and returns them; no Row is read.
 """
@@ -158,16 +159,17 @@ def incumbent(labeled: np.ndarray, ds: Dataset) -> float:
 
 
 def _scores(fn: str, mu: np.ndarray, sigma: np.ndarray, f_star: float) -> np.ndarray:
-    """UCB mu + KAPPA * sigma; PI, the probability of beating f* by
-    EPSILON; or EI, the expected improvement over f* + EPSILON. Where
-    sigma is 0, PI is 1 or 0 by the sign of the gap and EI is 0."""
+    """UCB mu + KAPPA * sigma; PI ranked by z = (mu - f* - EPSILON) / sigma,
+    since the probability of beating f* by EPSILON is Phi(z) and Phi
+    increases; or EI, the expected improvement over f* + EPSILON. Where
+    sigma is 0, PI's z is +inf or -inf by the sign of the gap and EI is 0."""
     if fn == "ucb":
         return mu + KAPPA * sigma
-    from scipy.special import ndtr  # about 0.3 s, so only PI and EI pay it
     d = mu - f_star - EPSILON
     z = d / np.where(sigma > 0.0, sigma, 1.0)
     if fn == "pi":
-        return np.where(sigma > 0.0, ndtr(z), (d > 0.0).astype(float))
+        return np.where(sigma > 0.0, z, np.where(d > 0.0, np.inf, -np.inf))
+    from scipy.special import ndtr  # about 0.3 s, so only EI pays it
     pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     return np.where(sigma > 0.0, d * ndtr(z) + sigma * pdf, 0.0)
 

@@ -578,6 +578,7 @@ GP_ACQUISITIONS = {"ucb": ucb, "pi": pi, "ei": ei}
 def gp_score(fn: str, mu: float, sigma: float, f_star: float) -> float:
     """The package's vectorized acquisition at a single point, at
     gp.KAPPA and gp.EPSILON, for checking it against the scalar forms
-    above."""
-    out = gp._scores(fn, np.array([mu]), np.array([sigma]), f_star)
-    return float(out[0])
+    above. The package ranks PI by z, so PI's score is mapped through
+    the normal CDF back to the probability the scalar form gives."""
+    out = float(gp._scores(fn, np.array([mu]), np.array([sigma]), f_star)[0])
+    return _cdf(out) if fn == "pi" else out

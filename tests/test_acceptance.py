@@ -168,7 +168,7 @@ def median_best(ds, start, acquire, budget, repeats, synthesizer=None):
         else:
             res = run_active(ds, Treatment(start, acquire, budget),
                              synthesizer, seed)
-        bests.append(res.best_chebyshev)
+        bests.append(res.curve[-1])
     return statistics.median(bests)
 
 
@@ -181,7 +181,7 @@ def test_guided_selection_beats_random_and_baseline_on_ssa():
     ds = shipped("SS-A")
     exploit = median_best(ds, "random", "exploit", 20, 20)
     rand = median_best(ds, "random", "random", 20, 20)
-    base = run_baseline(ds).best_chebyshev
+    base = run_baseline(ds)["best"]
     assert exploit < rand
     assert rand < base
     assert exploit < 0.18 and rand < 0.18
@@ -206,7 +206,7 @@ def test_every_run_labels_at_most_its_budget(monkeypatch):
         return original(self, i)
 
     def run_of(record):
-        return record.treatment.start, record.treatment.acquire, record.repeat
+        return record["start"], record["acquire"], record["repeat"]
 
     monkeypatch.setattr(Dataset, "label", spying_label)
     grid = GridSpec(arms=DEFAULT_ARMS, budgets=DEFAULT_BUDGETS, repeats=20)
@@ -227,15 +227,15 @@ def test_every_run_labels_at_most_its_budget(monkeypatch):
         assert sorted(calls.values()) == [cap] * len(jobs) + [len(ds.rows)]
         runs = 0
         for (_, acquire, _), group in itertools.groupby(
-                sorted(out.results, key=run_of), key=run_of):
+                sorted(out.records, key=run_of), key=run_of):
             group = list(group)
             runs += 1
             if acquire == "baseline":
-                assert [c.evaluations_used for c in group] == [len(ds.rows)]
+                assert [c["evals"] for c in group] == [len(ds.rows)]
                 continue
-            assert [c.treatment.budget for c in group] == fits
+            assert [c["budget"] for c in group] == fits
             for c in group:
-                assert c.evaluations_used == min(c.treatment.budget, cap)
+                assert c["evals"] == min(c["budget"], cap)
         assert runs == len(jobs) + 1
 
 
@@ -300,9 +300,8 @@ def test_improvement_flattens_by_budget_thirty():
             # for 3 of 10 under this key and 2 of 10 under derive_seed's.
             seed = zlib.crc32(f"{ds.name}|llm|exploit|30|{rep}|1".encode())
             res = run_active(ds, Treatment("llm", "exploit", 30), synth, seed)
-            curve = dict(res.trace)
             for c in at:
-                at[c].append(curve[c])
+                at[c].append(res.curve[c - 1])
         norm = {c: (statistics.fmean(v) - lo) / (mean - lo)
                 for c, v in at.items()}
         early_gaps.append(norm[10] - norm[15])

@@ -182,7 +182,7 @@ def test_rank_without_results_exits_2(tmp_path):
 
 def test_failed_runs_exit_1(tmp_path, monkeypatch):
     def fake_run_grid(datasets, grid, synthesizer=None, jobs=1):
-        return engine.GridResult(results=[], events=[],
+        return engine.GridResult(records=[], events=[],
                                  failures=["run failed: synthetic failure"])
 
     monkeypatch.setattr(cli.engine, "run_grid", fake_run_grid)
@@ -294,6 +294,21 @@ def test_a_symbolic_column_with_no_observed_value_runs_every_arm(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["failures"] == []
     records = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
     assert len(records) == len(DEFAULT_ARMS)
+
+
+def test_a_table_smaller_than_a_budget_says_which_budgets_it_skips(tmp_path,
+                                                                  capsys):
+    """A 5-row table holds no default budget: the run still exits 0 with
+    the baseline record alone, and stderr names the budgets skipped."""
+    table = tmp_path / "tiny.csv"
+    table.write_text("Size,Cost-\n" + "".join(f"{i},{9 - i}\n" for i in range(5)))
+    out = tmp_path / "out"
+    assert main(["run", "--data", str(table), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "note: tiny has 5 rows; budgets 10,15,20,25,30 are skipped"]
+    records = read_jsonl(out / "results.jsonl")
+    assert [(r["acquire"], r["budget"]) for r in records] == [("baseline", 5)]
+    assert json.loads((out / "manifest.json").read_text())["failures"] == []
 
 
 def test_failures_are_listed_in_run_order_at_any_job_count(tmp_path, monkeypatch,
@@ -510,21 +525,21 @@ import json, sys
 from mootopt.cli import main
 toy, out = sys.argv[1:]
 codes = [main(["run", "--data", toy, "--repeats", "1", "--out", out + "/a",
-               "--treatments", "random/exploit,random/ucb,llm/exploit"]),
+               "--treatments", "random/exploit,random/ucb,random/pi,llm/exploit"]),
          main(["rank", out + "/a"])]
 cold = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
               or m in ("urllib.request", "http.client"))
 codes.append(main(["run", "--data", toy, "--repeats", "1", "--out", out + "/b",
-                   "--treatments", "random/pi"]))
+                   "--treatments", "random/ei"]))
 print(json.dumps({"codes": codes, "cold": cold,
-                  "pi": "scipy.special" in sys.modules}))
+                  "ei": "scipy.special" in sys.modules}))
 """
 
 
 def test_scipy_and_the_http_stack_load_only_for_runs_that_use_them(tmp_path):
     """A fresh process, since this one already holds scipy through the
-    test oracles: naive Bayes, UCB, mock LLM starts and `rank` load neither
-    scipy nor the HTTP stack, and a PI run loads scipy.special."""
+    test oracles: naive Bayes, UCB, PI, mock LLM starts and `rank` load
+    neither scipy nor the HTTP stack, and an EI run loads scipy.special."""
     src = str(Path(mootopt.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -532,4 +547,4 @@ def test_scipy_and_the_http_stack_load_only_for_runs_that_use_them(tmp_path):
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == {"codes": [0, 0, 0], "cold": [], "pi": True}
+    assert seen == {"codes": [0, 0, 0], "cold": [], "ei": True}

@@ -1,5 +1,6 @@
-"""Run orchestration: budgets, traces, seeds, and the treatment grid."""
+"""Run orchestration: budgets, curves, seeds, and the treatment grid."""
 
+import dataclasses
 import functools
 import io
 import itertools
@@ -16,7 +17,7 @@ from conftest import (DATA, SlowFirstBrokenSynth, completion, label_ids, send,
 from mootopt import engine as eng
 from mootopt.data import Dataset, load_csv, sample_ids
 from mootopt.engine import (DEFAULT_ARMS, GridSpec, Treatment,
-                            baseline_summary, cut, derive_seed, run_active,
+                            RunResult, baseline_summary, derive_seed, run_active,
                             run_baseline, run_grid, run_random)
 from mootopt.objective import chebyshev
 from mootopt.report import improvement_curve_csv
@@ -50,14 +51,14 @@ def test_run_active_rejects_bad_requests(toy):
 
 def test_run_active_spends_exactly_the_budget(toy):
     res = run_active(toy, Treatment("random", "exploit", 6), None, 0)
-    assert res.evaluations_used == 6
-    assert [e for e, _ in res.trace] == [1, 2, 3, 4, 5, 6]
-    assert res.best_chebyshev == res.trace[-1][1]
+    assert len(res.curve) == 6
+    rec = res.record(6)
+    assert (rec["evals"], rec["best"]) == (6, res.curve[-1])
 
 
 def test_trace_is_a_best_so_far_curve(toy):
     res = run_active(toy, Treatment("random", "explore", 8), None, 3)
-    values = [v for _, v in res.trace]
+    values = res.curve
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -65,8 +66,8 @@ def test_run_active_is_seed_deterministic(kanban):
     t = Treatment("llm", "exploit", 12)
     a = run_active(kanban, t, MockSynthesizer(), 77)
     b = run_active(kanban.fresh(), t, MockSynthesizer(), 77)
-    assert a.to_record() == b.to_record()
-    assert a.trace == b.trace
+    assert a.record(t.budget) == b.record(t.budget)
+    assert a.curve == b.curve
 
 
 @pytest.mark.parametrize("name", ["auto93", "pom3a"])
@@ -80,23 +81,36 @@ def test_llm_starts_never_overspend_small_budgets(name):
                 seed = derive_seed(name, "llm", acquire, repeat, 1)
                 res = run_active(ds, Treatment("llm", acquire, budget),
                                  MockSynthesizer(), seed)
-                assert res.evaluations_used == budget
+                assert len(res.curve) == budget
 
 
 @pytest.mark.parametrize("acquire", ["ucb", "pi", "ei"])
 def test_run_active_gp_arms_run_within_budget(toy, acquire):
     res = run_active(toy, Treatment("random", acquire, 7), None, 1)
-    assert res.evaluations_used == 7
-    assert 0.0 <= res.best_chebyshev <= 1.0
+    assert len(res.curve) == 7
+    assert 0.0 <= res.curve[-1] <= 1.0
 
 
 # -- run_random and the baseline ----------------------------------------------
 
 def test_run_random_full_budget_finds_the_optimum(toy):
     res = run_random(toy, 12, 5)
-    assert res.best_chebyshev == baseline_summary(toy)[1]
+    assert res.curve[-1] == baseline_summary(toy)[1]
     with pytest.raises(ValueError):
         run_random(toy, 13, 5)
+
+
+def test_run_random_refuses_a_run_without_labels(toy):
+    """A zero-label run has no best row, so it is refused like an oversize
+    one; in a grid it fails alone instead of breaking the grid."""
+    with pytest.raises(ValueError):
+        run_random(toy, 0, 3)
+    out = run_grid([toy], GridSpec(arms=(("random", "random"),), budgets=(0,),
+                                   repeats=1))
+    assert out.records == []
+    assert out.failures == [
+        "run failed: toy random/random budget=0 repeat=0: "
+        "ValueError: b1=0 is not within the 1..12 rows of toy"]
 
 
 def test_run_random_draws_are_prefixes_of_larger_draws(nasa93dem):
@@ -107,7 +121,7 @@ def test_run_random_draws_are_prefixes_of_larger_draws(nasa93dem):
         big = run_random(nasa93dem, 30, seed)
         for b in (1, 10, 29):
             small = run_random(nasa93dem, b, seed)
-            assert small.trace == big.trace[:b]
+            assert small.curve == big.curve[:b]
 
 
 class LabelLog(Dataset):
@@ -149,15 +163,15 @@ def test_run_random_labels_the_head_of_one_whole_table_sample(sizes, seed):
 
 def test_run_random_single_label(toy):
     res = run_random(toy, 1, 2)
-    assert res.evaluations_used == 1
-    assert res.trace == [(1, res.best_chebyshev)]
+    assert len(res.curve) == 1
+    assert res.record(1)["best"] == res.curve[0]
 
 
 def test_bigger_random_budgets_find_better_rows_on_average(toy):
     small = statistics.fmean(
-        run_random(toy, 3, s).best_chebyshev for s in range(200))
+        run_random(toy, 3, s).curve[-1] for s in range(200))
     large = statistics.fmean(
-        run_random(toy, 9, s).best_chebyshev for s in range(200))
+        run_random(toy, 9, s).curve[-1] for s in range(200))
     assert large < small
 
 
@@ -173,13 +187,13 @@ def test_baseline_summary_matches_statistics_oracle(toy):
 
 
 def test_run_baseline_labels_everything(toy):
-    res = run_baseline(toy)
-    assert res.evaluations_used == 12
-    assert res.treatment.budget == 12
-    assert res.best_chebyshev == baseline_summary(toy)[2]
-    assert res.spread == pytest.approx(baseline_summary(toy)[3])
-    rec = res.to_record()
-    assert rec["spread"] == res.spread
+    rec = run_baseline(toy)
+    assert rec["evals"] == 12
+    assert rec["budget"] == 12
+    assert rec["best"] == baseline_summary(toy)[2]
+    assert rec["spread"] == pytest.approx(baseline_summary(toy)[3])
+    assert list(rec) == ["dataset", "start", "acquire", "budget", "repeat",
+                         "seed", "best", "evals", "fallback", "spread"]
 
 
 def test_single_row_baseline_is_its_own_median(make_ds):
@@ -187,11 +201,11 @@ def test_single_row_baseline_is_its_own_median(make_ds):
         W,Cost-
         3,7
     """)
-    res = run_baseline(ds)
+    rec = run_baseline(ds)
     work = ds.fresh()
     work.label(0)
-    assert res.best_chebyshev == chebyshev(work.rows[0], work)
-    assert res.spread == 0.0
+    assert rec["best"] == chebyshev(work.rows[0], work)
+    assert rec["spread"] == 0.0
 
 
 # -- normalized improvement -----------------------------------------------------
@@ -248,31 +262,34 @@ def test_derive_seed_separates_every_component():
     assert base not in variants and len(variants) == 5
 
 
-# -- cutting budgets from one run --------------------------------------------------
+# -- each budget's record, read off one run's curve -------------------------------
 
-def test_cut_reads_the_trace_prefix(toy):
+def test_record_reads_the_curve_prefix(toy):
     res = run_active(toy, Treatment("random", "explore", 10), None, 4)
-    res.repeat = 2
-    small = cut(res, 7)
-    assert small.treatment == Treatment("random", "explore", 7)
-    assert (small.evaluations_used, small.trace) == (7, res.trace[:7])
-    assert small.best_chebyshev == res.trace[6][1]
-    assert (small.seed, small.repeat, small.warm_fallback) == (
-        res.seed, res.repeat, res.warm_fallback)
-    assert cut(res, 10).to_record() == res.to_record()
+    small = res.record(7, repeat=2)
+    assert (small["start"], small["acquire"], small["budget"]) == (
+        "random", "explore", 7)
+    assert small["evals"] == 7
+    assert small["best"] == res.curve[6] == min(res.curve[:7])
+    assert (small["seed"], small["repeat"], small["fallback"]) == (
+        res.seed, 2, res.fallback)
+    assert res.record(10) == {
+        "dataset": "toy", "start": "random", "acquire": "explore",
+        "budget": 10, "repeat": 0, "seed": 4, "best": res.curve[-1],
+        "evals": 10, "fallback": False}
 
 
-def test_cut_past_a_short_run_keeps_its_evals(toy):
+def test_record_past_a_short_run_keeps_its_evals(toy):
     res = run_active(toy, Treatment("random", "exploit", 8), None, 0)
-    res.evaluations_used, res.trace = 6, res.trace[:6]  # a pool ran dry at 6
-    rec = cut(res, 8).to_record()
-    assert (rec["budget"], rec["evals"], rec["best"]) == (8, 6, res.trace[5][1])
+    short = dataclasses.replace(res, curve=res.curve[:6])  # a pool ran dry at 6
+    rec = short.record(8)
+    assert (rec["budget"], rec["evals"], rec["best"]) == (8, 6, res.curve[5])
 
 
 def completed(out):
-    """The results of a grid that must have had no failed run."""
+    """The records of a grid that must have had no failed run."""
     assert out.failures == []
-    return out.results
+    return out.records
 
 
 TABLES = sorted(p.stem for p in DATA.glob("*.csv"))
@@ -280,32 +297,50 @@ CUT_ARMS = tuple((start, acquire) for acquire in eng.ACTIVE_ACQUIRES
                  for start in ("random", "llm")) + (("random", "random"),)
 
 
+def curve_prefixes(monkeypatch):
+    """Spy on RunResult.record. The function returned maps each record it
+    built to the curve prefix that record was read off, and any other
+    record (the baseline's) to None."""
+    built = {}
+    original = RunResult.record
+
+    def spy(self, budget, repeat=0):
+        rec = original(self, budget, repeat)
+        built[id(rec)] = (rec, self.curve[:budget])  # held, so no id is reused
+        return rec
+
+    monkeypatch.setattr(RunResult, "record", spy)
+    return lambda rec: built[id(rec)][1] if id(rec) in built else None
+
+
 @pytest.mark.parametrize("name", TABLES)
-def test_each_budget_record_is_a_standalone_run_at_that_budget(name):
-    """Under the seed rule, the grid's record at each budget equals a run
-    made at that budget alone, for every active acquisition under both
-    starts and for random selection, and for each repeat: a naive-Bayes
-    run alone is a batch of one. Budgets 5 and 7 stop inside the warm
-    start. A record holds the best-so-far curve, not the rows, so a row
-    that does not lower the curve goes unseen here; the random draw's
-    prefix property is checked on its own above."""
+def test_each_budget_record_is_a_standalone_run_at_that_budget(name, monkeypatch):
+    """Under the seed rule, the grid's record at each budget, and the curve
+    prefix it was read off, equal a run made at that budget alone, for
+    every active acquisition under both starts and for random selection,
+    and for each repeat: a naive-Bayes run alone is a batch of one.
+    Budgets 5 and 7 stop inside the warm start. A record holds the
+    best-so-far curve, not the rows, so a row that does not lower the
+    curve goes unseen here; the random draw's prefix property is checked
+    on its own above."""
     ds = shipped(name)
     synth = MockSynthesizer()
+    prefix = curve_prefixes(monkeypatch)
     for base in range(3):
         grid = GridSpec(arms=CUT_ARMS, budgets=(5, 7, 10, 30), repeats=2,
                         base_seed=base)
-        results = completed(run_grid([ds], grid, synthesizer=synth))
+        records = completed(run_grid([ds], grid, synthesizer=synth))
         fits = [b for b in grid.budgets if b <= len(ds.rows)]
-        assert len(results) == len(CUT_ARMS) * len(fits) * 2
-        for r in results:
-            t = r.treatment
-            seed = derive_seed(ds.name, t.start, t.acquire, r.repeat, base)
+        assert len(records) == len(CUT_ARMS) * len(fits) * 2
+        for r in records:
+            t = Treatment(r["start"], r["acquire"], r["budget"])
+            seed = derive_seed(ds.name, t.start, t.acquire, r["repeat"], base)
             if t.acquire == "random":
                 alone = run_random(ds, t.budget, seed)
             else:
                 alone = run_active(ds, t, synth, seed)
-            alone.repeat = r.repeat
-            assert (r.to_record(), r.trace) == (alone.to_record(), alone.trace)
+            assert (r, prefix(r)) == (alone.record(t.budget, r["repeat"]),
+                                      alone.curve)
 
 
 # -- run_grid --------------------------------------------------------------------
@@ -325,8 +360,8 @@ def test_run_grid_runs_each_arm_and_repeat_once(toy, monkeypatch):
                                                  budgets=(6, 99, 8, 7),
                                                  repeats=3)))
     assert batches == [[8, 8, 8]]
-    assert sorted(r.treatment.budget for r in results) == [6] * 3 + [7] * 3 + [8] * 3
-    assert len({r.seed for r in results}) == 3
+    assert sorted(r["budget"] for r in results) == [6] * 3 + [7] * 3 + [8] * 3
+    assert len({r["seed"] for r in results}) == 3
 
 class BrokenFirstSynth:
     """The mock synthesizer, except that its first call raises TypeError,
@@ -345,7 +380,7 @@ NB_ARMS = (("llm", "exploit"), ("llm", "explore"),
            ("random", "exploit"), ("random", "explore"))
 
 
-def test_a_runs_records_do_not_depend_on_the_runs_in_its_batch():
+def test_a_runs_records_do_not_depend_on_the_runs_in_its_batch(monkeypatch):
     """Each table's naive-Bayes runs share one label loop, but no run's
     records depend on the others: repeats 0-1 of a three-repeat grid are
     the two-repeat grid's records, and a run whose warm start fails drops
@@ -356,21 +391,22 @@ def test_a_runs_records_do_not_depend_on_the_runs_in_its_batch():
         return run_grid(tables, GridSpec(arms=NB_ARMS, repeats=repeats),
                         synthesizer=synth)
 
-    def cells(results):
-        return [(r.to_record(), r.trace) for r in results]
+    def cells(records):
+        return [(r, prefix(r)) for r in records]
 
+    prefix = curve_prefixes(monkeypatch)
     two = completed(grid(2, MockSynthesizer()))
     three = completed(grid(3, MockSynthesizer()))
     assert len(three) == len(two) * 3 // 2
-    assert cells(two) == cells(r for r in three if r.repeat < 2)
+    assert cells(two) == cells(r for r in three if r["repeat"] < 2)
     broken = grid(2, BrokenFirstSynth())
     # one job: the first synthesizer call is the first run's warm start
     assert broken.failures == [
         f"run failed: auto93 llm/exploit budget=30 repeat=0: "
         "TypeError: synthesizer broke"]
-    assert cells(broken.results) == cells(
-        r for r in two if (r.dataset, r.treatment.start, r.treatment.acquire,
-                           r.repeat) != ("auto93", "llm", "exploit", 0))
+    assert cells(broken.records) == cells(
+        r for r in two if (r["dataset"], r["start"], r["acquire"],
+                           r["repeat"]) != ("auto93", "llm", "exploit", 0))
 
 
 def test_a_failing_batch_fails_its_own_runs_only(monkeypatch):
@@ -390,7 +426,7 @@ def test_a_failing_batch_fails_its_own_runs_only(monkeypatch):
     assert out.failures == [
         f"run failed: toy random/exploit budget=8 repeat={rep}: "
         "RuntimeError: loop broke" for rep in (0, 1)]
-    assert sorted({(r.dataset, r.treatment.acquire) for r in out.results}) == [
+    assert sorted({(r["dataset"], r["acquire"]) for r in out.records}) == [
         ("auto93", "exploit"), ("auto93", "random"), ("toy", "random")]
 
 
@@ -427,30 +463,32 @@ def test_only_the_starts_leave_the_calling_thread(toy, monkeypatch):
     assert here not in threads["cold_start"] | threads["warm_start"]
 
 
-def test_run_grid_is_schedule_independent(toy):
+def test_run_grid_is_schedule_independent(toy, monkeypatch):
+    prefix = curve_prefixes(monkeypatch)
     serial = completed(run_grid([toy], SMALL_GRID, jobs=1))
     threaded = completed(run_grid([toy.fresh()], SMALL_GRID, jobs=3))
-    assert [(r.to_record(), r.trace) for r in serial] == [
-        (r.to_record(), r.trace) for r in threaded]
+    assert [(r, prefix(r)) for r in serial] == [
+        (r, prefix(r)) for r in threaded]
     # active and random arms: 2 budgets x 2 repeats; baseline runs once
     assert len(serial) == 4 + 4 + 1
 
 
 def test_run_grid_baseline_budget_is_the_row_count(toy):
     results = completed(run_grid([toy], SMALL_GRID))
-    base = [r for r in results if r.treatment.acquire == "baseline"]
+    base = [r for r in results if r["acquire"] == "baseline"]
     assert len(base) == 1
-    assert base[0].treatment.budget == 12
+    assert base[0]["budget"] == 12
 
 
 def test_run_grid_skips_oversized_budgets(toy):
     grid = GridSpec(arms=(("random", "exploit"),), budgets=(6, 99), repeats=1)
-    results = completed(run_grid([toy], grid))
-    assert [r.treatment.budget for r in results] == [6]
+    out = run_grid([toy], grid)
+    assert [r["budget"] for r in completed(out)] == [6]
+    assert out.skipped == {"toy": [99]}
 
 
 def test_run_grid_results_are_sorted(toy):
-    records = [r.to_record() for r in completed(run_grid([toy], SMALL_GRID))]
+    records = completed(run_grid([toy], SMALL_GRID))
     keys = [(r["dataset"], r["start"], r["acquire"], r["budget"], r["repeat"])
             for r in records]
     assert keys == sorted(keys)
@@ -465,7 +503,7 @@ def test_run_grid_reports_failures_without_dying(toy):
         f"run failed: toy llm/exploit budget=6 repeat={rep}: "
         "ValueError: llm start needs a synthesizer" for rep in (0, 1)]
     assert out.events == []
-    assert [(r.treatment.start, r.repeat) for r in out.results] == [
+    assert [(r["start"], r["repeat"]) for r in out.records] == [
         ("random", 0), ("random", 1)]
 
 
@@ -474,7 +512,7 @@ def test_run_grid_returns_events_and_failures_in_run_order(toy):
     outs = [run_grid([toy.fresh()], grid, synthesizer=SlowFirstBrokenSynth(),
                      jobs=jobs) for jobs in (1, 2)]
     for out in outs:
-        assert out.results == []
+        assert out.records == []
         assert out.failures == [
             f"run failed: toy llm/exploit budget=6 repeat={rep}: "
             "TypeError: synthesizer broke" for rep in (0, 1)]
@@ -518,6 +556,6 @@ def test_remote_requests_in_flight_are_bounded_by_jobs_alone(toy, monkeypatch,
     grid = GridSpec(arms=(("llm", acquire),), budgets=(10,), repeats=6)
     out = run_grid([toy], grid, synthesizer=synth, jobs=6)
     assert out.failures == []
-    assert [r.repeat for r in out.results] == list(range(6))
-    assert not any(r.warm_fallback for r in out.results)
+    assert [r["repeat"] for r in out.records] == list(range(6))
+    assert not any(r["fallback"] for r in out.records)
     assert len(server.seen) == 6

@@ -294,6 +294,17 @@ def test_vectorized_scores_match_the_scalar_forms(mu, sigma, f_star):
             scalar(*args[fn]), rel=1e-9, abs=1e-12)
 
 
+@given(st.floats(-5, 5), st.floats(-5, 5), st.one_of(st.just(0.0), st.floats(1e-6, 10)),
+       st.one_of(st.just(0.0), st.floats(1e-6, 10)), st.floats(-5, 5))
+def test_pi_picks_the_row_its_probability_picks(mu1, mu2, s1, s2, f_star):
+    """PI scores z, not Phi(z): of two rows whose scalar probabilities
+    differ, the vectorized scores pick the same one."""
+    p1, p2 = oracles.pi(mu1, s1, f_star), oracles.pi(mu2, s2, f_star)
+    scores = gp._scores("pi", np.array([mu1, mu2]), np.array([s1, s2]), f_star)
+    if p1 != p2:
+        assert int(np.argmax(scores)) == int(p2 > p1)
+
+
 # -- pool acquisition --------------------------------------------------------
 
 def fitted(ds, n):
