@@ -35,7 +35,7 @@ SPELLINGS = {**{_spelling(arm): arm for arm in engine.ARMS},
 
 def parse_arms(spec: str) -> tuple[tuple[str, str], ...]:
     """Treatment list syntax: comma-separated items from SPELLINGS, with
-    spaces allowed around each item and its `/`."""
+    spaces allowed around each item and its `/`. GridSpec checks the list."""
     arms = []
     for item in spec.split(","):
         word = "/".join(part.strip() for part in item.split("/"))
@@ -45,11 +45,6 @@ def parse_arms(spec: str) -> tuple[tuple[str, str], ...]:
             raise ConfigError(f"unknown treatment {item.strip()!r}; known: "
                               + ", ".join(SPELLINGS))
         arms.append(SPELLINGS[word])
-    for arm in arms:
-        if arms.count(arm) > 1:
-            raise ConfigError(f"treatment {_spelling(arm)!r} is repeated")
-    if not arms:
-        raise ConfigError("empty treatment list")
     return tuple(arms)
 
 
@@ -133,27 +128,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_budgets(spec: str) -> tuple[int, ...]:
     try:
-        budgets = tuple(int(b.strip()) for b in spec.split(",") if b.strip())
+        return tuple(int(b.strip()) for b in spec.split(",") if b.strip())
     except ValueError as exc:
         raise ConfigError(f"bad budget list {spec!r}") from exc
-    if not budgets:
-        raise ConfigError("empty budget list")
-    for b in budgets:
-        if budgets.count(b) > 1:
-            raise ConfigError(f"budget {b} is repeated in {spec!r}")
-    if any(b <= engine.B0 for b in budgets):
-        raise ConfigError(
-            f"every budget must exceed the warm size {engine.B0}; got {spec!r}")
-    return budgets
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
     if args.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
-    arms = parse_arms(args.treatments)
-    budgets = _parse_budgets(args.budgets)
+    try:  # a ConfigError from the parsers keeps its message
+        grid = engine.GridSpec(parse_arms(args.treatments),
+                               _parse_budgets(args.budgets), args.repeats,
+                               args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     datasets = load_datasets(args.data)
     if args.synth == "remote":
         if not args.endpoint or not args.model:
@@ -173,9 +161,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-
-    grid = engine.GridSpec(arms=arms, budgets=budgets, repeats=args.repeats,
-                           base_seed=args.seed)
 
     grid_out = engine.run_grid(datasets, grid, synthesizer=synthesizer,
                                jobs=args.jobs)
@@ -198,7 +183,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest = {
         "version": __version__,
         "config": {
-            "treatments": args.treatments, "budgets": list(budgets),
+            "treatments": args.treatments, "budgets": list(grid.budgets),
             "repeats": args.repeats, "warm_size": engine.B0,
             "seed": args.seed, "synth": args.synth,
             "endpoint": args.endpoint, "model": args.model,

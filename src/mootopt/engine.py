@@ -228,14 +228,6 @@ def derive_seed(dataset: str, start: str, acquire: str, repeat: int,
     return zlib.crc32(key.encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    arms: tuple[tuple[str, str], ...]  # (start, acquire) pairs
-    budgets: tuple[int, ...] = DEFAULT_BUDGETS
-    repeats: int = DEFAULT_REPEATS
-    base_seed: int = 1
-
-
 # Every (start, acquire) arm a grid can run: each surrogate-guided
 # acquisition from a warm or a cold start, then random selection and the
 # baseline, which take no start of their own.
@@ -245,6 +237,34 @@ ARMS = tuple((start, acquire) for start in ("llm", "random")
 # The paper's nine-arm grid: the LLM warm-starts only the naive-Bayes arms.
 DEFAULT_ARMS = tuple(arm for arm in ARMS
                      if arm[0] != "llm" or arm[1] in likelihood.ACQUIRES)
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """The arms, budgets and repeats of a grid. Every rule of a valid grid
+    lives here: a grid that would not give each cell one record raises
+    ValueError."""
+    arms: tuple[tuple[str, str], ...]  # (start, acquire) pairs from ARMS
+    budgets: tuple[int, ...] = DEFAULT_BUDGETS
+    repeats: int = DEFAULT_REPEATS
+    base_seed: int = 1
+
+    def __post_init__(self):
+        names = [f"{start}/{acquire}" for start, acquire in self.arms]
+        for kind, items in (("treatment", names), ("budget", self.budgets)):
+            if not items:
+                raise ValueError(f"empty {kind} list")
+            for item in items:
+                if items.count(item) > 1:
+                    raise ValueError(f"{kind} {item!r} is repeated")
+        for arm, name in zip(self.arms, names):
+            if arm not in ARMS:
+                raise ValueError(f"treatment {name!r} is not an arm")
+        for b in self.budgets:
+            if b <= B0:
+                raise ValueError(f"budget {b} must exceed the warm size {B0}")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
 
 
 def _jobs_for(ds: Dataset, grid: GridSpec) -> list[tuple[Treatment, int]]:

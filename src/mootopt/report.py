@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .data import STRATA
-from .stats import RankTable, Sample, scott_knott
+from .stats import Sample, scott_knott
 
 SPARK_WIDTH = 20
 
@@ -47,14 +47,14 @@ def samples_by_dataset(records: list[dict]) -> dict[str, list[Sample]]:
             for ds, by_key in sorted(grouped.items())}
 
 
-def _pair_ranks(table: RankTable) -> dict[tuple[str, str], dict[int, int]]:
-    """Each (start, acquire) pair's ranks in one table, each mapped to the
-    smallest budget at which the pair holds it."""
+def _pair_ranks(table: list[list[Sample]]) -> dict[tuple[str, str], dict[int, int]]:
+    """Each (start, acquire) pair's ranks in one table of Scott-Knott
+    groups, each mapped to the smallest budget at which the pair holds it."""
     held: dict[tuple[str, str], dict[int, int]] = {}
-    for group in table.groups:
-        for start, acquire, budget in (s.label for s in group.samples):
+    for rank, group in enumerate(table):
+        for start, acquire, budget in (s.label for s in group):
             by_rank = held.setdefault((start, acquire), {})
-            by_rank[group.rank] = min(budget, by_rank.get(group.rank, budget))
+            by_rank[rank] = min(budget, by_rank.get(rank, budget))
     return held
 
 
@@ -86,7 +86,7 @@ class FreqRow(NamedTuple):
     pct: dict[int, float]  # rank -> percent
 
 
-def rank_frequencies(tables: Sequence[RankTable]) -> list[FreqRow]:
+def rank_frequencies(tables: Sequence[list[list[Sample]]]) -> list[FreqRow]:
     """How often each (start, acquire) pair lands at each rank.
 
     A pair's rank within one table is its best rank over budgets; each
@@ -112,7 +112,7 @@ def frequency_csv(rows: list[FreqRow]) -> str:
     return _rank_matrix_csv(rows, empty="0.0")
 
 
-def evals_needed_csv(tables: dict[str, RankTable]) -> str:
+def evals_needed_csv(tables: dict[str, list[list[Sample]]]) -> str:
     """Average budget at which each treatment pair reached each rank.
 
     Within one dataset a pair may hit the same rank at several budgets;
@@ -129,8 +129,9 @@ def evals_needed_csv(tables: dict[str, RankTable]) -> str:
          for (start, acquire), by_rank in sorted(budgets.items())), empty="")
 
 
-def improvement_curve_csv(records: list[dict], manifest: dict) -> str:
-    """(dataset, start, acquire, budget) rows with normalized improvement.
+def improvement_curve_csv(by_dataset: dict[str, list[Sample]], manifest: dict) -> str:
+    """(dataset, start, acquire, budget) rows with normalized improvement,
+    from the records grouped by `samples_by_dataset`.
 
     Improvement is (mean best - file minimum) / (file mean - file minimum),
     so 0 means the optimum was found and 1 means no better than an average
@@ -139,7 +140,7 @@ def improvement_curve_csv(records: list[dict], manifest: dict) -> str:
     """
     summaries = manifest.get("datasets", {})
     rows = []
-    for ds, samples in samples_by_dataset(records).items():
+    for ds, samples in by_dataset.items():
         info = summaries.get(ds, {}).get("chebyshev")
         if not info:
             continue
@@ -201,15 +202,15 @@ def _spark(values: list[float], lo: float, hi: float,
     return "".join(marks)
 
 
-def render_rank_table(table: RankTable, title: str = "") -> str:
+def render_rank_table(table: list[list[Sample]], title: str = "") -> str:
     """Aligned text: rank, treatment, budget, median, sd, quartile strip."""
-    pooled = [v for s in table.samples for v in s.values]
+    pooled = [v for group in table for s in group for v in s.values]
     lo, hi = min(pooled), max(pooled)
     rows = []
-    for group in table.groups:
-        for s in group.samples:
+    for rank, group in enumerate(table):
+        for s in group:
             start, acquire, budget = s.label
-            rows.append((str(group.rank), start, acquire, str(budget),
+            rows.append((str(rank), start, acquire, str(budget),
                          f"{s.median:.2f}", f"{s.sd:.2f}",
                          "|" + _spark(s.values, lo, hi) + "|"))
     header = ("rank", "start", "acquire", "budget", "median", "sd", "")
@@ -221,10 +222,10 @@ def render_rank_table(table: RankTable, title: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def rank_table_csv(table: RankTable) -> str:
+def rank_table_csv(table: list[list[Sample]]) -> str:
     return _csv("rank,start,acquire,budget,median,sd,n",
-                ([group.rank, *s.label, s.median, s.sd, len(s.values)]
-                 for group in table.groups for s in group.samples))
+                ([rank, *s.label, s.median, s.sd, len(s.values)]
+                 for rank, group in enumerate(table) for s in group))
 
 
 def rank_stem(dataset: str) -> str:
@@ -279,5 +280,5 @@ def write_reports(results_dir: Path, out_dir: Optional[Path] = None) -> None:
              frequency_csv(rank_frequencies(members) if members else []))
 
     emit("evals_needed.csv", evals_needed_csv(tables))
-    emit("improvement_curve.csv", improvement_curve_csv(records, manifest))
+    emit("improvement_curve.csv", improvement_curve_csv(by_dataset, manifest))
     emit("outcomes.csv", outcomes_csv(records))

@@ -5,7 +5,7 @@ Samples sort by median, then a cut maximizing the between-group mean
 difference splits the list; the two halves recurse only when they differ
 by more than a small Cliff's Delta AND a bootstrap test rejects "same".
 Groups therefore come out as non-overlapping intervals of the sorted
-order with contiguous ranks, rank 0 best (lowest chebyshev).
+order, best (lowest chebyshev) first, so a group's rank is its index.
 """
 
 from __future__ import annotations
@@ -40,21 +40,6 @@ class Sample:
     @cached_property
     def sd(self) -> float:
         return statistics.pstdev(self.values) if len(self.values) > 1 else 0.0
-
-
-@dataclass
-class RankGroup:
-    rank: int
-    samples: list[Sample]
-
-
-@dataclass
-class RankTable:
-    groups: list[RankGroup]
-
-    @property
-    def samples(self) -> list[Sample]:
-        return [s for g in self.groups for s in g.samples]
 
 
 def cliffs_delta(a: Sequence[float], b: Sequence[float]) -> float:
@@ -124,8 +109,8 @@ def sk_split(samples: Sequence[Sample]) -> Optional[int]:
     return best_cut
 
 
-def scott_knott(samples: Sequence[Sample]) -> RankTable:
-    """Recursive bi-clustering of samples into statistically distinct ranks."""
+def scott_knott(samples: Sequence[Sample]) -> list[list[Sample]]:
+    """Recursive bi-clustering into statistically distinct groups, rank 0 first."""
     if not samples:
         raise ValueError("scott_knott needs at least 1 sample")
     ordered = sorted(samples, key=lambda s: (s.median, str(s.label)))
@@ -142,5 +127,5 @@ def scott_knott(samples: Sequence[Sample]) -> RankTable:
                     return
         groups.append(subs)
 
-    descend(list(ordered))
-    return RankTable([RankGroup(rank=i, samples=g) for i, g in enumerate(groups)])
+    descend(ordered)
+    return groups

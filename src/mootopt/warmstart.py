@@ -64,12 +64,11 @@ class SynthesisError(RuntimeError):
 class PromptBundle:
     system: str
     examples: str
-    task: str
 
     def messages(self) -> list[tuple[str, str]]:
-        """(role, content) pairs for a chat endpoint."""
+        """(role, content) pairs for a chat endpoint; TASK_TEXT ends the user's."""
         return [("system", self.system),
-                ("user", self.examples + "\n\n" + self.task)]
+                ("user", self.examples + "\n\n" + TASK_TEXT)]
 
 
 @dataclass(frozen=True)
@@ -111,10 +110,11 @@ def cold_start(ds: Dataset, b0: int, rng: random.Random) -> list[Row]:
 # -- prompt rendering --------------------------------------------------------
 
 def _markdown_table(headers: list[str], body: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(headers) + " |",
-             "|" + "|".join(" --- " for _ in headers) + "|"]
-    for cells in body:
-        lines.append("| " + " | ".join(cells) + " |")
+    """A `|` inside a cell is written `\\|`, which parse_response reads back."""
+    line = lambda cells: "| " + " | ".join(c.replace("|", r"\|")
+                                           for c in cells) + " |"
+    lines = [line(headers), "|" + "|".join(" --- " for _ in headers) + "|"]
+    lines += [line(cells) for cells in body]
     return "\n".join(lines)
 
 
@@ -156,7 +156,7 @@ def build_prompt(e0: list[Row], ds: Dataset) -> PromptBundle:
         raise ValueError("build_prompt needs at least 2 labeled rows")
     system = SYSTEM_ROLE + "\n\n" + ds.cached("meta_table", _meta_table)
     examples = "Given Examples:\n\n" + render_examples(e0, ds)
-    return PromptBundle(system=system, examples=examples, task=TASK_TEXT)
+    return PromptBundle(system=system, examples=examples)
 
 
 def render_synthetic(rows: list[SyntheticRow], ds: Dataset) -> str:
@@ -201,7 +201,8 @@ def parse_response(text: str, ds: Dataset) -> list[SyntheticRow]:
     """Pull better/poorer example rows out of a markdown completion.
 
     Tolerates prose around the tables: any non-table line naming "better"
-    or "poorer" switches the claim applied to subsequent table rows.
+    or "poorer" switches the claim applied to subsequent table rows. A
+    `\\|` inside a cell is a `|`, not a cell boundary.
     Numeric cells clamp into the column's observed range; rows with
     uncoercible cells are dropped; at most two rows per claim are kept.
     Raises SynthesisError unless at least one row of each claim survives.
@@ -221,7 +222,8 @@ def parse_response(text: str, ds: Dataset) -> list[SyntheticRow]:
             continue
         if claim is None or _SEPARATOR.match(line):
             continue
-        cells = [c.strip() for c in line.strip("|").split("|")]
+        cells = [c.strip().replace(r"\|", "|")
+                 for c in re.split(r"(?<!\\)\|", line.strip("|"))]
         if len(cells) == n + 1:
             cells = cells[:n]  # trailing tag column
         elif len(cells) != n:
@@ -290,8 +292,6 @@ class MockSynthesizer:
     """Offline synthesizer; renders mock rows through the markdown reply
     format so runs exercise the same parse path as a real endpoint."""
 
-    name = "mock"
-
     def __call__(self, bundle: PromptBundle, e0: list[Row], ds: Dataset) -> str:
         return render_synthetic(mock_synthesize(e0, ds), ds)
 
@@ -312,8 +312,6 @@ class RemoteSynthesizer:
     """Chat-endpoint client. The request carries a model id plus ordered
     (role, content) messages; the key comes from an environment variable, so
     it never lands in configs or logs. A failed request raises SynthesisError."""
-
-    name = "remote"
 
     def __init__(self, endpoint: str, model: str,
                  key_env: str = DEFAULT_KEY_ENV):

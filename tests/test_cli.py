@@ -53,8 +53,10 @@ def test_parse_arms_standalone_words():
     "llm/random",          # random selection takes no start
 ])
 def test_parse_arms_rejects_bad_specs(spec):
-    with pytest.raises(ConfigError):
-        parse_arms(spec)
+    """parse_arms refuses a spelling it does not know; GridSpec refuses an
+    empty or repeating list of known ones."""
+    with pytest.raises(ValueError):
+        engine.GridSpec(parse_arms(spec))
 
 
 def test_a_refused_treatment_names_every_known_spelling():
@@ -82,14 +84,19 @@ def test_a_refused_treatment_names_every_known_spelling():
     ["run", "--data", str(MALFORMED / "header_only.csv")],
     ["run", "--data", TOY, "--treatments", "random/exploit,random/exploit,baseline"],
     ["run", "--data", TOY, "--budgets", "10,10"],
+    ["run", "--data", TOY, "--budgets", ","],
+    ["run", "--data", TOY, "--treatments", ","],
+    ["run", "--data", TOY, "--treatments", "random,random/random"],
     ["run", "--data", TOY, "--treatments", "llm/exploit", "--budgets", "10",
      "--repeats", "1", "--endpoint", "https://api.example/v1/chat/completions"],
     ["run", "--data", TOY, "--treatments", "llm/exploit", "--budgets", "10",
      "--repeats", "1", "--model", "gpt-x"],             # no --synth remote
 ])
-def test_bad_configurations_exit_2(argv, tmp_path, monkeypatch):
+def test_bad_configurations_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("MOOTOPT_API_KEY", raising=False)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_run_refuses_tables_whose_rank_files_would_clash(tmp_path, capsys):
@@ -155,11 +162,14 @@ def test_paper_literal_mapping_is_not_a_flag(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_repeated_arms_and_budgets_are_named():
-    with pytest.raises(ConfigError, match="'random/exploit' is repeated"):
-        parse_arms("random/exploit,baseline,random/exploit")
-    with pytest.raises(ConfigError, match="budget 10 is repeated"):
-        cli._parse_budgets("10,15,10")
+def test_repeated_arms_and_budgets_are_named(tmp_path, capsys):
+    with pytest.raises(ValueError, match="'random/exploit' is repeated"):
+        engine.GridSpec(parse_arms("random/exploit,baseline,random/exploit"))
+    with pytest.raises(ValueError, match="budget 10 is repeated"):
+        engine.GridSpec(DEFAULT_ARMS, cli._parse_budgets("10,15,10"))
+    assert main(["run", "--data", TOY, "--budgets", "10,15,10",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: budget 10 is repeated\n"
 
 
 def test_remote_without_key_exits_2(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import functools
 import io
 import itertools
 import random
+import re
 import statistics
 import threading
 
@@ -20,7 +21,7 @@ from mootopt.engine import (DEFAULT_ARMS, GridSpec, Treatment,
                             RunResult, baseline_summary, derive_seed, run_active,
                             run_baseline, run_grid, run_random)
 from mootopt.objective import chebyshev
-from mootopt.report import improvement_curve_csv
+from mootopt.report import improvement_curve_csv, samples_by_dataset
 from mootopt.warmstart import (MockSynthesizer, RemoteSynthesizer,
                                SyntheticRow, render_synthetic)
 
@@ -102,15 +103,11 @@ def test_run_random_full_budget_finds_the_optimum(toy):
 
 def test_run_random_refuses_a_run_without_labels(toy):
     """A zero-label run has no best row, so it is refused like an oversize
-    one; in a grid it fails alone instead of breaking the grid."""
+    one; a grid refuses such a budget before any run starts."""
     with pytest.raises(ValueError):
         run_random(toy, 0, 3)
-    out = run_grid([toy], GridSpec(arms=(("random", "random"),), budgets=(0,),
-                                   repeats=1))
-    assert out.records == []
-    assert out.failures == [
-        "run failed: toy random/random budget=0 repeat=0: "
-        "ValueError: b1=0 is not within the 1..12 rows of toy"]
+    with pytest.raises(ValueError, match="budget 0 must exceed the warm size"):
+        GridSpec(arms=(("random", "random"),), budgets=(0,), repeats=1)
 
 
 def test_run_random_draws_are_prefixes_of_larger_draws(nasa93dem):
@@ -219,7 +216,8 @@ def normalized_improvement(bests, ds):
         "mean": mean, "lo": lo, "median": median, "sd": sd}}}}
     records = [{"dataset": ds.name, "start": "random", "acquire": "random",
                 "budget": 5, "best": b} for b in bests]
-    lines = improvement_curve_csv(records, manifest).splitlines()
+    lines = improvement_curve_csv(samples_by_dataset(records),
+                                  manifest).splitlines()
     assert lines[0] == "dataset,start,acquire,budget,improvement"
     return float(lines[1].rsplit(",", 1)[1]) if len(lines) > 1 else None
 
@@ -428,6 +426,30 @@ def test_a_failing_batch_fails_its_own_runs_only(monkeypatch):
         "RuntimeError: loop broke" for rep in (0, 1)]
     assert sorted({(r["dataset"], r["acquire"]) for r in out.records}) == [
         ("auto93", "exploit"), ("auto93", "random"), ("toy", "random")]
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"budgets": (0, 6)}, "budget 0 must exceed the warm size 4"),
+    ({"budgets": (4, 6)}, "budget 4 must exceed the warm size 4"),
+    ({"budgets": (6, 6)}, "budget 6 is repeated"),
+    ({"budgets": ()}, "empty budget list"),
+    ({"arms": (("random", "exploit"), ("random", "exploit"))},
+     "treatment 'random/exploit' is repeated"),
+    ({"arms": ()}, "empty treatment list"),
+    ({"arms": (("llm", "random"),)}, "treatment 'llm/random' is not an arm"),
+    ({"arms": (("baseline", "exploit"),)},
+     "treatment 'baseline/exploit' is not an arm"),
+    ({"repeats": 0}, "repeats must be >= 1, got 0"),
+], ids=["budget-0", "budget-4", "repeated-budget", "no-budget", "repeated-arm",
+        "no-arm", "llm-random", "baseline-exploit", "no-repeat"])
+def test_grid_spec_refuses_a_grid_that_is_not_one_record_per_cell(change,
+                                                                  message):
+    """Run, each of these grids would write no cell at all, a record twice,
+    a budget-0 record holding a larger budget's best, or records under an
+    arm's wrong name (`llm/random` ran as `random/random`, and
+    `baseline/exploit` as a cold-start exploit run)."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GridSpec(**{"arms": (("random", "exploit"),), **change})
 
 
 SMALL_GRID = GridSpec(

@@ -10,8 +10,8 @@ from hypothesis import example, given, strategies as st
 
 from mootopt.report import (_quartiles, evals_needed_csv, frequency_csv,
                             rank_frequencies, rank_table_csv, render_rank_table)
-from mootopt.stats import (RankGroup, RankTable, Sample, bootstrap_same,
-                           cliffs_delta, scott_knott, sk_split)
+from mootopt.stats import (Sample, bootstrap_same, cliffs_delta, scott_knott,
+                           sk_split)
 
 
 # -- Sample --------------------------------------------------------------------
@@ -178,40 +178,40 @@ def test_sk_split_matches_the_all_cuts_oracle():
 
 # -- scott_knott -------------------------------------------------------------------
 
-def rank_of(table, label):
-    """Rank of the group holding the sample labeled `label`."""
-    return next(g.rank for g in table.groups for s in g.samples if s.label == label)
+def rank_of(groups, label):
+    """Rank (position) of the group holding the sample labeled `label`."""
+    return next(rank for rank, g in enumerate(groups) for s in g
+                if s.label == label)
 
 
 def test_scott_knott_single_sample():
-    table = scott_knott([S("only", [1.0, 2.0])])
-    assert len(table.groups) == 1
-    assert table.groups[0].rank == 0
-    assert rank_of(table, ("only",)) == 0
+    groups = scott_knott([S("only", [1.0, 2.0])])
+    assert [[s.label for s in g] for g in groups] == [[("only",)]]
+    assert rank_of(groups, ("only",)) == 0
 
 
 def test_scott_knott_merges_one_distribution():
     a = [0.30, 0.31, 0.29, 0.33, 0.28, 0.32]
-    table = scott_knott([S("a", a), S("b", list(reversed(a)))])
-    assert [g.rank for g in table.groups] == [0]
-    assert len(table.groups[0].samples) == 2
+    groups = scott_knott([S("a", a), S("b", list(reversed(a)))])
+    assert len(groups) == 1
+    assert len(groups[0]) == 2
 
 
 def test_scott_knott_separates_two_clusters():
-    table = scott_knott([S("good", [0.10, 0.11, 0.12, 0.09]),
-                         S("bad", [0.90, 0.91, 0.92, 0.89]),
-                         S("alsogood", [0.11, 0.10, 0.13, 0.12])])
-    assert [g.rank for g in table.groups] == [0, 1]
-    assert {s.label[0] for s in table.groups[0].samples} == {"good", "alsogood"}
-    assert rank_of(table, ("bad",)) == 1
+    groups = scott_knott([S("good", [0.10, 0.11, 0.12, 0.09]),
+                          S("bad", [0.90, 0.91, 0.92, 0.89]),
+                          S("alsogood", [0.11, 0.10, 0.13, 0.12])])
+    assert len(groups) == 2
+    assert {s.label[0] for s in groups[0]} == {"good", "alsogood"}
+    assert rank_of(groups, ("bad",)) == 1
 
 
 def test_scott_knott_is_shift_invariant():
     rng = random.Random(5)
     samples = [S(str(i), [rng.uniform(0, 1) for _ in range(6)]) for i in range(5)]
     shifted = [S(s.label[0], [v + 7.0 for v in s.values]) for s in samples]
-    before = [[s.label for s in g.samples] for g in scott_knott(samples).groups]
-    after = [[s.label for s in g.samples] for g in scott_knott(shifted).groups]
+    before = [[s.label for s in g] for g in scott_knott(samples)]
+    after = [[s.label for s in g] for g in scott_knott(shifted)]
     assert before == after
 
 
@@ -219,11 +219,11 @@ def test_scott_knott_groups_are_sorted_intervals():
     rng = random.Random(23)
     samples = [S(str(i), [rng.gauss(rng.choice([0.2, 0.8]), 0.05)
                           for _ in range(5)]) for i in range(6)]
-    table = scott_knott(samples)
-    flat = [s.label for g in table.groups for s in g.samples]
+    groups = scott_knott(samples)
+    flat = [s.label for g in groups for s in g]
     want = [s.label for s in sorted(samples, key=lambda s: (s.median, str(s.label)))]
     assert flat == want
-    assert [g.rank for g in table.groups] == list(range(len(table.groups)))
+    assert all(groups)
 
 
 def test_scott_knott_rejects_empty_input():
@@ -238,8 +238,8 @@ def pair_sample(start, acquire, budget, values):
 
 
 def table_of(*groups):
-    return RankTable(groups=[RankGroup(rank=i, samples=list(g))
-                             for i, g in enumerate(groups)])
+    """Scott-Knott groups in rank order, as scott_knott returns them."""
+    return [list(g) for g in groups]
 
 
 def test_rank_frequencies_single_table():

@@ -52,11 +52,11 @@ def test_prompt_sections_and_roles(toy):
     bundle = build_prompt(ranked, toy)
     assert bundle.system.startswith(ws.SYSTEM_ROLE)
     assert bundle.examples.startswith("Given Examples:")
-    assert "Generate Two New Examples that are Better" in bundle.task
+    assert "Generate Two New Examples that are Better" in ws.TASK_TEXT
     (role0, sys_text), (role1, user_text) = bundle.messages()
     assert (role0, role1) == ("system", "user")
     assert sys_text == bundle.system
-    assert user_text == bundle.examples + "\n\n" + bundle.task
+    assert user_text == bundle.examples + "\n\n" + ws.TASK_TEXT
 
 
 def test_prompt_meta_table_summarizes_columns(toy):
@@ -115,6 +115,33 @@ def test_parse_inverts_render(kanban):
     assert [r.claim for r in parsed] == [r.claim for r in rows]
     for got, want in zip(parsed, rows):
         assert got.cells == want.cells
+
+
+def test_a_pipe_in_a_cell_is_escaped_and_read_back(make_ds, sleeps):
+    """Symbols holding `|` reach the prompt as `\\|`, survive the mock's
+    markdown reply, and so cost the warm start no fallback or retry."""
+    ds = make_ds("""
+        W,paint,Cost-
+        1,red|blue,1
+        2,red|blue,2
+        3,red|blue,3
+        7,a|b|c,8
+        8,a|b|c,9
+        9,a|b|c,10
+    """)
+    work = ds.fresh()
+    ranked = by_cheb(work)
+    rows = mock_synthesize(ranked, work)
+    parsed = parse_response(render_synthetic(rows, work), work)
+    assert [r.cells for r in parsed] == [r.cells for r in rows]
+    assert {r.cells[1] for r in parsed} == {"red|blue", "a|b|c"}
+    bundle = build_prompt(ranked, work)
+    assert "| red\\|blue |" in bundle.examples
+    assert "mode=a\\|b\\|c" in bundle.system
+    for seed in range(3):
+        assert not warm_start(ds.fresh(), 4, 6, MockSynthesizer(),
+                              random.Random(seed)).fallback
+    assert sleeps == []
 
 
 def test_parse_tolerates_prose_and_tag_columns(make_ds):
