@@ -34,7 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional, TextIO, Union
+from typing import Callable, NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -165,7 +165,7 @@ class Dataset:
         self.dims = classify_dims(len(self.x_cols))
         self._mask = np.zeros(len(rows), dtype=bool)
         self._order: list[int] = []
-        self._cache: dict[str, object] = {}
+        self._cache: dict[Callable, object] = {}
 
     # -- label accounting ---------------------------------------------------
 
@@ -183,7 +183,8 @@ class Dataset:
         self._order.append(i)
 
     def is_labeled(self, ids):
-        """Label flag of one id, or a boolean array for an array of ids."""
+        """Label flag of one id, or a boolean array for an array of ids or
+        a slice (`slice(None)`: every row's flag)."""
         return self._mask[ids]
 
     @property
@@ -198,7 +199,6 @@ class Dataset:
         """The pool, in ascending id order."""
         return (~self._mask).nonzero()[0]
 
-    # Stays because perfbench/tracer.py wraps it; nothing in src/ calls it.
     def labeled_rows(self) -> list[Row]:
         return [self.rows[i] for i in self.labeled_ids()]
 
@@ -213,15 +213,16 @@ class Dataset:
         ds._order = []
         return ds
 
-    def cached(self, key: str, build):
-        """`build(self)`, computed once per table and shared by fresh() copies.
+    def cached(self, build: Callable):
+        """`build(self)`, computed once per table and shared by fresh() copies,
+        under `build` itself.
 
         Only values derived from the immutable cell data belong here.
         """
         try:
-            return self._cache[key]
+            return self._cache[build]
         except KeyError:
-            value = self._cache[key] = build(self)
+            value = self._cache[build] = build(self)
             return value
 
     def col_stats(self, col: ColumnSpec) -> Optional[ColumnStats]:
@@ -243,7 +244,7 @@ class Dataset:
                       column's alphabet in turn
         Only x values feed these views, so using them never leaks labels.
         """
-        return self.cached("x_views", _build_x_views)
+        return self.cached(_build_x_views)
 
 
 def normalize(values, st: NumStats) -> np.ndarray:

@@ -3,7 +3,8 @@
 A run owns a private copy of the dataset's label state (`Dataset.fresh()`:
 a label mask and a label order over the shared rows), consumes at most its
 budget of labels, and reports its best-so-far curve: the lowest chebyshev
-seen after each label. A run starts cold or warm, then loops: fit the
+seen after each label. A run starts with B0 random labels, to which an
+`llm` start adds the synthesizer's mapped rows, then loops: fit the
 labeled rows, score the unlabeled pool, label the argmax. A GP run loops
 alone (`label_gp`); naive-Bayes runs loop in lockstep batches
 (`label_tpe`) that share the table's design matrix but no label state.
@@ -86,8 +87,9 @@ class RunResult:
 
 def _start(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
            seed: int, log: LogFn = ignore) -> tuple[Dataset, bool]:
-    """A surrogate-guided run's label state after its cold or warm start,
-    and whether the warm start fell back to the cold rows."""
+    """A surrogate-guided run's label state after its start (B0 random
+    labels, then for an `llm` start the synthesizer's mapped rows), and
+    whether the warm start fell back to the cold rows."""
     if t.acquire not in ACTIVE_ACQUIRES:
         raise ValueError(f"no surrogate-guided run has acquire={t.acquire!r}")
     if t.budget > len(ds.rows):
@@ -95,15 +97,13 @@ def _start(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
             f"budget {t.budget} exceeds the {len(ds.rows)} rows of {ds.name}")
     if t.budget <= B0:
         raise ValueError(f"budget {t.budget} must exceed the warm size {B0}")
-    work = ds.fresh()
-    rng = random.Random(seed)
-    if t.start != "llm":
-        cold_start(work, B0, rng)
-        return work, False
-    if synthesizer is None:
+    if t.start == "llm" and synthesizer is None:
         raise ValueError("llm start needs a synthesizer")
-    return work, warm_start(work, B0, t.budget, synthesizer, rng,
-                            log=log).fallback
+    work = ds.fresh()
+    cold_start(work, B0, random.Random(seed))
+    if t.start != "llm":
+        return work, False
+    return work, warm_start(work, t.budget, synthesizer, log=log).fallback
 
 
 def label_tpe(ds: Dataset, works: list[Dataset],
@@ -116,21 +116,15 @@ def label_tpe(ds: Dataset, works: list[Dataset],
     the runs beside it. The budget never exceeds the table, so no run's
     pool runs dry first.
     """
-    pool = np.ones((len(works), len(ds.rows)), dtype=bool)
-    for r, work in enumerate(works):
-        pool[r, work.labeled_ids()] = False
-    while True:
-        live = [r for r, (work, t) in enumerate(zip(works, treatments))
-                if work.evaluations < t.budget]
-        if not live:
-            return
+    while live := [r for r, (work, t) in enumerate(zip(works, treatments))
+                   if work.evaluations < t.budget]:
         model = likelihood.fit(
             [split(works[r].labeled_ids(), works[r]) for r in live], ds)
+        pool = ~np.array([works[r].is_labeled(slice(None)) for r in live])
         picks = likelihood.acquire_tpe(
-            model, pool[live], [treatments[r].acquire for r in live])
+            model, pool, [treatments[r].acquire for r in live])
         for r, i in zip(live, picks.tolist()):
             works[r].label(i)
-            pool[r, i] = False
 
 
 def _finish(ds: Dataset, t: Treatment, seed: int, work: Dataset,
@@ -193,7 +187,7 @@ def baseline_summary(ds: Dataset) -> tuple[float, float, float, float]:
     Computed once per table: the baseline record and the manifest read
     the same value.
     """
-    return ds.cached("baseline_summary", _summarize)
+    return ds.cached(_summarize)
 
 
 def _summarize(ds: Dataset) -> tuple[float, float, float, float]:

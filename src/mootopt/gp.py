@@ -145,7 +145,7 @@ def fit_gp(labeled: np.ndarray, ds: Dataset, model: GpModel | None = None) -> Gp
     if len(labeled) < 2:
         raise ValueError(f"need at least 2 training points, got {len(labeled)}")
     if model is None:
-        model = GpModel(ds.cached("gp_encoding", encode_table))
+        model = GpModel(ds.cached(encode_table))
     new = labeled[~model.held[labeled]]
     if len(labeled) - len(new) != len(model.ids):
         raise ValueError("the posterior holds rows that are not labeled")

@@ -64,7 +64,7 @@ def table_terms(ds: Dataset) -> dict:
       sizes   (n_sym,) alphabet size per symbolic column
     Only x values feed them, so using them never leaks labels.
     """
-    return ds.cached("nb_terms", _build_terms)
+    return ds.cached(_build_terms)
 
 
 def _build_terms(ds: Dataset) -> dict:

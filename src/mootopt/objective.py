@@ -20,8 +20,6 @@ import numpy as np
 
 from .data import Dataset, MAXIMIZE, Row, normalize, row_ids
 
-_SCORES = "chebyshev"  # Dataset.cached key; read only by reveal()
-
 
 def ideal_point(ds: Dataset) -> list[float]:
     """Per-goal target in normalized space: 1 for maximize, 0 for minimize."""
@@ -47,7 +45,7 @@ def reveal(ids, ds: Dataset):
     if hidden.any():
         first = ids if np.ndim(ids) == 0 else np.asarray(ids)[hidden][0]
         raise ValueError(f"row {first} is unlabeled; its goal values are hidden")
-    return ds.cached(_SCORES, _score_vector)[ids]
+    return ds.cached(_score_vector)[ids]
 
 
 def chebyshev(row: Row, ds: Dataset) -> float:

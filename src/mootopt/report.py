@@ -17,7 +17,7 @@ import re
 import statistics
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .data import STRATA
 from .stats import Sample, scott_knott
@@ -80,35 +80,22 @@ def _rank_matrix_csv(rows: Iterable[tuple[str, str, dict[int, float]]],
                  for start, acquire, by_rank in rows))
 
 
-class FreqRow(NamedTuple):
-    start: str
-    acquire: str
-    pct: dict[int, float]  # rank -> percent
-
-
-def rank_frequencies(tables: Sequence[list[list[Sample]]]) -> list[FreqRow]:
-    """How often each (start, acquire) pair lands at each rank.
+def frequency_csv(tables: Sequence[list[list[Sample]]]) -> str:
+    """How often each (start, acquire) pair lands at each rank, in percent.
 
     A pair's rank within one table is its best rank over budgets; each
     table is one dataset, and percentages are out of all tables given.
     A pair missing from a table contributes nothing for that table.
-    Rows come back sorted by the rank-0 percentage, best first.
+    Rows are sorted by the rank-0 percentage, best first.
     """
-    if not tables:
-        raise ValueError("rank_frequencies needs at least 1 table")
     counts: dict[tuple[str, str], Counter] = {}
     for table in tables:
         for pair, by_rank in _pair_ranks(table).items():
             counts.setdefault(pair, Counter())[min(by_rank)] += 1
-    rows = [FreqRow(start, acquire,
-                    {r: 100.0 * c / len(tables) for r, c in tally.items()})
+    rows = [(start, acquire,
+             {r: 100.0 * c / len(tables) for r, c in tally.items()})
             for (start, acquire), tally in counts.items()]
-    rows.sort(key=lambda fr: (-fr.pct.get(0, 0.0), fr.start, fr.acquire))
-    return rows
-
-
-def frequency_csv(rows: list[FreqRow]) -> str:
-    """Rank-frequency percentages, one row per (start, acquire) pair."""
+    rows.sort(key=lambda row: (-row[2].get(0, 0.0), row[0], row[1]))
     return _rank_matrix_csv(rows, empty="0.0")
 
 
@@ -276,8 +263,7 @@ def write_reports(results_dir: Path, out_dir: Optional[Path] = None) -> None:
                for ds, info in manifest.get("datasets", {}).items()}
     for stratum in STRATA:
         members = [t for ds, t in tables.items() if dims_of.get(ds) == stratum]
-        emit(f"freq_{stratum}.csv",
-             frequency_csv(rank_frequencies(members) if members else []))
+        emit(f"freq_{stratum}.csv", frequency_csv(members))
 
     emit("evals_needed.csv", evals_needed_csv(tables))
     emit("improvement_curve.csv", improvement_curve_csv(by_dataset, manifest))

@@ -1,17 +1,18 @@
-"""Warm starts: random cold draws, or few-shot synthesis of promising rows.
+"""Warm starts: random cold draws, then few-shot synthesis of promising rows.
 
-The synthesis pipeline runs once, before the acquisition loop: label a few
-random rows, split them best/rest, render a three-part prompt (role plus
-column metadata, tagged examples, task), ask a synthesizer for two better
-and two poorer examples, parse its markdown reply, then map each synthetic
-row onto its nearest unlabeled real row and label that. A deterministic
-mock synthesizer makes the whole path runnable offline; a remote client
-speaks the OpenAI chat-completions contract.
+Every run's first labels are a cold start: a few random rows. An LLM warm
+start continues from whatever the run has labeled, once, before the
+acquisition loop: split the labeled rows best/rest, render a three-part
+prompt (role plus column metadata, tagged examples, task), ask a
+synthesizer for two better and two poorer examples, parse its markdown
+reply, then map each synthetic row onto its nearest unlabeled real row
+and label that. A deterministic mock synthesizer makes the whole path
+runnable offline; a remote client speaks the OpenAI chat-completions
+contract.
 
-The prompt side works on Rows, because it renders their cells: the cold
-start returns Rows, and the prompt and the synthesizers read them. The
-mapping back works on ids: it takes the unlabeled ids and returns the ids
-to label.
+The prompt side works on Rows, because it renders their cells: the run's
+labeled Rows feed the prompt and the synthesizers. The mapping back works
+on ids: it takes the unlabeled ids and returns the ids to label.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def build_prompt(e0: list[Row], ds: Dataset) -> PromptBundle:
     """Prompt sections from labeled rows (expected sorted by chebyshev)."""
     if len(e0) < 2:
         raise ValueError("build_prompt needs at least 2 labeled rows")
-    system = SYSTEM_ROLE + "\n\n" + ds.cached("meta_table", _meta_table)
+    system = SYSTEM_ROLE + "\n\n" + ds.cached(_meta_table)
     examples = "Given Examples:\n\n" + render_examples(e0, ds)
     return PromptBundle(system=system, examples=examples)
 
@@ -202,33 +203,38 @@ def parse_response(text: str, ds: Dataset) -> list[SyntheticRow]:
 
     Tolerates prose around the tables: any non-table line naming "better"
     or "poorer" switches the claim applied to subsequent table rows. A
-    `\\|` inside a cell is a `|`, not a cell boundary.
-    Numeric cells clamp into the column's observed range; rows with
-    uncoercible cells are dropped; at most two rows per claim are kept.
+    `\\|` inside a cell is a `|`, not a cell boundary. A row has one cell
+    per x column, plus one trailing tag cell only in a table whose header
+    row is the x column names plus one; any other row is misaligned and
+    dropped. Numeric cells clamp into the column's observed range; rows
+    with uncoercible cells are dropped; at most two rows per claim are kept.
     Raises SynthesisError unless at least one row of each claim survives.
     """
     n = len(ds.x_cols)
     header = [c.name.lower() for c in ds.x_cols]
     claim: Optional[str] = None
+    tagged = False  # the current table's header has a trailing tag column
     rows: dict[str, list[SyntheticRow]] = {BETTER: [], POORER: []}
     for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line.startswith("|"):
+            tagged = False  # a table ends at its first non-table line
             low = line.lower()
             if "better" in low:
                 claim = BETTER
             elif "poorer" in low or "worse" in low:
                 claim = POORER
             continue
-        if claim is None or _SEPARATOR.match(line):
+        if _SEPARATOR.match(line):
             continue
         cells = [c.strip().replace(r"\|", "|")
                  for c in re.split(r"(?<!\\)\|", line.strip("|"))]
-        if len(cells) == n + 1:
-            cells = cells[:n]  # trailing tag column
-        elif len(cells) != n:
+        if len(cells) in (n, n + 1) and [c.lower() for c in cells[:n]] == header:
+            tagged = len(cells) == n + 1
             continue
-        if [c.lower() for c in cells] == header:
+        if tagged and len(cells) == n + 1:
+            cells = cells[:n]
+        if claim is None or len(cells) != n:
             continue
         coerced = _coerce_cells(cells, ds)
         if coerced is not None and len(rows[claim]) < 2:
@@ -382,23 +388,22 @@ def map_to_pool(e1: list[SyntheticRow], pool: np.ndarray,
     return hits[np.sort(first)]
 
 
-def warm_start(ds: Dataset, b0: int, budget: int, synthesizer: Synthesizer,
-               rng: random.Random, log: LogFn = ignore) -> WarmStartResult:
-    """Cold start, then synthesize/parse/map/label; cold rows alone on failure.
+def warm_start(ds: Dataset, budget: int, synthesizer: Synthesizer,
+               log: LogFn = ignore) -> WarmStartResult:
+    """Synthesize/parse/map/label from the run's labeled rows (at least 2).
 
-    The synthesizer gets one extra attempt per RETRY_WAITS entry, each after
-    sleeping that many seconds; if none yields at least one better and one
-    poorer row, the run proceeds from the cold start and the result is
-    flagged as a fallback (runs never abort on synthesis trouble).
+    The prompt shows those rows ranked by chebyshev. The synthesizer gets
+    one extra attempt per RETRY_WAITS entry, each after sleeping that many
+    seconds; if none yields at least one better and one poorer row, the run
+    proceeds from the rows it had and the result is flagged as a fallback
+    (runs never abort on synthesis trouble).
     Synthetic rows map onto the unlabeled pool, and each distinct hit costs
     one label, in hit order, until `budget` rows are labeled.
     """
-    if b0 < 2:
-        raise ValueError(f"warm start needs b0 >= 2, got {b0}")
-    if budget < b0:
-        raise ValueError(f"budget {budget} is below the cold start's {b0}")
-    e0 = cold_start(ds, b0, rng)
-    ranked = sorted(e0, key=lambda r: (chebyshev(r, ds), r.id))
+    if budget < ds.evaluations:
+        raise ValueError(
+            f"budget {budget} is below the {ds.evaluations} labels spent")
+    ranked = sorted(ds.labeled_rows(), key=lambda r: (chebyshev(r, ds), r.id))
     bundle = build_prompt(ranked, ds)
     synth: Optional[list[SyntheticRow]] = None
     for attempt, wait in enumerate((0.0,) + RETRY_WAITS):

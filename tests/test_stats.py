@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mootopt.report import (_quartiles, evals_needed_csv, frequency_csv,
-                            rank_frequencies, rank_table_csv, render_rank_table)
+                            rank_table_csv, render_rank_table)
 from mootopt.stats import (Sample, bootstrap_same, cliffs_delta, scott_knott,
                            sk_split)
 
@@ -242,11 +242,23 @@ def table_of(*groups):
     return [list(g) for g in groups]
 
 
+def frequency_rows(tables):
+    """frequency_csv's rows as ((start, acquire), {rank: percent}) pairs in
+    file order, leaving out the ranks a pair never lands at (0.0)."""
+    header, *lines = frequency_csv(tables).splitlines()
+    ranks = [int(h.removeprefix("rank")) for h in header.split(",")[2:]]
+    rows = []
+    for line in lines:
+        start, acquire, *cells = line.split(",")
+        rows.append(((start, acquire), {r: float(c) for r, c in zip(ranks, cells)
+                                        if float(c)}))
+    return rows
+
+
 def test_rank_frequencies_single_table():
     t = table_of([pair_sample("random", "exploit", 10, [0.1])],
                  [pair_sample("random", "random", 10, [0.9])])
-    rows = rank_frequencies([t])
-    by_pair = {(r.start, r.acquire): r.pct for r in rows}
+    by_pair = dict(frequency_rows([t]))
     assert by_pair[("random", "exploit")] == {0: 100.0}
     assert by_pair[("random", "random")] == {1: 100.0}
 
@@ -261,26 +273,22 @@ def test_rank_frequencies_manual_tally():
         table_of([RE(), RR(), LL()]),
         table_of([RR()], [RE()]),      # LL absent here
     ]
-    rows = rank_frequencies(tables)
-    by_pair = {(r.start, r.acquire): r.pct for r in rows}
+    rows = frequency_rows(tables)
+    by_pair = dict(rows)
     assert by_pair[("random", "exploit")] == {0: 75.0, 1: 25.0}
     assert by_pair[("random", "random")] == {0: 50.0, 1: 50.0}
     assert by_pair[("llm", "exploit")] == {0: 75.0}
-    assert (rows[0].start, rows[0].acquire) in {("random", "exploit"),
-                                                ("llm", "exploit")}
+    assert rows[0][0] in {("random", "exploit"), ("llm", "exploit")}
 
 
 def test_rank_frequencies_collapse_budgets_to_the_best_rank():
     t = table_of([pair_sample("random", "exploit", 10, [0.1])],
                  [pair_sample("random", "exploit", 20, [0.4])])
-    rows = rank_frequencies([t])
-    assert len(rows) == 1
-    assert rows[0].pct == {0: 100.0}
+    assert frequency_rows([t]) == [(("random", "exploit"), {0: 100.0})]
 
 
-def test_rank_frequencies_reject_empty_input():
-    with pytest.raises(ValueError):
-        rank_frequencies([])
+def test_frequency_csv_of_no_tables_is_its_header():
+    assert frequency_csv([]) == "start,acquire,rank0\n"
 
 
 # -- rendering ----------------------------------------------------------------------
@@ -310,8 +318,7 @@ def test_rank_table_csv_layout():
 
 
 def test_frequency_csv_exact_bytes():
-    rows = rank_frequencies([demo_table()])
-    assert frequency_csv(rows) == (
+    assert frequency_csv([demo_table()]) == (
         "start,acquire,rank0,rank1\n"
         "random,exploit,100.0,0.0\n"
         "random,random,0.0,100.0\n")

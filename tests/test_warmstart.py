@@ -30,6 +30,12 @@ def by_cheb(ds):
     return sorted(ds.rows, key=lambda r: (chebyshev(r, ds), r.id))
 
 
+def warm(ds, budget, synthesizer, seed, log=ws.ignore):
+    """A run's start: four seeded cold labels, then the warm start."""
+    cold_start(ds, 4, random.Random(seed))
+    return warm_start(ds, budget, synthesizer, log=log)
+
+
 # -- cold start ---------------------------------------------------------------
 
 def test_cold_start_is_seed_deterministic(toy):
@@ -139,8 +145,7 @@ def test_a_pipe_in_a_cell_is_escaped_and_read_back(make_ds, sleeps):
     assert "| red\\|blue |" in bundle.examples
     assert "mode=a\\|b\\|c" in bundle.system
     for seed in range(3):
-        assert not warm_start(ds.fresh(), 4, 6, MockSynthesizer(),
-                              random.Random(seed)).fallback
+        assert not warm(ds.fresh(), 6, MockSynthesizer(), seed).fallback
     assert sleeps == []
 
 
@@ -165,6 +170,31 @@ and two poorer (worse) ones:
     assert [r.claim for r in rows] == ["better", "better", "poorer"]
     assert rows[0].cells == (1.0, 2.0)
     assert rows[1].cells == (3.0, 4.0)
+
+
+def test_parse_drops_a_row_with_a_cell_its_header_lacks(make_ds):
+    """One cell too many is a tag column only under a header row that has
+    it; a header of the x columns alone resets that, mid-table too."""
+    ds = make_ds("""
+        A,kind,Cost-
+        0,red,1
+        10,blue,2
+    """)
+    text = r"""Better Examples:
+| A | kind |
+| --- | --- |
+| 2 | red\ | blue |
+| 3 | red |
+Poorer Examples:
+| A | kind | note |
+| --- | --- | --- |
+| 9 | blue | worse |
+| A | kind |
+| 8 | blue | worse |
+"""
+    rows = parse_response(text, ds)
+    assert [(r.claim, r.cells) for r in rows] == [("better", (3.0, "red")),
+                                                  ("poorer", (9.0, "blue"))]
 
 
 def test_parse_skips_header_echo_and_clamps(make_ds):
@@ -452,8 +482,8 @@ def test_squared_distances_equal_the_column_loop_bit_for_bit(name):
 
 def test_warm_start_is_seed_deterministic(kanban):
     other = kanban.fresh()
-    a = warm_start(kanban, 4, 8, MockSynthesizer(), random.Random(5))
-    b = warm_start(other, 4, 8, MockSynthesizer(), random.Random(5))
+    a = warm(kanban, 8, MockSynthesizer(), 5)
+    b = warm(other, 8, MockSynthesizer(), 5)
     assert kanban.label_order.tolist() == other.label_order.tolist()
     assert a.fallback == b.fallback == False  # noqa: E712
 
@@ -461,7 +491,7 @@ def test_warm_start_is_seed_deterministic(kanban):
 def test_warm_start_label_budget_is_bounded(kanban):
     for seed in range(8):
         work = kanban.fresh()
-        res = warm_start(work, 4, 8, MockSynthesizer(), random.Random(seed))
+        res = warm(work, 8, MockSynthesizer(), seed)
         assert 4 <= work.evaluations <= 8
         assert not res.fallback
 
@@ -472,20 +502,20 @@ def test_warm_start_stops_labeling_at_the_budget(kanban, budget):
     smaller budget labels a prefix of what a larger one labels."""
     for seed in range(8):
         full, capped = kanban.fresh(), kanban.fresh()
-        warm_start(full, 4, 8, MockSynthesizer(), random.Random(seed))
-        warm_start(capped, 4, budget, MockSynthesizer(), random.Random(seed))
+        warm(full, 8, MockSynthesizer(), seed)
+        warm(capped, budget, MockSynthesizer(), seed)
         assert capped.evaluations == min(budget, full.evaluations)
         assert capped.label_order.tolist() == \
             full.label_order[:capped.evaluations].tolist()
 
 
 def test_warm_start_budget_must_cover_the_cold_start(toy):
-    with pytest.raises(ValueError):
-        warm_start(toy, 4, 3, MockSynthesizer(), random.Random(0))
+    with pytest.raises(ValueError, match="below the 4 labels spent"):
+        warm(toy, 3, MockSynthesizer(), 0)
 
 
 def test_warm_start_can_land_inside_a_sweet_spot(kanban):
-    warm_start(kanban, 4, 8, MockSynthesizer(), random.Random(36))
+    warm(kanban, 8, MockSynthesizer(), 36)
     cold, added = kanban.label_order[:4], kanban.label_order[4:]
     assert added.size, "the synthetic rows mapped somewhere new"
     assert reveal(cold, kanban).min() > 0.4
@@ -493,8 +523,30 @@ def test_warm_start_can_land_inside_a_sweet_spot(kanban):
 
 
 def test_warm_start_requires_a_pair_of_seeds(toy):
-    with pytest.raises(ValueError):
-        warm_start(toy, 1, 8, MockSynthesizer(), random.Random(0))
+    cold_start(toy, 1, random.Random(0))
+    with pytest.raises(ValueError, match="at least 2 labeled rows"):
+        warm_start(toy, 8, MockSynthesizer())
+    assert toy.evaluations == 1
+
+
+def test_warm_start_prompts_with_the_rows_the_run_labeled(toy):
+    """The synthesizer sees exactly the run's labeled rows, ranked by
+    (chebyshev, id), and the rows it maps to are labeled after them."""
+    for i in (8, 0, 5, 3):
+        toy.label(i)
+    seen = []
+    mock = MockSynthesizer()
+
+    def spy(bundle, e0, ds):
+        seen.append(e0)
+        return mock(bundle, e0, ds)
+
+    assert not warm_start(toy, 8, spy).fallback
+    ranked = sorted((toy.rows[i] for i in (0, 3, 5, 8)),
+                    key=lambda r: (chebyshev(r, toy), r.id))
+    assert seen == [ranked]
+    assert toy.label_order[:4].tolist() == [8, 0, 5, 3]
+    assert toy.evaluations > 4
 
 
 def test_warm_start_falls_back_after_three_failures(toy, sleeps):
@@ -505,7 +557,7 @@ def test_warm_start_falls_back_after_three_failures(toy, sleeps):
         raise SynthesisError("no usable rows")
 
     events = []
-    res = warm_start(toy, 4, 8, broken, random.Random(0), log=events.append)
+    res = warm(toy, 8, broken, 0, log=events.append)
     assert len(calls) == 3
     assert sleeps == [1.0, 2.0]
     assert res.fallback
@@ -517,7 +569,7 @@ def test_warm_start_falls_back_after_three_failures(toy, sleeps):
 
 def test_warm_start_logs_request_and_response(toy):
     events = []
-    warm_start(toy, 4, 8, MockSynthesizer(), random.Random(1), log=events.append)
+    warm(toy, 8, MockSynthesizer(), 1, log=events.append)
     kinds = [e["event"] for e in events]
     assert kinds[:2] == ["request", "response"]
     roles = [m["role"] for m in events[0]["messages"]]
@@ -539,7 +591,7 @@ def test_warm_start_waits_before_each_retry_only(toy, sleeps):
             raise err
         return mock(bundle, e0, ds)
 
-    res = warm_start(toy, 4, 8, flaky, random.Random(0))
+    res = warm(toy, 8, flaky, 0)
     assert not res.fallback
     assert waits_at_call == [[], [ws.RETRY_WAITS[0]]]
     assert sleeps == [ws.RETRY_WAITS[0]]
@@ -568,7 +620,7 @@ def test_remote_synthesizer_posts_the_bundle(monkeypatch, toy, chat_server):
 
     monkeypatch.setattr(urllib.request, "urlopen", spy)
     synth = RemoteSynthesizer(server.url, "model-x")
-    res = warm_start(toy.fresh(), 4, 8, synth, random.Random(9))
+    res = warm(toy.fresh(), 8, synth, 9)
     assert not res.fallback
     assert timeouts == [60.0]
     [(headers, payload)] = server.seen
@@ -590,9 +642,8 @@ def test_remote_warm_start_needs_no_requests_package(monkeypatch, toy,
                               SyntheticRow(toy.rows[1].x, "poorer")], toy)
     server = chat_server(lambda handler: send(handler, completion(reply)))
     direct = toy.fresh()
-    warm_start(direct, 4, 8, lambda bundle, e0, ds: reply, random.Random(9))
-    res = warm_start(toy, 4, 8, RemoteSynthesizer(server.url, "model-x"),
-                     random.Random(9))
+    warm(direct, 8, lambda bundle, e0, ds: reply, 9)
+    res = warm(toy, 8, RemoteSynthesizer(server.url, "model-x"), 9)
     assert not res.fallback and len(server.seen) == 1
     assert toy.evaluations > 4
     assert toy.label_order.tolist() == direct.label_order.tolist()
@@ -632,8 +683,7 @@ def test_remote_failures_count_as_failed_attempts(respond, monkeypatch, toy,
     server = None if respond is None else chat_server(respond)
     url = refused_url() if server is None else server.url
     events = []
-    res = warm_start(toy, 4, 8, RemoteSynthesizer(url, "model-x"),
-                     random.Random(9), log=events.append)
+    res = warm(toy, 8, RemoteSynthesizer(url, "model-x"), 9, log=events.append)
     if server is not None:
         assert len(server.seen) == 3
     assert sleeps == list(ws.RETRY_WAITS)
@@ -658,8 +708,7 @@ def test_remote_redirects_cost_an_attempt_and_never_carry_the_key(
         handler.end_headers()
 
     server = chat_server(redirect)
-    res = warm_start(toy, 4, 8, RemoteSynthesizer(server.url, "model-x"),
-                     random.Random(9))
+    res = warm(toy, 8, RemoteSynthesizer(server.url, "model-x"), 9)
     assert res.fallback and len(server.seen) == 3
     assert all(h["Authorization"] == "Bearer sk-test" for h, _ in server.seen)
     assert len(target.seen) == (3 if status == 302 else 0)
