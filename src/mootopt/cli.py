@@ -157,10 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         synthesizer = MockSynthesizer()
 
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     grid_out = engine.run_grid(datasets, grid, synthesizer=synthesizer,
                                jobs=args.jobs)
@@ -172,13 +169,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     for msg in grid_out.failures:
         print(msg, file=sys.stderr)
 
-    with open(out_dir / "results.jsonl", "w", encoding="utf-8") as fh:
-        for rec in grid_out.records:
-            fh.write(json.dumps(rec) + "\n")
-
-    with open(out_dir / "transcript.jsonl", "w", encoding="utf-8") as fh:
-        for event in grid_out.events:
-            fh.write(json.dumps(event) + "\n")
+    for name, items in (("results.jsonl", grid_out.records),
+                        ("transcript.jsonl", grid_out.events)):
+        with open(out_dir / name, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(item) + "\n" for item in items)
 
     manifest = {
         "version": __version__,
@@ -225,7 +219,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_rank(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a path it cannot read or write
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,7 @@ import csv
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, TextIO, Union
 
@@ -73,14 +73,7 @@ class NumStats:
     n: int = 0
 
 
-@dataclass
-class SymStats:
-    mode: str = ""
-    freq: dict[str, int] = field(default_factory=dict)
-    n: int = 0
-
-
-ColumnStats = Union[NumStats, SymStats]
+ColumnStats = Union[NumStats, dict[str, int]]  # a symbolic column's: its symbol counts
 
 
 class Row(NamedTuple):
@@ -286,7 +279,7 @@ def _build_x_views(ds: Dataset) -> dict:
     sym_pos = [i for i, c in enumerate(ds.x_cols) if c.kind == SYMBOLIC]
     layout = {"num_pos": [i for i, c in enumerate(ds.x_cols) if c.kind == NUMERIC],
               "sym_pos": sym_pos,
-              "alphabets": [sorted(ds.col_stats(ds.x_cols[p]).freq) for p in sym_pos]}
+              "alphabets": [sorted(ds.col_stats(ds.x_cols[p])) for p in sym_pos]}
     X_num, X_sym = encode_cells([row.x for row in ds.rows], ds, layout)
     starts = np.cumsum([0] + [len(a) for a in layout["alphabets"]])
     onehot = np.zeros((len(ds.rows), starts[-1]))
@@ -341,10 +334,7 @@ def _column_stats(col: ColumnSpec, cells: list[Cell]) -> ColumnStats:
             raise ParseError(f"numeric column {col.name!r} holds values too large "
                              f"to summarize, from {lo!r} to {hi!r}")
         return st
-    freq = dict(Counter(str(v) for v in cells if v is not None))
-    if not freq:
-        return SymStats()
-    return SymStats(mode=mode(freq), freq=freq, n=sum(freq.values()))
+    return Counter(c for c in cells if c is not None)
 
 
 def mode(freq: dict[str, int]) -> str:
@@ -373,16 +363,17 @@ def load_csv(source: Union[str, Path, TextIO], name: Optional[str] = None) -> Da
 
 
 def _load_csv_stream(fh, name: str) -> Dataset:
-    # Drop the byte-order mark Excel's "CSV UTF-8" export starts with, before
-    # the csv reader sees it, so a quoted first header cell stays quoted.
+    # Strip the byte-order mark of Excel's "CSV UTF-8" export as the reader reads
+    # line 1, so a quoted first cell stays quoted and the try sees that read's decode.
     lines = iter(fh)
-    first = next(lines, None)
     reader = csv.reader(itertools.chain(
-        () if first is None else (first.removeprefix("\ufeff"),), lines))
+        (first.removeprefix("\ufeff") for first in itertools.islice(lines, 1)), lines))
     try:
         return _parse_records(reader, name)
     except csv.Error as e:
         raise ParseError(f"row {reader.line_num}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e.reason}") from None
 
 
 def _parse_records(reader, name: str) -> Dataset:

@@ -19,19 +19,32 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .data import STRATA
 from .stats import Sample, scott_knott
 
 SPARK_WIDTH = 20
 
 
+# The fields engine.RunResult.record writes, and the exact JSON types each holds.
+FIELDS = dict(dataset={str}, start={str}, acquire={str}, budget={int}, repeat={int},
+              seed={int}, evals={int}, best={int, float}, fallback={bool})
+
+
 def load_results(path: Path) -> list[dict]:
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        for n, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    rec = json.loads(line)
+                    if not (isinstance(rec, dict) and all(
+                            type(rec.get(k)) in types for k, types in FIELDS.items())):
+                        raise ValueError("not a record of " + ", ".join(FIELDS))
+                except ValueError as exc:
+                    raise ValueError(f"{path} line {n}: {exc}") from None
+                records.append(rec)
     return records
 
 
@@ -162,13 +175,15 @@ def outcomes_csv(records: list[dict]) -> str:
 
 
 def _quartiles(values: list[float]) -> list[float]:
-    """np.percentile(values, [25, 50, 75]) from one sort: numpy's linear
-    rule, lerping from the upper end where the weight is 0.5 or more."""
-    v = sorted(values)
-    if len(v) == 1:
-        return v * 3
+    """np.percentile(values, [25, 50, 75]), lerping from the upper end at weight
+    0.5 or more, on a partition at numpy's pivots: tied zeros keep numpy's signs."""
+    if len(values) == 1:
+        return values * 3
+    ats = [(len(values) - 1) * q for q in (0.25, 0.5, 0.75)]
+    kth = {0, len(values) - 1} | {int(at) + d for at in ats for d in (0, 1)}
+    v = np.partition(np.array(values, dtype=float), sorted(kth)).tolist()
     out = []
-    for at in ((len(v) - 1) * q for q in (0.25, 0.5, 0.75)):
+    for at in ats:
         a, b, t = v[int(at)], v[int(at) + 1], at - int(at)
         out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
     return out
@@ -239,9 +254,14 @@ def write_reports(results_dir: Path, out_dir: Optional[Path] = None) -> None:
     if not records:
         raise ValueError(f"no result records under {results_dir}")
     manifest_path = results_dir / "manifest.json"
-    manifest = {}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = (json.loads(manifest_path.read_text(encoding="utf-8"))
+                if manifest_path.exists() else {})
+    infos = manifest.get("datasets", {}) if isinstance(manifest, dict) else None
+    if not (isinstance(infos, dict) and all(isinstance(i, dict) and (
+            "chebyshev" not in i or isinstance(c := i["chebyshev"], dict)
+            and all(type(c.get(k)) in {int, float} for k in ("mean", "lo")))
+            for i in infos.values())):
+        raise ValueError(f"{manifest_path}: malformed 'datasets' or 'chebyshev' entry")
 
     out_dir.mkdir(parents=True, exist_ok=True)
 

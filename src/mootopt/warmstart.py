@@ -128,36 +128,30 @@ def _meta_table(ds: Dataset) -> str:
     stats would show goal values of rows no run has labeled."""
     body = []
     for col in ds.x_cols:
-        st = ds.stats[col.index]
+        st = ds.col_stats(col)
         if isinstance(st, NumStats):
             stats = (f"lo={_fmt_stat(st.lo)}, hi={_fmt_stat(st.hi)}, "
                      f"median={_fmt_stat(st.median)}, sd={_fmt_stat(st.sd)}")
         else:
-            pairs = sorted(st.freq.items(), key=lambda kv: (-kv[1], kv[0]))
+            pairs = sorted(st.items(), key=lambda kv: (-kv[1], kv[0]))
             shown = " ".join(f"{k}:{c}" for k, c in pairs)
-            stats = f"mode={st.mode}, freq={shown}"
+            stats = f"mode={mode(st) if st else ''}, freq={shown}"
         kind = "NUM" if col.kind == NUMERIC else "SYM"
         body.append([col.name, kind, stats])
     return _markdown_table(["name", "kind", "stats"], body)
 
 
-def render_examples(e0: list[Row], ds: Dataset) -> str:
-    """Markdown table of e0's x values with a Best/Rest tag column."""
-    parts = split(e0, ds)
-    best_ids = {r.id for r in parts.best}
-    headers = [c.name for c in ds.x_cols] + ["label"]
-    body = [[format_cell(v) for v in row.x]
-            + ["Best" if row.id in best_ids else "Rest"] for row in e0]
-    return _markdown_table(headers, body)
-
-
 def build_prompt(e0: list[Row], ds: Dataset) -> PromptBundle:
-    """Prompt sections from labeled rows (expected sorted by chebyshev)."""
+    """Column metadata, then labeled rows (sorted by chebyshev) tagged Best or Rest."""
     if len(e0) < 2:
         raise ValueError("build_prompt needs at least 2 labeled rows")
-    system = SYSTEM_ROLE + "\n\n" + ds.cached(_meta_table)
-    examples = "Given Examples:\n\n" + render_examples(e0, ds)
-    return PromptBundle(system=system, examples=examples)
+    best_ids = {r.id for r in split(e0, ds).best}
+    examples = _markdown_table(
+        [c.name for c in ds.x_cols] + ["label"],
+        [[format_cell(v) for v in row.x] + ["Best" if row.id in best_ids else "Rest"]
+         for row in e0])
+    return PromptBundle(system=SYSTEM_ROLE + "\n\n" + ds.cached(_meta_table),
+                        examples="Given Examples:\n\n" + examples)
 
 
 def render_synthetic(rows: list[SyntheticRow], ds: Dataset) -> str:
@@ -191,8 +185,8 @@ def _coerce_cells(cells: list[str], ds: Dataset) -> Optional[tuple[Cell, ...]]:
             return None
         if not math.isfinite(v):
             return None
-        st = ds.stats[col.index]
-        if isinstance(st, NumStats) and st.n > 0:
+        st = ds.col_stats(col)
+        if st.n > 0:
             v = min(st.hi, max(st.lo, v))
         out.append(v)
     return tuple(out)

@@ -26,7 +26,7 @@ from scipy.spatial.distance import cdist
 from mootopt import gp
 from mootopt.data import (GOAL, IGNORED, INDEPENDENT, MAXIMIZE, MISSING, NUMERIC,
                           ColumnSpec, Dataset, NumStats, ParseError, Row,
-                          SymStats, mode, normalize, parse_header)
+                          normalize, parse_header)
 from mootopt.likelihood import FLOOR_MIN, TIE_REL, table_terms
 from mootopt.objective import BestRestSplit
 
@@ -97,10 +97,7 @@ def _cell(col: ColumnSpec, raw: str, row_no: int):
 
 def _stats(col: ColumnSpec, cells: list):
     if col.kind != NUMERIC:
-        freq = dict(Counter(str(v) for v in cells if v is not None))
-        if not freq:
-            return SymStats()
-        return SymStats(mode=mode(freq), freq=freq, n=sum(freq.values()))
+        return Counter(str(v) for v in cells if v is not None)
     vals = np.array([v for v in cells if v is not None], dtype=float)
     if not len(vals):
         return NumStats()
@@ -136,7 +133,7 @@ def x_views_rows(ds: Dataset) -> dict:
     sym_pos = [i for i, c in enumerate(ds.x_cols) if c.kind != NUMERIC]
     layout = {"num_pos": [i for i, c in enumerate(ds.x_cols) if c.kind == NUMERIC],
               "sym_pos": sym_pos,
-              "alphabets": [sorted(ds.col_stats(ds.x_cols[p]).freq) for p in sym_pos]}
+              "alphabets": [sorted(ds.col_stats(ds.x_cols[p])) for p in sym_pos]}
     X_num, X_sym = encode_rows([row.x for row in ds.rows], ds, layout)
     starts = np.cumsum([0] + [len(a) for a in layout["alphabets"]])
     onehot = np.zeros((len(ds.rows), starts[-1]))

@@ -82,6 +82,7 @@ def test_a_refused_treatment_names_every_known_spelling():
     ["run", "--data", TOY, "--jobs", "-1"],
     ["run", "--data", str(MALFORMED / "non_finite.csv")],
     ["run", "--data", str(MALFORMED / "header_only.csv")],
+    ["run", "--data", str(MALFORMED / "latin1.csv")],   # not UTF-8
     ["run", "--data", TOY, "--treatments", "random/exploit,random/exploit,baseline"],
     ["run", "--data", TOY, "--budgets", "10,10"],
     ["run", "--data", TOY, "--budgets", ","],
@@ -97,6 +98,7 @@ def test_bad_configurations_exit_2(argv, tmp_path, monkeypatch, capsys):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_refuses_tables_whose_rank_files_would_clash(tmp_path, capsys):
@@ -124,6 +126,66 @@ def test_rank_refuses_results_whose_rank_files_would_clash(tmp_path, capsys):
     assert main(["rank", str(tmp_path)]) == 2
     assert "rank_a_b.txt" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["results.jsonl"]
+
+
+RECORD = {"dataset": "x", "start": "random", "acquire": "random", "budget": 10,
+          "repeat": 0, "seed": 1, "best": 0.5, "evals": 10, "fallback": False}
+
+
+def refused_once(capsys) -> str:
+    """The one stderr line of a command that exited 2."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("line,reason", [
+    ('{"dataset": "x", "start": "random"}', "not a record of dataset"),
+    ("[1, 2]", "not a record of dataset"),
+    (json.dumps({**RECORD, "best": None}), "not a record of dataset"),
+    (json.dumps({**RECORD, "budget": True}), "not a record of dataset"),
+    ('{"dataset": "x" "start": 1}', "Expecting ',' delimiter"),
+])
+def test_rank_refuses_a_malformed_record(line, reason, tmp_path, capsys):
+    """A results line that is not a JSON object of RunResult.record's
+    fields, each of its type, is refused with its file and line number,
+    before any report is written."""
+    (tmp_path / "results.jsonl").write_text(json.dumps(RECORD) + "\n\n" + line + "\n")
+    out = tmp_path / "out"
+    assert main(["rank", str(tmp_path), "--out", str(out)]) == 2
+    err = refused_once(capsys)
+    assert f"{tmp_path / 'results.jsonl'} line 3" in err and reason in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("datasets", [
+    [1],
+    {"x": [1]},
+    {"x": {"dims": "low", "chebyshev": {"mean": 0.5, "median": 0.4}}},
+    {"x": {"dims": "low", "chebyshev": {"mean": "0.5", "lo": 0.1}}},
+    {"x": {"dims": "low", "chebyshev": 0.5}},
+])
+def test_rank_refuses_a_malformed_manifest(datasets, tmp_path, capsys):
+    """The manifest's `datasets` must map names to objects, and a
+    `chebyshev` summary must hold a numeric mean and lo."""
+    (tmp_path / "results.jsonl").write_text(json.dumps(RECORD) + "\n")
+    (tmp_path / "manifest.json").write_text(json.dumps({"datasets": datasets}))
+    assert main(["rank", str(tmp_path)]) == 2
+    assert "manifest.json: malformed 'datasets' or 'chebyshev'" in refused_once(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json",
+                                                          "results.jsonl"]
+
+
+@pytest.mark.parametrize("command", [["run", "--data", TOY, "--budgets", "10",
+                                      "--repeats", "1"], ["rank"]])
+def test_an_output_directory_that_cannot_be_created_exits_2(command, tmp_path, capsys):
+    (tmp_path / "results.jsonl").write_text(json.dumps(RECORD) + "\n")
+    (tmp_path / "file").write_text("")
+    argv = command + ([str(tmp_path)] if command == ["rank"] else [])
+    assert main(argv + ["--out", str(tmp_path / "file" / "sub")]) == 2
+    assert "Not a directory" in refused_once(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "results.jsonl"]
 
 
 REMOVED_FLAGS = [

@@ -136,8 +136,8 @@ def test_symbolic_mode_breaks_ties_lexicographically(make_ds):
         b,4
     """)
     st_ = ds.col_stats(ds.x_cols[0])
-    assert st_.freq == {"a": 2, "b": 2}
-    assert st_.mode == "a"
+    assert st_ == {"a": 2, "b": 2}
+    assert d.mode(st_) == "a"
 
 
 @pytest.mark.parametrize("text", [
@@ -187,6 +187,19 @@ def test_load_strips_a_utf8_byte_order_mark(tmp_path):
 def test_load_names_the_row_of_a_csv_reader_error():
     with pytest.raises(ParseError, match="^row 1: new-line character seen"):
         load_csv(io.StringIO("Kloc,effort-\r1,2\r3,4\r"))
+
+
+LATIN1 = b"name,Kloc,effort-\ncaf\xe9,1,2\nbar,3,4\n"  # as a latin-1 export writes it
+
+
+@pytest.mark.parametrize("text", [LATIN1, LATIN1.replace(b"name", b"n\xe4me")])
+def test_load_refuses_a_table_that_is_not_utf8(text, tmp_path):
+    """A bad byte in the header or in the body is a ParseError, not a
+    UnicodeDecodeError, so the command line refuses it in one line."""
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(text)
+    with pytest.raises(ParseError, match="^not UTF-8 text: invalid continuation byte"):
+        load_csv(path)
 
 
 CSV_CHARS = st.sampled_from(list('Kkx,-+X?ab019.e" \t\r\n')

@@ -43,6 +43,7 @@ magnitudes = st.one_of(st.floats(-1.0, 1.0), st.floats(-1e300, 1e300),
 @example([-0.0])
 @example([0.7, 0.7, 0.7, 0.1])
 @example([-1e300, 1e300, 2.5e-301, -3.0])
+@example([0.0] * 6 + [-0.0, -0.0, 0.0, -1.0])  # numpy's partition leaves -0.0 at q3
 def test_quartiles_equal_numpy_percentile_bit_for_bit(values):
     want = np.percentile(values, [25, 50, 75])
     got = np.array(_quartiles(values))

@@ -73,6 +73,33 @@ def test_prompt_meta_table_summarizes_columns(toy):
     assert "sd=" in bundle.system
 
 
+def test_prompt_bytes_of_every_kind_of_column(make_ds):
+    """A numeric column, tied symbol counts (the mode is the lowest symbol),
+    and an all-missing column of either kind, byte for byte."""
+    ds = make_ds("""
+        Kloc,kind,os,Ram,effort-
+        1,b,?,?,4
+        2.5,a,?,?,3
+        4,a,?,?,2
+        8,b,?,?,1
+    """)
+    bundle = build_prompt(by_cheb(ds), ds)
+    assert bundle.system == ws.SYSTEM_ROLE + "\n\n" + "\n".join([
+        "| name | kind | stats |",
+        "| --- | --- | --- |",
+        "| Kloc | NUM | lo=1, hi=8, median=3.25, sd=2.60708 |",
+        "| kind | SYM | mode=a, freq=a:2 b:2 |",
+        "| os | SYM | mode=, freq= |",
+        "| Ram | NUM | lo=0, hi=0, median=0, sd=0 |"])
+    assert bundle.examples == "Given Examples:\n\n" + "\n".join([
+        "| Kloc | kind | os | Ram | label |",
+        "| --- | --- | --- | --- | --- |",
+        "| 8 | b | ? | ? | Best |",
+        "| 4 | a | ? | ? | Best |",
+        "| 2.5 | a | ? | ? | Rest |",
+        "| 1 | b | ? | ? | Rest |"])
+
+
 def test_prompt_metadata_lists_x_columns_only(auto93):
     """Goal columns stay out of the system prompt: their whole-file stats
     would show goal values of rows no run has labeled."""
