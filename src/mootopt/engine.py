@@ -47,6 +47,7 @@ from . import gp, likelihood
 from .data import Dataset
 # chebyshev stays bound here because perfbench/tracer.py counts calls by it.
 from .objective import chebyshev, reveal, split  # noqa: F401
+from .stats import pstdev
 from .warmstart import LogFn, Synthesizer, cold_start, ignore, warm_start
 
 ACTIVE_ACQUIRES = likelihood.ACQUIRES + gp.ACQUIRES
@@ -195,8 +196,7 @@ def _summarize(ds: Dataset) -> tuple[float, float, float, float]:
     for i in range(len(work.rows)):
         work.label(i)
     scores = reveal(work.labeled_ids(), work).tolist()
-    return (statistics.fmean(scores), min(scores), statistics.median(scores),
-            statistics.pstdev(scores))
+    return statistics.fmean(scores), min(scores), statistics.median(scores), pstdev(scores)
 
 
 def run_baseline(ds: Dataset, seed: int = 0) -> dict:

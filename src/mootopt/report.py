@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 import statistics
 from collections import Counter
@@ -42,6 +43,8 @@ def load_results(path: Path) -> list[dict]:
                     if not (isinstance(rec, dict) and all(
                             type(rec.get(k)) in types for k, types in FIELDS.items())):
                         raise ValueError("not a record of " + ", ".join(FIELDS))
+                    if not math.isfinite(rec["best"]):
+                        raise ValueError(f"best is {rec['best']}, not a finite number")
                 except ValueError as exc:
                     raise ValueError(f"{path} line {n}: {exc}") from None
                 records.append(rec)
@@ -254,14 +257,17 @@ def write_reports(results_dir: Path, out_dir: Optional[Path] = None) -> None:
     if not records:
         raise ValueError(f"no result records under {results_dir}")
     manifest_path = results_dir / "manifest.json"
-    manifest = (json.loads(manifest_path.read_text(encoding="utf-8"))
-                if manifest_path.exists() else {})
-    infos = manifest.get("datasets", {}) if isinstance(manifest, dict) else None
-    if not (isinstance(infos, dict) and all(isinstance(i, dict) and (
-            "chebyshev" not in i or isinstance(c := i["chebyshev"], dict)
-            and all(type(c.get(k)) in {int, float} for k in ("mean", "lo")))
-            for i in infos.values())):
-        raise ValueError(f"{manifest_path}: malformed 'datasets' or 'chebyshev' entry")
+    try:
+        manifest = (json.loads(manifest_path.read_text(encoding="utf-8"))
+                    if manifest_path.exists() else {})
+        infos = manifest.get("datasets", {}) if isinstance(manifest, dict) else None
+        if not (isinstance(infos, dict) and all(isinstance(i, dict) and (
+                "chebyshev" not in i or isinstance(c := i["chebyshev"], dict)
+                and all(type(c.get(k)) in {int, float} for k in ("mean", "lo")))
+                for i in infos.values())):
+            raise ValueError("malformed 'datasets' or 'chebyshev' entry")
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
 
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -6,10 +6,12 @@ difference splits the list; the two halves recurse only when they differ
 by more than a small Cliff's Delta AND a bootstrap test rejects "same".
 Groups therefore come out as non-overlapping intervals of the sorted
 order, best (lowest chebyshev) first, so a group's rank is its index.
+A sample's sd is `pstdev`'s: correctly rounded, alike on every Python.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,10 +24,24 @@ N_BOOT = 512         # bootstrap resamples per test
 CONF = 0.95          # the bootstrap rejects "same" at significance 1 - CONF
 
 
+def pstdev(values: Sequence[float]) -> float:
+    """Population sd of finite floats, correctly rounded as by Python 3.11's
+    statistics.pstdev: an exact variance in Python ints, its root rounded to
+    odd on 2*53+3 bits or more, then one int/int division (Boldo & Melquiond)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    top = max(q for _, q in ratios)
+    xs = [p << top.bit_length() - q.bit_length() for p, q in ratios]
+    n, s = len(xs), sum(xs)
+    num, den = n * sum(x * x for x in xs) - s * s, (n * top) ** 2  # variance num/den
+    j = max(0, den.bit_length() - num.bit_length() + 110) // 2
+    root = math.isqrt((num << 2 * j) // den)
+    return (root | (root * root * den != num << 2 * j)) / (1 << j)
+
+
 @dataclass
 class Sample:
-    """A labeled list of values. `median` and `sd` are computed once and
-    cached, so `values` must not change after construction."""
+    """A labeled list of values. `median`, `sd` (`pstdev`, correctly rounded)
+    and `total` are cached, so `values` must not change after construction."""
     label: tuple  # (start, acquire, budget) in reports; opaque elsewhere
     values: list[float]
 
@@ -39,7 +55,11 @@ class Sample:
 
     @cached_property
     def sd(self) -> float:
-        return statistics.pstdev(self.values) if len(self.values) > 1 else 0.0
+        return pstdev(self.values)
+
+    @cached_property
+    def total(self) -> float:
+        return np.asarray(self.values, dtype=float).sum()
 
 
 def cliffs_delta(a: Sequence[float], b: Sequence[float]) -> float:
@@ -90,9 +110,8 @@ def sk_split(samples: Sequence[Sample]) -> Optional[int]:
     """
     if len(samples) < 2:
         raise ValueError("sk_split needs at least 2 samples")
-    values = [np.asarray(s.values, dtype=float) for s in samples]
-    sums = np.array([v.sum() for v in values])
-    counts = np.array([len(v) for v in values], dtype=float)
+    sums = np.array([s.total for s in samples])
+    counts = np.array([len(s.values) for s in samples], dtype=float)
     total_sum, total_n = sums.sum(), counts.sum()
     grand = total_sum / total_n
     best_gain, best_cut = 0.0, None

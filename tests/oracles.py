@@ -8,8 +8,9 @@ and score_vector_rows the row-wise builds of the encodings and the goal
 scores; score_pool keeps the plain per-class
 expression of the log ratio the package computes as one matrix product,
 fit_run and acquire_run the naive-Bayes step of one run, which the
-package takes for a batch of runs at once, and gp_refit the
-from-scratch GP fit the package extends one row at a time.
+package takes for a batch of runs at once, gp_refit the from-scratch
+GP fit the package extends one row at a time, and is_rounded_pstdev the
+exact test of a population sd the package computes in integers.
 Nothing in the package imports this module.
 """
 
@@ -18,6 +19,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -579,3 +581,23 @@ def gp_score(fn: str, mu: float, sigma: float, f_star: float) -> float:
     the normal CDF back to the probability the scalar form gives."""
     out = float(gp._scores(fn, np.array([mu]), np.array([sigma]), f_star)[0])
     return _cdf(out) if fn == "pi" else out
+
+
+# -- ranking -----------------------------------------------------------------------
+
+def is_rounded_pstdev(values: list[float], sd: float) -> bool:
+    """Whether sd is the double nearest the population sd of values, ties
+    to even. The variance is an exact Fraction, and sd is nearest its
+    square root when the variance lies between the squares of the two
+    midpoints from sd to its neighbouring doubles (on a tie, sd's last
+    significand bit must be 0). The neighbour above the largest double
+    is taken one ulp up, where round-to-nearest overflows to infinity."""
+    if not (0.0 <= sd < math.inf):
+        return False
+    xs = [Fraction(v) for v in values]
+    mean = sum(xs) / len(xs)
+    var = sum((x - mean) ** 2 for x in xs) / len(xs)
+    below = (Fraction(sd) + Fraction(math.nextafter(sd, 0.0))) / 2
+    above = Fraction(sd) + Fraction(math.ulp(sd)) / 2
+    even = (Fraction(sd) / Fraction(math.ulp(sd))).numerator % 2 == 0
+    return below ** 2 <= var <= above ** 2 if even else below ** 2 < var < above ** 2

@@ -146,6 +146,8 @@ def refused_once(capsys) -> str:
     (json.dumps({**RECORD, "best": None}), "not a record of dataset"),
     (json.dumps({**RECORD, "budget": True}), "not a record of dataset"),
     ('{"dataset": "x" "start": 1}', "Expecting ',' delimiter"),
+    (json.dumps({**RECORD, "best": float("nan")}), "best is nan, not a finite number"),
+    (json.dumps({**RECORD, "best": float("inf")}), "best is inf, not a finite number"),
 ])
 def test_rank_refuses_a_malformed_record(line, reason, tmp_path, capsys):
     """A results line that is not a JSON object of RunResult.record's
@@ -173,6 +175,15 @@ def test_rank_refuses_a_malformed_manifest(datasets, tmp_path, capsys):
     (tmp_path / "manifest.json").write_text(json.dumps({"datasets": datasets}))
     assert main(["rank", str(tmp_path)]) == 2
     assert "manifest.json: malformed 'datasets' or 'chebyshev'" in refused_once(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json",
+                                                          "results.jsonl"]
+
+
+def test_rank_names_a_manifest_that_is_not_json(tmp_path, capsys):
+    (tmp_path / "results.jsonl").write_text(json.dumps(RECORD) + "\n")
+    (tmp_path / "manifest.json").write_text("{bad")
+    assert main(["rank", str(tmp_path)]) == 2
+    assert f"{tmp_path / 'manifest.json'}: Expecting property name" in refused_once(capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json",
                                                           "results.jsonl"]
 
@@ -331,6 +342,20 @@ def test_naive_bayes_grid_on_nasa93dem_matches_the_golden_results(tmp_path):
                      "--budgets", "10,20,30", "--repeats", "10", "--synth", "mock",
                      "--jobs", jobs, "--out", str(out)]) == 0
         assert (out / "results.jsonl").read_bytes() == NB_GOLDEN.read_bytes(), jobs
+
+
+RANK_GOLDEN = Path(__file__).resolve().parent / "golden" / "rank_nasa93dem.csv"
+
+
+def test_rank_of_the_nasa93dem_golden_results_matches_the_golden_table(tmp_path):
+    """`mootopt rank` on a copy of the nasa93dem golden results writes
+    rank_nasa93dem.csv byte for byte on every supported Python, the sd
+    column included: each sd is the correctly rounded population sd. The
+    file was written by `mootopt rank` on a directory holding only that
+    copy as results.jsonl."""
+    shutil.copy(NB_GOLDEN, tmp_path / "results.jsonl")
+    assert main(["rank", str(tmp_path)]) == 0
+    assert (tmp_path / "rank_nasa93dem.csv").read_bytes() == RANK_GOLDEN.read_bytes()
 
 
 GP_GOLDEN = Path(__file__).resolve().parent / "golden" / "gp_results.jsonl"

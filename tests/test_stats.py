@@ -3,6 +3,7 @@
 import itertools
 import random
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import example, given, strategies as st
 
 from mootopt.report import (_quartiles, evals_needed_csv, frequency_csv,
                             rank_table_csv, render_rank_table)
-from mootopt.stats import (Sample, bootstrap_same, cliffs_delta, scott_knott,
-                           sk_split)
+from mootopt.stats import (Sample, bootstrap_same, cliffs_delta, pstdev,
+                           scott_knott, sk_split)
+from oracles import is_rounded_pstdev
 
 
 # -- Sample --------------------------------------------------------------------
@@ -25,12 +27,40 @@ def test_sample_summary_properties():
         Sample(("empty",), [])
 
 
+# Before 3.11, statistics.pstdev rounds twice and can miss the nearest double.
+EXACT_PSTDEV = sys.version_info >= (3, 11)
+
+
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
 def test_cached_sample_statistics_equal_the_statistics_module(values):
     s = Sample(("x",), values)
     for _ in range(2):  # the first read computes, the second reads the cache
         assert s.median == statistics.median(values)
-        assert s.sd == (statistics.pstdev(values) if len(values) > 1 else 0.0)
+        assert s.sd == (statistics.pstdev if EXACT_PSTDEV else pstdev)(values)
+
+
+MAX = sys.float_info.max
+spread_out = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.floats(-1e-300, 1e-300), st.floats(-1.0, 1.0),
+                       st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -MAX, MAX]))
+repeated = st.tuples(spread_out, st.integers(1, 30)).map(lambda vn: [vn[0]] * vn[1])
+
+
+@given(st.one_of(st.lists(spread_out, min_size=1, max_size=30),
+                 st.lists(st.sampled_from([0.1, -0.3, 1e-310]), min_size=1, max_size=30),
+                 repeated))
+@example([-0.0, 0.0])
+@example([5e-324, -5e-324, 0.0])
+@example([1e-310, 2.2e-308])
+@example([-MAX, MAX])
+@example([1e300, 1e-300, -1e300])
+@example([0.1, 0.1, 0.1])
+@example([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+def test_pstdev_is_the_nearest_double_to_the_exact_sd(values):
+    sd = pstdev(values)
+    assert is_rounded_pstdev(values, sd), (values, sd)
+    if EXACT_PSTDEV:
+        assert sd == statistics.pstdev(values)
 
 
 # -- quartiles -------------------------------------------------------------------
