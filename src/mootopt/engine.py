@@ -140,9 +140,8 @@ def label_gp(work: Dataset, t: Treatment) -> None:
     posterior by one row a label."""
     model = None
     while work.evaluations < t.budget:
-        labeled = work.labeled_ids()
-        model = gp.fit_gp(labeled, work, model)
-        f_star = gp.incumbent(labeled, work)
+        model = gp.fit_gp(work.labeled_ids(), work, model)
+        f_star = gp.incumbent(model)
         work.label(gp.acquire_gp(model, f_star, work.unlabeled_ids(),
                                  t.acquire))
 

@@ -8,8 +8,8 @@ j relative to s. The length scale comes from a small grid searched by log
 marginal likelihood. R + j I depends on the labeled rows alone, so a run
 keeps one posterior and each label borders its Cholesky factor by one
 row (Rasmussen & Williams 2006, Alg. 2.1; Golub & Van Loan).
-EI imports scipy's normal CDF at its first score, nothing sooner; PI
-ranks by z and needs no CDF.
+EI's normal CDF `ndtr` ports scipy's Cephes routine to numpy; PI ranks
+by z and needs no CDF.
 
 Every function here takes row ids and returns them; no Row is read.
 """
@@ -32,6 +32,31 @@ SIGNAL_VAR_FLOOR = 1e-12
 KAPPA = 2.0          # UCB exploration weight
 EPSILON = 0.01       # PI/EI improvement margin over the incumbent
 CAPACITY = 32        # rows a posterior holds before its arrays double
+
+# EI's normal CDF is Cephes' ndtr as scipy ships it (Moshier; Cody 1969). With
+# x = a / sqrt(2), erf(x) = x T(x^2) / U(x^2) for |x| < 1, and erfc(x) is
+# exp(-x^2) P(x) / Q(x) for 1 <= x < 8, exp(-x^2) R(x) / S(x) from 8, and 0
+# once x^2 > MAXLOG. Coefficients run from the highest power.
+ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+         7.00332514112805075473e3, 5.55923013010394962768e4)
+ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+         2.26290000613890934246e4, 4.92673942608635921086e4)
+ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+          6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+          1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+MAXLOG = 7.09782712893383996843e2
+# Column k: range k's numerator + 1j * its monic denominator, zero-padded in
+# front to nine terms, so one Horner pass runs both as polevl and p1evl do.
+_PADDED = np.array([[(0.0,) * (9 - len(c)) + c for c in pair] for pair in
+                    ((ERF_T, ERF_U), (ERFC_P, ERFC_Q), (ERFC_R, ERFC_S))])
+CEPHES = np.ascontiguousarray((_PADDED[:, 0] + 1j * _PADDED[:, 1]).T)
 
 
 class GpFitError(RuntimeError):
@@ -153,9 +178,29 @@ def fit_gp(labeled: np.ndarray, ds: Dataset, model: GpModel | None = None) -> Gp
     return model
 
 
-def incumbent(labeled: np.ndarray, ds: Dataset) -> float:
-    """Best scalarized objective among labeled ids (f* used by PI and EI)."""
-    return float((1.0 - reveal(labeled, ds)).max())
+def incumbent(model: GpModel) -> float:
+    """f* for PI and EI: the best target the posterior holds."""
+    return max(model.y)
+
+
+def ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, in Cephes' operation order: 0.5 + 0.5 erf(x)
+    for |x| < 1, else 0.5 erfc(|x|), or 1 minus it for x > 0. Each element
+    takes its own range's rational; a complex Horner pass carries numerator
+    and denominator at once, exactly, as x's imaginary part is zero."""
+    x = a * math.sqrt(0.5)
+    z = np.abs(x)
+    near = z < 1.0
+    zc = np.minimum(z, 27.0)  # 27 * 27 > MAXLOG, so a capped erfc is still 0
+    sq = zc * zc
+    u = np.where(near, sq, zc).astype(complex)
+    pq, *coefs = CEPHES.take(np.add(~near, z >= 8.0, dtype=np.intp), axis=1)
+    for c in coefs:
+        pq *= u
+        pq += c
+    f = np.where(near, x, np.exp(-sq) * (sq <= MAXLOG))
+    half = 0.5 * (f * pq.real / pq.imag)
+    return np.where(near, 0.5 + half, np.where(x > 0.0, 1.0 - half, half))
 
 
 def _scores(fn: str, mu: np.ndarray, sigma: np.ndarray, f_star: float) -> np.ndarray:
@@ -169,7 +214,6 @@ def _scores(fn: str, mu: np.ndarray, sigma: np.ndarray, f_star: float) -> np.nda
     z = d / np.where(sigma > 0.0, sigma, 1.0)
     if fn == "pi":
         return np.where(sigma > 0.0, z, np.where(d > 0.0, np.inf, -np.inf))
-    from scipy.special import ndtr  # about 0.3 s, so only EI pays it
     pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     return np.where(sigma > 0.0, d * ndtr(z) + sigma * pdf, 0.0)
 

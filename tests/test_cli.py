@@ -621,22 +621,19 @@ FOOTPRINT = """
 import json, sys
 from mootopt.cli import main
 toy, out = sys.argv[1:]
-codes = [main(["run", "--data", toy, "--repeats", "1", "--out", out + "/a",
-               "--treatments", "random/exploit,random/ucb,random/pi,llm/exploit"]),
-         main(["rank", out + "/a"])]
-cold = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
-              or m in ("urllib.request", "http.client"))
-codes.append(main(["run", "--data", toy, "--repeats", "1", "--out", out + "/b",
-                   "--treatments", "random/ei"]))
-print(json.dumps({"codes": codes, "cold": cold,
-                  "ei": "scipy.special" in sys.modules}))
+codes = [main(["run", "--data", toy, "--repeats", "1", "--out", out,
+               "--treatments", "random/exploit,random/ucb,random/pi,random/ei,llm/exploit"]),
+         main(["rank", out])]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                or m in ("urllib.request", "http.client"))
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def test_scipy_and_the_http_stack_load_only_for_runs_that_use_them(tmp_path):
     """A fresh process, since this one already holds scipy through the
-    test oracles: naive Bayes, UCB, PI, mock LLM starts and `rank` load
-    neither scipy nor the HTTP stack, and an EI run loads scipy.special."""
+    test oracles: naive Bayes, UCB, PI, EI, mock LLM starts and `rank`
+    load neither scipy nor the HTTP stack."""
     src = str(Path(mootopt.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -644,4 +641,4 @@ def test_scipy_and_the_http_stack_load_only_for_runs_that_use_them(tmp_path):
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
-    assert seen == {"codes": [0, 0, 0], "cold": [], "ei": True}
+    assert seen == {"codes": [0, 0], "loaded": []}
