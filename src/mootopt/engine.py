@@ -18,16 +18,16 @@ Runs are anytime: the budget only stops the loop, and a run's seed does
 not depend on it, so a budget-b run labels exactly the first b rows of
 any larger run. The grid therefore runs each (dataset, arm, repeat) once,
 at the largest budget that fits the table, and reads every smaller
-budget's record off that run's curve (`RunResult.record`). The baseline
+budget's record off that run's curve (`Run.record`). The baseline
 is not a run: a grid gives each table one baseline record, read off its
 summary.
 
 Runs share no label state. In a grid only the starts run on a thread
 pool, since only a warm start waits (on the synthesizer); every label
-loop runs on the calling thread. Each run keeps its result, its
+loop runs on the calling thread. Each `Run` keeps its curve, its
 transcript events and its failure, and `run_grid` assembles their
 records in a fixed run order, so the grid's outputs are the same at any
-job count.
+job count. `run_active` takes the same steps for one run alone.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .data import Dataset
 # chebyshev stays bound here because perfbench/tracer.py counts calls by it.
 from .objective import chebyshev, reveal, split  # noqa: F401
 from .stats import pstdev
-from .warmstart import LogFn, Synthesizer, cold_start, ignore, warm_start
+from .warmstart import Synthesizer, cold_start, warm_start
 
 ACTIVE_ACQUIRES = likelihood.ACQUIRES + gp.ACQUIRES
 
@@ -64,15 +64,57 @@ class Treatment:
     budget: int
 
 
-@dataclass(frozen=True)
-class RunResult:
-    dataset: str
-    treatment: Treatment
+@dataclass
+class Run:
+    """One (dataset, treatment, repeat) under its seed, and what it
+    produced: its label state once started, its curve once finished, its
+    failure, and its transcript events in the order it logged them."""
+    ds: Dataset
+    t: Treatment
     seed: int
-    curve: list[float]  # curve[k]: the lowest chebyshev after k + 1 labels
+    repeat: int = 0
+    work: Optional[Dataset] = None
     fallback: bool = False  # the warm start fell back to the cold rows
+    # curve[k]: the lowest chebyshev after k + 1 labels
+    curve: list[float] = field(default_factory=list)
+    events: list[dict] = field(default_factory=list)
+    failure: Optional[str] = None
 
-    def record(self, budget: int, repeat: int = 0) -> dict:
+    def log(self, event: dict) -> None:
+        """Keep an event, stamped with the run's keys and its position in
+        the run."""
+        t = self.t
+        self.events.append({"dataset": self.ds.name, "start": t.start,
+                            "acquire": t.acquire, "budget": t.budget,
+                            "repeat": self.repeat, "seq": len(self.events),
+                            **event})
+
+    def start(self, synthesizer: Optional[Synthesizer]) -> None:
+        """Take a surrogate-guided run's start: B0 random labels, then for
+        an `llm` start the synthesizer's mapped rows, noting whether the
+        warm start fell back to the cold rows."""
+        ds, t = self.ds, self.t
+        if t.acquire not in ACTIVE_ACQUIRES:
+            raise ValueError(f"no surrogate-guided run has acquire={t.acquire!r}")
+        if t.budget > len(ds.rows):
+            raise ValueError(
+                f"budget {t.budget} exceeds the {len(ds.rows)} rows of {ds.name}")
+        if t.budget <= B0:
+            raise ValueError(f"budget {t.budget} must exceed the warm size {B0}")
+        if t.start == "llm" and synthesizer is None:
+            raise ValueError("llm start needs a synthesizer")
+        self.work = ds.fresh()
+        cold_start(self.work, B0, random.Random(self.seed))
+        if t.start == "llm":
+            self.fallback = warm_start(self.work, t.budget, synthesizer,
+                                       log=self.log).fallback
+
+    def finish(self) -> None:
+        """Read the run's curve off its labels, in label order."""
+        scores = reveal(self.work.label_order, self.work).tolist()
+        self.curve = list(itertools.accumulate(scores, min))
+
+    def record(self, budget: int) -> dict:
         """What a run at `budget` reports, as a `results.jsonl` record.
 
         The budget only stops the loop, so a run at a smaller budget labels
@@ -80,36 +122,15 @@ class RunResult:
         start's fallback are shared.
         """
         n = min(budget, len(self.curve))
-        return {"dataset": self.dataset, "start": self.treatment.start,
-                "acquire": self.treatment.acquire, "budget": budget,
-                "repeat": repeat, "seed": self.seed, "best": self.curve[n - 1],
-                "evals": n, "fallback": self.fallback}
+        return {"dataset": self.ds.name, "start": self.t.start,
+                "acquire": self.t.acquire, "budget": budget,
+                "repeat": self.repeat, "seed": self.seed,
+                "best": self.curve[n - 1], "evals": n, "fallback": self.fallback}
 
 
-def _start(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
-           seed: int, log: LogFn = ignore) -> tuple[Dataset, bool]:
-    """A surrogate-guided run's label state after its start (B0 random
-    labels, then for an `llm` start the synthesizer's mapped rows), and
-    whether the warm start fell back to the cold rows."""
-    if t.acquire not in ACTIVE_ACQUIRES:
-        raise ValueError(f"no surrogate-guided run has acquire={t.acquire!r}")
-    if t.budget > len(ds.rows):
-        raise ValueError(
-            f"budget {t.budget} exceeds the {len(ds.rows)} rows of {ds.name}")
-    if t.budget <= B0:
-        raise ValueError(f"budget {t.budget} must exceed the warm size {B0}")
-    if t.start == "llm" and synthesizer is None:
-        raise ValueError("llm start needs a synthesizer")
-    work = ds.fresh()
-    cold_start(work, B0, random.Random(seed))
-    if t.start != "llm":
-        return work, False
-    return work, warm_start(work, t.budget, synthesizer, log=log).fallback
-
-
-def label_tpe(ds: Dataset, works: list[Dataset],
-              treatments: list[Treatment]) -> None:
-    """Label each started naive-Bayes run of `ds` up to its budget.
+def label_tpe(runs: list[Run]) -> None:
+    """Label each started naive-Bayes run of one table up to its budget,
+    then finish it.
 
     The runs step in lockstep, each step one batched fit and one batched
     pick (see likelihood) over the runs still short of their budget;
@@ -117,48 +138,43 @@ def label_tpe(ds: Dataset, works: list[Dataset],
     the runs beside it. The budget never exceeds the table, so no run's
     pool runs dry first.
     """
-    while live := [r for r, (work, t) in enumerate(zip(works, treatments))
-                   if work.evaluations < t.budget]:
+    while live := [run for run in runs if run.work.evaluations < run.t.budget]:
         model = likelihood.fit(
-            [split(works[r].labeled_ids(), works[r]) for r in live], ds)
-        pool = ~np.array([works[r].is_labeled(slice(None)) for r in live])
-        picks = likelihood.acquire_tpe(
-            model, pool, [treatments[r].acquire for r in live])
-        for r, i in zip(live, picks.tolist()):
-            works[r].label(i)
+            [split(run.work.labeled_ids(), run.work) for run in live], runs[0].ds)
+        pool = ~np.array([run.work.is_labeled(slice(None)) for run in live])
+        picks = likelihood.acquire_tpe(model, pool, [run.t.acquire for run in live])
+        for run, i in zip(live, picks.tolist()):
+            run.work.label(i)
+    for run in runs:
+        run.finish()
 
 
-def _finish(ds: Dataset, t: Treatment, seed: int, work: Dataset,
-            fallback: bool = False) -> RunResult:
-    scores = reveal(work.label_order, work).tolist()
-    return RunResult(ds.name, t, seed, list(itertools.accumulate(scores, min)),
-                     fallback)
-
-
-def label_gp(work: Dataset, t: Treatment) -> None:
+def label_gp(run: Run) -> None:
     """Label a started GP run up to its budget, extending the last step's
-    posterior by one row a label."""
-    model = None
-    while work.evaluations < t.budget:
+    posterior by one row a label, then finish it."""
+    work, model = run.work, None
+    while work.evaluations < run.t.budget:
         model = gp.fit_gp(work.labeled_ids(), work, model)
         f_star = gp.incumbent(model)
         work.label(gp.acquire_gp(model, f_star, work.unlabeled_ids(),
-                                 t.acquire))
+                                 run.t.acquire))
+    run.finish()
 
 
 def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
-               seed: int, log: LogFn = ignore) -> RunResult:
+               seed: int) -> Run:
     """One surrogate-guided run under a hard label budget: its start, then
     its label loop (a naive-Bayes run's as a batch of one)."""
-    work, fallback = _start(ds, t, synthesizer, seed, log)
+    run = Run(ds, t, seed)
+    run.start(synthesizer)
     if t.acquire in likelihood.ACQUIRES:
-        label_tpe(ds, [work], [t])
+        label_tpe([run])
     else:
-        label_gp(work, t)
-    return _finish(ds, t, seed, work, fallback)
+        label_gp(run)
+    return run
 
 
-def run_random(ds: Dataset, b1: int, seed: int) -> RunResult:
+def run_random(ds: Dataset, b1: int, seed: int) -> Run:
     """Label b1 uniform rows and keep the best; no surrogate involved.
 
     The rows are the first b1 of one shuffle of the whole table, so, as in
@@ -171,14 +187,15 @@ def run_random(ds: Dataset, b1: int, seed: int) -> RunResult:
     n = len(ds.rows)
     if not 1 <= b1 <= n:
         raise ValueError(f"b1={b1} is not within the 1..{n} rows of {ds.name}")
-    work = ds.fresh()
+    run = Run(ds, Treatment("random", "random", b1), seed, work=ds.fresh())
     rng = random.Random(seed)
     pool = list(range(n))
     for k in range(b1):
         j = rng.randrange(n - k)
-        work.label(pool[j])
+        run.work.label(pool[j])
         pool[j] = pool[n - k - 1]
-    return _finish(ds, Treatment("random", "random", b1), seed, work)
+    run.finish()
+    return run
 
 
 def baseline_summary(ds: Dataset) -> tuple[float, float, float, float]:
@@ -270,33 +287,8 @@ def _jobs_for(ds: Dataset, grid: GridSpec) -> list[tuple[Treatment, int]]:
             for repeat in range(grid.repeats)]
 
 
-@dataclass
-class _GridRun:
-    """One (dataset, arm, repeat) of a grid and what it produced: its
-    result, or its failure, and its transcript events. A started run
-    holds its label state until its label loop."""
-    ds: Dataset
-    t: Treatment
-    repeat: int
-    seed: int
-    events: list[dict] = field(default_factory=list)
-    work: Optional[Dataset] = None
-    fallback: bool = False
-    result: Optional[RunResult] = None
-    failure: Optional[str] = None
-
-    def log(self, event: dict) -> None:
-        """Keep an event, stamped with the run's keys and its position in
-        the run."""
-        t = self.t
-        self.events.append({"dataset": self.ds.name, "start": t.start,
-                            "acquire": t.acquire, "budget": t.budget,
-                            "repeat": self.repeat, "seq": len(self.events),
-                            **event})
-
-
 @contextmanager
-def _failing(runs: list[_GridRun]) -> Iterator[None]:
+def _failing(runs: list[Run]) -> Iterator[None]:
     """If the block raises, fail each of `runs` with a message naming the
     run and the exception."""
     try:
@@ -325,7 +317,7 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
     """Every (dataset, arm, budget, repeat) cell, deterministically ordered.
 
     Each (dataset, arm, repeat) runs once, at its largest budget, and
-    every budget's record is read off its curve by `RunResult.record`.
+    every budget's record is read off its curve by `Run.record`.
     A budget larger than a table has no cells there; `skipped` names it.
     The baseline arm is not a run but one record per table, read off the
     table's summary. Only the starts run on a pool of `jobs` threads, so
@@ -335,42 +327,36 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
     events and failures follow it, so no output depends on `jobs`. A
     failing run loses its cells, not the grid.
     """
-    runs = sorted((_GridRun(ds, t, rep, derive_seed(ds.name, t.start, t.acquire,
-                                                    rep, grid.base_seed))
+    runs = sorted((Run(ds, t, derive_seed(ds.name, t.start, t.acquire, rep,
+                                          grid.base_seed), rep)
                    for ds in datasets for t, rep in _jobs_for(ds, grid)),
                   key=lambda run: (run.ds.name, run.t.start, run.t.acquire,
                                    run.repeat))
 
-    def start(run: _GridRun) -> None:  # a failed run keeps its events
+    def start(run: Run) -> None:  # a failed run keeps its events
         with _failing([run]):
-            run.work, run.fallback = _start(run.ds, run.t, synthesizer,
-                                            run.seed, log=run.log)
+            run.start(synthesizer)
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         list(pool.map(start, [run for run in runs
                               if run.t.acquire in ACTIVE_ACQUIRES]))
-    tables: dict[str, list[_GridRun]] = {}
+    tables: dict[str, list[Run]] = {}
     for run in runs:
         if run.failure is None and run.t.acquire in likelihood.ACQUIRES:
             tables.setdefault(run.ds.name, []).append(run)
         elif run.failure is None:  # a started GP run, or a random run whole
             with _failing([run]):
                 if run.t.acquire == "random":
-                    run.result = run_random(run.ds, run.t.budget, run.seed)
+                    run.curve = run_random(run.ds, run.t.budget, run.seed).curve
                 else:
-                    label_gp(run.work, run.t)
-                    run.result = _finish(run.ds, run.t, run.seed, run.work,
-                                         run.fallback)
+                    label_gp(run)
     for batch in tables.values():
         with _failing(batch):
-            label_tpe(batch[0].ds, [run.work for run in batch],
-                      [run.t for run in batch])
-            for run in batch:
-                run.result = _finish(run.ds, run.t, run.seed, run.work, run.fallback)
+            label_tpe(batch)
     records = [run_baseline(ds, derive_seed(ds.name, "baseline", "baseline", 0,
                                             grid.base_seed))
                for ds in datasets if ("baseline", "baseline") in grid.arms]
-    records += [run.result.record(b, run.repeat) for run in runs
+    records += [run.record(b) for run in runs
                 if run.failure is None for b in grid.budgets if b <= run.t.budget]
     records.sort(key=lambda r: (r["dataset"], r["start"], r["acquire"],
                                 r["budget"], r["repeat"]))

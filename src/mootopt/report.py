@@ -28,9 +28,17 @@ from .stats import Sample, scott_knott
 SPARK_WIDTH = 20
 
 
-# The fields engine.RunResult.record writes, and the exact JSON types each holds.
+# The fields engine.Run.record writes, and the exact JSON types each holds.
 FIELDS = dict(dataset={str}, start={str}, acquire={str}, budget={int}, repeat={int},
               seed={int}, evals={int}, best={int, float}, fallback={bool})
+
+
+def _finite(v: int | float) -> bool:
+    """Whether v is finite as a float; an int past float range is not."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def load_results(path: Path) -> list[dict]:
@@ -43,8 +51,9 @@ def load_results(path: Path) -> list[dict]:
                     if not (isinstance(rec, dict) and all(
                             type(rec.get(k)) in types for k, types in FIELDS.items())):
                         raise ValueError("not a record of " + ", ".join(FIELDS))
-                    if not math.isfinite(rec["best"]):
-                        raise ValueError(f"best is {rec['best']}, not a finite number")
+                    for k in ("best", "budget"):
+                        if not _finite(rec[k]):
+                            raise ValueError(f"{k} is {rec[k]}, not a finite number")
                 except ValueError as exc:
                     raise ValueError(f"{path} line {n}: {exc}") from None
                 records.append(rec)
@@ -263,7 +272,8 @@ def write_reports(results_dir: Path, out_dir: Optional[Path] = None) -> None:
         infos = manifest.get("datasets", {}) if isinstance(manifest, dict) else None
         if not (isinstance(infos, dict) and all(isinstance(i, dict) and (
                 "chebyshev" not in i or isinstance(c := i["chebyshev"], dict)
-                and all(type(c.get(k)) in {int, float} for k in ("mean", "lo")))
+                and all(type(v := c.get(k)) in {int, float} and _finite(v)
+                        for k in ("mean", "lo")))
                 for i in infos.values())):
             raise ValueError("malformed 'datasets' or 'chebyshev' entry")
     except ValueError as exc:

@@ -221,8 +221,9 @@ def parse_response(text: str, ds: Dataset) -> list[SyntheticRow]:
             continue
         if _SEPARATOR.match(line):
             continue
-        cells = [c.strip().replace(r"\|", "|")
-                 for c in re.split(r"(?<!\\)\|", line.strip("|"))]
+        # one outer pipe a side; a trailing `\|` ends the last cell
+        cells = [c.strip().replace(r"\|", "|") for c in
+                 re.split(r"(?<!\\)\|", re.sub(r"(?<!\\)\|$", "", line[1:]))]
         if len(cells) in (n, n + 1) and [c.lower() for c in cells[:n]] == header:
             tagged = len(cells) == n + 1
             continue

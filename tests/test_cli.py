@@ -148,11 +148,15 @@ def refused_once(capsys) -> str:
     ('{"dataset": "x" "start": 1}', "Expecting ',' delimiter"),
     (json.dumps({**RECORD, "best": float("nan")}), "best is nan, not a finite number"),
     (json.dumps({**RECORD, "best": float("inf")}), "best is inf, not a finite number"),
+    pytest.param(json.dumps({**RECORD, "best": 10**400}),
+                 f"best is {10**400}, not a finite number", id="huge-best"),
+    pytest.param(json.dumps({**RECORD, "budget": 10**400}),
+                 f"budget is {10**400}, not a finite number", id="huge-budget"),
 ])
 def test_rank_refuses_a_malformed_record(line, reason, tmp_path, capsys):
-    """A results line that is not a JSON object of RunResult.record's
-    fields, each of its type, is refused with its file and line number,
-    before any report is written."""
+    """A results line that is not a JSON object of Run.record's fields,
+    each of its type and its best and budget finite as floats, is refused
+    with its file and line number, before any report is written."""
     (tmp_path / "results.jsonl").write_text(json.dumps(RECORD) + "\n\n" + line + "\n")
     out = tmp_path / "out"
     assert main(["rank", str(tmp_path), "--out", str(out)]) == 2
@@ -167,10 +171,13 @@ def test_rank_refuses_a_malformed_record(line, reason, tmp_path, capsys):
     {"x": {"dims": "low", "chebyshev": {"mean": 0.5, "median": 0.4}}},
     {"x": {"dims": "low", "chebyshev": {"mean": "0.5", "lo": 0.1}}},
     {"x": {"dims": "low", "chebyshev": 0.5}},
+    {"x": {"dims": "low", "chebyshev": {"mean": float("nan"), "lo": 0.1}}},
+    {"x": {"dims": "low", "chebyshev": {"mean": 10**400, "lo": 0.1}}},
+    {"x": {"dims": "low", "chebyshev": {"mean": 0.5, "lo": -10**400}}},
 ])
 def test_rank_refuses_a_malformed_manifest(datasets, tmp_path, capsys):
     """The manifest's `datasets` must map names to objects, and a
-    `chebyshev` summary must hold a numeric mean and lo."""
+    `chebyshev` summary must hold a mean and lo finite as floats."""
     (tmp_path / "results.jsonl").write_text(json.dumps(RECORD) + "\n")
     (tmp_path / "manifest.json").write_text(json.dumps({"datasets": datasets}))
     assert main(["rank", str(tmp_path)]) == 2

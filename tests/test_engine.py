@@ -17,8 +17,8 @@ from conftest import (DATA, SlowFirstBrokenSynth, completion, label_ids, send,
                       shipped)
 from mootopt import engine as eng
 from mootopt.data import Dataset, load_csv, sample_ids
-from mootopt.engine import (DEFAULT_ARMS, GridSpec, Treatment,
-                            RunResult, baseline_summary, derive_seed, run_active,
+from mootopt.engine import (DEFAULT_ARMS, GridSpec, Run, Treatment,
+                            baseline_summary, derive_seed, run_active,
                             run_baseline, run_grid, run_random)
 from mootopt.objective import chebyshev
 from mootopt.report import improvement_curve_csv, samples_by_dataset
@@ -264,17 +264,18 @@ def test_derive_seed_separates_every_component():
 
 def test_record_reads_the_curve_prefix(toy):
     res = run_active(toy, Treatment("random", "explore", 10), None, 4)
-    small = res.record(7, repeat=2)
+    assert res.record(10) == {
+        "dataset": "toy", "start": "random", "acquire": "explore",
+        "budget": 10, "repeat": 0, "seed": 4, "best": res.curve[-1],
+        "evals": 10, "fallback": False}
+    res.repeat = 2
+    small = res.record(7)
     assert (small["start"], small["acquire"], small["budget"]) == (
         "random", "explore", 7)
     assert small["evals"] == 7
     assert small["best"] == res.curve[6] == min(res.curve[:7])
     assert (small["seed"], small["repeat"], small["fallback"]) == (
         res.seed, 2, res.fallback)
-    assert res.record(10) == {
-        "dataset": "toy", "start": "random", "acquire": "explore",
-        "budget": 10, "repeat": 0, "seed": 4, "best": res.curve[-1],
-        "evals": 10, "fallback": False}
 
 
 def test_record_past_a_short_run_keeps_its_evals(toy):
@@ -296,18 +297,18 @@ CUT_ARMS = tuple((start, acquire) for acquire in eng.ACTIVE_ACQUIRES
 
 
 def curve_prefixes(monkeypatch):
-    """Spy on RunResult.record. The function returned maps each record it
+    """Spy on Run.record. The function returned maps each record it
     built to the curve prefix that record was read off, and any other
     record (the baseline's) to None."""
     built = {}
-    original = RunResult.record
+    original = Run.record
 
-    def spy(self, budget, repeat=0):
-        rec = original(self, budget, repeat)
+    def spy(self, budget):
+        rec = original(self, budget)
         built[id(rec)] = (rec, self.curve[:budget])  # held, so no id is reused
         return rec
 
-    monkeypatch.setattr(RunResult, "record", spy)
+    monkeypatch.setattr(Run, "record", spy)
     return lambda rec: built[id(rec)][1] if id(rec) in built else None
 
 
@@ -337,8 +338,8 @@ def test_each_budget_record_is_a_standalone_run_at_that_budget(name, monkeypatch
                 alone = run_random(ds, t.budget, seed)
             else:
                 alone = run_active(ds, t, synth, seed)
-            assert (r, prefix(r)) == (alone.record(t.budget, r["repeat"]),
-                                      alone.curve)
+            alone.repeat = r["repeat"]
+            assert (r, prefix(r)) == (alone.record(t.budget), alone.curve)
 
 
 # -- run_grid --------------------------------------------------------------------
@@ -349,9 +350,9 @@ def test_run_grid_runs_each_arm_and_repeat_once(toy, monkeypatch):
     batches = []
     original = eng.label_tpe
 
-    def spy(ds, works, treatments):
-        batches.append([t.budget for t in treatments])
-        return original(ds, works, treatments)
+    def spy(runs):
+        batches.append([run.t.budget for run in runs])
+        return original(runs)
 
     monkeypatch.setattr(eng, "label_tpe", spy)
     results = completed(run_grid([toy], GridSpec(arms=(("random", "exploit"),),
@@ -360,6 +361,22 @@ def test_run_grid_runs_each_arm_and_repeat_once(toy, monkeypatch):
     assert batches == [[8, 8, 8]]
     assert sorted(r["budget"] for r in results) == [6] * 3 + [7] * 3 + [8] * 3
     assert len({r["seed"] for r in results}) == 3
+
+
+@pytest.mark.parametrize("acquire", ["exploit", "ucb"])
+def test_a_run_alone_is_the_grid_run(acquire):
+    """run_active takes the grid's steps for one run: at the grid's largest
+    budget and repeat 0's seed, a warm-started run alone logs the grid
+    run's transcript events and reads off the grid's records."""
+    ds = shipped("auto93")
+    grid = GridSpec(arms=(("llm", acquire),), repeats=1)
+    out = run_grid([ds], grid, synthesizer=MockSynthesizer())
+    alone = run_active(ds, Treatment("llm", acquire, max(grid.budgets)),
+                       MockSynthesizer(),
+                       derive_seed(ds.name, "llm", acquire, 0, grid.base_seed))
+    assert alone.events and alone.events == out.events
+    assert [alone.record(b) for b in grid.budgets] == completed(out)
+
 
 class BrokenFirstSynth:
     """The mock synthesizer, except that its first call raises TypeError,
@@ -412,10 +429,10 @@ def test_a_failing_batch_fails_its_own_runs_only(monkeypatch):
     with its own message, and no run of another table or arm."""
     original = eng.label_tpe
 
-    def broken_on_toy(ds, works, treatments):
-        if ds.name == "toy":
+    def broken_on_toy(runs):
+        if runs[0].ds.name == "toy":
             raise RuntimeError("loop broke")
-        return original(ds, works, treatments)
+        return original(runs)
 
     monkeypatch.setattr(eng, "label_tpe", broken_on_toy)
     grid = GridSpec(arms=(("random", "exploit"), ("random", "random")),

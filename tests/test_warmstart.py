@@ -201,7 +201,9 @@ and two poorer (worse) ones:
 
 def test_parse_drops_a_row_with_a_cell_its_header_lacks(make_ds):
     """One cell too many is a tag column only under a header row that has
-    it; a header of the x columns alone resets that, mid-table too."""
+    it; a header of the x columns alone resets that, mid-table too. A row
+    loses one outer pipe a side: `||4|blue|` has three cells, and the
+    escaped pipe of `|1|red\\||` ends its last cell."""
     ds = make_ds("""
         A,kind,Cost-
         0,red,1
@@ -210,8 +212,10 @@ def test_parse_drops_a_row_with_a_cell_its_header_lacks(make_ds):
     text = r"""Better Examples:
 | A | kind |
 | --- | --- |
+||4|blue|
 | 2 | red\ | blue |
 | 3 | red |
+|1|red\||
 Poorer Examples:
 | A | kind | note |
 | --- | --- | --- |
@@ -221,6 +225,7 @@ Poorer Examples:
 """
     rows = parse_response(text, ds)
     assert [(r.claim, r.cells) for r in rows] == [("better", (3.0, "red")),
+                                                  ("better", (1.0, "red|")),
                                                   ("poorer", (9.0, "blue"))]
 
 
