@@ -70,7 +70,6 @@ class NumStats:
     hi: float = 0.0
     median: float = 0.0
     sd: float = 0.0
-    n: int = 0
 
 
 ColumnStats = Union[NumStats, dict[str, int]]  # a symbolic column's: its symbol counts
@@ -329,7 +328,7 @@ def _column_stats(col: ColumnSpec, cells: list[Cell]) -> ColumnStats:
                       else (0.0 + part[h - 1] + part[h]) / 2)
             # numpy's mean of a constant column can miss it by an ulp; its sd is 0.
             st = NumStats(lo=lo, hi=hi, median=float(median),
-                          sd=float(vals.std()) if lo < hi else 0.0, n=len(vals))
+                          sd=float(vals.std()) if lo < hi else 0.0)
         if not (math.isfinite(st.median) and math.isfinite(st.sd)):
             raise ParseError(f"numeric column {col.name!r} holds values too large "
                              f"to summarize, from {lo!r} to {hi!r}")

@@ -277,16 +277,6 @@ class GridSpec:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
 
 
-def _jobs_for(ds: Dataset, grid: GridSpec) -> list[tuple[Treatment, int]]:
-    """One run per (arm, repeat), at the largest budget the table holds;
-    the baseline is a record, not a run."""
-    # tiny file: skip oversize budgets instead of dying; run_grid names them
-    fits = [b for b in grid.budgets if b <= len(ds.rows)]
-    return [(Treatment(start, acquire, max(fits)), repeat)
-            for start, acquire in grid.arms if fits and acquire != "baseline"
-            for repeat in range(grid.repeats)]
-
-
 @contextmanager
 def _failing(runs: list[Run]) -> Iterator[None]:
     """If the block raises, fail each of `runs` with a message naming the
@@ -327,9 +317,14 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
     events and failures follow it, so no output depends on `jobs`. A
     failing run loses its cells, not the grid.
     """
-    runs = sorted((Run(ds, t, derive_seed(ds.name, t.start, t.acquire, rep,
-                                          grid.base_seed), rep)
-                   for ds in datasets for t, rep in _jobs_for(ds, grid)),
+    # each table's budgets that fit it; a tiny table skips the rest
+    fits = {ds: [b for b in grid.budgets if b <= len(ds.rows)]
+            for ds in datasets}
+    runs = sorted((Run(ds, Treatment(start, acquire, max(fits[ds])),
+                       derive_seed(ds.name, start, acquire, rep, grid.base_seed), rep)
+                   for ds in datasets if fits[ds]
+                   for start, acquire in grid.arms if acquire != "baseline"
+                   for rep in range(grid.repeats)),
                   key=lambda run: (run.ds.name, run.t.start, run.t.acquire,
                                    run.repeat))
 
@@ -357,7 +352,7 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
                                             grid.base_seed))
                for ds in datasets if ("baseline", "baseline") in grid.arms]
     records += [run.record(b) for run in runs
-                if run.failure is None for b in grid.budgets if b <= run.t.budget]
+                if run.failure is None for b in fits[run.ds]]
     records.sort(key=lambda r: (r["dataset"], r["start"], r["acquire"],
                                 r["budget"], r["repeat"]))
     return GridResult(records=records,
@@ -365,4 +360,4 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
                       failures=[run.failure for run in runs
                                 if run.failure is not None],
                       skipped={ds.name: big for ds in datasets if (big := [
-                          b for b in grid.budgets if b > len(ds.rows)])})
+                          b for b in grid.budgets if b not in fits[ds]])})

@@ -93,7 +93,7 @@ def fit(splits: Sequence[BestRestSplit], ds: Dataset) -> TwoClassModel:
     are the ones a batch of that run alone gets, bit for bit: its rows
     are summed in its own order, and every other step is elementwise.
     """
-    halves = [(split.k, split.n - split.k) for split in splits]  # best, rest
+    halves = [(split.k, len(split.ranked) - split.k) for split in splits]  # best, rest
     if not all(best and rest for best, rest in halves):
         raise ValueError("cannot fit a two-class model with an empty class")
     terms = table_terms(ds)

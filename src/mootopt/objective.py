@@ -72,10 +72,6 @@ class BestRestSplit:
     def rest(self) -> list[Row]:
         return [self.rows[i] for i in self.ranked[self.k:]]
 
-    @property
-    def n(self) -> int:
-        return len(self.ranked)
-
 
 def best_size(n: int) -> int:
     """round(sqrt(N)) with a floor of 1."""

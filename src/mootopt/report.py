@@ -31,6 +31,7 @@ SPARK_WIDTH = 20
 # The fields engine.Run.record writes, and the exact JSON types each holds.
 FIELDS = dict(dataset={str}, start={str}, acquire={str}, budget={int}, repeat={int},
               seed={int}, evals={int}, best={int, float}, fallback={bool})
+CELL = ("dataset", "start", "acquire", "budget", "repeat")  # one record a cell
 
 
 def _finite(v: int | float) -> bool:
@@ -42,7 +43,10 @@ def _finite(v: int | float) -> bool:
 
 
 def load_results(path: Path) -> list[dict]:
+    """The records of a results file, one cell each: a line that is not a
+    record, or a second record of a cell, raises ValueError."""
     records = []
+    cells: dict[tuple, int] = {}  # each cell's line
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             if line.strip():
@@ -54,6 +58,9 @@ def load_results(path: Path) -> list[dict]:
                     for k in ("best", "budget"):
                         if not _finite(rec[k]):
                             raise ValueError(f"{k} is {rec[k]}, not a finite number")
+                    cell = tuple(rec[k] for k in CELL)
+                    if (first := cells.setdefault(cell, n)) != n:
+                        raise ValueError(f"repeats the cell of line {first}")
                 except ValueError as exc:
                     raise ValueError(f"{path} line {n}: {exc}") from None
                 records.append(rec)

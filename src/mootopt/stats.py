@@ -114,18 +114,14 @@ def sk_split(samples: Sequence[Sample]) -> Optional[int]:
     counts = np.array([len(s.values) for s in samples], dtype=float)
     total_sum, total_n = sums.sum(), counts.sum()
     grand = total_sum / total_n
-    best_gain, best_cut = 0.0, None
-    left_sum = left_n = 0.0
-    for i in range(1, len(samples)):
-        left_sum += sums[i - 1]
-        left_n += counts[i - 1]
-        right_sum = total_sum - left_sum
-        right_n = total_n - left_n
-        gain = (left_n / total_n) * (left_sum / left_n - grand) ** 2 \
-            + (right_n / total_n) * (right_sum / right_n - grand) ** 2
-        if gain > best_gain:
-            best_gain, best_cut = gain, i
-    return best_cut
+    # accumulate adds left to right, as a running sum does; float_power squares
+    # with libm's pow, as a float64 scalar's ** does (an array's ** multiplies)
+    left_sum, left_n = np.add.accumulate(sums[:-1]), np.add.accumulate(counts[:-1])
+    right_sum, right_n = total_sum - left_sum, total_n - left_n
+    gains = (left_n / total_n) * np.float_power(left_sum / left_n - grand, 2) \
+        + (right_n / total_n) * np.float_power(right_sum / right_n - grand, 2)
+    cut = gains.argmax()  # the first of equal gains
+    return int(cut) + 1 if gains[cut] > 0 else None
 
 
 def scott_knott(samples: Sequence[Sample]) -> list[list[Sample]]:

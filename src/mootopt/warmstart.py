@@ -26,6 +26,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -90,13 +91,6 @@ class WarmStartResult:
     fallback: bool  # true when synthesis failed and only cold rows remain
 
 
-LogFn = Callable[[dict], None]
-
-
-def ignore(event: dict) -> None:
-    """The default LogFn: drop the event."""
-
-
 def cold_start(ds: Dataset, b0: int, rng: random.Random) -> list[Row]:
     """Label b0 distinct unlabeled rows uniformly at random."""
     pool = ds.unlabeled_ids()
@@ -143,8 +137,6 @@ def _meta_table(ds: Dataset) -> str:
 
 def build_prompt(e0: list[Row], ds: Dataset) -> PromptBundle:
     """Column metadata, then labeled rows (sorted by chebyshev) tagged Best or Rest."""
-    if len(e0) < 2:
-        raise ValueError("build_prompt needs at least 2 labeled rows")
     best_ids = {r.id for r in split(e0, ds).best}
     examples = _markdown_table(
         [c.name for c in ds.x_cols] + ["label"],
@@ -186,22 +178,21 @@ def _coerce_cells(cells: list[str], ds: Dataset) -> Optional[tuple[Cell, ...]]:
         if not math.isfinite(v):
             return None
         st = ds.col_stats(col)
-        if st.n > 0:
-            v = min(st.hi, max(st.lo, v))
-        out.append(v)
+        out.append(min(st.hi, max(st.lo, v)))
     return tuple(out)
 
 
 def parse_response(text: str, ds: Dataset) -> list[SyntheticRow]:
     """Pull better/poorer example rows out of a markdown completion.
 
-    Tolerates prose around the tables: any non-table line naming "better"
-    or "poorer" switches the claim applied to subsequent table rows. A
-    `\\|` inside a cell is a `|`, not a cell boundary. A row has one cell
-    per x column, plus one trailing tag cell only in a table whose header
-    row is the x column names plus one; any other row is misaligned and
-    dropped. Numeric cells clamp into the column's observed range; rows
-    with uncoercible cells are dropped; at most two rows per claim are kept.
+    Tolerates prose around the tables: any non-table line naming "better",
+    or else "poorer" or "worse", switches the claim applied to subsequent
+    table rows. A `\\|` inside a cell is a `|`, not a cell boundary. A row
+    has one cell per x column, plus one trailing tag cell only in a table
+    whose header row is the x column names plus one; any other row is
+    misaligned and dropped. Numeric cells clamp into the column's observed
+    range (to 0 if it has none); rows with uncoercible cells are dropped;
+    at most two rows per claim are kept.
     Raises SynthesisError unless at least one row of each claim survives.
     """
     n = len(ds.x_cols)
@@ -316,6 +307,9 @@ class RemoteSynthesizer:
 
     def __init__(self, endpoint: str, model: str,
                  key_env: str = DEFAULT_KEY_ENV):
+        url = urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint {endpoint!r} is not an http(s) URL with a host")
         key = os.environ.get(key_env)
         if not key:
             raise ValueError(
@@ -384,7 +378,7 @@ def map_to_pool(e1: list[SyntheticRow], pool: np.ndarray,
 
 
 def warm_start(ds: Dataset, budget: int, synthesizer: Synthesizer,
-               log: LogFn = ignore) -> WarmStartResult:
+               log: Callable[[dict], None]) -> WarmStartResult:
     """Synthesize/parse/map/label from the run's labeled rows (at least 2).
 
     The prompt shows those rows ranked by chebyshev. The synthesizer gets

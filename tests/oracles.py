@@ -9,8 +9,9 @@ scores; score_pool keeps the plain per-class
 expression of the log ratio the package computes as one matrix product,
 fit_run and acquire_run the naive-Bayes step of one run, which the
 package takes for a batch of runs at once, gp_refit the from-scratch
-GP fit the package extends one row at a time, and is_rounded_pstdev the
-exact test of a population sd the package computes in integers.
+GP fit the package extends one row at a time, is_rounded_pstdev the
+exact test of a population sd the package computes in integers, and
+sk_split_loop the cut search the package runs as one cumulative sum.
 Nothing in the package imports this module.
 """
 
@@ -20,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -106,7 +108,7 @@ def _stats(col: ColumnSpec, cells: list):
     lo, hi = float(vals.min()), float(vals.max())
     with np.errstate(over="ignore", invalid="ignore"):
         st = NumStats(lo=lo, hi=hi, median=float(np.median(vals)),
-                      sd=float(vals.std()) if lo < hi else 0.0, n=len(vals))
+                      sd=float(vals.std()) if lo < hi else 0.0)
     if not (math.isfinite(st.median) and math.isfinite(st.sd)):
         raise ParseError(f"numeric column {col.name!r} holds values too large "
                          f"to summarize, from {lo!r} to {hi!r}")
@@ -283,7 +285,7 @@ def class_stats(split: BestRestSplit, ds: Dataset) -> ClassStats:
     halves = (split.ranked[:split.k], split.ranked[split.k:])
     nums = [class_numeric_stats(ids, ds.x_views()) for ids in halves]
     syms = [class_symbol_counts(ids, ds) for ids in halves]
-    return ClassStats(prior=[len(ids) / split.n for ids in halves],
+    return ClassStats(prior=[len(ids) / len(split.ranked) for ids in halves],
                       mean=np.array([mean for mean, _ in nums]),
                       sd=np.array([sd for _, sd in nums]),
                       counts=[counts for counts, _ in syms],
@@ -385,7 +387,7 @@ class RunModel:
 def fit_run(split: BestRestSplit, ds: Dataset) -> RunModel:
     """likelihood.fit for one run on its own: the per-run form the batched
     fit must equal bit for bit, run by run."""
-    k, n = split.k, split.n
+    k, n = split.k, len(split.ranked)
     if k == 0 or k == n:
         raise ValueError("cannot fit a two-class model with an empty class")
     terms = table_terms(ds)
@@ -601,3 +603,24 @@ def is_rounded_pstdev(values: list[float], sd: float) -> bool:
     above = Fraction(sd) + Fraction(math.ulp(sd)) / 2
     even = (Fraction(sd) / Fraction(math.ulp(sd))).numerator % 2 == 0
     return below ** 2 <= var <= above ** 2 if even else below ** 2 < var < above ** 2
+
+
+def sk_split_loop(samples) -> Optional[int]:
+    """stats.sk_split as a loop over the cuts with a running left sum: the
+    float64 steps, in order, that the package takes as one cumulative sum."""
+    sums = np.array([s.total for s in samples])
+    counts = np.array([len(s.values) for s in samples], dtype=float)
+    total_sum, total_n = sums.sum(), counts.sum()
+    grand = total_sum / total_n
+    best_gain, best_cut = 0.0, None
+    left_sum = left_n = 0.0
+    for i in range(1, len(samples)):
+        left_sum += sums[i - 1]
+        left_n += counts[i - 1]
+        right_sum = total_sum - left_sum
+        right_n = total_n - left_n
+        gain = (left_n / total_n) * (left_sum / left_n - grand) ** 2 \
+            + (right_n / total_n) * (right_sum / right_n - grand) ** 2
+        if gain > best_gain:
+            best_gain, best_cut = gain, i
+    return best_cut

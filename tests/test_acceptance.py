@@ -217,14 +217,14 @@ def test_every_run_labels_at_most_its_budget(monkeypatch):
         ds = load_csv(DATA / f"{name}.csv")
         fits = [b for b in DEFAULT_BUDGETS if b <= len(ds.rows)]
         cap = max(fits)
-        jobs = eng._jobs_for(ds, grid)
-        assert all(t.budget == cap for t, _ in jobs)
+        # one run per repeat of every arm but the baseline
+        jobs = (len(DEFAULT_ARMS) - 1) * grid.repeats
         calls.clear()
         out = eng.run_grid([ds], grid, synthesizer=synth)
         assert out.failures == []
         # one copy labels every row for the baseline record; each run
         # spends exactly its budget on a copy of its own
-        assert sorted(calls.values()) == [cap] * len(jobs) + [len(ds.rows)]
+        assert sorted(calls.values()) == [cap] * jobs + [len(ds.rows)]
         runs = 0
         for (_, acquire, _), group in itertools.groupby(
                 sorted(out.records, key=run_of), key=run_of):
@@ -236,7 +236,7 @@ def test_every_run_labels_at_most_its_budget(monkeypatch):
             assert [c["budget"] for c in group] == fits
             for c in group:
                 assert c["evals"] == min(c["budget"], cap)
-        assert runs == len(jobs) + 1
+        assert runs == jobs + 1
 
 
 # 7 ---------------------------------------------------------------------------

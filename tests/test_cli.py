@@ -152,6 +152,8 @@ def refused_once(capsys) -> str:
                  f"best is {10**400}, not a finite number", id="huge-best"),
     pytest.param(json.dumps({**RECORD, "budget": 10**400}),
                  f"budget is {10**400}, not a finite number", id="huge-budget"),
+    pytest.param(json.dumps({**RECORD, "seed": 2, "best": 0.25, "evals": 9}),
+                 "repeats the cell of line 1", id="repeated-cell"),
 ])
 def test_rank_refuses_a_malformed_record(line, reason, tmp_path, capsys):
     """A results line that is not a JSON object of Run.record's fields,
@@ -258,6 +260,21 @@ def test_remote_without_key_exits_2(tmp_path, monkeypatch):
             "https://api.example/v1", "--model", "m", "--out",
             str(tmp_path / "out")]
     assert main(argv) == 2
+
+
+@pytest.mark.parametrize("endpoint", ["localhost:9/v1/chat/completions", "ftp/x"])
+def test_run_refuses_an_endpoint_that_is_not_an_http_url(endpoint, tmp_path,
+                                                          monkeypatch, capsys):
+    """Without a scheme urllib would read `localhost` as one and every llm
+    run would spend its retries and fall back; the endpoint is refused
+    before any run."""
+    monkeypatch.setenv("MOOTOPT_API_KEY", "sk-test")
+    argv = ["run", "--data", TOY, "--treatments", "llm/exploit", "--synth",
+            "remote", "--endpoint", endpoint, "--model", "m", "--out",
+            str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"endpoint {endpoint!r} is not an http(s) URL" in refused_once(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 def test_empty_data_directory_exits_2(tmp_path):

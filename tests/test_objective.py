@@ -107,7 +107,7 @@ def test_split_sizes_and_ordering(auto93):
     labeled = label_ids(auto93, range(16))
     parts = split(labeled, auto93)
     assert len(parts.best) == 4 and len(parts.rest) == 12
-    assert parts.n == 16
+    assert len(parts.ranked) == 16
     worst_best = max(chebyshev(r, auto93) for r in parts.best)
     best_rest = min(chebyshev(r, auto93) for r in parts.rest)
     assert worst_best <= best_rest

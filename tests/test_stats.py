@@ -7,13 +7,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mootopt.report import (_quartiles, evals_needed_csv, frequency_csv,
                             rank_table_csv, render_rank_table)
 from mootopt.stats import (Sample, bootstrap_same, cliffs_delta, pstdev,
                            scott_knott, sk_split)
-from oracles import is_rounded_pstdev
+from oracles import is_rounded_pstdev, sk_split_loop
 
 
 # -- Sample --------------------------------------------------------------------
@@ -205,6 +205,35 @@ def test_sk_split_matches_the_all_cuts_oracle():
                    for i in range(rng.randint(2, 6))]
         samples.sort(key=lambda s: s.median)
         assert sk_split(samples) == gain_oracle(samples)
+
+
+# A sample's values come from few levels, so samples tie and repeat; a
+# list of more than 8 samples is where numpy's pairwise sum of the totals
+# and a running sum of them part ways.
+SK_SAMPLE = st.lists(st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0]),
+                               st.floats(0.0, 1.0)), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(SK_SAMPLE, min_size=2, max_size=24),
+    st.lists(SK_SAMPLE, min_size=1, max_size=4).flatmap(
+        lambda base: st.lists(st.sampled_from(base), min_size=9, max_size=24))))
+# Mirrored levels, where two cuts' gains tie to an ulp: squaring by
+# multiplication, not pow, moves these cuts from 4 to 8 and from 7 to 5.
+@example([[0.0, 0.0, 1 / 3, 0.45], [0.0, 0.4, 0.0, 0.9], [0.3],
+          [0.15, 0.45, 1 / 3, 0.6], [0.9, 0.45, 1 / 3], [0.0, 0.9], [1.0, 0.1],
+          [1 - 0.9, 0.55, 1 - 1 / 3], [0.85, 0.55, 1 - 1 / 3, 0.4], [0.7],
+          [1.0, 0.6, 1.0, 0.1], [1.0, 1.0, 1 - 1 / 3, 0.55]])
+@example([[0.0], [0.0, 0.1, 1.0], [0.0, 0.6, 0.15, 0.2], [0.3, 1 / 3, 1 / 3],
+          [0.7, 0.2], [0.15, 0.45, 1.0], [0.85, 0.55, 0.0], [1 - 0.7, 0.8],
+          [0.7, 1 - 1 / 3, 1 - 1 / 3], [1.0, 0.4, 0.85, 0.8], [1.0, 0.9, 0.0], [1.0]])
+def test_sk_split_takes_the_running_sums_cut(value_lists):
+    """The cumulative-sum search returns the cut of the loop that adds one
+    sample a step, first of equal gains and None at gain 0, bit for bit."""
+    samples = sorted((S(str(i), values) for i, values in enumerate(value_lists)),
+                     key=lambda s: s.median)
+    assert sk_split(samples) == sk_split_loop(samples)
 
 
 # -- scott_knott -------------------------------------------------------------------

@@ -30,7 +30,7 @@ def by_cheb(ds):
     return sorted(ds.rows, key=lambda r: (chebyshev(r, ds), r.id))
 
 
-def warm(ds, budget, synthesizer, seed, log=ws.ignore):
+def warm(ds, budget, synthesizer, seed, log=lambda event: None):
     """A run's start: four seeded cold labels, then the warm start."""
     cold_start(ds, 4, random.Random(seed))
     return warm_start(ds, budget, synthesizer, log=log)
@@ -250,6 +250,35 @@ Poorer Examples:
     assert rows[1].cells == (0.0,)
 
 
+def test_parse_clamps_a_column_with_no_values_to_zero(make_ds):
+    """A numeric column with no values has lo = hi = 0, so its cells clamp
+    to 0.0. Every pool cell there is missing, so the column adds a full
+    unit to each distance whatever the cell: the rows map as unclamped."""
+    ds = make_ds("""
+        A,Empty,Cost-
+        0,?,1
+        4,?,2
+        10,?,3
+    """)
+    text = """Better Examples:
+| A | Empty |
+| --- | --- |
+| 9 | 7 |
+Poorer Examples:
+| A | Empty |
+| --- | --- |
+| 1 | -3 |
+"""
+    rows = parse_response(text, ds)
+    assert [r.cells for r in rows] == [(9.0, 0.0), (1.0, 0.0)]
+    raw = [SyntheticRow(cells=(9.0, 7.0), claim="better"),
+           SyntheticRow(cells=(1.0, -3.0), claim="poorer")]
+    pool = ds.unlabeled_ids()
+    assert np.array_equal(ws.squared_distances(rows, pool, ds),
+                          ws.squared_distances(raw, pool, ds))
+    assert map_to_pool(rows, pool, ds).tolist() == [2, 0]
+
+
 def test_parse_drops_uncoercible_rows_and_caps_at_two(make_ds):
     ds = make_ds("""
         A,Cost-
@@ -337,8 +366,8 @@ FUZZ_SECTIONS = st.tuples(
 def test_parse_returns_rows_of_both_claims_or_raises_synthesis_error(text):
     """Whatever text it is handed, parse_response returns 2-4 rows with at
     least one per claim, each with one cell per x column and every numeric
-    cell finite and, where its column has values, inside their range; or it
-    raises SynthesisError. No other exception escapes."""
+    cell finite and inside its column's range (0 to 0 where the column has
+    no values); or it raises SynthesisError. No other exception escapes."""
     try:
         rows = parse_response(text, FUZZ_DS)
     except SynthesisError:
@@ -352,7 +381,7 @@ def test_parse_returns_rows_of_both_claims_or_raises_synthesis_error(text):
                 continue
             assert math.isfinite(v)
             stats = FUZZ_DS.col_stats(col)
-            assert stats.n == 0 or stats.lo <= v <= stats.hi
+            assert stats.lo <= v <= stats.hi
 
 
 # -- mock synthesizer ---------------------------------------------------------
@@ -557,7 +586,7 @@ def test_warm_start_can_land_inside_a_sweet_spot(kanban):
 def test_warm_start_requires_a_pair_of_seeds(toy):
     cold_start(toy, 1, random.Random(0))
     with pytest.raises(ValueError, match="at least 2 labeled rows"):
-        warm_start(toy, 8, MockSynthesizer())
+        warm_start(toy, 8, MockSynthesizer(), log=lambda event: None)
     assert toy.evaluations == 1
 
 
@@ -573,7 +602,7 @@ def test_warm_start_prompts_with_the_rows_the_run_labeled(toy):
         seen.append(e0)
         return mock(bundle, e0, ds)
 
-    assert not warm_start(toy, 8, spy).fallback
+    assert not warm_start(toy, 8, spy, log=lambda event: None).fallback
     ranked = sorted((toy.rows[i] for i in (0, 3, 5, 8)),
                     key=lambda r: (chebyshev(r, toy), r.id))
     assert seen == [ranked]
