@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="environment variable holding the API key")
     run.add_argument("--out", default="results", help="output directory")
     run.add_argument("--jobs", type=int, default=1,
-                     help="threads for the starts (caps synth requests in flight)")
+                     help="threads for synthesizer requests (caps requests in flight); "
+                          "everything else runs on the calling thread")
 
     rank = sub.add_parser("rank", help="build report tables from run output")
     rank.add_argument("results", help="directory holding results.jsonl")

@@ -174,6 +174,11 @@ class Dataset:
         self._mask[i] = True
         self._order.append(i)
 
+    def label_all(self) -> None:
+        """Label every unlabeled row, in id order."""
+        self._order += self.unlabeled_ids().tolist()
+        self._mask[:] = True
+
     def is_labeled(self, ids):
         """Label flag of one id, or a boolean array for an array of ids or
         a slice (`slice(None)`: every row's flag)."""

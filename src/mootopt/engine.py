@@ -22,12 +22,13 @@ budget's record off that run's curve (`Run.record`). The baseline
 is not a run: a grid gives each table one baseline record, read off its
 summary.
 
-Runs share no label state. In a grid only the starts run on a thread
-pool, since only a warm start waits (on the synthesizer); every label
-loop runs on the calling thread. Each `Run` keeps its curve, its
-transcript events and its failure, and `run_grid` assembles their
-records in a fixed run order, so the grid's outputs are the same at any
-job count. `run_active` takes the same steps for one run alone.
+Runs share no label state. In a grid only the synthesizer calls run on a
+thread pool, since only they wait; the cold starts, prompts, mapping and
+every label loop run on the calling thread, a table's loops as soon as its
+requests are answered. Each `Run` keeps its curve, its transcript events
+and its failure, and `run_grid` assembles their records in a fixed run
+order, so the grid's outputs are the same at any job count. `run_active`
+takes the same steps for one run alone, on one thread.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator, Optional
 
 import numpy as np
@@ -48,7 +50,9 @@ from .data import Dataset
 # chebyshev stays bound here because perfbench/tracer.py counts calls by it.
 from .objective import chebyshev, reveal, split  # noqa: F401
 from .stats import pstdev
-from .warmstart import Synthesizer, cold_start, warm_start
+# warm_start stays bound here because perfbench/tracer.py wraps it.
+from .warmstart import (Synthesizer, cold_start, warm_land, warm_prompt,
+                        warm_start)  # noqa: F401
 
 ACTIVE_ACQUIRES = likelihood.ACQUIRES + gp.ACQUIRES
 
@@ -64,7 +68,7 @@ class Treatment:
     budget: int
 
 
-@dataclass
+@dataclass(eq=False)  # a run is itself: hashed and compared by identity
 class Run:
     """One (dataset, treatment, repeat) under its seed, and what it
     produced: its label state once started, its curve once finished, its
@@ -89,10 +93,11 @@ class Run:
                             "repeat": self.repeat, "seq": len(self.events),
                             **event})
 
-    def start(self, synthesizer: Optional[Synthesizer]) -> None:
-        """Take a surrogate-guided run's start: B0 random labels, then for
-        an `llm` start the synthesizer's mapped rows, noting whether the
-        warm start fell back to the cold rows."""
+    def start(self, synthesizer: Optional[Synthesizer]) -> Optional[partial]:
+        """Take a surrogate-guided run's start up to its wait: B0 random
+        labels, then for an `llm` start the prompt. Returns the warm
+        start's synthesizer attempts, to call on any thread and `land`,
+        or None for a random start."""
         ds, t = self.ds, self.t
         if t.acquire not in ACTIVE_ACQUIRES:
             raise ValueError(f"no surrogate-guided run has acquire={t.acquire!r}")
@@ -106,8 +111,12 @@ class Run:
         self.work = ds.fresh()
         cold_start(self.work, B0, random.Random(self.seed))
         if t.start == "llm":
-            self.fallback = warm_start(self.work, t.budget, synthesizer,
-                                       log=self.log).fallback
+            return warm_prompt(self.work, t.budget, synthesizer, self.log)
+        return None
+
+    def land(self, synth: Optional[list]) -> None:
+        """Label an `llm` start's mapped rows, or note its fallback."""
+        self.fallback = warm_land(synth, self.work, self.t.budget, self.log)
 
     def finish(self) -> None:
         """Read the run's curve off its labels, in label order."""
@@ -166,7 +175,8 @@ def run_active(ds: Dataset, t: Treatment, synthesizer: Optional[Synthesizer],
     """One surrogate-guided run under a hard label budget: its start, then
     its label loop (a naive-Bayes run's as a batch of one)."""
     run = Run(ds, t, seed)
-    run.start(synthesizer)
+    if ask := run.start(synthesizer):
+        run.land(ask())
     if t.acquire in likelihood.ACQUIRES:
         label_tpe([run])
     else:
@@ -209,9 +219,8 @@ def baseline_summary(ds: Dataset) -> tuple[float, float, float, float]:
 
 def _summarize(ds: Dataset) -> tuple[float, float, float, float]:
     work = ds.fresh()
-    for i in range(len(work.rows)):
-        work.label(i)
-    scores = reveal(work.labeled_ids(), work).tolist()
+    work.label_all()
+    scores = reveal(work.label_order, work).tolist()
     return statistics.fmean(scores), min(scores), statistics.median(scores), pstdev(scores)
 
 
@@ -310,13 +319,20 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
     every budget's record is read off its curve by `Run.record`.
     A budget larger than a table has no cells there; `skipped` names it.
     The baseline arm is not a run but one record per table, read off the
-    table's summary. Only the starts run on a pool of `jobs` threads, so
-    `jobs` bounds the synthesizer requests in flight. The label loops run
-    on the calling thread, a table's started naive-Bayes runs as one
-    `label_tpe` batch. Run order is (dataset, start, acquire, repeat);
-    events and failures follow it, so no output depends on `jobs`. A
-    failing run loses its cells, not the grid.
+    table's summary. Two tables of one name would share cells: refused.
+    Only the synthesizer calls run on a pool of `jobs` threads, so `jobs`
+    bounds the requests in flight. The calling thread starts every run,
+    sending each `llm` start's attempts off once its prompt exists, then
+    walks the tables: a table's runs land their attempts and its label
+    loops run (its naive-Bayes runs as one `label_tpe` batch) while later
+    tables' requests are in flight. Run order is (dataset, start, acquire,
+    repeat); events and failures follow it, so no output depends on
+    `jobs`. A failing run loses its cells, not the grid.
     """
+    named = {}  # table name -> position in `datasets`
+    for i, ds in enumerate(datasets):
+        if (first := named.setdefault(ds.name, i)) != i:
+            raise ValueError(f"datasets {first} and {i} are both named {ds.name!r}")
     # each table's budgets that fit it; a tiny table skips the rest
     fits = {ds: [b for b in grid.budgets if b <= len(ds.rows)]
             for ds in datasets}
@@ -327,27 +343,30 @@ def run_grid(datasets: list[Dataset], grid: GridSpec,
                    for rep in range(grid.repeats)),
                   key=lambda run: (run.ds.name, run.t.start, run.t.acquire,
                                    run.repeat))
-
-    def start(run: Run) -> None:  # a failed run keeps its events
-        with _failing([run]):
-            run.start(synthesizer)
-
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(start, [run for run in runs
-                              if run.t.acquire in ACTIVE_ACQUIRES]))
-    tables: dict[str, list[Run]] = {}
-    for run in runs:
-        if run.failure is None and run.t.acquire in likelihood.ACQUIRES:
-            tables.setdefault(run.ds.name, []).append(run)
-        elif run.failure is None:  # a started GP run, or a random run whole
-            with _failing([run]):
-                if run.t.acquire == "random":
-                    run.curve = run_random(run.ds, run.t.budget, run.seed).curve
-                else:
-                    label_gp(run)
-    for batch in tables.values():
-        with _failing(batch):
-            label_tpe(batch)
+        asks = {}  # run -> its warm start's attempts, in flight or answered
+        for run in runs:
+            if run.t.acquire in ACTIVE_ACQUIRES:
+                with _failing([run]):
+                    if ask := run.start(synthesizer):
+                        asks[run] = pool.submit(ask)
+        for _, table in itertools.groupby(runs, key=lambda run: run.ds):
+            batch = []  # the table's started naive-Bayes runs
+            for run in table:
+                if run.failure is not None:
+                    continue
+                with _failing([run]):  # a failed run keeps its events
+                    if run in asks:
+                        run.land(asks.pop(run).result())
+                    if run.t.acquire in likelihood.ACQUIRES:
+                        batch.append(run)
+                    elif run.t.acquire == "random":
+                        run.curve = run_random(run.ds, run.t.budget,
+                                               run.seed).curve
+                    else:
+                        label_gp(run)
+            with _failing(batch):
+                label_tpe(batch)
     records = [run_baseline(ds, derive_seed(ds.name, "baseline", "baseline", 0,
                                             grid.base_seed))
                for ds in datasets if ("baseline", "baseline") in grid.arms]

@@ -6,9 +6,10 @@ acquisition loop: split the labeled rows best/rest, render a three-part
 prompt (role plus column metadata, tagged examples, task), ask a
 synthesizer for two better and two poorer examples, parse its markdown
 reply, then map each synthetic row onto its nearest unlabeled real row
-and label that. A deterministic mock synthesizer makes the whole path
-runnable offline; a remote client speaks the OpenAI chat-completions
-contract.
+and label that. The asking and parsing (`warm_attempts`) touch no label
+state, so they may run on another thread than the prompt and the mapping.
+A deterministic mock synthesizer makes the whole path runnable offline; a
+remote client speaks the OpenAI chat-completions contract.
 
 The prompt side works on Rows, because it renders their cells: the run's
 labeled Rows feed the prompt and the synthesizers. The mapping back works
@@ -25,6 +26,7 @@ import re
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Protocol
 from urllib.parse import urlsplit
 
@@ -377,24 +379,25 @@ def map_to_pool(e1: list[SyntheticRow], pool: np.ndarray,
     return hits[np.sort(first)]
 
 
-def warm_start(ds: Dataset, budget: int, synthesizer: Synthesizer,
-               log: Callable[[dict], None]) -> WarmStartResult:
-    """Synthesize/parse/map/label from the run's labeled rows (at least 2).
-
-    The prompt shows those rows ranked by chebyshev. The synthesizer gets
-    one extra attempt per RETRY_WAITS entry, each after sleeping that many
-    seconds; if none yields at least one better and one poorer row, the run
-    proceeds from the rows it had and the result is flagged as a fallback
-    (runs never abort on synthesis trouble).
-    Synthetic rows map onto the unlabeled pool, and each distinct hit costs
-    one label, in hit order, until `budget` rows are labeled.
-    """
+def warm_prompt(ds: Dataset, budget: int, synthesizer: Synthesizer,
+                log: Callable[[dict], None]) -> partial:
+    """A warm start's first step: prompt with the run's labeled rows (at
+    least 2) ranked by chebyshev. Returns the second step, to call."""
     if budget < ds.evaluations:
         raise ValueError(
             f"budget {budget} is below the {ds.evaluations} labels spent")
     ranked = sorted(ds.labeled_rows(), key=lambda r: (chebyshev(r, ds), r.id))
-    bundle = build_prompt(ranked, ds)
-    synth: Optional[list[SyntheticRow]] = None
+    return partial(warm_attempts, build_prompt(ranked, ds), ranked, ds,
+                   synthesizer, log)
+
+
+def warm_attempts(bundle: PromptBundle, ranked: list[Row], ds: Dataset,
+                  synthesizer: Synthesizer,
+                  log: Callable[[dict], None]) -> Optional[list[SyntheticRow]]:
+    """A warm start's second step, the only one that waits and the only
+    one free of label state: the parsed rows of the first reply with at
+    least one better and one poorer row, or None if no attempt has them.
+    Each RETRY_WAITS entry adds an attempt, after sleeping that long."""
     for attempt, wait in enumerate((0.0,) + RETRY_WAITS):
         if wait:
             time.sleep(wait)
@@ -404,15 +407,30 @@ def warm_start(ds: Dataset, budget: int, synthesizer: Synthesizer,
                               for r, c in bundle.messages()]})
             text = synthesizer(bundle, ranked, ds)
             log({"event": "response", "attempt": attempt, "text": text})
-            synth = parse_response(text, ds)
-            break
+            return parse_response(text, ds)
         except SynthesisError as exc:
             log({"event": "error", "attempt": attempt, "error": str(exc)})
+    return None
+
+
+def warm_land(synth: Optional[list[SyntheticRow]], ds: Dataset, budget: int,
+              log: Callable[[dict], None]) -> bool:
+    """A warm start's last step: label each distinct pool row nearest a
+    synthetic row, in hit order, until `budget` rows are labeled. With no
+    rows the run keeps its cold rows; returns whether it so fell back."""
     if synth is None:
         log({"event": "fallback"})
-        return WarmStartResult(fallback=True)
+        return True
     pool = ds.unlabeled_ids()
     if len(pool):
         for i in map_to_pool(synth, pool, ds)[:budget - ds.evaluations]:
             ds.label(i)
-    return WarmStartResult(fallback=False)
+    return False
+
+
+def warm_start(ds: Dataset, budget: int, synthesizer: Synthesizer,
+               log: Callable[[dict], None]) -> WarmStartResult:
+    """The three steps above on one thread: runs never abort on synthesis
+    trouble, but fall back to the rows they had."""
+    synth = warm_prompt(ds, budget, synthesizer, log)()
+    return WarmStartResult(fallback=warm_land(synth, ds, budget, log))

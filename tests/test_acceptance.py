@@ -199,16 +199,21 @@ def test_every_run_labels_at_most_its_budget(monkeypatch):
     tolerance. Each run labels its own copy of the table, naive-Bayes runs
     inside their table's batch too, so calls are counted per copy."""
     calls = {}
-    original = Dataset.label
+    original, label_all = Dataset.label, Dataset.label_all
 
     def spying_label(self, i):
         calls[self] = calls.get(self, 0) + 1
         return original(self, i)
 
+    def spying_label_all(self):  # one oracle call per row it labels
+        calls[self] = calls.get(self, 0) + len(self.unlabeled_ids())
+        return label_all(self)
+
     def run_of(record):
         return record["start"], record["acquire"], record["repeat"]
 
     monkeypatch.setattr(Dataset, "label", spying_label)
+    monkeypatch.setattr(Dataset, "label_all", spying_label_all)
     grid = GridSpec(arms=DEFAULT_ARMS, budgets=DEFAULT_BUDGETS, repeats=20)
     synth = MockSynthesizer()
     for name in ("toy", "nasa93dem"):

@@ -537,6 +537,10 @@ def test_label_order_reflects_call_order(toy):
     for i in picks:
         toy.label(i)
     assert toy.label_order.tolist() == picks
+    toy.label_all()  # the rest, in id order
+    assert toy.label_order.tolist() == picks + [
+        i for i in range(12) if i not in picks]
+    assert toy.unlabeled_ids().size == 0
 
 
 def test_fresh_copies_do_not_share_labels(toy):

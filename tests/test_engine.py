@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (DATA, SlowFirstBrokenSynth, completion, label_ids, send,
                       shipped)
 from mootopt import engine as eng
+from mootopt import warmstart as ws
 from mootopt.data import Dataset, load_csv, sample_ids
 from mootopt.engine import (DEFAULT_ARMS, GridSpec, Run, Treatment,
                             baseline_summary, derive_seed, run_active,
@@ -474,32 +475,79 @@ SMALL_GRID = GridSpec(
     budgets=(6, 8), repeats=2)
 
 
-def test_only_the_starts_leave_the_calling_thread(toy, monkeypatch):
-    """At three jobs every start runs on a pool thread, and every label
-    loop, and every random and baseline run, on the caller's thread."""
+def test_only_synthesizer_calls_leave_the_calling_thread(toy, monkeypatch):
+    """At three jobs only the synthesizer calls and the parsing of their
+    replies run on pool threads. Every cold start, prompt, mapping and
+    label loop, and every random and baseline run, runs on the caller's
+    thread."""
     threads: dict[str, set[int]] = {}
 
-    def spy(name):
-        original = getattr(eng, name)
-
+    def spied(name, original):
         def wrapper(*args, **kwargs):
             threads.setdefault(name, set()).add(threading.get_ident())
             return original(*args, **kwargs)
-        monkeypatch.setattr(eng, name, wrapper)
+        return wrapper
 
-    for name in ("cold_start", "warm_start", "label_tpe", "label_gp",
-                 "run_random", "run_baseline"):
-        spy(name)
+    for module, names in ((eng, ("cold_start", "label_tpe", "label_gp",
+                                 "run_random", "run_baseline")),
+                          (ws, ("build_prompt", "parse_response",
+                                "map_to_pool"))):
+        for name in names:
+            monkeypatch.setattr(module, name, spied(name, getattr(module, name)))
     grid = GridSpec(arms=(("llm", "exploit"), ("llm", "ucb"), ("random", "ei"),
                           ("random", "explore"), ("random", "random"),
                           ("baseline", "baseline")), budgets=(6, 8), repeats=3)
-    completed(run_grid([toy], grid, synthesizer=MockSynthesizer(), jobs=3))
+    synth = spied("synthesizer", MockSynthesizer())
+    completed(run_grid([toy], grid, synthesizer=synth, jobs=3))
     here = threading.get_ident()
-    assert sorted(threads) == ["cold_start", "label_gp", "label_tpe",
-                               "run_baseline", "run_random", "warm_start"]
-    for name in ("label_tpe", "label_gp", "run_random", "run_baseline"):
+    assert sorted(threads) == sorted(
+        ["cold_start", "label_tpe", "label_gp", "run_random", "run_baseline",
+         "build_prompt", "parse_response", "map_to_pool", "synthesizer"])
+    for name in ("synthesizer", "parse_response"):
+        assert here not in threads[name], name
+    for name in set(threads) - {"synthesizer", "parse_response"}:
         assert threads[name] == {here}, name
-    assert here not in threads["cold_start"] | threads["warm_start"]
+
+
+def test_a_table_labels_while_later_tables_wait_on_the_synthesizer(
+        auto93, toy, monkeypatch, sleeps):
+    """At two jobs both tables' requests go out at once. toy's is answered
+    only after auto93's naive-Bayes batch has run, which needs the label
+    loops of the first table to run while the second's request is still
+    in flight. Were the loops to wait for every reply, toy's first
+    attempt would time out, and with it the rest: the run falls back."""
+    batched = threading.Event()
+    label_tpe = eng.label_tpe
+
+    def spy(runs):
+        label_tpe(runs)
+        if runs and runs[0].ds is auto93:
+            batched.set()
+    monkeypatch.setattr(eng, "label_tpe", spy)
+    mock = MockSynthesizer()
+    timed_out = []  # after one timeout the retries fail at once
+
+    def held(bundle, ranked, ds):
+        if ds.name == "toy" and (timed_out or not batched.wait(5)):
+            timed_out.append(True)
+            raise ws.SynthesisError("toy's request was held to the end")
+        return mock(bundle, ranked, ds)
+
+    grid = GridSpec(arms=(("llm", "exploit"),), budgets=(10,), repeats=1)
+    records = completed(run_grid([auto93, toy], grid, synthesizer=held, jobs=2))
+    assert [(r["dataset"], r["fallback"]) for r in records] == [
+        ("auto93", False), ("toy", False)]
+
+
+def test_run_grid_refuses_two_tables_of_one_name(toy):
+    """Their naive-Bayes runs would share cells and fit on the wrong
+    table's rows."""
+    other = shipped("auto93")
+    other.name = "toy"
+    grid = GridSpec((("random", "exploit"),), (10,), 1)
+    with pytest.raises(ValueError,
+                       match=re.escape("datasets 0 and 1 are both named 'toy'")):
+        run_grid([toy, other], grid)
 
 
 def test_run_grid_is_schedule_independent(toy, monkeypatch):

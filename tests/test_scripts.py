@@ -1,7 +1,9 @@
-"""The helper scripts: rebuilding data/ and diffing two results directories."""
+"""The helper scripts: rebuilding data/, diffing two results directories
+and summarizing paired benchmark runs."""
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 from conftest import DATA
@@ -61,3 +63,46 @@ def test_diff_results_refuses_a_directory_without_results(tmp_path, capsys):
     (tmp_path / "b").mkdir()
     assert diff_results.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 2
     assert "results.jsonl" in capsys.readouterr().err
+
+
+def perfbench_stdout(sha: str, **values: float) -> str:
+    """What `perfbench/run.py --trace 0` prints: `#` lines, one line per
+    metric, then the final JSON line."""
+    metrics = {"setup_s": 0.3, "runs_per_s": 150.0, "rank_s": 0.02,
+               "peak_rss_mb": 49.0, "completed_ratio": 1.0,
+               "warm_ok_ratio": 1.0, "full_budget_ratio": 1.0,
+               "norm_best": 0.4, **values}
+    final = {"correct": True, "attempted": 184, "failed": 0,
+             "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}
+    return "\n".join(
+        ["# warm-remote seed=1 trace=0: 7 untraced + 0 traced grids, 184 records each",
+         f"# results.jsonl sha256 {sha}",
+         '# provenance {"nproc": 2, "python": "3.11.7"}']
+        + [f"{k:28s} {v:>16.6g} u" for k, v in metrics.items()]
+        + [json.dumps(final)]) + "\n"
+
+
+def test_bench_summarizes_pairs_of_perfbench_runs():
+    """Each side's quartiles, the median per-pair ratio and the pairs the
+    change won, in each metric's own direction; a tie wins for neither."""
+    bench = load_script("bench")
+    parent = [bench.parse(perfbench_stdout("aa", runs_per_s=r, peak_rss_mb=m))
+              for r, m in ((150, 49.0), (152, 49.0), (154, 49.0))]
+    change = [bench.parse(perfbench_stdout("aa", runs_per_s=r, peak_rss_mb=m))
+              for r, m in ((160, 48.5), (151, 49.0), (165, 48.4))]
+    assert parent[0]["sha256"] == "aa"
+    assert parent[0]["provenance"] == {"nproc": 2, "python": "3.11.7"}
+    assert parent[0]["values"]["rank_s"] == 0.02
+    better = bench.end_to_end()
+    assert better["runs_per_s"] == "higher" and better["peak_rss_mb"] == "lower"
+    report = bench.summarize(parent, change, better)
+    rate = report["runs_per_s"]
+    assert rate["parent"] == (151.0, 152.0, 153.0)
+    assert rate["change"] == (155.5, 160.0, 162.5)
+    assert rate["ratio"] == statistics.median([160 / 150, 151 / 152, 165 / 154])
+    assert (rate["won"], rate["pairs"]) == (2, 3)
+    assert report["peak_rss_mb"]["won"] == 2  # 49.0 against 49.0 is a tie
+    assert report["rank_s"]["won"] == 0 and report["rank_s"]["ratio"] == 1.0
+    text = bench.render("warm-remote", report, parent, change)
+    assert "runs_per_s" in text and " 2/3" in text
+    assert "parent: results sha256 aa; correct in 3 of 3 runs" in text
