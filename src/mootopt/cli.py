@@ -70,25 +70,21 @@ def collect_data_paths(specs: list[str]) -> list[Path]:
 
 
 def load_datasets(specs: list[str]):
-    """Every table the specs name. Two tables may not share a name, nor
-    a rank file name: `rank` would write one over the other."""
+    """Every table the specs name. Two tables may not share a rank file
+    name, as two with one name always do: `rank` would write one over the
+    other. The refusal names both files."""
+    paths = collect_data_paths(specs)
     datasets = []
-    source: dict[str, Path] = {}
-    for path in collect_data_paths(specs):
+    for path in paths:
         try:
-            ds = load_csv(path)
+            datasets.append(load_csv(path))
         except (OSError, ParseError) as exc:
             raise ConfigError(f"cannot load {path}: {exc}") from exc
-        if ds.name in source:
-            raise ConfigError(f"duplicate dataset name {ds.name!r} (from {path})")
-        source[ds.name] = path
-        datasets.append(ds)
-    clash = report.clashing_names(source)
+    clash = report.clashing_names(ds.name for ds in datasets)
     if clash:
-        a, b = clash
-        raise ConfigError(
-            f"{source[a]} and {source[b]} would both write "
-            f"{report.rank_stem(a)}.txt and .csv (datasets {a!r} and {b!r})")
+        i, j = clash
+        raise ConfigError(f"{paths[i]} and {paths[j]} would both write "
+                          f"{report.rank_stem(datasets[i].name)}.txt and .csv")
     return datasets
 
 

@@ -359,21 +359,15 @@ def load_csv(source: Union[str, Path, TextIO], name: Optional[str] = None) -> Da
     mode that scales by the labeled rows only.
     """
     if isinstance(source, (str, Path)):
-        path = Path(source)
-        ds_name = name or path.stem
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return _load_csv_stream(fh, ds_name)
-    return _load_csv_stream(source, name or "<stream>")
-
-
-def _load_csv_stream(fh, name: str) -> Dataset:
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            return load_csv(fh, name or Path(source).stem)
     # Strip the byte-order mark of Excel's "CSV UTF-8" export as the reader reads
     # line 1, so a quoted first cell stays quoted and the try sees that read's decode.
-    lines = iter(fh)
+    lines = iter(source)
     reader = csv.reader(itertools.chain(
         (first.removeprefix("\ufeff") for first in itertools.islice(lines, 1)), lines))
     try:
-        return _parse_records(reader, name)
+        return _parse_records(reader, name or "<stream>")
     except csv.Error as e:
         raise ParseError(f"row {reader.line_num}: {e}") from None
     except UnicodeDecodeError as e:

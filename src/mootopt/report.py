@@ -254,14 +254,15 @@ def rank_stem(dataset: str) -> str:
     return "rank_" + re.sub(r"[^A-Za-z0-9._-]+", "_", dataset)
 
 
-def clashing_names(names: Iterable[str]) -> Optional[tuple[str, str]]:
-    """The first two distinct dataset names whose rank files would share a
-    name (`a b` and `a_b` both write rank_a_b.*), or None."""
-    first: dict[str, str] = {}
-    for name in names:
-        other = first.setdefault(rank_stem(name), name)
-        if other != name:
-            return other, name
+def clashing_names(names: Iterable[str]) -> Optional[tuple[int, int]]:
+    """The positions of the first two dataset names whose rank files would
+    share a name, or None. `a b` and `a_b` both write rank_a_b.*, and two
+    copies of one name always do."""
+    first: dict[str, int] = {}
+    for j, name in enumerate(names):
+        i = first.setdefault(rank_stem(name), j)
+        if i != j:
+            return i, j
     return None
 
 
@@ -294,9 +295,9 @@ def write_reports(results_dir: Path, out_dir: Optional[Path] = None) -> None:
     by_dataset = samples_by_dataset(records)
     clash = clashing_names(by_dataset)
     if clash:
-        stem = rank_stem(clash[0])
-        raise ValueError(f"datasets {clash[0]!r} and {clash[1]!r} would both "
-                         f"write {stem}.txt and {stem}.csv")
+        a, b = (list(by_dataset)[i] for i in clash)
+        raise ValueError(f"datasets {a!r} and {b!r} would both "
+                         f"write {rank_stem(a)}.txt and {rank_stem(a)}.csv")
     tables = {ds: scott_knott(samples) for ds, samples in by_dataset.items()}
     for ds, table in tables.items():
         emit(f"{rank_stem(ds)}.txt", render_rank_table(table, title=ds))

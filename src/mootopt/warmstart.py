@@ -87,12 +87,6 @@ class Synthesizer(Protocol):
                  ds: Dataset) -> str: ...
 
 
-@dataclass
-class WarmStartResult:
-    """How a warm start ended; the rows it labeled are the label order."""
-    fallback: bool  # true when synthesis failed and only cold rows remain
-
-
 def cold_start(ds: Dataset, b0: int, rng: random.Random) -> list[Row]:
     """Label b0 distinct unlabeled rows uniformly at random."""
     pool = ds.unlabeled_ids()
@@ -429,8 +423,7 @@ def warm_land(synth: Optional[list[SyntheticRow]], ds: Dataset, budget: int,
 
 
 def warm_start(ds: Dataset, budget: int, synthesizer: Synthesizer,
-               log: Callable[[dict], None]) -> WarmStartResult:
+               log: Callable[[dict], None]) -> bool:
     """The three steps above on one thread: runs never abort on synthesis
-    trouble, but fall back to the rows they had."""
-    synth = warm_prompt(ds, budget, synthesizer, log)()
-    return WarmStartResult(fallback=warm_land(synth, ds, budget, log))
+    trouble, but fall back to the rows they had; returns whether they did."""
+    return warm_land(warm_prompt(ds, budget, synthesizer, log)(), ds, budget, log)

@@ -113,6 +113,22 @@ def test_run_refuses_tables_whose_rank_files_would_clash(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_refuses_two_tables_of_one_name_naming_both_files(tmp_path, capsys):
+    """Two tables of one name from two directories clash like any pair
+    that shares a rank file, and the one error line names both files."""
+    paths = [tmp_path / d / "toy.csv" for d in ("a", "b")]
+    for path in paths:
+        path.parent.mkdir()
+        shutil.copy(TOY, path)
+    argv = ["run", "--data", *map(str, paths), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(str(path) in err for path in paths)
+    assert "rank_toy.txt" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rank_refuses_results_whose_rank_files_would_clash(tmp_path, capsys):
     """A results file holding both `a b` and `a_b` makes write_reports
     raise before it writes anything, and rank exit 2."""

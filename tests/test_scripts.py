@@ -1,5 +1,5 @@
-"""The helper scripts: rebuilding data/, diffing two results directories
-and summarizing paired benchmark runs."""
+"""The helper scripts: rebuilding data/, diffing two results directories,
+summarizing paired benchmark runs and writing a benchmark file."""
 
 import importlib.util
 import json
@@ -106,3 +106,21 @@ def test_bench_summarizes_pairs_of_perfbench_runs():
     text = bench.render("warm-remote", report, parent, change)
     assert "runs_per_s" in text and " 2/3" in text
     assert "parent: results sha256 aa; correct in 3 of 3 runs" in text
+
+
+def test_bench_out_writes_a_benchmark_file(tmp_path):
+    """`bench.py --out` without `--pair` runs each named workload once in
+    the working tree and writes its final line, results hash and provenance."""
+    bench = load_script("bench")
+    out = tmp_path / "bench.json"
+    argv = ["--out", str(out), "--workload", "grid-gp", "--seconds", "1"]
+    assert bench.main(argv) == 0
+    written = json.loads(out.read_text(encoding="utf-8"))
+    assert (written["seed"], written["seconds"], written["parent"]) == (1, 1.0, None)
+    change = written["workloads"]["grid-gp"]["change"]
+    assert {"nproc", "python", "numpy"} <= change["provenance"].keys()
+    assert change["runs"]
+    for run in change["runs"]:
+        assert run["correct"] is True and run["sha256"]
+        assert all(isinstance(run["values"][name], (int, float))
+                   for name in bench.end_to_end())

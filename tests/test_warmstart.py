@@ -31,7 +31,8 @@ def by_cheb(ds):
 
 
 def warm(ds, budget, synthesizer, seed, log=lambda event: None):
-    """A run's start: four seeded cold labels, then the warm start."""
+    """A run's start: four seeded cold labels, then the warm start; returns
+    whether it fell back."""
     cold_start(ds, 4, random.Random(seed))
     return warm_start(ds, budget, synthesizer, log=log)
 
@@ -172,7 +173,7 @@ def test_a_pipe_in_a_cell_is_escaped_and_read_back(make_ds, sleeps):
     assert "| red\\|blue |" in bundle.examples
     assert "mode=a\\|b\\|c" in bundle.system
     for seed in range(3):
-        assert not warm(ds.fresh(), 6, MockSynthesizer(), seed).fallback
+        assert not warm(ds.fresh(), 6, MockSynthesizer(), seed)
     assert sleeps == []
 
 
@@ -546,15 +547,15 @@ def test_warm_start_is_seed_deterministic(kanban):
     a = warm(kanban, 8, MockSynthesizer(), 5)
     b = warm(other, 8, MockSynthesizer(), 5)
     assert kanban.label_order.tolist() == other.label_order.tolist()
-    assert a.fallback == b.fallback == False  # noqa: E712
+    assert a is b is False
 
 
 def test_warm_start_label_budget_is_bounded(kanban):
     for seed in range(8):
         work = kanban.fresh()
-        res = warm(work, 8, MockSynthesizer(), seed)
+        fallback = warm(work, 8, MockSynthesizer(), seed)
         assert 4 <= work.evaluations <= 8
-        assert not res.fallback
+        assert not fallback
 
 
 @pytest.mark.parametrize("budget", [4, 5, 6, 7])
@@ -602,7 +603,7 @@ def test_warm_start_prompts_with_the_rows_the_run_labeled(toy):
         seen.append(e0)
         return mock(bundle, e0, ds)
 
-    assert not warm_start(toy, 8, spy, log=lambda event: None).fallback
+    assert not warm_start(toy, 8, spy, log=lambda event: None)
     ranked = sorted((toy.rows[i] for i in (0, 3, 5, 8)),
                     key=lambda r: (chebyshev(r, toy), r.id))
     assert seen == [ranked]
@@ -618,10 +619,10 @@ def test_warm_start_falls_back_after_three_failures(toy, sleeps):
         raise SynthesisError("no usable rows")
 
     events = []
-    res = warm(toy, 8, broken, 0, log=events.append)
+    fallback = warm(toy, 8, broken, 0, log=events.append)
     assert len(calls) == 3
     assert sleeps == [1.0, 2.0]
-    assert res.fallback
+    assert fallback
     assert toy.evaluations == 4
     kinds = [e["event"] for e in events]
     assert kinds == ["request", "error"] * 3 + ["fallback"]
@@ -652,8 +653,8 @@ def test_warm_start_waits_before_each_retry_only(toy, sleeps):
             raise err
         return mock(bundle, e0, ds)
 
-    res = warm(toy, 8, flaky, 0)
-    assert not res.fallback
+    fallback = warm(toy, 8, flaky, 0)
+    assert not fallback
     assert waits_at_call == [[], [ws.RETRY_WAITS[0]]]
     assert sleeps == [ws.RETRY_WAITS[0]]
     assert ws.RETRY_WAITS == (1.0, 2.0)
@@ -681,8 +682,8 @@ def test_remote_synthesizer_posts_the_bundle(monkeypatch, toy, chat_server):
 
     monkeypatch.setattr(urllib.request, "urlopen", spy)
     synth = RemoteSynthesizer(server.url, "model-x")
-    res = warm(toy.fresh(), 8, synth, 9)
-    assert not res.fallback
+    fallback = warm(toy.fresh(), 8, synth, 9)
+    assert not fallback
     assert timeouts == [60.0]
     [(headers, payload)] = server.seen
     assert headers["Authorization"] == "Bearer sk-test"
@@ -704,8 +705,8 @@ def test_remote_warm_start_needs_no_requests_package(monkeypatch, toy,
     server = chat_server(lambda handler: send(handler, completion(reply)))
     direct = toy.fresh()
     warm(direct, 8, lambda bundle, e0, ds: reply, 9)
-    res = warm(toy, 8, RemoteSynthesizer(server.url, "model-x"), 9)
-    assert not res.fallback and len(server.seen) == 1
+    fallback = warm(toy, 8, RemoteSynthesizer(server.url, "model-x"), 9)
+    assert not fallback and len(server.seen) == 1
     assert toy.evaluations > 4
     assert toy.label_order.tolist() == direct.label_order.tolist()
 
@@ -744,11 +745,11 @@ def test_remote_failures_count_as_failed_attempts(respond, monkeypatch, toy,
     server = None if respond is None else chat_server(respond)
     url = refused_url() if server is None else server.url
     events = []
-    res = warm(toy, 8, RemoteSynthesizer(url, "model-x"), 9, log=events.append)
+    fallback = warm(toy, 8, RemoteSynthesizer(url, "model-x"), 9, log=events.append)
     if server is not None:
         assert len(server.seen) == 3
     assert sleeps == list(ws.RETRY_WAITS)
-    assert res.fallback and toy.evaluations == 4
+    assert fallback and toy.evaluations == 4
     assert [e["event"] for e in events] == ["request", "error"] * 3 + ["fallback"]
     [error] = {e["error"] for e in events if e["event"] == "error"}
     assert error.startswith(f"request to {url} failed: ")
@@ -769,8 +770,8 @@ def test_remote_redirects_cost_an_attempt_and_never_carry_the_key(
         handler.end_headers()
 
     server = chat_server(redirect)
-    res = warm(toy, 8, RemoteSynthesizer(server.url, "model-x"), 9)
-    assert res.fallback and len(server.seen) == 3
+    fallback = warm(toy, 8, RemoteSynthesizer(server.url, "model-x"), 9)
+    assert fallback and len(server.seen) == 3
     assert all(h["Authorization"] == "Bearer sk-test" for h, _ in server.seen)
     assert len(target.seen) == (3 if status == 302 else 0)
     assert not any("Authorization" in h for h, _ in target.seen)
