@@ -7,9 +7,11 @@
 
 Each side of a measurement runs in a clean tree of its own: REV's is a
 `git archive` of REV, and the working tree's holds its tracked and
-untracked files that git does not ignore. Both get the working tree's
-perfbench/ and BENCHMARK.json copied in, so the two sides run the same
-benchmark code, and neither starts with a stale `__pycache__`. Each run is
+untracked files that git does not ignore (outside a git checkout: every
+file but `.git`, `__pycache__` and `.perfbench_out`). Both get the
+working tree's perfbench/ and BENCHMARK.json copied in, so the two sides
+run the same benchmark code, and neither starts with a stale
+`__pycache__`. Each run is
 `perfbench/run.py --workload W --seed K --seconds S --trace 0` in a fresh
 interpreter.
 
@@ -51,7 +53,10 @@ def export(rev: str | None, dest: Path) -> Path:
     """A clean tree of `rev` (None: the working tree) at `dest`, with the
     working tree's perfbench/ and BENCHMARK.json in it."""
     dest.mkdir(parents=True)
-    if rev is None:
+    if rev is None and not (ROOT / ".git").exists():
+        shutil.copytree(ROOT, dest, dirs_exist_ok=True, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".perfbench_out"))
+    elif rev is None:
         listed = subprocess.run(
             ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
              "--exclude-standard"], capture_output=True, check=True).stdout

@@ -13,10 +13,11 @@ the label state of a run is a boolean mask over those ids plus the ids in
 the order they were labeled. `fresh()` hands each run a new mask and
 order, so runs never see each other's labels.
 
-Inside the label loop a row is its id. `Row` objects, which carry cells,
+Inside the label loop a row is its id. `Row` objects, which carry x cells,
 serve only the warm start's prompt side; a best/rest split builds them
-only when its halves are read as Rows. `Row` is a NamedTuple; the loader
-parses each column in one pass, then zips the columns into Rows.
+only when its halves are read as Rows. The loader parses each column once,
+a numeric one into a float array, and zips the x columns into Rows; a
+table's goals are one (rows, goals) array that only `objective` reads.
 
 `normalize` and `encode_cells` are the one rule that turns cells into
 numbers: min-max scaled numerics and alphabet codes for symbols. The
@@ -78,7 +79,6 @@ ColumnStats = Union[NumStats, dict[str, int]]  # a symbolic column's: its symbol
 class Row(NamedTuple):
     id: int  # index in Dataset.rows
     x: tuple[Cell, ...]
-    y: tuple[Optional[float], ...]
 
 
 def row_ids(rows) -> np.ndarray:
@@ -147,11 +147,13 @@ class Dataset:
     """
 
     def __init__(self, name: str, columns: list[ColumnSpec], rows: list[Row],
-                 stats: list[Optional[ColumnStats]]):
+                 stats: list[Optional[ColumnStats]], x_values: list, goals: np.ndarray):
         self.name = name
         self.columns = columns
         self.rows = rows
         self.stats = stats
+        self._x_values = x_values  # per x column: a float array (numeric) or its cells
+        self._goals = goals  # (rows, goals), NaN where missing; only objective reads it
         self.x_cols = [c for c in columns if c.role == INDEPENDENT]
         self.y_cols = [c for c in columns if c.role == GOAL]
         self.dims = classify_dims(len(self.x_cols))
@@ -266,13 +268,17 @@ def encode_cells(cells, ds: Dataset, layout: dict) -> tuple[np.ndarray, np.ndarr
     a cell is missing. Codes index the column's alphabet, -1 where a cell
     is missing or holds a symbol never seen at load.
     """
+    return _encode_columns(list(zip(*cells)) or [()] * len(ds.x_cols), len(cells),
+                           ds, layout)
+
+
+def _encode_columns(columns, n: int, ds: Dataset, layout: dict):
+    """encode_cells of `n` rows given as x columns (arrays or cell sequences)."""
     num_pos, sym_pos = layout["num_pos"], layout["sym_pos"]
-    columns = list(zip(*cells)) or [()] * len(ds.x_cols)
-    X_num = np.empty((len(cells), len(num_pos)))
+    X_num = np.empty((n, len(num_pos)))
     for j, p in enumerate(num_pos):
-        X_num[:, j] = normalize(np.array(columns[p], dtype=float),  # None -> NaN
-                                ds.col_stats(ds.x_cols[p]))
-    X_sym = np.empty((len(cells), len(sym_pos)), dtype=np.int64)
+        X_num[:, j] = normalize(columns[p], ds.col_stats(ds.x_cols[p]))  # None -> NaN
+    X_sym = np.empty((n, len(sym_pos)), dtype=np.int64)
     for j, (p, alphabet) in enumerate(zip(sym_pos, layout["alphabets"])):
         code = {s: k for k, s in enumerate(alphabet)}
         X_sym[:, j] = [code.get(c, -1) for c in columns[p]]
@@ -284,7 +290,7 @@ def _build_x_views(ds: Dataset) -> dict:
     layout = {"num_pos": [i for i, c in enumerate(ds.x_cols) if c.kind == NUMERIC],
               "sym_pos": sym_pos,
               "alphabets": [sorted(ds.col_stats(ds.x_cols[p])) for p in sym_pos]}
-    X_num, X_sym = encode_cells([row.x for row in ds.rows], ds, layout)
+    X_num, X_sym = _encode_columns(ds._x_values, len(ds.rows), ds, layout)
     starts = np.cumsum([0] + [len(a) for a in layout["alphabets"]])
     onehot = np.zeros((len(ds.rows), starts[-1]))
     i, j = np.nonzero(X_sym >= 0)
@@ -295,12 +301,18 @@ def _build_x_views(ds: Dataset) -> dict:
 def _parse_column(col: ColumnSpec, raws, row_nos: list[int]) -> list[Cell]:
     """One column's stripped cells, None where missing. A numeric column's
     cells are floats; its first cell that is not finite raises ParseError."""
+    if col.kind == NUMERIC:
+        try:  # float() strips whitespace too; where it strips less, it raises
+            values = list(map(float, raws))
+            if all(map(math.isfinite, values)):
+                return values
+        except ValueError:
+            pass
     cells = list(map(str.strip, raws))
     if col.kind != NUMERIC:
         return [None if c == MISSING else c for c in cells]
     try:
-        values = (list(map(float, cells)) if MISSING not in cells
-                  else [None if c == MISSING else float(c) for c in cells])
+        values = [None if c == MISSING else float(c) for c in cells]
         if all(map(math.isfinite, filter(None, values))):  # skips None and 0.0
             return values
     except ValueError:
@@ -317,28 +329,36 @@ def _finite(cell: str) -> bool:
         return False
 
 
-def _column_stats(col: ColumnSpec, cells: list[Cell]) -> ColumnStats:
-    if col.kind == NUMERIC:
-        vals = np.array(cells, dtype=float)  # None -> NaN; no cell is NaN
-        vals = vals[~np.isnan(vals)]
-        if not len(vals):
-            return NumStats()
-        lo, hi = float(vals.min()), float(vals.max())
-        # np.median's value, without the numpy.ma import np.median costs;
-        # its sum starts at 0.0, so a median of -0.0 reads 0.0.
-        h = len(vals) // 2
-        part = np.partition(vals, [h - 1, h] if len(vals) % 2 == 0 else h)
-        with np.errstate(over="ignore", invalid="ignore"):
-            median = (0.0 + part[h] if len(vals) % 2
-                      else (0.0 + part[h - 1] + part[h]) / 2)
-            # numpy's mean of a constant column can miss it by an ulp; its sd is 0.
-            st = NumStats(lo=lo, hi=hi, median=float(median),
-                          sd=float(vals.std()) if lo < hi else 0.0)
+def _column_stats(numeric: list[ColumnSpec], block: np.ndarray) -> list[NumStats]:
+    """Numeric columns' stats from their C-ordered (columns, rows) block, NaN
+    where missing. Columns with no missing cell are summarized in one pass
+    along axis 1, which gives each the bits of its own 1-D pass."""
+    gappy = np.isnan(block).any(axis=1)
+    full = iter(_summaries(block[~gappy]))
+    stats = [_summaries(v[None, ~np.isnan(v)])[0] if gap else next(full)
+             for v, gap in zip(block, gappy.tolist())]
+    for col, st in zip(numeric, stats):
         if not (math.isfinite(st.median) and math.isfinite(st.sd)):
             raise ParseError(f"numeric column {col.name!r} holds values too large "
-                             f"to summarize, from {lo!r} to {hi!r}")
-        return st
-    return Counter(c for c in cells if c is not None)
+                             f"to summarize, from {st.lo!r} to {st.hi!r}")
+    return stats
+
+
+def _summaries(block: np.ndarray) -> list[NumStats]:
+    n = block.shape[1]
+    if not n:
+        return [NumStats() for _ in block]
+    lo, hi = block.min(axis=1).tolist(), block.max(axis=1).tolist()
+    # np.median's value, without the numpy.ma import np.median costs;
+    # its sum starts at 0.0, so a median of -0.0 reads 0.0.
+    h = n // 2
+    part = np.partition(block, [h - 1, h] if n % 2 == 0 else h, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        median = 0.0 + part[:, h] if n % 2 else (0.0 + part[:, h - 1] + part[:, h]) / 2
+        sd = block.std(axis=1)
+    # numpy's mean of a constant column can miss it by an ulp; its sd is 0.
+    return [NumStats(lo=l, hi=u, median=m, sd=s if l < u else 0.0)
+            for l, u, m, s in zip(lo, hi, median.tolist(), sd.tolist())]
 
 
 def mode(freq: dict[str, int]) -> str:
@@ -351,12 +371,12 @@ def mode(freq: dict[str, int]) -> str:
 def load_csv(source: Union[str, Path, TextIO], name: Optional[str] = None) -> Dataset:
     """Load a MOOT CSV from a path or an open text stream.
 
-    All rows start unlabeled. Column stats cover the whole file. They feed
-    prompts and reports, and they also reach the surrogates: chebyshev
-    normalizes goals by their whole-file ranges, so the targets a surrogate
-    fits (objective.reveal's cached score vector) depend on the goal values
-    of unlabeled rows too. ROADMAP.md, open item 6, plans a label-honest
-    mode that scales by the labeled rows only.
+    All rows start unlabeled, and their goal values sit in one array that
+    only objective's score vector reads. Column stats cover the whole file.
+    They feed prompts and reports, and they also reach the surrogates:
+    chebyshev normalizes goals by their whole-file ranges, so the targets a
+    surrogate fits depend on the goal values of unlabeled rows too, until a
+    label-honest mode scales by the labeled rows only (ROADMAP.md, item 6).
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -394,12 +414,17 @@ def _parse_records(reader, name: str) -> Dataset:
         raise ParseError("no data rows after the header")
 
     parsed = [_parse_column(c, raws, row_nos) for c, raws in zip(columns, zip(*records))]
-    xs = zip(*(parsed[c.index] for c in columns if c.role == INDEPENDENT))
-    ys = zip(*(parsed[c.index] for c in columns if c.role == GOAL))
-    rows = list(map(Row, range(len(records)), xs, ys))
-    stats = [None if c.role == IGNORED else _column_stats(c, parsed[c.index])
-             for c in columns]
-    return Dataset(name, columns, rows, stats)
+    numeric = [c for c in columns if c.kind == NUMERIC and c.role != IGNORED]
+    block = np.array([parsed[c.index] for c in numeric], dtype=float)  # None -> NaN
+    arrays = dict(zip((c.index for c in numeric), block))
+    stats = dict(zip(arrays, _column_stats(numeric, block)))
+    stats.update((c.index, Counter(v for v in parsed[c.index] if v is not None))
+                 for c in columns if c.kind == SYMBOLIC and c.role != IGNORED)
+    x_cols = [c for c in columns if c.role == INDEPENDENT]
+    rows = list(map(Row, range(len(records)), zip(*(parsed[c.index] for c in x_cols))))
+    goals = np.stack([arrays[c.index] for c in columns if c.role == GOAL], axis=1)
+    return Dataset(name, columns, rows, [stats.get(c.index) for c in columns],
+                   [arrays.get(c.index, parsed[c.index]) for c in x_cols], goals)
 
 
 def format_cell(v: Cell) -> str:

@@ -6,9 +6,10 @@ scored as the maximum gap to the per-goal ideal (0 for minimize goals,
 single goal is bad. Labeled rows sorted ascending split into a small
 "best" set of size round(sqrt(N)) and a larger "rest" set.
 
-Each table's scores are computed once, as one vector over all its rows.
-`reveal` is the only reader of that vector, and it refuses rows the run
-has not labeled, so no caller can see a goal it has not paid for.
+Each table's scores are computed once, from its goal array, as one vector
+over all its rows. Nothing else reads the goal array, and `reveal` is the
+only reader of that vector; it refuses rows the run has not labeled, so
+no caller can see a goal it has not paid for.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ def ideal_point(ds: Dataset) -> list[float]:
 def _score_vector(ds: Dataset) -> np.ndarray:
     """Every row's chebyshev; a missing goal counts as maximally bad."""
     worst = np.zeros(len(ds.rows))
-    goals = zip(*(r.y for r in ds.rows))
-    for values, col, target in zip(goals, ds.y_cols, ideal_point(ds)):
-        z = normalize(values, ds.col_stats(col))  # None -> NaN
+    for values, col, target in zip(ds._goals.T, ds.y_cols, ideal_point(ds)):
+        z = normalize(values, ds.col_stats(col))
         worst = np.maximum(worst, np.where(np.isnan(z), 1.0, np.abs(z - target)))
     return worst
 

@@ -40,9 +40,10 @@ LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # -- loading --------------------------------------------------------------------
 
-def load_rows(fh) -> tuple[list[ColumnSpec], list[Row], list]:
+def load_rows(fh) -> tuple[list[ColumnSpec], list[Row], list[tuple], list]:
     """load_csv of an open text stream, one cell at a time: the table's
-    columns, its Rows and its column stats.
+    columns, its Rows, each row's goal values (None where missing) and its
+    column stats.
 
     Each cell is stripped and parsed on its own, column after column, the
     Rows are built one by one, and a numeric column's median is
@@ -73,14 +74,21 @@ def load_rows(fh) -> tuple[list[ColumnSpec], list[Row], list]:
     parsed = {c.index: [_cell(c, record[c.index], row_no)
                         for record, row_no in zip(records, row_nos)]
               for c in columns}
-    rows = []
+    rows, goals = [], []
     for i in range(len(records)):
-        x = tuple(parsed[c.index][i] for c in columns if c.role == INDEPENDENT)
-        y = tuple(parsed[c.index][i] for c in columns if c.role == GOAL)
-        rows.append(Row(id=i, x=x, y=y))
+        rows.append(Row(id=i, x=tuple(parsed[c.index][i] for c in columns
+                                      if c.role == INDEPENDENT)))
+        goals.append(tuple(parsed[c.index][i] for c in columns if c.role == GOAL))
     stats = [None if c.role == IGNORED else _stats(c, parsed[c.index])
              for c in columns]
-    return columns, rows, stats
+    return columns, rows, goals, stats
+
+
+def goal_rows(path) -> list[tuple]:
+    """Each row's goal values, None where missing, as load_rows parses the
+    CSV file at `path`."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return load_rows(fh)[2]
 
 
 def _cell(col: ColumnSpec, raw: str, row_no: int):
@@ -209,22 +217,23 @@ def squared_distances(e1, ids: np.ndarray, ds: Dataset) -> np.ndarray:
 
 # -- objective -----------------------------------------------------------------
 
-def score_vector_rows(ds: Dataset) -> np.ndarray:
-    """objective's score vector, reading each goal as r.y[j] row by row."""
+def score_vector_rows(ds: Dataset, goals: list[tuple]) -> np.ndarray:
+    """objective's score vector, reading goal j of each row's goal tuple
+    (load_rows' goals) row by row."""
     worst = np.zeros(len(ds.rows))
     for j, col in enumerate(ds.y_cols):
         target = 1.0 if col.direction == MAXIMIZE else 0.0
-        z = normalize([r.y[j] for r in ds.rows], ds.col_stats(col))  # None -> NaN
+        z = normalize([y[j] for y in goals], ds.col_stats(col))  # None -> NaN
         worst = np.maximum(worst, np.where(np.isnan(z), 1.0, np.abs(z - target)))
     return worst
 
 
-def chebyshev(row: Row, ds: Dataset) -> float:
-    """Max normalized gap between a row's goals and the ideal point,
-    through norm() one goal at a time. Ignores the label state."""
+def chebyshev(y: tuple, ds: Dataset) -> float:
+    """Max normalized gap between a row's goal values `y` (None where
+    missing) and the ideal point, through norm() one goal at a time."""
     worst = 0.0
     for i, col in enumerate(ds.y_cols):
-        v = row.y[i]
+        v = y[i]
         if v is None:
             gap = 1.0  # missing goal counts as maximally bad
         else:

@@ -17,11 +17,11 @@ from conftest import (DATA, SlowFirstBrokenSynth, completion, label_ids, send,
                       shipped)
 from mootopt import engine as eng
 from mootopt import warmstart as ws
-from mootopt.data import Dataset, load_csv, sample_ids
+from mootopt.data import Dataset, Row, load_csv, sample_ids
 from mootopt.engine import (DEFAULT_ARMS, GridSpec, Run, Treatment,
                             baseline_summary, derive_seed, run_active,
                             run_baseline, run_grid, run_random)
-from mootopt.objective import chebyshev
+from mootopt.objective import chebyshev, reveal
 from mootopt.report import improvement_curve_csv, samples_by_dataset
 from mootopt.warmstart import (MockSynthesizer, RemoteSynthesizer,
                                SyntheticRow, render_synthetic)
@@ -70,6 +70,40 @@ def test_run_active_is_seed_deterministic(kanban):
     b = run_active(kanban.fresh(), t, MockSynthesizer(), 77)
     assert a.record(t.budget) == b.record(t.budget)
     assert a.curve == b.curve
+
+
+class SealedGoals:
+    """Stands in for a table's goal array; any read of it fails."""
+
+    def _read(self, *args):
+        raise AssertionError("the goal array was read after the score vector was built")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = __bool__ = __array__ = _read
+
+
+def test_runs_reach_goal_values_only_through_the_score_vector():
+    """Rows carry no goal values, and once a table's score vector is built
+    its goal array can go: warm starts (prompt, mock synthesizer, landing),
+    a naive-Bayes batch and a GP run label the same rows as on an untouched
+    copy of the table."""
+    assert Row._fields == ("id", "x")
+    tables = [load_csv(DATA / "auto93.csv") for _ in range(2)]
+    probe = tables[1].fresh()
+    probe.label(0)
+    reveal(0, probe)  # builds the score vector every copy of the table shares
+    tables[1]._goals = SealedGoals()
+    orders = []
+    for ds in tables:
+        tpe = [Run(ds, Treatment("llm", acquire, 20), seed)
+               for seed, acquire in enumerate(("exploit", "explore", "exploit"))]
+        gp_run = Run(ds, Treatment("llm", "ucb", 15), seed=3)
+        for run in tpe + [gp_run]:
+            run.land(run.start(MockSynthesizer())())
+            assert not run.fallback
+        eng.label_tpe(tpe)
+        eng.label_gp(gp_run)
+        orders.append([run.work.label_order.tolist() for run in tpe + [gp_run]])
+    assert orders[0] == orders[1]
 
 
 @pytest.mark.parametrize("name", ["auto93", "pom3a"])
@@ -133,7 +167,7 @@ class LabelLog(Dataset):
 @functools.lru_cache(maxsize=None)
 def ramp(n: int) -> LabelLog:
     ds = load_csv(io.StringIO("A,b-\n" + "".join(f"{i},{i}\n" for i in range(n))))
-    return LabelLog(ds.name, ds.columns, ds.rows, ds.stats)
+    return LabelLog(ds.name, ds.columns, ds.rows, ds.stats, ds._x_values, ds._goals)
 
 
 def random_labels(n: int, b1: int, seed: int) -> list[int]:

@@ -3,6 +3,7 @@ summarizing paired benchmark runs and writing a benchmark file."""
 
 import importlib.util
 import json
+import shutil
 import statistics
 from pathlib import Path
 
@@ -124,3 +125,24 @@ def test_bench_out_writes_a_benchmark_file(tmp_path):
         assert run["correct"] is True and run["sha256"]
         assert all(isinstance(run["values"][name], (int, float))
                    for name in bench.end_to_end())
+
+
+def test_bench_copies_a_tree_that_is_not_a_git_checkout(tmp_path, monkeypatch):
+    """Without `.git` the working tree is copied by a plain walk that
+    leaves out bytecode caches and benchmark output."""
+    bench = load_script("bench")
+    root = tmp_path / "tree"
+    for name in ("src", "data", "perfbench"):
+        shutil.copytree(bench.ROOT / name, root / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(bench.ROOT / "BENCHMARK.json", root)
+    for stale in (".perfbench_out/results.jsonl", "src/mootopt/__pycache__/data.pyc"):
+        (root / stale).parent.mkdir(parents=True, exist_ok=True)
+        (root / stale).write_text("stale", encoding="utf-8")
+    monkeypatch.setattr(bench, "ROOT", root)
+    tree = bench.export(None, tmp_path / "copy")
+    for name in ("src/mootopt/data.py", "data/toy.csv", "perfbench/run.py",
+                 "BENCHMARK.json"):
+        assert (tree / name).is_file(), name
+    assert not (tree / ".perfbench_out").exists()
+    assert not list(tree.rglob("__pycache__"))

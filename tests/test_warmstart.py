@@ -498,7 +498,7 @@ def test_map_matches_an_x_distance_oracle(make_ds):
     got = map_to_pool(synth, ds.unlabeled_ids(), ds).tolist()
     want = []
     for s in synth:
-        probe = Row(id=-1, x=tuple(s.cells), y=tuple([None] * len(ds.y_cols)))
+        probe = Row(id=-1, x=tuple(s.cells))
         dists = [(oracles.x_distance(probe, r, ds), r.id) for r in ds.rows]
         best = min(dists)[1]
         if best not in want:
