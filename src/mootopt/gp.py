@@ -26,8 +26,7 @@ from .objective import chebyshev, reveal  # noqa: F401
 
 ACQUIRES = ("ucb", "pi", "ei")
 LENGTH_SCALE_GRID = (0.1, 0.3, 1.0, 3.0)
-NOISE_VAR = 1e-6     # jitter j, relative to the signal variance: K = s (R + j I)
-JITTER_MAX = 1e-2
+NOISE_VAR = 1e-6     # noise j, relative to the signal variance: K = s (R + j I)
 SIGNAL_VAR_FLOOR = 1e-12
 KAPPA = 2.0          # UCB exploration weight
 EPSILON = 0.01       # PI/EI improvement margin over the incumbent
@@ -60,7 +59,9 @@ CEPHES = np.ascontiguousarray((_PADDED[:, 0] + 1j * _PADDED[:, 1]).T)
 
 
 class GpFitError(RuntimeError):
-    """Kernel matrix could not be factorized even after jitter escalation."""
+    """A pivot of R + j I was not positive. In exact arithmetic each is at
+    least j, so only a non-finite encoded row, or a j too small to change
+    1 + j, gets here."""
 
 
 def encode_table(ds: Dataset) -> np.ndarray:
@@ -85,8 +86,7 @@ class GpModel:
         g, rows = len(LENGTH_SCALE_GRID), len(encoded)
         self.encoded = encoded
         self.inv_2l2 = 0.5 / np.square(LENGTH_SCALE_GRID)
-        self.jitter = np.full(g, NOISE_VAR)
-        self.ids, self.y = [], []  # added rows and their targets, in order
+        self.y = []  # added rows' targets, in order
         self.held = np.zeros(rows, dtype=bool)
         self.V = np.zeros((g, CAPACITY, rows))
         self.ab = np.zeros((g, CAPACITY, 2))
@@ -97,48 +97,34 @@ class GpModel:
         """Add rows `ids` of `encoded`, in order, with targets `y`; then pick
         the scale of highest log marginal likelihood (first on ties)."""
         for i, target in zip(ids.tolist(), y.tolist()):
-            n = len(self.ids)
+            n = len(self.y)
             if n == self.V.shape[1]:
                 self.V, self.ab = (np.concatenate([m, np.zeros_like(m)], axis=1)
                                    for m in (self.V, self.ab))
-            self.ids.append(i)
+            self._border(n, i, target)
             self.y.append(target)
             self.held[i] = True
-            for k in np.flatnonzero(~self._border(slice(None), n, i, target)):
-                self._refactor(k)
         self._select()
 
-    def _border(self, ks: slice, n: int, i: int, target: float) -> np.ndarray:
-        """Make row i row n of the factors of scales `ks`, from one squared
-        distance vector they share. Returns, per scale, whether its pivot
-        was positive; a scale whose pivot was not is left for _refactor."""
+    def _border(self, n: int, i: int, target: float) -> None:
+        """Make row i row n of every scale's factors, from one squared
+        distance vector they share. A pivot that is not positive (or NaN)
+        raises GpFitError before any factor changes."""
         diff = self.encoded - self.encoded[i]
         sq = np.einsum("ij,ij->i", diff, diff)
-        V = self.V[ks, :n]
+        V = self.V[:, :n]
         border = V[:, :, i]  # L^-1 R(X, x_i)
-        pivot = 1.0 + self.jitter[ks] - np.einsum("kn,kn->k", border, border)
-        ok = pivot > 0.0
-        d = np.sqrt(np.where(ok, pivot, 1.0))
-        v = (np.exp(-sq * self.inv_2l2[ks, None])
+        pivot = 1.0 + NOISE_VAR - np.einsum("kn,kn->k", border, border)
+        if not (pivot > 0.0).all():
+            raise GpFitError("a kernel pivot is not positive")
+        d = np.sqrt(pivot)
+        v = (np.exp(-sq * self.inv_2l2[:, None])
              - np.matmul(border[:, None, :], V)[:, 0]) / d[:, None]
-        self.V[ks, n] = v
-        self.S[ks] += v * v
-        ab = np.einsum("kn,knc->kc", border, self.ab[ks, :n])
-        self.ab[ks, n] = ((target, 1.0) - ab) / d[:, None]
-        self.log_det[ks] += np.log(d)
-        return ok
-
-    def _refactor(self, k: int) -> None:
-        """Rebuild scale k from an empty factor at ten times its jitter,
-        until every pivot is positive; past JITTER_MAX raise GpFitError."""
-        while True:
-            self.jitter[k] *= 10.0
-            if self.jitter[k] > JITTER_MAX * (1.0 + 1e-12):
-                raise GpFitError(f"kernel factorization failed up to jitter {JITTER_MAX}")
-            self.S[k] = self.log_det[k] = 0.0
-            if all(self._border(slice(k, k + 1), n, i, target)[0]
-                   for n, (i, target) in enumerate(zip(self.ids, self.y))):
-                return
+        self.V[:, n] = v
+        self.S += v * v
+        ab = np.einsum("kn,knc->kc", border, self.ab[:, :n])
+        self.ab[:, n] = ((target, 1.0) - ab) / d[:, None]
+        self.log_det += np.log(d)
 
     def _select(self) -> None:
         """Centre the targets, set the signal variance, and keep the scale
@@ -172,7 +158,7 @@ def fit_gp(labeled: np.ndarray, ds: Dataset, model: GpModel | None = None) -> Gp
     if model is None:
         model = GpModel(ds.cached(encode_table))
     new = labeled[~model.held[labeled]]
-    if len(labeled) - len(new) != len(model.ids):
+    if len(labeled) - len(new) != len(model.y):
         raise ValueError("the posterior holds rows that are not labeled")
     model.extend(new, 1.0 - reveal(new, ds))
     return model

@@ -10,7 +10,8 @@ expression of the log ratio the package computes as one matrix product,
 fit_run and acquire_run the naive-Bayes step of one run, which the
 package takes for a batch of runs at once, gp_refit the from-scratch
 GP fit the package extends one row at a time, is_rounded_pstdev the
-exact test of a population sd the package computes in integers, and
+exact test of a population sd the package computes in integers,
+bootstrap_p the p-value the package draws as one block of resamples, and
 sk_split_loop the cut search the package runs as one cumulative sum.
 Nothing in the package imports this module.
 """
@@ -457,6 +458,25 @@ def explore_signed(b: float, r: float) -> float:
 ACQUISITIONS = {"exploit": exploit, "explore": explore}
 
 
+# -- ranking ----------------------------------------------------------------------
+
+def bootstrap_p(a, b, resamples: int = 512) -> float:
+    """stats.bootstrap_same's p-value, one resample at a time: both lists
+    recentred on their pooled mean, `resamples` index draws for a and then
+    for b from default_rng(0), and the share of resampled mean gaps at
+    least the observed one."""
+    xs, ys = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    observed = abs(xs.mean() - ys.mean())
+    pooled = np.concatenate([xs, ys]).mean()
+    xs_null, ys_null = xs - xs.mean() + pooled, ys - ys.mean() + pooled
+    rng = np.random.default_rng(0)
+    xi = rng.integers(0, len(xs), size=(resamples, len(xs)))
+    yi = rng.integers(0, len(ys), size=(resamples, len(ys)))
+    hits = sum(abs(xs_null[x].mean() - ys_null[y].mean()) >= observed
+               for x, y in zip(xi, yi))
+    return float(hits / resamples)
+
+
 # -- gaussian process ---------------------------------------------------------------
 
 def encode_row(ds: Dataset, i: int) -> np.ndarray:
@@ -474,7 +494,6 @@ class GpRefit:
     L: np.ndarray           # Cholesky factor of K
     length_scale: float
     signal_var: float
-    jitter: float           # j, relative to signal_var
     log_marginal: float
 
     def predict_batch(self, Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -500,16 +519,11 @@ def _refit_at(X: np.ndarray, y: np.ndarray, length_scale: float,
     y_mean = float(y.mean())
     yc = y - y_mean
     R = np.exp(-cdist(X, X, "sqeuclidean") / (2.0 * length_scale ** 2))
-    jitter = gp.NOISE_VAR
-    while True:
-        K = signal_var * (R + jitter * np.eye(n))
-        try:
-            L = np.linalg.cholesky(K)
-            break
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-            if jitter > gp.JITTER_MAX * (1.0 + 1e-12):
-                raise gp.GpFitError("kernel factorization failed") from None
+    K = signal_var * (R + gp.NOISE_VAR * np.eye(n))
+    try:
+        L = np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        raise gp.GpFitError("kernel factorization failed") from None
     alpha = cho_solve((L, True), yc)
     # One step of iterative refinement against K itself, the residual in
     # extended precision: on near-singular kernels (repeated encodings make
@@ -522,7 +536,7 @@ def _refit_at(X: np.ndarray, y: np.ndarray, length_scale: float,
            - 0.5 * n * math.log(2.0 * math.pi))
     return GpRefit(X=X, y_mean=y_mean, alpha=alpha, L=L,
                    length_scale=length_scale, signal_var=signal_var,
-                   jitter=jitter, log_marginal=lml)
+                   log_marginal=lml)
 
 
 def gp_refit(X: np.ndarray, y: np.ndarray,

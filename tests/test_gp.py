@@ -67,8 +67,8 @@ def test_two_point_posterior_matches_linear_algebra_oracle(unit_scale):
 
 
 def test_non_finite_inputs_are_rejected():
-    """A non-finite encoded row makes every pivot NaN, which no jitter
-    rung repairs, so training on it fails loudly."""
+    """A non-finite encoded row makes the next pivot NaN, and a pivot
+    that is not positive stops the fit, so training on it fails loudly."""
     with pytest.raises(gp.GpFitError):
         gp_posterior([[0.0], [np.nan]], [0.0, 1.0], [[0.5]])
 
@@ -108,6 +108,16 @@ def test_posterior_reverts_to_the_prior_far_away(unit_scale):
     assert sd[0] == pytest.approx(math.sqrt(model.signal_var), abs=1e-6)
 
 
+@pytest.mark.parametrize("spread, sd_far", [(1e-4, 1e-4), (0.0, 1e-6)])
+def test_a_near_flat_target_keeps_its_variance_above_the_floor(unit_scale, spread, sd_far):
+    """Targets 1e-4 either side of their mean have variance 1e-8, above
+    the signal-variance floor of 1e-12, so far from the data the sd is
+    sqrt(1e-8) = 1e-4; a constant target takes the floor, sd 1e-6."""
+    y = 0.5 + spread * np.array([-1.0, 1.0, -1.0, 1.0])
+    _, _, sd = gp_posterior([[0.0], [0.2], [0.4], [0.6]], y, [[1e3]])
+    assert sd[0] == pytest.approx(sd_far, rel=1e-6)
+
+
 def test_fit_needs_two_points(auto93):
     with pytest.raises(ValueError):
         gp.fit_gp(label_ids(auto93, [0]), auto93)
@@ -121,24 +131,39 @@ def test_fit_gp_refuses_a_posterior_holding_unlabeled_rows(auto93):
 
 def test_unsalvageable_kernel_raises_gp_fit_error(monkeypatch):
     """Relative noise keeps every pivot of R + j I at least j, so the
-    failure is forced: at j = 1e-20, 1 + j rounds to 1, the pivot of a
-    duplicate row is exactly 0, and the ladder stops at 1e-18."""
+    failure is forced: at j = 1e-20, 1 + j rounds to 1, and the pivot of
+    a duplicate row is exactly 0."""
     monkeypatch.setattr(gp, "NOISE_VAR", 1e-20)
-    monkeypatch.setattr(gp, "JITTER_MAX", 1e-18)
     with pytest.raises(gp.GpFitError):
         gp_posterior([[0.0], [0.0]], [0.0, 1.0], np.empty((0, 1)))
 
 
-def test_jitter_ladder_settles_on_a_larger_jitter_that_factorizes(monkeypatch):
-    """From j = 1e-20 a duplicate row's pivot is 0 until 1 + j exceeds 1
-    in floating point; each scale is rebuilt at ten times its jitter until
-    every pivot is positive, and the posterior is then finite."""
-    monkeypatch.setattr(gp, "NOISE_VAR", 1e-20)
-    model, mu, sd = gp_posterior([[0.0], [0.0], [1.0]], [0.0, 1.0, 0.5],
-                                 [[0.0], [0.5], [3.0]])
-    assert (1e-20 < model.jitter).all() and (model.jitter <= gp.JITTER_MAX).all()
-    assert np.isfinite(mu).all() and np.isfinite(sd).all()
-    assert np.isfinite(model.log_marginal).all()
+@st.composite
+def encoded_tables(draw):
+    """An encoded table of 2-70 rows, past CAPACITY and its doubling, of
+    one to five columns: normalized ones drawing from five values, one-hot
+    ones from 0 and 1, so duplicate rows occur."""
+    pools = draw(st.lists(st.sampled_from(((0.0, 0.25, 0.5, 0.75, 1.0), (0.0, 1.0))),
+                          min_size=1, max_size=5))
+    cells = st.tuples(*(st.sampled_from(pool) for pool in pools))
+    return np.array([draw(cells) for _ in range(draw(st.integers(2, 70)))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(encoded_tables())
+# 70 rows, 5 distinct: past both doublings, each row repeated 14 times.
+@example(np.tile([[0.0, 1.0], [0.25, 0.0], [0.25, 1.0], [1.0, 1.0], [0.5, 0.0]], (14, 1)))
+def test_every_pivot_stays_at_least_half_the_noise(encoded):
+    """Each row added multiplies det(R + j I) by its pivot, so per scale
+    the pivot is exp(2 * the step's change in log_det). In exact
+    arithmetic it is at least j; rounded, it stays at least j / 2."""
+    model = gp.GpModel(encoded)
+    before = model.log_det.copy()
+    for i in range(len(encoded)):
+        model.extend(np.array([i]), np.array([i / len(encoded)]))
+        pivot = np.exp(2.0 * (model.log_det - before))
+        assert (pivot >= gp.NOISE_VAR / 2).all(), (i, pivot)
+        before = model.log_det.copy()
 
 
 def test_posterior_outgrows_its_capacity(auto93, monkeypatch):

@@ -143,6 +143,27 @@ def test_identical_values_hit_the_sd_floor(make_ds):
     assert m.weights[5] == pytest.approx((5e-10 - 1) / lh.FLOOR_MIN ** 2, rel=1e-12)
 
 
+def test_a_fine_gap_sets_the_sd_floor_that_decides_a_pick(make_ds):
+    """W's smallest normalized gap is 1e-3, so its floor is 5e-4, above
+    the 1e-6 least floor. Best holds W = 0.5 twice, so its sd is that
+    floor; rest holds 0 and 1. Explore picks the d nearest 0 among 0.501,
+    0.502 and 0.503: d is about 4.9, -1.1 and -11.1, so 0.502 (row 5).
+    A floor of 1e-3 would move d to 5.7, 4.2 and 1.7, and the pick to 6."""
+    ds = make_ds("""
+        W,Cost-
+        500,1
+        500,2
+        0,3
+        1000,4
+        501,5
+        502,6
+        503,7
+    """)
+    assert lh.table_terms(ds)["floor"][0] == pytest.approx(5e-4, rel=1e-9)
+    m = fit_one(halves(ds, 2, end=4), ds)
+    assert pick(m, [4, 5, 6], "explore") == 5
+
+
 def test_class_that_never_saw_a_column_is_neutral(make_ds):
     """Best saw no W, so W adds nothing to d, though rest's sd of W (0.41)
     is not best's floor (0.2): d is the log prior ratio on every row."""

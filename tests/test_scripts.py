@@ -146,3 +146,15 @@ def test_bench_copies_a_tree_that_is_not_a_git_checkout(tmp_path, monkeypatch):
         assert (tree / name).is_file(), name
     assert not (tree / ".perfbench_out").exists()
     assert not list(tree.rglob("__pycache__"))
+
+
+def test_every_mutant_replaces_text_that_occurs_once():
+    """mutate.py's mutants each change one line: `old` occurs exactly once
+    in its file and holds no line break. The mutants run only under the
+    script, not here, and without this test, which only the unmutated
+    tree passes."""
+    mutate = load_script("mutate")
+    mutate.check()
+    assert mutate.LIST_TEST.endswith(
+        "::" + test_every_mutant_replaces_text_that_occurs_once.__name__)
+    assert all(old != new and "\n" not in old + new for _, old, new in mutate.MUTANTS)

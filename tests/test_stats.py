@@ -13,7 +13,7 @@ from mootopt.report import (_quartiles, evals_needed_csv, frequency_csv,
                             rank_table_csv, render_rank_table)
 from mootopt.stats import (Sample, bootstrap_same, cliffs_delta, pstdev,
                            scott_knott, sk_split)
-from oracles import is_rounded_pstdev, sk_split_loop
+from oracles import bootstrap_p, is_rounded_pstdev, sk_split_loop
 
 
 # -- Sample --------------------------------------------------------------------
@@ -145,6 +145,26 @@ def test_bootstrap_agrees_with_exact_permutation_oracle():
     assert bootstrap_same(diff_a, diff_b) is False
 
 
+@pytest.mark.parametrize("a, b, same", [
+    ([6.0, 5.0, 3.0], [4.0, 3.0, 1.0], False),   # p = 23/512; 18/256 at 256
+    ([4.0, 0.0, 7.0], [4.0, 9.0, 11.0], True),   # p = 34/512; 11/256 at 256
+])
+def test_bootstrap_draws_512_resamples(a, b, same):
+    """The verdict is that of 512 resamples: on these inputs 256 would
+    put the p-value on the other side of 0.05."""
+    assert bootstrap_same(a, b) is same
+    assert (bootstrap_p(a, b) >= 0.05) is same
+    assert (bootstrap_p(a, b, resamples=256) >= 0.05) is not same
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=40),
+       st.lists(st.integers(0, 12), min_size=1, max_size=40))
+def test_bootstrap_same_is_the_one_resample_at_a_time_verdict(a, b):
+    a, b = [float(v) for v in a], [float(v) for v in b]
+    assert bootstrap_same(a, b) is (bootstrap_p(a, b) >= 0.05)
+
+
 def test_bootstrap_rejects_empty_sides():
     with pytest.raises(ValueError):
         bootstrap_same([], [1.0])
@@ -264,6 +284,18 @@ def test_scott_knott_separates_two_clusters():
     assert len(groups) == 2
     assert {s.label[0] for s in groups[0]} == {"good", "alsogood"}
     assert rank_of(groups, ("bad",)) == 1
+
+
+@pytest.mark.parametrize("ones, split", [(73, False), (74, True)])
+def test_scott_knott_splits_only_past_a_negligible_delta(ones, split):
+    """500 zeros against 500 values of which `ones` are 1: the bootstrap
+    rejects "same" either way, and Cliff's delta is ones / 500, 0.146
+    or 0.148, so only the second clears the 0.147 "negligible" bound."""
+    a, b = [0.0] * 500, [0.0] * (500 - ones) + [1.0] * ones
+    assert abs(cliffs_delta(a, b)) == ones / 500
+    assert bootstrap_same(a, b) is False
+    groups = scott_knott([S("a", a), S("b", b)])
+    assert len(groups) == (2 if split else 1)
 
 
 def test_scott_knott_is_shift_invariant():
