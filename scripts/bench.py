@@ -5,23 +5,24 @@
         [--seconds S] [--seed K] [--out FILE]
     python3 scripts/bench.py --out FILE [--workload W]... [--seconds S] [--seed K]
 
-Each side of a measurement runs in a clean tree of its own: REV's is a
-`git archive` of REV, and the working tree's holds its tracked and
-untracked files that git does not ignore (outside a git checkout: every
-file but `.git`, `__pycache__` and `.perfbench_out`). Both get the
-working tree's perfbench/ and BENCHMARK.json copied in, so the two sides
-run the same benchmark code, and neither starts with a stale
-`__pycache__`. Each run is
-`perfbench/run.py --workload W --seed K --seconds S --trace 0` in a fresh
-interpreter.
+Each side of a measurement runs in a clean tree of its own. The working
+tree's is a plain walk of it that skips SKIP, so it holds every other
+file, whether git tracks it or not, and no stale `__pycache__`. REV's is
+a `git archive` of REV with the working tree's perfbench/ and
+BENCHMARK.json copied in, so the two sides run the same benchmark code.
+Each run is `perfbench/run.py --workload W --seed K --seconds S --trace 0`
+in a fresh interpreter.
 
 With `--pair`, REV (the parent) and the working tree (the change)
 alternate, N pairs per workload, the parent first in even-numbered pairs.
 For each end-to-end metric BENCHMARK.json lists, the report gives each
 side's median and quartiles, the median of the per-pair change/parent
 ratios, and the count of pairs the change won in the metric's own
-direction; a tie counts for neither side. Without `--pair`, each workload
-runs once in the working tree.
+direction; a tie counts for neither side. It marks a metric `unresolved`
+when the parent's interquartile range exceeds the metric's `bound` times
+the parent's median and not every change run beats every parent run:
+such a metric's pairs cannot tell the change from the parent's own
+spread. Without `--pair`, each workload runs once in the working tree.
 
 `--out` also writes, as JSON, every run's final perfbench line and results
 sha256, each side's provenance, and the report. The script imports nothing from
@@ -41,33 +42,29 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("grid-tpe", "grid-gp", "warm-remote")
+# What the working tree's copy leaves out: git's store, bytecode, and what
+# perfbench, pytest and Hypothesis write into the tree.
+SKIP = (".git", "__pycache__", ".perfbench_out", ".pytest_cache", ".hypothesis")
 
 
-def end_to_end(root: Path = ROOT) -> dict[str, str]:
-    """Each end-to-end metric of BENCHMARK.json and its better direction."""
-    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+def end_to_end() -> dict[str, dict]:
+    """Each end-to-end metric of BENCHMARK.json, by name: its `better`
+    direction and its `bound`, among others."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def export(rev: str | None, dest: Path) -> Path:
-    """A clean tree of `rev` (None: the working tree) at `dest`, with the
-    working tree's perfbench/ and BENCHMARK.json in it."""
+    """A clean tree at `dest`: with `rev` None, the working tree by a plain
+    walk that skips SKIP; else a `git archive` of `rev` with the working
+    tree's perfbench/ and BENCHMARK.json in it."""
+    if rev is None:
+        shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(*SKIP))
+        return dest
     dest.mkdir(parents=True)
-    if rev is None and not (ROOT / ".git").exists():
-        shutil.copytree(ROOT, dest, dirs_exist_ok=True, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".perfbench_out"))
-    elif rev is None:
-        listed = subprocess.run(
-            ["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
-             "--exclude-standard"], capture_output=True, check=True).stdout
-        for name in filter(None, listed.decode("utf-8").split("\0")):
-            if (ROOT / name).is_file():  # a deleted tracked file stays listed
-                (dest / name).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(ROOT / name, dest / name)
-    else:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev],
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
     shutil.rmtree(dest / "perfbench", ignore_errors=True)
     shutil.copytree(ROOT / "perfbench", dest / "perfbench",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -120,22 +117,29 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(parent: list[dict], change: list[dict],
-              better: dict[str, str]) -> dict:
-    """Per metric: each side's quartiles, the median per-pair ratio and
-    the pairs the change won. `parent[i]` and `change[i]` form pair i."""
+              metrics: dict[str, dict]) -> dict:
+    """Per metric: each side's quartiles, the median per-pair ratio, the
+    pairs the change won, and whether the verdict is unresolved: the
+    parent's interquartile range is wider than `bound` times its median,
+    and some change run does not beat every parent run. `parent[i]` and
+    `change[i]` form pair i."""
     report = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
         pairs = [(p["values"][name], c["values"][name])
                  for p, c in zip(parent, change)]
         ratios = [c / p for p, c in pairs if p]
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if metric["better"] == "higher" else -1
+        before, after = [p for p, _ in pairs], [c for _, c in pairs]
+        q1, q2, q3 = quartiles(before)
         report[name] = {
-            "better": direction,
-            "parent": quartiles([p for p, _ in pairs]),
-            "change": quartiles([c for _, c in pairs]),
+            "better": metric["better"],
+            "parent": (q1, q2, q3),
+            "change": quartiles(after),
             "ratio": statistics.median(ratios) if ratios else None,
             "won": sum(sign * (c - p) > 0 for p, c in pairs),
             "pairs": len(pairs),
+            "unresolved": q3 - q1 > metric["bound"] * abs(q2) and not all(
+                sign * (c - p) > 0 for p in before for c in after),
         }
     return report
 
@@ -146,14 +150,16 @@ def render(workload: str, report: dict, parent: list[dict],
         return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
     lines = [f"{workload}: {len(parent)} pairs, parent -> change; "
-             "median [quartiles], median ratio, pairs won",
+             "median [quartiles], median ratio, pairs won; unresolved: the "
+             "parent spreads wider than the bound and the sides overlap",
              f"{'metric':18s} {'better':6s} {'parent':>34s} {'change':>34s}"
              f" {'ratio':>7s} won"]
     for name, r in report.items():
         ratio = "-" if r["ratio"] is None else f"{r['ratio']:.4f}"
         lines.append(f"{name:18s} {r['better']:6s} {side(r['parent']):>34s} "
                      f"{side(r['change']):>34s} {ratio:>7s} "
-                     f"{r['won']}/{r['pairs']}")
+                     f"{r['won']}/{r['pairs']}"
+                     + ("  unresolved" if r["unresolved"] else ""))
     for label, runs in (("parent", parent), ("change", change)):
         hashes = sorted({str(run["sha256"]) for run in runs})
         correct = sum(run["correct"] is True for run in runs)
@@ -178,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     workloads = args.workload or list(WORKLOADS)
-    better = end_to_end()
+    metrics = end_to_end()
     if args.pair is not None:  # the file names the commit, not a ref to it
         args.pair = subprocess.run(
             ["git", "-C", str(ROOT), "rev-parse", "--verify", args.pair + "^{commit}"],
@@ -206,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
                           f"{runs['parent'][-1]['values']['runs_per_s']:.6g}, change "
                           f"{runs['change'][-1]['values']['runs_per_s']:.6g}",
                           flush=True)
-                report = summarize(runs["parent"], runs["change"], better)
+                report = summarize(runs["parent"], runs["change"], metrics)
                 result["workloads"][w] = {
                     **{label: stored(side) for label, side in runs.items()},
                     "report": report}

@@ -3,16 +3,18 @@
 
     python3 scripts/mutate.py > MUTANTS.md
 
-For each (file, old, new) in MUTANTS, a fresh copy of the tree without
-`.git` (made by a plain walk that also skips `__pycache__`,
-`.perfbench_out`, `.pytest_cache` and `.hypothesis`) gets `old` replaced
-by `new`, once. In that copy tier-1 runs as
+For each (file, old, new) in MUTANTS, a fresh copy of the working tree
+(`bench.export`'s plain walk, without `.git`) gets `old` replaced by
+`new`, once. In that copy tier-1 runs as
 `pytest -q -x --hypothesis-seed=0 --continue-on-collection-errors`, less
-the test that checks this list against the unmutated tree (`old` is gone
-from a mutant): the mutant is killed when it exits non-zero, and the
-report names the first failing test. Then `mootopt run --data data --seed 1` and `mootopt rank`
-run there, and the report counts the output files whose bytes differ
-from those of an unmutated copy (a file on one side only counts too).
+the DESELECTED tests, which check a text against the unmutated tree:
+this list (`old` is gone from a mutant) and the README's constants table
+(a constant's row would fail with or without a test of its behaviour).
+The mutant is killed when pytest exits non-zero, and the report names
+the first failing test. Then `mootopt run --data data --seed 1` and
+`mootopt rank` run there, and the report counts the output files whose
+bytes differ from those of an unmutated copy (a file on one side only
+counts too).
 
 The report is markdown on stdout, one row per mutant in MUTANTS order;
 progress goes to stderr. It holds no timings, so a rerun on the same
@@ -29,9 +31,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SKIP = (".git", "__pycache__", ".perfbench_out", ".pytest_cache", ".hypothesis")
-LIST_TEST = "tests/test_scripts.py::test_every_mutant_replaces_text_that_occurs_once"
+from bench import ROOT, export
+
+DESELECTED = ("tests/test_scripts.py::test_every_mutant_replaces_text_that_occurs_once",
+              "tests/test_cli.py::test_readme_constants_table_gives_each_constants_value")
 
 # (file, old, new): each `old` occurs exactly once in its file.
 MUTANTS = (
@@ -59,11 +62,6 @@ def check() -> None:
             raise ValueError(f"{file}: {old!r} occurs {count} times, not once")
 
 
-def copy_tree(dest: Path) -> Path:
-    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(*SKIP))
-    return dest
-
-
 def run(tree: Path, *args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": "src", "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run([sys.executable, *args], cwd=tree, env=env,
@@ -74,7 +72,7 @@ def tier1(tree: Path) -> tuple[str, str]:
     """('survived', ''), or ('killed', the first failing test)."""
     done = run(tree, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                "--hypothesis-seed=0", "--continue-on-collection-errors",
-               "--deselect", LIST_TEST)
+               *(arg for test in DESELECTED for arg in ("--deselect", test)))
     if done.returncode == 0:
         return "survived", ""
     failed = [line.split(" ", 1)[1].split(" - ", 1)[0]
@@ -98,11 +96,11 @@ def main() -> int:
     print("| file | old | new | tier-1 | first failing test | default-grid files changed (seed 1) |")
     print("| --- | --- | --- | --- | --- | ---: |")
     with tempfile.TemporaryDirectory() as tmp:
-        base = grid(copy_tree(Path(tmp, "base")), Path(tmp, "out-base"))
+        base = grid(export(None, Path(tmp, "base")), Path(tmp, "out-base"))
         for k, (file, old, new) in enumerate(MUTANTS):
             print(f"mutant {k + 1}/{len(MUTANTS)}: {file} {old!r} -> {new!r}",
                   file=sys.stderr)
-            tree = copy_tree(Path(tmp, f"mutant-{k}"))
+            tree = export(None, Path(tmp, f"mutant-{k}"))
             path = tree / file
             path.write_text(path.read_text(encoding="utf-8").replace(old, new),
                             encoding="utf-8")

@@ -260,16 +260,16 @@ def normalize(values, st: NumStats) -> np.ndarray:
     return np.minimum(np.maximum((v - st.lo) / (st.hi - st.lo), 0.0), 1.0)
 
 
-def encode_cells(cells, ds: Dataset, layout: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Cell tuples aligned with `ds.x_cols`, as (numeric block, symbol codes).
+def encode_cells(cells, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Cell tuples aligned with `ds.x_cols`, as (numeric block, symbol codes),
+    in the layout of `ds.x_views()`.
 
-    `layout` gives num_pos, sym_pos and alphabets, as x_views() does. The
-    numeric block is C-ordered (len(cells), n_num), normalized, NaN where
-    a cell is missing. Codes index the column's alphabet, -1 where a cell
-    is missing or holds a symbol never seen at load.
+    The numeric block is C-ordered (len(cells), n_num), normalized, NaN
+    where a cell is missing. Codes index the column's alphabet, -1 where a
+    cell is missing or holds a symbol never seen at load.
     """
     return _encode_columns(list(zip(*cells)) or [()] * len(ds.x_cols), len(cells),
-                           ds, layout)
+                           ds, ds.x_views())
 
 
 def _encode_columns(columns, n: int, ds: Dataset, layout: dict):

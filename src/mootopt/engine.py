@@ -127,14 +127,15 @@ class Run:
         """What a run at `budget` reports, as a `results.jsonl` record.
 
         The budget only stops the loop, so a run at a smaller budget labels
-        this run's first min(budget, evals) rows; the seed and the warm
-        start's fallback are shared.
+        this run's first `budget` rows; the seed and the warm start's
+        fallback are shared. A budget the run did not spend raises ValueError.
         """
-        n = min(budget, len(self.curve))
+        if not 1 <= budget <= len(self.curve):
+            raise ValueError(f"budget {budget} is outside the run's 1..{len(self.curve)}")
         return {"dataset": self.ds.name, "start": self.t.start,
                 "acquire": self.t.acquire, "budget": budget,
                 "repeat": self.repeat, "seed": self.seed,
-                "best": self.curve[n - 1], "evals": n, "fallback": self.fallback}
+                "best": self.curve[budget - 1], "evals": budget, "fallback": self.fallback}
 
 
 def label_tpe(runs: list[Run]) -> None:

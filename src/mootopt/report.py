@@ -208,13 +208,12 @@ def _quartiles(values: list[float]) -> list[float]:
     return out
 
 
-def _spark(values: list[float], lo: float, hi: float,
-           width: int = SPARK_WIDTH) -> str:
+def _spark(values: list[float], lo: float, hi: float) -> str:
     """Quartile strip: dashes span q1..q3, 'o' marks the median."""
-    marks = [" "] * width
+    marks = [" "] * SPARK_WIDTH
     if hi > lo:
         q1, q2, q3 = _quartiles(values)
-        at = lambda v: min(width - 1, int((v - lo) / (hi - lo) * width))
+        at = lambda v: min(SPARK_WIDTH - 1, int((v - lo) / (hi - lo) * SPARK_WIDTH))
         for i in range(at(q1), at(q3) + 1):
             marks[i] = "-"
         marks[at(q2)] = "o"
@@ -223,8 +222,8 @@ def _spark(values: list[float], lo: float, hi: float,
     return "".join(marks)
 
 
-def render_rank_table(table: list[list[Sample]], title: str = "") -> str:
-    """Aligned text: rank, treatment, budget, median, sd, quartile strip."""
+def render_rank_table(table: list[list[Sample]], title: str) -> str:
+    """`title`, then aligned rank, treatment, budget, median, sd, quartile strip."""
     pooled = [v for group in table for s in group for v in s.values]
     lo, hi = min(pooled), max(pooled)
     rows = []
@@ -236,8 +235,7 @@ def render_rank_table(table: list[list[Sample]], title: str = "") -> str:
                          "|" + _spark(s.values, lo, hi) + "|"))
     header = ("rank", "start", "acquire", "budget", "median", "sd", "")
     widths = [max(len(r[i]) for r in rows + [header]) for i in range(7)]
-    lines = [title] if title else []
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
+    lines = [title, "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
     for r in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
     return "\n".join(lines) + "\n"

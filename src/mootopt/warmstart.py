@@ -344,7 +344,7 @@ def squared_distances(e1: list[SyntheticRow], ids: np.ndarray,
     either cell is missing or the synthetic symbol was never seen at load.
     """
     views = ds.x_views()
-    s_num, s_sym = encode_cells([sr.cells for sr in e1], ds, views)
+    s_num, s_sym = encode_cells([sr.cells for sr in e1], ds)
     pool_num = views["X_num"].T.take(ids, axis=1)  # C order, unlike [:, ids]
     pool_sym = views["X_sym"][ids].T
     gap = pool_num - s_num[:, :, None]

@@ -1,6 +1,7 @@
 """Command-line behavior: arm grammar, exit codes, artifact contracts."""
 
 import csv
+import importlib
 import json
 import os
 import re
@@ -554,6 +555,25 @@ def test_manifest_records_the_fixed_settings(smoke):
     config = json.loads((smoke / "manifest.json").read_text())["config"]
     assert (config["kappa"], config["epsilon"], config["warm_size"]) == \
         (gp.KAPPA, gp.EPSILON, engine.B0) == (2.0, 0.01, 4)
+
+
+def test_readme_constants_table_gives_each_constants_value():
+    """Each row of the README's `| setting | value | constant |` table lists
+    the values of the constants it names, in order, a tuple's items one by
+    one; a value may carry a unit ` s` or be a percentage. So a changed
+    constant fails here until its row follows it."""
+    text = (DATA.parent / "README.md").read_text(encoding="utf-8")
+    lines = text.split("| setting | value | constant |\n", 1)[1].splitlines()[1:]
+    rows = [line.strip("|").split(" | ") for line in lines[:lines.index("")]]
+    assert len(rows) == 12
+    for setting, value, names in rows:
+        want = []
+        for module, name in re.findall(r"`(\w+)\.(\w+)`", names):
+            constant = getattr(importlib.import_module(f"mootopt.{module}"), name)
+            want += constant if isinstance(constant, tuple) else [constant]
+        stated = [float(v.removesuffix(" s").removesuffix("%")) / (100 if v.endswith("%") else 1)
+                  for v in value.split(", ")]
+        assert want and stated == want, setting
 
 
 # -- rank artifacts -----------------------------------------------------------------

@@ -475,7 +475,7 @@ def test_encode_cells_keeps_its_shapes(text):
     views = ds.x_views()
     n_num, n_sym = len(views["num_pos"]), len(views["sym_pos"])
     for cells in ([], [row.x for row in ds.rows]):
-        num, codes = d.encode_cells(cells, ds, views)
+        num, codes = d.encode_cells(cells, ds)
         want_num, want_codes = oracles.encode_rows(cells, ds, views)
         assert (num.shape, codes.shape) == ((len(cells), n_num), (len(cells), n_sym))
         assert (num.dtype, codes.dtype) == (np.float64, np.int64)
@@ -484,10 +484,9 @@ def test_encode_cells_keeps_its_shapes(text):
 
 
 def test_encode_codes_unseen_and_missing_symbols_as_minus_one(toy):
-    views = toy.x_views()
-    seen = views["alphabets"][0][0]
+    seen = toy.x_views()["alphabets"][0][0]
     num, codes = d.encode_cells([(1.0, None, seen), (None, 2.0, "unseen"),
-                                 (3.0, 4.0, None)], toy, views)
+                                 (3.0, 4.0, None)], toy)
     assert codes[:, 0].tolist() == [0, -1, -1]
     assert np.isnan(num[0, 1]) and np.isnan(num[1, 0])
     assert num.shape == (3, 2) and codes.shape == (3, 1)

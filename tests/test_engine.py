@@ -1,6 +1,5 @@
 """Run orchestration: budgets, curves, seeds, and the treatment grid."""
 
-import dataclasses
 import functools
 import io
 import itertools
@@ -313,11 +312,14 @@ def test_record_reads_the_curve_prefix(toy):
         res.seed, 2, res.fallback)
 
 
-def test_record_past_a_short_run_keeps_its_evals(toy):
+def test_record_refuses_a_budget_the_run_did_not_spend(toy):
+    """A record exists only at a budget from 1 to the labels the run
+    spent: budget 0 would read the final best off curve[-1] with evals 0."""
     res = run_active(toy, Treatment("random", "exploit", 8), None, 0)
-    short = dataclasses.replace(res, curve=res.curve[:6])  # a pool ran dry at 6
-    rec = short.record(8)
-    assert (rec["budget"], rec["evals"], rec["best"]) == (8, 6, res.curve[5])
+    assert res.record(1)["evals"] == 1 and res.record(8)["evals"] == 8
+    for budget in (0, len(res.curve) + 1):
+        with pytest.raises(ValueError, match=f"budget {budget} is outside"):
+            res.record(budget)
 
 
 def completed(out):

@@ -88,6 +88,16 @@ def test_grid_search_keeps_the_highest_marginal_likelihood():
     assert model.log_marginal[model.scale] == model.log_marginal.max()
 
 
+def test_a_slow_target_picks_the_longest_scale_three():
+    """Targets near 0.5 + 0.4 sin(x / 3), three units apart, are smoother
+    than any shorter scale allows, so the search picks the grid's top,
+    3.0; a top of 2, 4 or 10 would move the mean between two rows."""
+    model, mu, _ = gp_posterior([[0.0], [3.0], [6.0], [9.0], [12.0]],
+                                [0.5, 0.84, 0.86, 0.56, 0.2], [[4.5]])
+    assert gp.LENGTH_SCALE_GRID[model.scale] == 3.0
+    assert mu[0] == pytest.approx(0.9029825405001303, rel=1e-9)
+
+
 def test_posterior_interpolates_noiseless_training_points():
     X = np.linspace(0, 1, 6).reshape(-1, 1)
     y = np.sin(2.0 * X[:, 0])

@@ -5,7 +5,10 @@ import importlib.util
 import json
 import shutil
 import statistics
+import subprocess
 from pathlib import Path
+
+import pytest
 
 from conftest import DATA
 
@@ -85,18 +88,27 @@ def perfbench_stdout(sha: str, **values: float) -> str:
 
 def test_bench_summarizes_pairs_of_perfbench_runs():
     """Each side's quartiles, the median per-pair ratio and the pairs the
-    change won, in each metric's own direction; a tie wins for neither."""
+    change won, in each metric's own direction; a tie wins for neither.
+    A metric whose parent quartiles spread wider than its bound, relative
+    to their median, is unresolved unless every change run beats every
+    parent run."""
     bench = load_script("bench")
-    parent = [bench.parse(perfbench_stdout("aa", runs_per_s=r, peak_rss_mb=m))
-              for r, m in ((150, 49.0), (152, 49.0), (154, 49.0))]
-    change = [bench.parse(perfbench_stdout("aa", runs_per_s=r, peak_rss_mb=m))
-              for r, m in ((160, 48.5), (151, 49.0), (165, 48.4))]
+    parent = [bench.parse(perfbench_stdout("aa", runs_per_s=r, peak_rss_mb=m,
+                                           setup_s=s, norm_best=b))
+              for r, m, s, b in ((150, 49.0, 0.2, 0.3), (152, 49.0, 0.3, 0.4),
+                                 (154, 49.0, 0.5, 0.6))]
+    change = [bench.parse(perfbench_stdout("aa", runs_per_s=r, peak_rss_mb=m,
+                                           setup_s=s, norm_best=b))
+              for r, m, s, b in ((160, 48.5, 0.25, 0.1), (151, 49.0, 0.28, 0.2),
+                                 (165, 48.4, 0.45, 0.25))]
     assert parent[0]["sha256"] == "aa"
     assert parent[0]["provenance"] == {"nproc": 2, "python": "3.11.7"}
     assert parent[0]["values"]["rank_s"] == 0.02
-    better = bench.end_to_end()
-    assert better["runs_per_s"] == "higher" and better["peak_rss_mb"] == "lower"
-    report = bench.summarize(parent, change, better)
+    metrics = bench.end_to_end()
+    assert metrics["runs_per_s"]["better"] == "higher"
+    assert metrics["peak_rss_mb"]["better"] == "lower"
+    assert metrics["setup_s"]["bound"] == metrics["norm_best"]["bound"] == 0.25
+    report = bench.summarize(parent, change, metrics)
     rate = report["runs_per_s"]
     assert rate["parent"] == (151.0, 152.0, 153.0)
     assert rate["change"] == (155.5, 160.0, 162.5)
@@ -104,8 +116,17 @@ def test_bench_summarizes_pairs_of_perfbench_runs():
     assert (rate["won"], rate["pairs"]) == (2, 3)
     assert report["peak_rss_mb"]["won"] == 2  # 49.0 against 49.0 is a tie
     assert report["rank_s"]["won"] == 0 and report["rank_s"]["ratio"] == 1.0
+    # setup_s: parent quartiles (0.25, 0.3, 0.4), a spread of 0.15 against
+    # 0.25 * 0.3, and the change's 0.28 and 0.45 lose to the parent's 0.2.
+    assert report["setup_s"]["parent"] == pytest.approx((0.25, 0.3, 0.4))
+    assert report["setup_s"]["unresolved"] is True
+    # norm_best spreads as wide, but every change run is below every parent run.
+    assert report["norm_best"]["unresolved"] is False
+    assert not any(report[name]["unresolved"] for name in ("runs_per_s", "peak_rss_mb"))
     text = bench.render("warm-remote", report, parent, change)
     assert "runs_per_s" in text and " 2/3" in text
+    assert [line.split()[0] for line in text.splitlines()
+            if line.endswith("  unresolved")] == ["setup_s"]
     assert "parent: results sha256 aa; correct in 3 of 3 runs" in text
 
 
@@ -148,13 +169,38 @@ def test_bench_copies_a_tree_that_is_not_a_git_checkout(tmp_path, monkeypatch):
     assert not list(tree.rglob("__pycache__"))
 
 
-def test_every_mutant_replaces_text_that_occurs_once():
+def test_bench_copies_a_git_checkout_by_the_same_walk(tmp_path, monkeypatch):
+    """Inside a git checkout the working tree's copy is the same plain
+    walk: an untracked file is copied, and no skipped name is."""
+    bench = load_script("bench")
+    root = tmp_path / "tree"
+    (root / "src").mkdir(parents=True)
+    (root / "src" / "tracked.py").write_text("x = 1\n", encoding="utf-8")
+    (root / "untracked.txt").write_text("new", encoding="utf-8")
+    subprocess.run(["git", "init", "-q", str(root)], check=True)
+    subprocess.run(["git", "-C", str(root), "add", "src/tracked.py"], check=True)
+    for name in bench.SKIP:
+        if name != ".git":
+            (root / "src" / name).mkdir()
+            (root / "src" / name / "stale").write_text("stale", encoding="utf-8")
+    monkeypatch.setattr(bench, "ROOT", root)
+    tree = bench.export(None, tmp_path / "copy")
+    assert sorted(p.relative_to(tree).as_posix() for p in tree.rglob("*")) == [
+        "src", "src/tracked.py", "untracked.txt"]
+
+
+def test_every_mutant_replaces_text_that_occurs_once(monkeypatch):
     """mutate.py's mutants each change one line: `old` occurs exactly once
     in its file and holds no line break. The mutants run only under the
-    script, not here, and without this test, which only the unmutated
-    tree passes."""
+    script, not here, and without the tests that compare a text with the
+    unmutated tree: this one and the README's constants table."""
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # mutate.py imports bench
     mutate = load_script("mutate")
     mutate.check()
-    assert mutate.LIST_TEST.endswith(
+    assert mutate.DESELECTED[0].endswith(
         "::" + test_every_mutant_replaces_text_that_occurs_once.__name__)
+    tests = Path(__file__).resolve().parent
+    for name in mutate.DESELECTED:
+        path, test = name.split("::")
+        assert f"\ndef {test}(" in (tests.parent / path).read_text(encoding="utf-8"), name
     assert all(old != new and "\n" not in old + new for _, old, new in mutate.MUTANTS)
